@@ -26,6 +26,7 @@ from .errors import (
     CodecError,
     ConfigError,
     DecodeFailure,
+    ErasureIndexError,
     FieldMismatch,
     InvalidParams,
     LengthMismatch,

@@ -10,10 +10,12 @@ violates the contract.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import galois, linalg
 from .errors import (
+    ErasureIndexError,
     InvalidParams,
     LengthMismatch,
     NoDecoder,
@@ -21,7 +23,6 @@ from .errors import (
 )
 
 ENUMERATION_CAP = 1 << 20
-_TABLE_CAP = 512  # decode tables for tiny codes (errors-only fast path)
 
 
 def wt(v) -> int:
@@ -30,18 +31,20 @@ def wt(v) -> int:
 
 def wt_punctured(v, erasures) -> int:
     """Hamming weight of v outside the erased coordinates."""
-    n = len(v)
-    for i in erasures:
-        if not 0 <= i < n:
-            raise IndexError(f"erasure index {i} out of range for length {n}")
+    check_erasures(erasures, len(v))
     return sum(1 for i, x in enumerate(v) if x != 0 and i not in erasures)
 
 
 def check_erasures(erasures, n) -> frozenset:
-    out = frozenset(int(i) for i in erasures)
+    try:
+        out = frozenset(operator.index(i) for i in erasures)
+    except TypeError:
+        raise ErasureIndexError(
+            f"erasures must be a collection of integers, got {erasures!r}"
+        ) from None
     for i in out:
         if not 0 <= i < n:
-            raise IndexError(f"erasure index {i} out of range for length {n}")
+            raise ErasureIndexError(f"erasure index {i} out of range for length {n}")
     return out
 
 
@@ -173,7 +176,8 @@ class LinearCode:
         return self
 
     def decode(self, word, erasures=()) -> DecodeOutcome:
-        return ee_decode(self, word, erasures)
+        """ee_decode after checking that every symbol is a field element."""
+        return ee_decode(self, tuple(self.field.validate(int(x)) for x in word), erasures)
 
 
 def ee_decode(code: LinearCode, word, erasures=()) -> DecodeOutcome:
@@ -214,85 +218,135 @@ def min_distance(code: LinearCode, cap: int = ENUMERATION_CAP) -> int:
 
 
 class ReedSolomonDecoder:
-    """Error-and-erasure decoding of an evaluation-style RS code.
+    """Syndrome error-and-erasure decoding of an evaluation-style RS code.
 
-    Erased coordinates are dropped, the punctured word is decoded with the
-    Euclidean (Gao) algorithm, and the message polynomial is re-evaluated on
-    all points.  The output is verified against 2*wt_E + |E| < d.
+    The code {(f(x_0), ..., f(x_{n-1})) : deg f < k} lives on distinct
+    evaluation points (0, 1, ..., n-1 for rs_code, so 0 is one of them) and
+    is not cyclic.  Its dual is the generalized RS code with column multipliers
+    u_i = 1 / prod_{j != i}(x_i - x_j), which gives the power-sum syndromes
+    S_l = sum_i u_i r_i x_i^l, l < n - k.  Per call, the erasure locator is
+    folded into Forney syndromes, Berlekamp-Massey finds the error locator,
+    a root search over the points places the errors and Forney's formula
+    gives their values: O(n (n - k)) field operations.  The output is
+    re-checked for zero syndrome and 2*wt_E + |E| < d.
     """
 
     def __init__(self, code: LinearCode):
         self.code = code
-        self._basis = {}
-
-    def _interpolation_data(self, keep):
-        cached = self._basis.get(keep)
-        if cached is not None:
-            return cached
-        f = self.code.field
-        pts = [self.code.eval_points[i] for i in keep]
-        g0 = [1]
-        for x in pts:
-            g0 = galois.poly_mul(f, g0, [f.neg(x), 1])
-        basis = []
-        for i, xi in enumerate(pts):
-            num = [1]
-            denom = 1
-            for j, xj in enumerate(pts):
-                if i == j:
-                    continue
-                num = galois.poly_mul(f, num, [f.neg(xj), 1])
-                denom = f.mul(denom, f.sub(xi, xj))
-            basis.append(galois.poly_scale(f, f.inv(denom), num))
-        if len(self._basis) > 4096:
-            self._basis.clear()
-        self._basis[keep] = (g0, basis)
-        return g0, basis
+        f = code.field
+        pts = code.eval_points
+        r = code.n - code.k
+        self._u = []
+        self._ux = []  # _ux[i][l] = u_i * x_i^l
+        for xi in pts:
+            prod = 1
+            for xj in pts:
+                if xj != xi:
+                    prod = f.mul(prod, f.sub(xi, xj))
+            u = f.inv(prod)
+            row = [u]
+            for _ in range(r - 1):
+                row.append(f.mul(row[-1], xi))
+            self._u.append(u)
+            self._ux.append(row[:r])
 
     def __call__(self, word, erasures) -> DecodeOutcome:
         code = self.code
         f = code.field
-        n, k, d = code.n, code.k, code.distance()
-        if len(erasures) >= d:
+        add, sub, mul = f.add, f.sub, f.mul
+        n, d = code.n, code.distance()
+        pts = code.eval_points
+        ne = len(erasures)
+        if ne >= d:
             return FAILURE
-        keep = tuple(i for i in range(n) if i not in erasures)
-        g0, basis = self._interpolation_data(keep)
-        g1 = []
-        for i, pos in enumerate(keep):
-            y = word[pos]
+        synd = [0] * (d - 1)
+        for y, row in zip(word, self._ux):
             if y:
-                g1 = galois.poly_add(f, g1, galois.poly_scale(f, y, basis[i]))
-        npts = len(keep)
-        if npts == k:
-            fpoly = g1
-        else:
-            fpoly = _gao_reduce(f, g0, g1, npts, k)
-            if fpoly is None:
-                return FAILURE
-        if len(fpoly) > k:
+                synd = [add(s, mul(y, c)) for s, c in zip(synd, row)]
+        if not any(synd):
+            return DecodeOutcome(tuple(word), (0,) * n, 0)
+
+        # erasure locator Gamma(z) = prod_{i in E}(z - x_i), folded into the
+        # Forney syndromes T_l = sum_j gamma_j S_{l+j}, which see errors only
+        gamma = [1]
+        for i in erasures:
+            gamma = galois.poly_mul(f, gamma, [f.neg(pts[i]), 1])
+        forney = []
+        for l in range(d - 1 - ne):
+            acc = 0
+            for j, g in enumerate(gamma):
+                acc = add(acc, mul(g, synd[l + j]))
+            forney.append(acc)
+        conn, L = _berlekamp_massey(f, forney)
+        if 2 * L + ne >= d:
             return FAILURE
-        codeword = tuple(galois.poly_eval(f, fpoly, x) for x in code.eval_points)
-        error = tuple(f.sub(a, b) for a, b in zip(word, codeword))
-        w = sum(1 for i in keep if error[i] != 0)
-        if 2 * w + len(erasures) < d:
-            return DecodeOutcome(codeword, error, w)
-        return FAILURE
+        # characteristic form z^L C(1/z): its roots are the error points,
+        # including x = 0, which the reciprocal form C cannot express
+        conn = conn + [0] * (L + 1 - len(conn))
+        sigma = conn[L::-1]
+
+        # roots of sigma away from the erasures; Lambda = Gamma * sigma must
+        # split into distinct linear factors over the points
+        locs = sorted(erasures)
+        if L:
+            errs = [
+                i
+                for i in range(n)
+                if i not in erasures and galois.poly_eval(f, sigma, pts[i]) == 0
+            ]
+            if len(errs) != L:
+                return FAILURE
+            locs += errs
+        lam = galois.poly_mul(f, gamma, sigma)
+
+        # Forney: u_i e_i = Omega(x_i) / Lambda'(x_i), Omega the polynomial
+        # part of Lambda(z) * sum_l S_l z^(-l-1)
+        nu = len(lam) - 1
+        omega = []
+        for m in range(nu):
+            acc = 0
+            for j in range(m + 1, nu + 1):
+                acc = add(acc, mul(lam[j], synd[j - m - 1]))
+            omega.append(acc)
+        p = f.p
+        dlam = [mul(j % p, lam[j]) for j in range(1, nu + 1)]
+        error = [0] * n
+        for i in locs:
+            x = pts[i]
+            y = f.div(galois.poly_eval(f, omega, x), galois.poly_eval(f, dlam, x))
+            error[i] = f.div(y, self._u[i])
+
+        # re-check: the error must carry the whole syndrome and fit the bound
+        check = [0] * len(synd)
+        for i in locs:
+            if error[i]:
+                check = [add(s, mul(error[i], c)) for s, c in zip(check, self._ux[i])]
+        w = sum(1 for i in locs if error[i] and i not in erasures)
+        if check != synd or 2 * w + ne >= d:
+            return FAILURE
+        codeword = tuple(sub(a, e) for a, e in zip(word, error))
+        return DecodeOutcome(codeword, tuple(error), w)
 
 
-def _gao_reduce(f, g0, g1, npts, k):
-    """Partial extended Euclid; returns the message polynomial or None."""
-    r0, r1 = list(g0), list(g1)
-    v0, v1 = [], [1]
-    while r1 and 2 * (len(r1) - 1) >= npts + k:
-        q, rem = galois.poly_divmod(f, r0, r1)
-        r0, r1 = r1, rem
-        v0, v1 = v1, galois.poly_sub(f, v0, galois.poly_mul(f, q, v1))
-    if not v1:
-        return None
-    fpoly, rem = galois.poly_divmod(f, r1, v1)
-    if rem:
-        return None
-    return fpoly
+def _berlekamp_massey(f, seq):
+    """Shortest LFSR generating seq: connection polynomial C (C[0] = 1), length L."""
+    conn, prev = [1], [1]
+    L, shift, last = 0, 1, 1
+    for k, s in enumerate(seq):
+        delta = s
+        for j in range(1, len(conn)):
+            delta = f.add(delta, f.mul(conn[j], seq[k - j]))
+        if delta == 0:
+            shift += 1
+            continue
+        step = [0] * shift + galois.poly_scale(f, f.div(delta, last), prev)
+        new = galois.poly_sub(f, conn, step)
+        if 2 * L <= k:
+            L, prev, last, shift = k + 1 - L, conn, delta, 1
+        else:
+            shift += 1
+        conn = new
+    return conn, L
 
 
 def rs_code(field, n: int, k: int) -> LinearCode:

@@ -69,7 +69,7 @@ def _cmd_decode(args) -> int:
     options = _decode_options(args)
     try:
         if isinstance(spec, LinearCode):
-            erasures = frozenset(_load_json_arg(args.erasures)) if args.erasures else frozenset()
+            erasures = _load_json_arg(args.erasures) if args.erasures else ()
             out = spec.decode(word, erasures)
             if not out.ok:
                 print("decoding failed", file=sys.stderr)

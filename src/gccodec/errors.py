@@ -25,6 +25,10 @@ class InvalidParams(CodecError):
     pass
 
 
+class ErasureIndexError(InvalidParams, IndexError):
+    """An erasure position outside 0..n-1."""
+
+
 class TooLargeToEnumerate(CodecError):
     pass
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gmd, linalg
-from .block_codes import LinearCode, generic_code, wt
+from .block_codes import LinearCode, ee_decode, generic_code, wt
 from .concat import DecodeOptions, check_pattern, decode_rows
 from .errors import DecodeFailure, InvalidParams, LengthMismatch, UnknownDistance
 from .galois import TowerView
@@ -276,7 +276,7 @@ def gcc_decode_improved(spec: GccSpec, received, options: DecodeOptions | None =
                 row = residual[j]
                 if j in fail_rows:
                     if (d_cur - 1) // 2 > (prev_d - 1) // 2:
-                        out = sub.decode(row)
+                        out = ee_decode(sub, row)
                         calls += 1
                         if out.ok:
                             estimates[j] = out.codeword
@@ -293,7 +293,7 @@ def gcc_decode_improved(spec: GccSpec, received, options: DecodeOptions | None =
                 elif j in mis_rows:
                     apparent = wt(carried_residuals[j])
                     if prev_d - apparent <= (d_cur - 1) // 2:
-                        out = sub.decode(row)
+                        out = ee_decode(sub, row)
                         calls += 1
                         if out.ok:
                             estimates[j] = out.codeword

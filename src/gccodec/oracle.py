@@ -9,7 +9,7 @@ bound-satisfying codeword during the scan.
 
 from __future__ import annotations
 
-from .block_codes import FAILURE, DecodeOutcome, LinearCode, wt_punctured
+from .block_codes import FAILURE, DecodeOutcome, LinearCode, check_erasures
 from .errors import InvalidParams, TooLargeToEnumerate
 
 _DECODE_TABLE_CAP = 512
@@ -26,19 +26,23 @@ def oracle_sigma(code: LinearCode, word, erasures=frozenset()) -> DecodeOutcome:
     """Unique codeword with 2*wt_E(word - c) + |E| < d, or failure."""
     _enumerable(code)
     word = tuple(word)
-    erasures = frozenset(erasures)
+    erasures = check_erasures(erasures, code.n)
     d = code.distance()
     if len(erasures) >= d:
         return FAILURE
-    f = code.field
+    keep = [i for i in range(code.n) if i not in erasures]
     hit = None
     for c in code.codewords():
-        err = tuple(f.sub(a, b) for a, b in zip(word, c))
-        w = wt_punctured(err, erasures)
+        # r - c is nonzero exactly where the symbols differ
+        w = sum(1 for i in keep if word[i] != c[i])
         if 2 * w + len(erasures) < d:
             assert hit is None, "two codewords inside the error-and-erasure bound"
-            hit = DecodeOutcome(c, err, w)
-    return hit if hit is not None else FAILURE
+            hit = (c, w)
+    if hit is None:
+        return FAILURE
+    c, w = hit
+    f = code.field
+    return DecodeOutcome(c, tuple(f.sub(a, b) for a, b in zip(word, c)), w)
 
 
 def oracle_nearest(code: LinearCode, word):

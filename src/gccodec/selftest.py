@@ -39,14 +39,16 @@ def _check_tower_roundtrip(rng):
 
 
 def _check_rs_against_oracle(rng):
-    f = make_field(2, 3)
-    code = rs_code(f, 7, 3)
-    for _ in range(150):
-        word = tuple(rng.randrange(8) for _ in range(7))
-        erasures = frozenset(rng.sample(range(7), rng.randrange(0, 5)))
-        fast = code.decode(word, erasures)
-        slow = oracle_sigma(code, word, erasures)
-        assert fast.codeword == slow.codeword
+    # GF(8) and the odd-characteristic GF(9)
+    for (p, m), n, k, words in (((2, 3), 7, 3, 150), ((3, 2), 9, 4, 40)):
+        f = make_field(p, m)
+        code = rs_code(f, n, k)
+        for _ in range(words):
+            word = tuple(rng.randrange(f.q) for _ in range(n))
+            erasures = frozenset(rng.sample(range(n), rng.randrange(0, n - k + 1)))
+            fast = code.decode(word, erasures)
+            slow = oracle_sigma(code, word, erasures)
+            assert fast.codeword == slow.codeword
 
 
 def _check_nested_erasure_consistency(rng):

@@ -10,6 +10,12 @@ from gccodec import specio
 from gccodec.block_codes import DecodeOutcome
 
 
+def _field(params):
+    """make_field(p, m), extended by a degree s when params is (p, m, s)."""
+    field = g.make_field(*params[:2])
+    return g.extend_field(field, params[2]) if len(params) == 3 else field
+
+
 class TestEncode:
     def test_repetition(self, gf2):
         code = g.repetition_code(gf2, 3)
@@ -51,6 +57,14 @@ class TestWtPunctured:
         with pytest.raises(IndexError):
             g.wt_punctured((1, 0), {5})
 
+    def test_out_of_range_is_codec_error(self, gf8):
+        with pytest.raises(g.ErasureIndexError):
+            g.wt_punctured((1, 0), {-1})
+        code = g.rs_code(gf8, 7, 3)
+        for bad in ([99], [1.5], [[1]], 5):
+            with pytest.raises(g.ErasureIndexError):
+                code.decode((0,) * 7, bad)
+
 
 class TestSigmaContract:
     def test_codeword_decodes_to_itself(self, gf2):
@@ -80,6 +94,13 @@ class TestSigmaContract:
         code = g.LinearCode(gf2, [[1, 1, 1]], d=3)
         with pytest.raises(g.NoDecoder):
             code.decode((1, 1, 1))
+
+    @pytest.mark.parametrize("p,m,bad", [(7, 1, 8), (2, 3, 300), (2, 3, -1)])
+    def test_symbols_are_validated(self, p, m, bad):
+        field = g.make_field(p, m)
+        code = g.rs_code(field, 5, 2)
+        with pytest.raises(g.InvalidParams):
+            code.decode((bad, 0, 0, 0, 0))
 
 
 class TestReedSolomon:
@@ -112,10 +133,19 @@ class TestReedSolomon:
 
     @pytest.mark.parametrize(
         "q_params,n,k",
-        [((2, 3), 7, 3), ((2, 3), 7, 1), ((2, 2), 3, 1), ((5, 1), 4, 2), ((2, 3), 6, 4)],
+        [
+            ((2, 3), 7, 3),
+            ((2, 3), 7, 1),
+            ((2, 2), 3, 1),
+            ((5, 1), 4, 2),
+            ((2, 3), 6, 4),
+            ((3, 2), 9, 4),  # odd characteristic
+            ((7, 1), 7, 3),
+            ((2, 2, 2), 8, 3),  # GF(16) as a degree-2 tower over GF(4)
+        ],
     )
     def test_decoder_equals_oracle(self, q_params, n, k):
-        field = g.make_field(*q_params)
+        field = _field(q_params)
         code = g.rs_code(field, n, k)
         rng = random.Random(n * 100 + k)
         for _ in range(250):
@@ -126,6 +156,48 @@ class TestReedSolomon:
             assert fast.codeword == slow.codeword
             if fast.ok:
                 assert fast.weight == slow.weight
+                assert code.contains(fast.codeword)
+
+    @pytest.mark.parametrize("q_params,n,k", [((2, 3), 8, 3), ((3, 2), 9, 4), ((2, 2, 2), 8, 3)])
+    @pytest.mark.parametrize("erase", [False, True])
+    def test_position_zero(self, q_params, n, k, erase):
+        # evaluation point 0 is the one a reciprocal locator cannot express
+        field = _field(q_params)
+        code = g.rs_code(field, n, k)
+        rng = random.Random(n + k)
+        for _ in range(20):
+            sent = code.encode(tuple(rng.randrange(field.q) for _ in range(k)))
+            word = list(sent)
+            word[0] = field.add(word[0], rng.randrange(1, field.q))
+            erasures = frozenset({0}) if erase else frozenset()
+            t = (n - k - len(erasures)) // 2
+            for pos in rng.sample(range(1, n), t - (not erase)):
+                word[pos] = field.add(word[pos], rng.randrange(1, field.q))
+            out = code.decode(tuple(word), erasures)
+            assert out.codeword == sent
+            assert out == g.oracle_sigma(code, word, erasures)
+
+    @pytest.mark.parametrize(
+        "q_params,n,k",
+        [((2, 4, 2), 64, 40), ((2, 9), 24, 12)],  # too large for the oracle; q > 256
+    )
+    def test_bounded_distance_roundtrip(self, q_params, n, k):
+        field = _field(q_params)
+        code = g.rs_code(field, n, k)
+        d = n - k + 1
+        rng = random.Random(n * 100 + k)
+        for _ in range(20):
+            sent = code.encode(tuple(rng.randrange(field.q) for _ in range(k)))
+            n_erased = rng.randrange(0, d)
+            n_errors = (d - 1 - n_erased) // 2
+            positions = rng.sample(range(n), n_erased + n_errors)
+            erasures = frozenset(positions[:n_erased])
+            word = list(sent)
+            for pos in positions:
+                word[pos] = field.add(word[pos], rng.randrange(1, field.q))
+            out = code.decode(tuple(word), erasures)
+            assert out.codeword == sent
+            assert 2 * out.weight + n_erased < d
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)

@@ -103,6 +103,23 @@ class TestUsageErrors:
         path.write_text("{not json")
         assert main(["code-info", "--spec", str(path)]) == 2
 
+    def test_erasure_index_out_of_range(self, capsys, code_spec_file):
+        argv = ["decode", "--spec", code_spec_file, "--word", json.dumps([0] * 7)]
+        assert main(argv + ["--erasures", "[99]"]) == 2
+        assert "erasure index 99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["5", "[[1]]", "[1.5]", '["a"]'])
+    def test_malformed_erasures(self, capsys, code_spec_file, bad):
+        argv = ["decode", "--spec", code_spec_file, "--word", json.dumps([0] * 7)]
+        assert main(argv + ["--erasures", bad]) == 2
+        assert "erasures must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [8, 300, -1])
+    def test_symbol_out_of_range(self, capsys, code_spec_file, bad):
+        word = [bad] + [0] * 6
+        assert main(["decode", "--spec", code_spec_file, "--word", json.dumps(word)]) == 2
+        assert "not an element encoding" in capsys.readouterr().err
+
 
 class TestInfoAndChecks:
     def test_code_info(self, capsys, mpc_spec_file):
