@@ -78,7 +78,7 @@ class LinearCode:
 
     def __init__(self, field, generator, d=None, kind="generic", eval_points=None):
         self.field = field
-        self.generator = tuple(tuple(field.validate(int(x)) for x in row) for row in generator)
+        self.generator = tuple(field.vector(row) for row in generator)
         self.k = len(self.generator)
         if self.k == 0:
             raise InvalidParams("generator matrix must have at least one row")
@@ -104,7 +104,7 @@ class LinearCode:
     def encode(self, msg) -> tuple:
         if len(msg) != self.k:
             raise LengthMismatch(f"message length {len(msg)} != k={self.k}")
-        msg = tuple(self.field.validate(int(x)) for x in msg)
+        msg = self.field.vector(msg)
         return linalg.vec_mat(self.field, msg, self.generator)
 
     def message_of(self, codeword) -> tuple:
@@ -176,8 +176,8 @@ class LinearCode:
         return self
 
     def decode(self, word, erasures=()) -> DecodeOutcome:
-        """ee_decode after checking that every symbol is a field element."""
-        return ee_decode(self, tuple(self.field.validate(int(x)) for x in word), erasures)
+        """ee_decode after checking that word is a sequence of field elements."""
+        return ee_decode(self, self.field.vector(word), erasures)
 
 
 def ee_decode(code: LinearCode, word, erasures=()) -> DecodeOutcome:
@@ -253,16 +253,16 @@ class ReedSolomonDecoder:
     def __call__(self, word, erasures) -> DecodeOutcome:
         code = self.code
         f = code.field
-        add, sub, mul = f.add, f.sub, f.mul
+        axpy, dot, mul = f.axpy, f.dot, f.mul
         n, d = code.n, code.distance()
-        pts = code.eval_points
+        pts, ux = code.eval_points, self._ux
         ne = len(erasures)
         if ne >= d:
             return FAILURE
         synd = [0] * (d - 1)
-        for y, row in zip(word, self._ux):
+        for y, row in zip(word, ux):
             if y:
-                synd = [add(s, mul(y, c)) for s, c in zip(synd, row)]
+                axpy(synd, y, row)
         if not any(synd):
             return DecodeOutcome(tuple(word), (0,) * n, 0)
 
@@ -270,13 +270,8 @@ class ReedSolomonDecoder:
         # Forney syndromes T_l = sum_j gamma_j S_{l+j}, which see errors only
         gamma = [1]
         for i in erasures:
-            gamma = galois.poly_mul(f, gamma, [f.neg(pts[i]), 1])
-        forney = []
-        for l in range(d - 1 - ne):
-            acc = 0
-            for j, g in enumerate(gamma):
-                acc = add(acc, mul(g, synd[l + j]))
-            forney.append(acc)
+            gamma = _times_linear(f, gamma, pts[i])
+        forney = [dot(gamma, synd[l:]) for l in range(d - 1 - ne)]
         conn, L = _berlekamp_massey(f, forney)
         if 2 * L + ne >= d:
             return FAILURE
@@ -285,67 +280,67 @@ class ReedSolomonDecoder:
         conn = conn + [0] * (L + 1 - len(conn))
         sigma = conn[L::-1]
 
-        # roots of sigma away from the erasures; Lambda = Gamma * sigma must
-        # split into distinct linear factors over the points
+        # roots of sigma away from the erasures (dot with ux[i] gives
+        # u_i sigma(x_i)); Lambda = Gamma * sigma must split into distinct
+        # linear factors over the points
         locs = sorted(erasures)
+        lam = gamma
         if L:
-            errs = [
-                i
-                for i in range(n)
-                if i not in erasures and galois.poly_eval(f, sigma, pts[i]) == 0
-            ]
+            errs = [i for i in range(n) if i not in erasures and dot(sigma, ux[i]) == 0]
             if len(errs) != L:
                 return FAILURE
             locs += errs
-        lam = galois.poly_mul(f, gamma, sigma)
+            for i in errs:
+                lam = _times_linear(f, lam, pts[i])
 
         # Forney: u_i e_i = Omega(x_i) / Lambda'(x_i), Omega the polynomial
         # part of Lambda(z) * sum_l S_l z^(-l-1)
         nu = len(lam) - 1
-        omega = []
-        for m in range(nu):
-            acc = 0
-            for j in range(m + 1, nu + 1):
-                acc = add(acc, mul(lam[j], synd[j - m - 1]))
-            omega.append(acc)
+        omega = [dot(lam[m + 1 :], synd) for m in range(nu)]
         p = f.p
         dlam = [mul(j % p, lam[j]) for j in range(1, nu + 1)]
         error = [0] * n
         for i in locs:
-            x = pts[i]
-            y = f.div(galois.poly_eval(f, omega, x), galois.poly_eval(f, dlam, x))
+            # both dot products carry the factor u_i, which cancels
+            y = f.div(dot(omega, ux[i]), dot(dlam, ux[i]))
             error[i] = f.div(y, self._u[i])
 
         # re-check: the error must carry the whole syndrome and fit the bound
         check = [0] * len(synd)
         for i in locs:
             if error[i]:
-                check = [add(s, mul(error[i], c)) for s, c in zip(check, self._ux[i])]
+                axpy(check, error[i], ux[i])
         w = sum(1 for i in locs if error[i] and i not in erasures)
         if check != synd or 2 * w + ne >= d:
             return FAILURE
-        codeword = tuple(sub(a, e) for a, e in zip(word, error))
+        codeword = tuple(f.sub(a, e) for a, e in zip(word, error))
         return DecodeOutcome(codeword, tuple(error), w)
+
+
+def _times_linear(f, poly, x):
+    """poly(z) * (z - x), little endian."""
+    out = [0] + poly
+    f.axpy(out, f.neg(x), poly)
+    return out
 
 
 def _berlekamp_massey(f, seq):
     """Shortest LFSR generating seq: connection polynomial C (C[0] = 1), length L."""
     conn, prev = [1], [1]
     L, shift, last = 0, 1, 1
-    for k, s in enumerate(seq):
-        delta = s
-        for j in range(1, len(conn)):
-            delta = f.add(delta, f.mul(conn[j], seq[k - j]))
+    for k in range(len(seq)):
+        # deg C <= L <= k, so seq[k - j] never wraps
+        delta = f.dot(conn, seq[k::-1])
         if delta == 0:
             shift += 1
             continue
-        step = [0] * shift + galois.poly_scale(f, f.div(delta, last), prev)
-        new = galois.poly_sub(f, conn, step)
+        new = conn + [0] * (shift + len(prev) - len(conn))
+        f.axpy(new, f.neg(f.div(delta, last)), [0] * shift + prev)
         if 2 * L <= k:
             L, prev, last, shift = k + 1 - L, conn, delta, 1
         else:
             shift += 1
-        conn = new
+        conn = galois.poly_trim(new)
     return conn, L
 
 
@@ -358,9 +353,9 @@ def rs_code(field, n: int, k: int) -> LinearCode:
     if not 1 <= k <= n or n > field.q:
         raise InvalidParams(f"need 1 <= k <= n <= q, got n={n}, k={k}, q={field.q}")
     points = tuple(range(n))
-    gen = []
-    for i in range(k):
-        gen.append(tuple(field.pow(x, i) for x in points))
+    gen = [(1,) * n]  # row i holds x^i at every point
+    for _ in range(k - 1):
+        gen.append(tuple(field.mul(a, x) for a, x in zip(gen[-1], points)))
     code = LinearCode(field, gen, d=n - k + 1, kind="rs", eval_points=points)
     return code.attach(ReedSolomonDecoder(code))
 

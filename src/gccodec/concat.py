@@ -165,7 +165,7 @@ def _check_matrix(cc: ConcatCode, received):
     for row in received:
         if len(row) != cc.inner.n:
             raise LengthMismatch(f"rows must have length {cc.inner.n}")
-        rows.append(tuple(cc.inner.field.validate(int(x)) for x in row))
+        rows.append(cc.inner.field.vector(row))
     return rows
 
 

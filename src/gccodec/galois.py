@@ -8,18 +8,25 @@ residue itself, otherwise the little-endian base-q' digit packing of the
 coefficient vector in the polynomial basis.  FieldElement wraps an integer
 for operator syntax; the decoding machinery works on raw integers for speed.
 
-Small fields (q <= 256) build multiplication/inverse tables on first use;
-this is internal only and does not change any observable behaviour.
+Extension fields with q <= 2^16 build, on first use and in O(q), exp/log
+tables of a primitive element: products, inverses and negatives are table
+lookups, and odd-characteristic addition goes through Zech logarithms
+(characteristic 2 adds by XOR, prime fields reduce mod p).  Larger fields
+fall back to polynomial arithmetic on the digit vectors.  The vector kernels
+axpy (out += c * v, in place) and dot run whole rows on the tables; the
+linear algebra and the Reed-Solomon decoder are written on them.  None of
+this changes any observable value.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import FieldMismatch, InvalidParams, NotPrime, ReducibleModulus
 from . import linalg
 
-_TABLE_LIMIT = 256
+_LOG_LIMIT = 1 << 16  # largest q with exp/log tables
 
 
 def _is_prime(n: int) -> bool:
@@ -33,6 +40,20 @@ def _is_prime(n: int) -> bool:
             return False
         i += 2
     return True
+
+
+def _prime_factors(n: int) -> list:
+    out = []
+    r = 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +118,6 @@ def poly_divmod(f, a, b):
     return poly_trim(quot), poly_trim(rem)
 
 
-def poly_eval(f, a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
-
-
 def _poly_is_irreducible(f, poly):
     """Trial division by every monic polynomial of degree <= deg/2."""
     poly = poly_trim(list(poly))
@@ -141,9 +155,10 @@ class Field:
         self.degree = degree
         self.modulus = tuple(modulus)
         self.q = (p if base is None else base.q) ** degree
-        self._mul_table = None
-        self._inv_table = None
-        self._add_table = None
+        # exp/log/Zech tables, built on first use; False where none apply
+        self._exp = None
+        self._log = None if base is not None else False
+        self._zech = None
 
     # -- identity ----------------------------------------------------------
 
@@ -166,6 +181,24 @@ class Field:
 
     def validate(self, a):
         if not isinstance(a, int) or not 0 <= a < self.q:
+            raise InvalidParams(f"{a!r} is not an element encoding of {self}")
+        return a
+
+    def vector(self, values) -> tuple:
+        """values as a tuple of element encodings.
+
+        Any integer type passes (numpy integers included); bool, float, str
+        and non-sequences raise InvalidParams rather than being coerced.
+        """
+        try:
+            return tuple(map(self._element_of, values))
+        except TypeError:
+            raise InvalidParams(f"expected a sequence of {self} elements, got {values!r}") from None
+
+    def _element_of(self, a):
+        if type(a) is not int and not isinstance(a, bool):
+            a = operator.index(a)
+        if type(a) is not int or not 0 <= a < self.q:
             raise InvalidParams(f"{a!r} is not an element encoding of {self}")
         return a
 
@@ -198,12 +231,18 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        table = self._add_table
-        if table is None:
-            table = self._build_add_table()
-        if table is not False:
-            return table[a][b]
-        return self._add_slow(a, b)
+        zech = self._zech
+        if zech is None:
+            zech = self._build_add_table()
+        if not zech:
+            return self._add_slow(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        return self._exp[la + zech[log[b] - la]]
 
     def sub(self, a, b):
         if self.base is None:
@@ -217,17 +256,23 @@ class Field:
             return (-a) % self.p
         if self.p == 2:
             return a
+        log = self._log
+        if log is None:
+            log = self._build_mul_table()
+        if log:
+            # -1 = g^((q-1)/2), the one element of order 2
+            return self._exp[log[a] + (self.q - 1) // 2]
         base = self.base
         return self.from_digits([base.neg(d) for d in self.to_digits(a)])
 
     def mul(self, a, b):
         if self.base is None:
             return (a * b) % self.p
-        table = self._mul_table
-        if table is None:
-            table = self._build_mul_table()
-        if table is not False:
-            return table[a][b]
+        log = self._log
+        if log is None:
+            log = self._build_mul_table()
+        if log:
+            return self._exp[log[a] + log[b]]
         return self._mul_slow(a, b)
 
     def inv(self, a):
@@ -235,10 +280,11 @@ class Field:
             raise ZeroDivisionError(f"0 has no inverse in {self}")
         if self.base is None:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is None:
-            self._build_mul_table()
-        if self._inv_table is not False and self._inv_table is not None:
-            return self._inv_table[a]
+        log = self._log
+        if log is None:
+            log = self._build_mul_table()
+        if log:
+            return self._exp[self.q - 1 - log[a]]
         return self._inv_slow(a)
 
     def div(self, a, b):
@@ -253,6 +299,69 @@ class Field:
                 acc = self.mul(acc, a)
             a = self.mul(a, a)
             e >>= 1
+        return acc
+
+    def axpy(self, out, c, v):
+        """out[j] += c * v[j] for every j < len(v), in place; out is a list."""
+        if not c:
+            return
+        log = self._log
+        if log:
+            exp, lc = self._exp, log[c]
+            if self.p == 2:
+                for j, x in enumerate(v):
+                    if x:
+                        out[j] ^= exp[lc + log[x]]
+                return
+            zech = self._zech
+            if zech is None:
+                zech = self._build_add_table()
+            for j, x in enumerate(v):
+                if x:
+                    t = lc + log[x]
+                    o = out[j]
+                    if o:
+                        lo = log[o]
+                        out[j] = exp[lo + zech[t - lo]]
+                    else:
+                        out[j] = exp[t]
+        elif self.base is None:
+            p = self.p
+            for j, x in enumerate(v):
+                if x:
+                    out[j] = (out[j] + c * x) % p
+        elif log is None:
+            self._build_mul_table()
+            self.axpy(out, c, v)
+        else:
+            add, mul = self.add, self._mul_slow
+            for j, x in enumerate(v):
+                out[j] = add(out[j], mul(c, x))
+
+    def dot(self, u, v):
+        """sum_j u[j] * v[j] over the common length of u and v."""
+        log = self._log
+        if log:
+            exp = self._exp
+            if self.p == 2:
+                acc = 0
+                for a, b in zip(u, v):
+                    acc ^= exp[log[a] + log[b]]
+                return acc
+            add = self.add
+            acc = 0
+            for a, b in zip(u, v):
+                acc = add(acc, exp[log[a] + log[b]])
+            return acc
+        if self.base is None:
+            return sum(map(operator.mul, u, v)) % self.p
+        if log is None:
+            self._build_mul_table()
+            return self.dot(u, v)
+        add, mul = self.add, self._mul_slow
+        acc = 0
+        for a, b in zip(u, v):
+            acc = add(acc, mul(a, b))
         return acc
 
     # -- slow paths and tables ----------------------------------------------
@@ -271,6 +380,15 @@ class Field:
         rem = list(rem) + [0] * (self.degree - len(rem))
         return self.from_digits(rem)
 
+    def _pow_slow(self, a, e):
+        acc = 1
+        while e:
+            if e & 1:
+                acc = self._mul_slow(acc, a)
+            a = self._mul_slow(a, a)
+            e >>= 1
+        return acc
+
     def _inv_slow(self, a):
         # extended Euclid on the coefficient polynomial and the modulus
         base = self.base
@@ -287,28 +405,54 @@ class Field:
         return self.from_digits(t0)
 
     def _build_mul_table(self):
-        if self.q > _TABLE_LIMIT:
-            self._mul_table = False
-            self._inv_table = False
+        """exp/log tables of the first primitive element g in encoding order.
+
+        The modulus need not be primitive, so x itself may have low order: a
+        candidate is primitive when g^((q-1)/r) != 1 for every prime r of
+        q - 1.  Walking the powers of g then takes q - 2 slow products.
+        exp[i] = g^(i mod (q-1)) for i < 2(q-1), so a product of two nonzero
+        elements is exp[log a + log b] with no modulo.  log[0] = 2(q-1)
+        points into a zero tail of exp, so any index sum with a zero operand
+        reads 0.  Returns log, or False when q exceeds _LOG_LIMIT.
+        """
+        if self.q > _LOG_LIMIT:
+            self._log = False
             return False
-        inv = [0] * self.q
-        table = []
-        for a in range(self.q):
-            row = [self._mul_slow(a, b) for b in range(self.q)]
-            table.append(row)
-            if a:
-                inv[a] = row.index(1)
-        self._mul_table = table
-        self._inv_table = inv
-        return table
+        q1 = self.q - 1
+        cofactors = [q1 // r for r in _prime_factors(q1)]
+        g = next(g for g in range(2, self.q) if all(self._pow_slow(g, e) != 1 for e in cofactors))
+        powers = [1]
+        for _ in range(q1 - 1):
+            powers.append(self._mul_slow(powers[-1], g))
+        log = [0] * self.q
+        for i, x in enumerate(powers):
+            log[x] = i
+        log[0] = 2 * q1
+        self._exp = powers * 2 + [0] * (2 * q1 + 1)
+        self._log = log
+        return log
 
     def _build_add_table(self):
-        if self.q > _TABLE_LIMIT:
-            self._add_table = False
+        """Zech logarithms for odd characteristic: 1 + g^n = g^zech[n].
+
+        Adding 1 touches only the lowest base-field digit.  Where 1 + g^n = 0
+        the entry is log[0], which reads 0 through the zero tail of exp; the
+        table is doubled so that any log difference indexes it directly.
+        Returns the table, or False when the field has no log tables.
+        """
+        log = self._log
+        if log is None:
+            log = self._build_mul_table()
+        if not log:
+            self._zech = False
             return False
-        table = [[self._add_slow(a, b) for b in range(self.q)] for a in range(self.q)]
-        self._add_table = table
-        return table
+        radix, base_add = self.base.q, self.base.add
+        zech = []
+        for x in self._exp[: self.q - 1]:
+            low = x % radix
+            zech.append(log[x - low + base_add(low, 1)])
+        self._zech = zech * 2
+        return self._zech
 
 
 _FIELD_TOKEN = object()
@@ -377,7 +521,7 @@ def extend_field(base: Field, s: int, modulus="auto") -> Field:
         return base
     if modulus == "auto":
         modulus = _auto_modulus(base, base.p, s)
-    modulus = tuple(base.validate(int(c)) for c in modulus)
+    modulus = base.vector(modulus)
     if len(modulus) != s + 1 or modulus[-1] != 1:
         raise InvalidParams(f"modulus must be monic of degree {s}")
     if not _poly_is_irreducible(base, list(modulus)):
@@ -494,7 +638,7 @@ class TowerView:
             self.basis = tuple(radix**i for i in range(self.s)) if self.s > 1 else (1,)
             self._expand_mat = None
         else:
-            basis = tuple(big.validate(int(b)) for b in basis)
+            basis = big.vector(basis)
             if len(basis) != self.s:
                 raise InvalidParams(f"basis must have exactly {self.s} elements")
             rows = tuple(tuple(big.to_digits(b)) for b in basis) if self.s > 1 else ((1,),)
@@ -519,7 +663,7 @@ class TowerView:
     def from_base_vector(self, vec):
         if len(vec) != self.s:
             raise InvalidParams(f"expected {self.s} coordinates, got {len(vec)}")
-        coords = tuple(self.base.validate(int(v)) for v in vec)
+        coords = self.base.vector(vec)
         if self.s == 1:
             return coords[0]
         if self._expand_mat is None:

@@ -68,7 +68,7 @@ def gcc_spec(outers, widths, inner_generator, field, subcode_distances=None) -> 
     widths = tuple(int(s) for s in widths)
     if len(outers) != len(widths):
         raise InvalidParams("one expansion degree per outer code is required")
-    gen = tuple(tuple(field.validate(int(x)) for x in row) for row in inner_generator)
+    gen = tuple(field.vector(row) for row in inner_generator)
     if sum(widths) != len(gen):
         raise InvalidParams(
             f"inner generator has {len(gen)} rows but the widths sum to {sum(widths)}"
@@ -146,7 +146,7 @@ def _check_matrix(spec: GccSpec, received):
     for row in received:
         if len(row) != spec.n:
             raise LengthMismatch(f"rows must have length {spec.n}")
-        rows.append(tuple(spec.field.validate(int(x)) for x in row))
+        rows.append(spec.field.vector(row))
     return rows
 
 

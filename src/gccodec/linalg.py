@@ -1,8 +1,9 @@
 """Dense exact linear algebra over a finite field handle.
 
 Matrices are tuples (or lists) of row tuples holding field elements in their
-integer encoding; all arithmetic goes through the field handle, so any object
-with add/sub/mul/inv/neg works.
+integer encoding; all arithmetic goes through the field handle, which must
+provide add/sub/mul/inv/neg and the in-place row update axpy(out, c, v)
+(out[j] += c * v[j]) that the row loops run on.
 """
 
 from .errors import InvalidParams
@@ -28,14 +29,12 @@ def vec_mat(f, v, m):
     """Row vector times matrix."""
     if len(v) != len(m):
         raise InvalidParams(f"vector length {len(v)} does not match {len(m)} rows")
-    cols = len(m[0]) if m else 0
-    out = [0] * cols
+    out = [0] * (len(m[0]) if m else 0)
+    axpy = f.axpy
+    # any(row) skips the zero rows a right inverse has off its pivot columns
     for vi, row in zip(v, m):
-        if vi == 0:
-            continue
-        for j, rj in enumerate(row):
-            if rj:
-                out[j] = f.add(out[j], f.mul(vi, rj))
+        if vi and any(row):
+            axpy(out, vi, row)
     return tuple(out)
 
 
@@ -53,6 +52,15 @@ def transpose(m):
 
 def rref(f, m):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
+    return _eliminate(f, m, reduced=True)
+
+
+def pivot_columns(f, m):
+    """Pivot columns of m; forward elimination only, half the work of rref."""
+    return _eliminate(f, m, reduced=False)[1]
+
+
+def _eliminate(f, m, reduced):
     rows = [list(r) for r in m]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -65,19 +73,19 @@ def rref(f, m):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
+        scaled = [0] * ncols
+        f.axpy(scaled, f.inv(rows[r][c]), rows[r])
+        rows[r] = scaled
+        for i in range(nrows) if reduced else range(r + 1, nrows):
             if i != r and rows[i][c] != 0:
-                coef = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(rows[i], rows[r])]
+                f.axpy(rows[i], f.neg(rows[i][c]), scaled)
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
 def rank(f, m):
-    return len(rref(f, m)[1])
+    return len(pivot_columns(f, m))
 
 
 def det(f, m):
@@ -97,8 +105,7 @@ def det(f, m):
         inv = f.inv(rows[c][c])
         for i in range(c + 1, n):
             if rows[i][c] != 0:
-                coef = f.mul(inv, rows[i][c])
-                rows[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(rows[i], rows[c])]
+                f.axpy(rows[i], f.neg(f.mul(inv, rows[i][c])), rows[c])
     return result
 
 
@@ -119,7 +126,7 @@ def right_inverse(f, m):
     """
     k = len(m)
     n = len(m[0])
-    _, pivots = rref(f, m)
+    pivots = pivot_columns(f, m)
     if len(pivots) != k:
         raise InvalidParams("matrix does not have full row rank")
     sub = tuple(tuple(row[c] for c in pivots) for row in m)

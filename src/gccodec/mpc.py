@@ -39,7 +39,7 @@ def is_nsc(field, matrix) -> bool:
     n = len(matrix[0]) if k else 0
     if k > n:
         raise ShapeError(f"need k <= N, got {k} x {n}")
-    rows = tuple(tuple(field.validate(int(x)) for x in row) for row in matrix)
+    rows = tuple(field.vector(row) for row in matrix)
     for t in range(1, k + 1):
         top = rows[:t]
         for cols in itertools.combinations(range(n), t):
@@ -55,7 +55,7 @@ def is_triangular(field, matrix) -> bool:
     n = len(matrix[0]) if k else 0
     if n > 32:
         raise TooLargeToEnumerate("triangularity search is capped at 32 columns")
-    rows = tuple(tuple(field.validate(int(x)) for x in row) for row in matrix)
+    rows = tuple(field.vector(row) for row in matrix)
 
     def candidates(i):
         # diagonal column for row i: zero below, nonzero on the diagonal
@@ -107,7 +107,7 @@ class MpcSpec:
 def mpc_spec(outers, matrix, field) -> MpcSpec:
     """Validate and assemble a matrix-product spec (degree-one levels)."""
     outers = tuple(outers)
-    matrix = tuple(tuple(field.validate(int(x)) for x in row) for row in matrix)
+    matrix = tuple(field.vector(row) for row in matrix)
     if len(outers) != len(matrix):
         raise InvalidParams("one outer code per matrix row is required")
     for a in outers:
@@ -201,7 +201,7 @@ def _check_rows(spec, received, n):
     for row in received:
         if len(row) != n:
             raise LengthMismatch(f"rows must have length {n}")
-        out.append(tuple(spec.field.validate(int(x)) for x in row))
+        out.append(spec.field.vector(row))
     return out
 
 

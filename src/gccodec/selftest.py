@@ -17,17 +17,41 @@ from .mpc import decode_uuv, mpc_decode, mpc_spec
 from .oracle import oracle_sigma
 
 
+def _require(cond, msg):
+    """An explicit check: unlike assert, it still runs under python -O."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 def _check_field_axioms(rng):
-    for p, m in ((2, 3), (3, 2)):
-        f = make_field(p, m)
+    # prime fields, exp/log tables in characteristic 2 and 3 (Zech addition),
+    # a tower GF(16) over GF(4), and GF(1024) beyond 256 elements
+    gf4 = make_field(2, 2)
+    fields = [make_field(2, 3), make_field(3, 2), make_field(5, 1)]
+    fields += [extend_field(gf4, 2), make_field(3, 5), make_field(2, 10)]
+    for f in fields:
         for _ in range(200):
             a, b, c = (rng.randrange(f.q) for _ in range(3))
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-            assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+            _require(f.add(a, b) == f.add(b, a), f"{f}: add does not commute")
+            _require(f.mul(a, b) == f.mul(b, a), f"{f}: mul does not commute")
+            _require(
+                f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c)),
+                f"{f}: mul does not distribute over add",
+            )
+            _require(f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c)), f"{f}: mul is not associative")
+            _require(f.add(a, f.neg(a)) == 0 and f.sub(f.add(a, b), b) == a, f"{f}: neg/sub")
             if a:
-                assert f.mul(a, f.inv(a)) == 1
+                _require(f.mul(a, f.inv(a)) == 1, f"{f}: inv({a}) is wrong")
+        u = [rng.randrange(f.q) for _ in range(8)]
+        v = [rng.randrange(f.q) for _ in range(8)]
+        c = rng.randrange(f.q)
+        out = list(u)
+        f.axpy(out, c, v)
+        _require(out == [f.add(x, f.mul(c, y)) for x, y in zip(u, v)], f"{f}: axpy")
+        dot = 0
+        for x, y in zip(u, v):
+            dot = f.add(dot, f.mul(x, y))
+        _require(f.dot(u, v) == dot, f"{f}: dot")
 
 
 def _check_tower_roundtrip(rng):
@@ -35,7 +59,7 @@ def _check_tower_roundtrip(rng):
     big = extend_field(base, 2)
     view = TowerView(big, base)
     for e in range(big.q):
-        assert view.from_base_vector(view.to_base_vector(e)) == e
+        _require(view.from_base_vector(view.to_base_vector(e)) == e, f"tower roundtrip of {e}")
 
 
 def _check_rs_against_oracle(rng):
@@ -48,7 +72,7 @@ def _check_rs_against_oracle(rng):
             erasures = frozenset(rng.sample(range(n), rng.randrange(0, n - k + 1)))
             fast = code.decode(word, erasures)
             slow = oracle_sigma(code, word, erasures)
-            assert fast.codeword == slow.codeword
+            _require(fast.codeword == slow.codeword, f"{code!r}: {word} with erasures {set(erasures)}")
 
 
 def _check_nested_erasure_consistency(rng):
@@ -69,7 +93,10 @@ def _check_nested_erasure_consistency(rng):
                     if extra in f1:
                         continue
                     second = oracle_sigma(code, word, f1 | {extra})
-                    assert first.codeword == second.codeword
+                    _require(
+                        first.codeword == second.codeword,
+                        f"{word}: erasing {extra} on top of {set(f1)} changed the codeword",
+                    )
 
 
 def _check_uuv_matches_generic(rng):
@@ -98,7 +125,9 @@ def _check_uuv_matches_generic(rng):
             except DecodeFailure:
                 special = None
             if generic is not None:
-                assert special is not None and list(generic) == special
+                _require(
+                    special is not None and list(generic) == special, f"decode_uuv differs on {rows}"
+                )
 
 
 def _check_nsc_prefixes(rng):
@@ -107,10 +136,10 @@ def _check_nsc_prefixes(rng):
 
     f = make_field(3, 1)
     matrix = [[1, 2, 1], [1, 1, 0], [1, 0, 0]]
-    assert is_nsc(f, matrix)
+    _require(is_nsc(f, matrix), f"{matrix} is not NSC")
     for t in range(1, 4):
         code = generic_code(f, matrix[:t])
-        assert min_distance(code) == 3 - t + 1
+        _require(min_distance(code) == 3 - t + 1, f"prefix of {t} rows is not MDS")
 
 
 CHECKS = [
@@ -129,10 +158,10 @@ def run_selftest(verbose: bool = False) -> bool:
     for name, check in CHECKS:
         try:
             check(rng)
-        except AssertionError as exc:
+        except Exception as exc:  # a check that crashes is a violation too
             ok = False
             if verbose:
-                print(f"VIOLATION {name}: {exc}")
+                print(f"VIOLATION {name}: {type(exc).__name__}: {exc}")
         else:
             if verbose:
                 print(f"ok {name}")

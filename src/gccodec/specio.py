@@ -17,6 +17,7 @@ generalized {"outers": [code...], "s": [int...], "inner_generator": [[...]],
 from __future__ import annotations
 
 import json
+import operator
 
 from .block_codes import LinearCode, generic_code, rs_code
 from .concat import ConcatCode
@@ -146,15 +147,34 @@ def matrix_to_json(matrix) -> list:
     return [int(x) for row in matrix for x in row]
 
 
+def _integer(x, what):
+    """x as an int; bool, float and str raise ConfigError instead of coercing."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ConfigError(f"{what} must be integers, got {x!r}")
+
+
+def _sequence(data, what):
+    if not isinstance(data, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {data!r}")
+    return data
+
+
 def matrix_from_json(data, m: int, n: int) -> tuple:
+    """An m x n word from a flat row-major list or a list of rows."""
+    data = _sequence(data, "a word")
     if data and isinstance(data[0], (list, tuple)):
-        rows = [list(r) for r in data]
+        rows = [_sequence(r, "a word row") for r in data]
         if len(rows) != m or any(len(r) != n for r in rows):
             raise ConfigError(f"expected a {m} x {n} matrix")
-        return tuple(tuple(int(x) for x in r) for r in rows)
-    if len(data) != m * n:
-        raise ConfigError(f"expected {m * n} symbols, got {len(data)}")
-    return tuple(tuple(int(x) for x in data[i * n : (i + 1) * n]) for i in range(m))
+    else:
+        if len(data) != m * n:
+            raise ConfigError(f"expected {m * n} symbols, got {len(data)}")
+        rows = [data[i * n : (i + 1) * n] for i in range(m)]
+    return tuple(tuple(_integer(x, "word symbols") for x in r) for r in rows)
 
 
 def pattern_to_json(pattern) -> list:
@@ -162,6 +182,9 @@ def pattern_to_json(pattern) -> list:
 
 
 def pattern_from_json(data, m: int):
-    if len(data) != m:
+    if len(_sequence(data, "an erasure pattern")) != m:
         raise ConfigError(f"erasure pattern must have {m} rows")
-    return tuple(frozenset(int(i) for i in row) for row in data)
+    return tuple(
+        frozenset(_integer(i, "erasure indices") for i in _sequence(row, "an erasure row"))
+        for row in data
+    )

@@ -103,6 +103,16 @@ class TestSigmaContract:
             code.decode((bad, 0, 0, 0, 0))
 
 
+    @pytest.mark.parametrize(
+        "bad", [(1.5, 0, 0, 0, 0), (0, 0, 0, 0, "1"), (True, 0, 0, 0, 0), 5, None, "00000"]
+    )
+    def test_malformed_words_are_rejected(self, gf8, bad):
+        # symbols are not coerced with int(), which would read 1.5 and "1" as 1
+        code = g.rs_code(gf8, 5, 2)
+        with pytest.raises(g.InvalidParams):
+            code.decode(bad)
+
+
 class TestReedSolomon:
     def test_parameters(self, gf8):
         assert g.rs_code(gf8, 7, 3).distance() == 5
@@ -198,6 +208,26 @@ class TestReedSolomon:
             out = code.decode(tuple(word), erasures)
             assert out.codeword == sent
             assert 2 * out.weight + n_erased < d
+
+    def test_gf1024_bounded_distance_roundtrip(self):
+        # RS(255,223) over GF(1024): full-length code on log tables above q = 256
+        field = g.make_field(2, 10)
+        n, k = 255, 223
+        code = g.rs_code(field, n, k)
+        d = n - k + 1
+        rng = random.Random(1024)
+        for trial in range(20):
+            sent = code.encode(tuple(rng.randrange(field.q) for _ in range(k)))
+            n_erased = rng.randrange(0, d) if trial else 0
+            n_errors = (d - 1 - n_erased) // 2
+            positions = rng.sample(range(n), n_erased + n_errors)
+            erasures = frozenset(positions[:n_erased])
+            word = list(sent)
+            for pos in positions:
+                word[pos] = field.add(word[pos], rng.randrange(1, field.q))
+            out = code.decode(tuple(word), erasures)
+            assert out.codeword == sent
+            assert out.weight == n_errors and 2 * out.weight + n_erased < d
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,13 @@ def mpc_spec_file(tmp_path, mpc_uuv8):
 def code_spec_file(tmp_path, gf8):
     path = tmp_path / "rs.json"
     path.write_text(json.dumps(specio.code_to_json(g.rs_code(gf8, 7, 3))))
+    return str(path)
+
+
+@pytest.fixture()
+def cc_spec_file(tmp_path, cc_small):
+    path = tmp_path / "cc.json"
+    path.write_text(json.dumps(specio.concat_to_json(cc_small)))
     return str(path)
 
 
@@ -121,6 +132,31 @@ class TestUsageErrors:
         assert "not an element encoding" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "bad", ["[1.5,0,0,0,0,0,0]", '[0,0,0,0,0,0,"1"]', "[true,0,0,0,0,0,0]", "5", '"0000000"']
+    )
+    def test_malformed_word(self, capsys, code_spec_file, bad):
+        # int() would turn 1.5 and "1" into 1 and decode to the zero codeword
+        assert main(["decode", "--spec", code_spec_file, "--word", bad]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["7", "[0.9" + ",0" * 14 + "]", "[" + "0," * 14 + '"1"]', "[[0,0,0,0,0],3,[0,0,0,0,0]]"],
+    )
+    def test_malformed_concat_word(self, capsys, cc_spec_file, bad):
+        assert main(["decode", "--spec", cc_spec_file, "--word", bad]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad", ["5", "[1,2,3]", "[[1.5],[],[]]", '[["1"],[],[]]', "[[9],[],[]]"]
+    )
+    def test_malformed_concat_erasures(self, capsys, cc_spec_file, bad):
+        argv = ["decode", "--spec", cc_spec_file, "--word", json.dumps([0] * 15)]
+        assert main(argv + ["--erasures", bad]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestInfoAndChecks:
     def test_code_info(self, capsys, mpc_spec_file):
         code, out = run(capsys, ["code-info", "--spec", mpc_spec_file])
@@ -165,3 +201,24 @@ def test_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "ok " in out and "VIOLATION" not in out
+
+
+def test_selftest_checks_survive_optimize_flag():
+    """Under python -O a broken Field.mul must still fail the selftest."""
+    script = (
+        "import gccodec.galois as G\n"
+        "from gccodec.selftest import run_selftest\n"
+        "ok = run_selftest()\n"
+        "mul = G.Field.mul\n"
+        "G.Field.mul = lambda f, a, b: (mul(f, a, b) + 1) % f.q if a > 1 and b > 1"
+        " else mul(f, a, b)\n"
+        "print(__debug__, ok, run_selftest())\n"
+    )
+    src = str(Path(g.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "False"]

@@ -324,3 +324,36 @@ class TestSerialization:
         assert g.cc_encode(cc2, [(2,)]) == word
         flat = specio.matrix_to_json(word)
         assert specio.matrix_from_json(flat, 3, 5) == word
+
+    def test_matrix_rows_form(self, cc_small):
+        word = g.cc_encode(cc_small, [(2,)])
+        assert specio.matrix_from_json([list(r) for r in word], 3, 5) == word
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            7,
+            None,
+            "abc",
+            [0.9] + [0] * 14,
+            [0] * 14 + ["1"],
+            [True] + [0] * 14,
+            [[0] * 5, 3, [0] * 5],
+        ],
+    )
+    def test_malformed_word_is_config_error(self, bad):
+        with pytest.raises(g.ConfigError):
+            specio.matrix_from_json(bad, 3, 5)
+
+    @pytest.mark.parametrize(
+        "bad", [5, None, [1, 2, 3], [[1.5], [], []], [["0"], [], []], [[True], [], []]]
+    )
+    def test_malformed_pattern_is_config_error(self, bad):
+        with pytest.raises(g.ConfigError):
+            specio.pattern_from_json(bad, 3)
+
+    def test_malformed_symbols_reach_no_decoder(self, cc_small):
+        word = [list(r) for r in g.cc_encode(cc_small, [(2,)])]
+        word[0][0] = 0.9
+        with pytest.raises(g.InvalidParams):
+            g.cc_decode(cc_small, word)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +141,122 @@ class TestArithmetic:
         a, b = 273, 401
         assert f.mul(a, b) == naive_mul(2, f.modulus, 9, a, b)
         assert f.mul(a, f.inv(a)) == 1
+
+
+KERNEL_FIELDS = {
+    "GF(7)": lambda: g.make_field(7, 1),
+    "GF(4)": lambda: g.make_field(2, 2),
+    "GF(8)": lambda: g.make_field(2, 3),
+    "GF(9)": lambda: g.make_field(3, 2),
+    "GF(25)": lambda: g.make_field(5, 2),
+    "GF(16)/GF(4)": lambda: g.extend_field(g.make_field(2, 2), 2),
+    "GF(256)/GF(16)": lambda: g.extend_field(g.make_field(2, 4), 2),
+    "GF(243)": lambda: g.make_field(3, 5),
+    "GF(512)": lambda: g.make_field(2, 9),
+    "GF(1024)": lambda: g.make_field(2, 10),
+    # x^4 + x^3 + x^2 + x + 1 is irreducible but x has order 5 under it
+    "GF(16)-nonprimitive": lambda: g.make_field(2, 4, (1, 1, 1, 1, 1)),
+}
+
+
+def ref_mul(f, a, b):
+    if f.base is None:
+        return a * b % f.p
+    if f.base.base is None:
+        return naive_mul(f.p, f.modulus, f.degree, a, b)
+    return f._mul_slow(a, b)
+
+
+def ref_digitwise(f, op, *args):
+    """Digit-wise add/neg over the base field, down to schoolbook mod p."""
+    if f.base is None:
+        return op(*args) % f.p
+    digits = [f.to_digits(a) for a in args]
+    return f.from_digits([ref_digitwise(f.base, op, *ds) for ds in zip(*digits)])
+
+
+def kernel_pairs(f, count=1500):
+    if f.q <= 64:
+        return [(a, b) for a in range(f.q) for b in range(f.q)]
+    rng = random.Random(f.q)
+    return [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+class TestLogKernel:
+    """exp/log (and Zech) arithmetic against schoolbook references."""
+
+    def test_mul_inv_against_reference(self, name):
+        f = KERNEL_FIELDS[name]()
+        for a, b in kernel_pairs(f):
+            assert f.mul(a, b) == ref_mul(f, a, b)
+            if a:
+                assert ref_mul(f, a, f.inv(a)) == 1
+
+    def test_add_sub_neg_against_digits(self, name):
+        f = KERNEL_FIELDS[name]()
+        for a, b in kernel_pairs(f):
+            assert f.add(a, b) == ref_digitwise(f, lambda x, y: x + y, a, b)
+            assert f.sub(a, b) == ref_digitwise(f, lambda x, y: x - y, a, b)
+            assert f.neg(a) == ref_digitwise(f, lambda x: -x, a)
+
+    def test_axpy_and_dot_against_scalar_loop(self, name):
+        f = KERNEL_FIELDS[name]()
+        rng = random.Random(7)
+        for _ in range(30):
+            n = rng.randrange(1, 20)
+            u = [rng.choice((0, rng.randrange(f.q))) for _ in range(n)]
+            v = [rng.choice((0, rng.randrange(f.q))) for _ in range(n)]
+            c = rng.choice((0, 1, rng.randrange(f.q)))
+            out = list(u)
+            f.axpy(out, c, v)
+            assert out == [f.add(x, f.mul(c, y)) for x, y in zip(u, v)]
+            acc = 0
+            for x, y in zip(u, v):
+                acc = f.add(acc, f.mul(x, y))
+            assert f.dot(u, v) == acc
+
+    def test_pow_is_repeated_mul(self, name):
+        f = KERNEL_FIELDS[name]()
+        rng = random.Random(11)
+        for a in [0, 1] + [rng.randrange(2, f.q) for _ in range(4)]:
+            acc = 1
+            for e in range(40):
+                assert f.pow(a, e) == acc
+                acc = f.mul(acc, a)
+            if a:
+                assert f.pow(a, f.q - 1) == 1
+                assert f.pow(a, -3) == f.inv(f.mul(a, f.mul(a, a)))
+
+
+class TestBeyondLogTables:
+    def test_polynomial_path_above_the_limit(self):
+        f = g.make_field(2, 17)
+        rng = random.Random(3)
+        for _ in range(20):
+            a, b = rng.randrange(1, f.q), rng.randrange(f.q)
+            assert f.mul(a, b) == naive_mul(2, f.modulus, 17, a, b)
+        a = rng.randrange(1, f.q)
+        assert f.mul(a, f.inv(a)) == 1
+        u = [rng.randrange(f.q) for _ in range(5)]
+        v = [rng.randrange(f.q) for _ in range(5)]
+        out = list(u)
+        f.axpy(out, 12345, v)
+        assert out == [x ^ f.mul(12345, y) for x, y in zip(u, v)]
+        assert f.dot(u, v) == f.add(f.mul(u[0], v[0]), f.dot(u[1:], v[1:]))
+        assert f._log is False
+
+
+class TestVector:
+    @pytest.mark.parametrize("bad", [[1.5], ["1"], [True], [None], 5, None])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(g.InvalidParams):
+            g.make_field(2, 3).vector(bad)
+
+    def test_accepts_numpy_integers(self):
+        import numpy as np
+
+        assert g.make_field(2, 3).vector(np.array([1, 7])) == (1, 7)
 
 
 class TestFieldElement:
