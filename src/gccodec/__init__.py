@@ -19,12 +19,12 @@ from .concat import (
     cc_decode,
     cc_encode,
     correctable_cc,
-    row_decode,
     trial_bound_cc,
 )
 from .errors import (
     CodecError,
     ConfigError,
+    ContractViolation,
     DecodeFailure,
     ErasureIndexError,
     FieldMismatch,

@@ -13,11 +13,10 @@ import sys
 
 from .block_codes import LinearCode
 from .channel import ChannelModel
-from .concat import ConcatCode, DecodeOptions, cc_decode, cc_encode
-from .errors import CodecError, DecodeFailure
-from .experiment import ExperimentConfig, run_experiment
-from .gcc import GccSpec, designed_distance, gcc_decode_improved, gcc_encode
-from .mpc import MpcSpec, is_nsc, is_triangular, mpc_decode, mpc_designed_distance
+from .concat import DecodeOptions
+from .errors import CodecError, ContractViolation, DecodeFailure
+from .experiment import ExperimentConfig, construction, run_experiment
+from .mpc import is_nsc, is_triangular
 from . import specio
 
 EXIT_OK = 0
@@ -44,14 +43,8 @@ def _cmd_encode(args) -> int:
         word = spec.encode(msgs)
         _print({"codeword": list(word), "shape": [spec.n]})
         return EXIT_OK
-    if isinstance(spec, ConcatCode):
-        word = cc_encode(spec, msgs)
-    elif isinstance(spec, (GccSpec, MpcSpec)):
-        gspec = spec.gcc if isinstance(spec, MpcSpec) else spec
-        word = gcc_encode(gspec, msgs)
-    else:
-        raise CodecError("unsupported spec for encode")
-    _print({"codeword": specio.matrix_to_json(word), "shape": [len(word), len(word[0])]})
+    c = construction(spec)
+    _print({"codeword": specio.matrix_to_json(c.encode(msgs)), "shape": [c.m, c.n]})
     return EXIT_OK
 
 
@@ -67,35 +60,21 @@ def _cmd_decode(args) -> int:
     spec = specio.load_spec_file(args.spec)
     word = _load_json_arg(args.word)
     options = _decode_options(args)
+    if isinstance(spec, LinearCode):
+        erasures = _load_json_arg(args.erasures) if args.erasures else ()
+        out = spec.decode(word, erasures)
+        if not out.ok:
+            print("decoding failed", file=sys.stderr)
+            return EXIT_DECODE_FAILURE
+        _print({"codeword": list(out.codeword), "message": list(spec.message_of(out.codeword))})
+        return EXIT_OK
+    c = construction(spec)
+    matrix = specio.matrix_from_json(word, c.m, c.n)
+    pattern = None
+    if args.erasures:
+        pattern = specio.pattern_from_json(_load_json_arg(args.erasures), c.m)
     try:
-        if isinstance(spec, LinearCode):
-            erasures = _load_json_arg(args.erasures) if args.erasures else ()
-            out = spec.decode(word, erasures)
-            if not out.ok:
-                print("decoding failed", file=sys.stderr)
-                return EXIT_DECODE_FAILURE
-            _print({"codeword": list(out.codeword), "message": list(spec.message_of(out.codeword))})
-            return EXIT_OK
-        if isinstance(spec, ConcatCode):
-            matrix = specio.matrix_from_json(word, spec.m, spec.inner.n)
-            pattern = (
-                specio.pattern_from_json(_load_json_arg(args.erasures), spec.m)
-                if args.erasures
-                else None
-            )
-            _, report = cc_decode(spec, matrix, pattern, options)
-        elif isinstance(spec, (GccSpec, MpcSpec)):
-            if args.erasures:
-                print("erasures are only supported by the concatenated decoder", file=sys.stderr)
-                return EXIT_USAGE
-            gspec = spec.gcc if isinstance(spec, MpcSpec) else spec
-            matrix = specio.matrix_from_json(word, gspec.m, gspec.n)
-            if isinstance(spec, MpcSpec):
-                report = mpc_decode(spec, matrix, options)
-            else:
-                report = gcc_decode_improved(gspec, matrix, options)
-        else:
-            raise CodecError("unsupported spec for decode")
+        report = c.decode(matrix, pattern, options)
     except DecodeFailure as exc:
         print(f"decoding failed: {exc}", file=sys.stderr)
         if args.report and exc.report is not None:
@@ -160,36 +139,8 @@ def _cmd_code_info(args) -> int:
     spec = specio.load_spec_file(args.spec)
     if isinstance(spec, LinearCode):
         _print({"n": spec.n, "k": spec.k, "d": spec.distance(), "exact": True})
-    elif isinstance(spec, ConcatCode):
-        _print(
-            {
-                "n": spec.length,
-                "k": spec.k * spec.outer.k,
-                "d_star": spec.designed_distance(),
-                "exact": False,
-            }
-        )
-    elif isinstance(spec, MpcSpec):
-        d_star, exact = mpc_designed_distance(spec)
-        _print(
-            {
-                "n": spec.m * spec.n,
-                "k": sum(a.k for a in spec.outers),
-                "d_star": d_star,
-                "exact": exact,
-            }
-        )
-    elif isinstance(spec, GccSpec):
-        _print(
-            {
-                "n": spec.m * spec.n,
-                "k": sum(a.k for a in spec.outers),
-                "d_star": designed_distance(spec),
-                "exact": False,
-            }
-        )
     else:
-        raise CodecError("unsupported spec")
+        _print(construction(spec).info())
     return EXIT_OK
 
 
@@ -243,6 +194,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except ContractViolation as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except (CodecError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import gmd, linalg
 from .block_codes import LinearCode, check_erasures, ee_decode, wt
-from .errors import DecodeFailure, InvalidParams, LengthMismatch
+from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch
 from .galois import TowerView
 from .oracle import oracle_radius
 from .report import DecodeReport
@@ -73,18 +73,19 @@ def cc_encode(cc: ConcatCode, msgs) -> tuple:
     if len(msgs) != cc.k:
         raise LengthMismatch(f"expected {cc.k} outer messages, got {len(msgs)}")
     words = [cc.outer.encode(m) for m in msgs]
-    return encode_columns(cc, words)
+    return encode_columns(cc.inner, (cc.tower,) * cc.k, words)
 
 
-def encode_columns(cc: ConcatCode, outer_words) -> tuple:
-    """Codeword matrix from k outer codewords."""
-    f = cc.inner.field
+def encode_columns(inner: LinearCode, towers, outer_words) -> tuple:
+    """Codeword matrix from outer codewords of a common length M: row j
+    expands symbol j of word i through towers[i], for every i, and encodes
+    the result with the inner code's generator."""
     rows = []
-    for j in range(cc.m):
+    for j in range(len(outer_words[0])):
         base_row = []
-        for word in outer_words:
-            base_row.extend(cc.tower.to_base_vector(word[j]))
-        rows.append(linalg.vec_mat(f, tuple(base_row), cc.inner.generator))
+        for tower, word in zip(towers, outer_words):
+            base_row.extend(tower.to_base_vector(word[j]))
+        rows.append(linalg.vec_mat(inner.field, tuple(base_row), inner.generator))
     return tuple(rows)
 
 
@@ -144,12 +145,6 @@ def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None)
     return RowDecodeResult(estimates, residuals, weights, failed, apparents, d, calls)
 
 
-def row_decode(cc: ConcatCode, received, pattern=None, radius: int | None = None) -> RowDecodeResult:
-    rows = _check_matrix(cc, received)
-    erasure_sets = check_pattern(pattern, cc.m, cc.inner.n)
-    return decode_rows(cc.inner, rows, erasure_sets, radius)
-
-
 def check_pattern(pattern, m, n):
     if pattern is None:
         return [frozenset()] * m
@@ -158,15 +153,22 @@ def check_pattern(pattern, m, n):
     return [check_erasures(x, n) for x in pattern]
 
 
-def _check_matrix(cc: ConcatCode, received):
-    if len(received) != cc.m:
-        raise LengthMismatch(f"expected {cc.m} rows, got {len(received)}")
-    rows = []
-    for row in received:
-        if len(row) != cc.inner.n:
-            raise LengthMismatch(f"rows must have length {cc.inner.n}")
-        rows.append(cc.inner.field.vector(row))
-    return rows
+def check_matrix(field, received, m: int, n: int) -> list:
+    """received as m rows of n elements of field; a non-sequence word or row
+    raises InvalidParams, a wrong shape LengthMismatch."""
+    try:
+        rows = list(received)
+    except TypeError:
+        raise InvalidParams(f"expected a sequence of {m} rows, got {received!r}") from None
+    if len(rows) != m:
+        raise LengthMismatch(f"expected {m} rows, got {len(rows)}")
+    out = []
+    for row in rows:
+        row = field.vector(row)
+        if len(row) != n:
+            raise LengthMismatch(f"rows must have length {n}")
+        out.append(row)
+    return out
 
 
 def fold_message_columns(cc: ConcatCode, rd: RowDecodeResult):
@@ -181,11 +183,6 @@ def fold_message_columns(cc: ConcatCode, rd: RowDecodeResult):
         for i in range(cc.k):
             columns[i][j] = cc.tower.from_base_vector(base[i * s : (i + 1) * s])
     return [tuple(col) for col in columns]
-
-
-def trial_chain(rd: RowDecodeResult) -> gmd.ErasureChain:
-    rel = gmd.ReliabilityVector(tuple(rd.weights), rd.denominator)
-    return gmd.chain_with_failure_class(rel)
 
 
 def extended_trial_chain(rd: RowDecodeResult, radius: int) -> gmd.ErasureChain:
@@ -221,7 +218,7 @@ def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | N
     is complete.
     """
     options = options or DecodeOptions()
-    rows = _check_matrix(cc, received)
+    rows = check_matrix(cc.inner.field, received, cc.m, cc.inner.n)
     erasure_sets = check_pattern(pattern, cc.m, cc.inner.n)
     erasure_mode = any(erasure_sets)
 
@@ -248,8 +245,8 @@ def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | N
         )
         report.outer_invocations.append(g.trials)
         report.gmd_trials.append(g.trials)
-        if options.radius is None:
-            assert g.trials <= bound, "trial count exceeded the class bound"
+        if options.radius is None and g.trials > bound:
+            raise ContractViolation(f"{g.trials} trials exceed the class bound {bound}")
         if g.ok:
             report.columns.append(g.codeword)
             report.messages.append(cc.outer.message_of(g.codeword))
@@ -261,7 +258,7 @@ def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | N
             report.failed_levels.append(i + 1)
             start = 0
     if not report.failed_levels:
-        report.codeword = encode_columns(cc, report.columns)
+        report.codeword = encode_columns(cc.inner, (cc.tower,) * cc.k, report.columns)
         return report.columns, report
     raise DecodeFailure(
         f"columns {report.failed_levels} exhausted all trials", report=report

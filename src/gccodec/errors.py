@@ -53,6 +53,10 @@ class ConfigError(CodecError):
     pass
 
 
+class ContractViolation(CodecError):
+    """A decoder broke one of its own guarantees (trial, distance or subcode bounds)."""
+
+
 class DecodeFailure(CodecError):
     """A multistage decoder gave up; carries the partial report when available."""
 

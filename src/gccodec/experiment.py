@@ -4,23 +4,27 @@ Every trial is classified against the construction's correction guarantee;
 a trial that sits inside the guarantee region and still fails flips the
 VIOLATION flag, which downstream tooling treats as a hard error.  Trials
 use independent substreams (seed + trial index), so runs are reproducible
-and may execute concurrently; records are emitted in trial order.
+and records are emitted in trial order.
+
+construction() is the one place that tells concatenated, generalized
+concatenated and matrix-product specs apart; the harness and the CLI work
+on the record it returns.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
+from typing import Callable, NamedTuple
 
+from . import concat
 from .channel import ChannelModel, apply_channel, trial_rng
 from .concat import ConcatCode, DecodeOptions, cc_decode, correctable_cc
 from .errors import ConfigError, DecodeFailure
-from .gcc import GccSpec, correctable_gcc, gcc_decode_improved, gcc_encode
-from .mpc import MpcSpec, mpc_decode
+from .gcc import GccSpec, correctable_gcc, designed_distance, gcc_decode_improved, gcc_encode
+from .mpc import MpcSpec, mpc_decode, mpc_designed_distance
 
-THREADS_ENV = "GCC_CODEC_THREADS"
+ERRORS_ONLY = "multistage decoding here is errors-only; erasures need a concatenated spec"
 
 
 @dataclass
@@ -30,11 +34,13 @@ class ExperimentConfig:
     trials: int
     options: DecodeOptions = dfield(default_factory=DecodeOptions)
     output: str | None = None
-    threads: int | None = None
+    threads: int | None = None  # trials run serially: only None and 1 are accepted
 
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trial count must be >= 1")
+        if self.threads not in (None, 1):
+            raise ConfigError(f"trials run serially; threads must be 1, got {self.threads!r}")
 
 
 @dataclass
@@ -79,57 +85,92 @@ class ExperimentStats:
         return out
 
 
-def _spec_parts(spec):
-    """(encode, decode, in_region, outer_codes, allows_erasures)."""
+class Construction(NamedTuple):
+    """What encoding, decoding and classifying a spec's M x N words needs.
+
+    decoder(received, pattern, options) returns a DecodeReport or raises
+    DecodeFailure; use decode(), which rejects erasures when the decoder is
+    errors-only.  info() computes the code-info payload on demand.
+    """
+
+    encode: Callable
+    decoder: Callable
+    region: Callable
+    outers: tuple
+    field: object
+    m: int
+    n: int
+    erasures: bool
+    info: Callable
+
+    def decode(self, received, pattern, options):
+        if not self.erasures and pattern is not None and any(pattern):
+            raise ConfigError(ERRORS_ONLY)
+        return self.decoder(received, pattern, options)
+
+
+def construction(spec) -> Construction:
+    """The Construction record of a ConcatCode, GccSpec or MpcSpec.
+
+    Decoders and predicates are looked up as module globals when called,
+    so code that wraps them by name sees every call.
+    """
     if isinstance(spec, ConcatCode):
-        outers = [spec.outer] * spec.k
-
-        def encode(msgs):
-            from .concat import cc_encode
-
-            return cc_encode(spec, msgs)
-
-        def decode(received, pattern, options):
-            _, report = cc_decode(spec, received, pattern, options)
-            return report
-
-        def region(errors, pattern):
-            return correctable_cc(errors, pattern, spec)
-
-        return encode, decode, region, outers, True
+        return Construction(
+            encode=lambda msgs: concat.cc_encode(spec, msgs),
+            decoder=lambda received, pattern, opts: cc_decode(spec, received, pattern, opts)[1],
+            region=lambda errors, pattern: correctable_cc(errors, pattern, spec),
+            outers=(spec.outer,) * spec.k,
+            field=spec.inner.field,
+            m=spec.m,
+            n=spec.inner.n,
+            erasures=True,
+            info=lambda: {
+                "n": spec.length,
+                "k": spec.k * spec.outer.k,
+                "d_star": spec.designed_distance(),
+                "exact": False,
+            },
+        )
     if isinstance(spec, (GccSpec, MpcSpec)):
-        gspec = spec.gcc if isinstance(spec, MpcSpec) else spec
-        outers = list(gspec.outers)
+        mpc = isinstance(spec, MpcSpec)
+        gspec = spec.gcc if mpc else spec
 
-        def encode(msgs):
-            return gcc_encode(gspec, msgs)
-
-        def decode(received, pattern, options):
-            if any(pattern):
-                raise ConfigError("multistage decoding here is errors-only")
-            if isinstance(spec, MpcSpec):
+        def decoder(received, pattern, options):
+            if mpc:
                 return mpc_decode(spec, received, options)
             return gcc_decode_improved(gspec, received, options)
 
-        def region(errors, pattern):
-            return correctable_gcc(errors, gspec)
+        def info():
+            d_star, exact = mpc_designed_distance(spec) if mpc else (designed_distance(spec), False)
+            k = sum(a.k for a in gspec.outers)
+            return {"n": gspec.m * gspec.n, "k": k, "d_star": d_star, "exact": exact}
 
-        return encode, decode, region, outers, False
-    raise ConfigError(f"cannot simulate over {type(spec).__name__}")
+        return Construction(
+            encode=lambda msgs: gcc_encode(gspec, msgs),
+            decoder=decoder,
+            region=lambda errors, pattern: correctable_gcc(errors, gspec),
+            outers=gspec.outers,
+            field=gspec.field,
+            m=gspec.m,
+            n=gspec.n,
+            erasures=False,
+            info=info,
+        )
+    raise ConfigError(f"no construction for {type(spec).__name__}")
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> dict:
-    encode, decode, region, outers, _ = _spec_parts(config.spec)
+    c = construction(config.spec)
     rng = trial_rng(config.channel, trial)
     msgs = [
-        tuple(int(rng.integers(0, a.field.q)) for _ in range(a.k)) for a in outers
+        tuple(int(rng.integers(0, a.field.q)) for _ in range(a.k)) for a in c.outers
     ]
-    word = encode(msgs)
-    field = outers[0].field if not isinstance(config.spec, ConcatCode) else config.spec.inner.field
-    received, pattern, errors = apply_channel(word, field, config.channel, rng=rng)
+    word = c.encode(msgs)
+    received, pattern, errors = apply_channel(word, c.field, config.channel, rng=rng)
     weight = sum(1 for row in errors for x in row if x != 0)
     erased = sum(len(x) for x in pattern)
-    inside = region(errors, pattern)
+    inside = c.region(errors, pattern)
     record = {
         "trial": trial,
         "weight": weight,
@@ -137,7 +178,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
         "in_region": inside,
     }
     try:
-        report = decode(received, pattern, config.options)
+        report = c.decode(received, pattern, config.options)
     except DecodeFailure as exc:
         record["outcome"] = "failure"
         if exc.report is not None:
@@ -152,26 +193,10 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     return record
 
 
-def _workers(config: ExperimentConfig) -> int:
-    if config.threads is not None:
-        n = config.threads
-    else:
-        n = int(os.environ.get(THREADS_ENV, "1"))
-    if n == 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentStats:
-    if isinstance(config.spec, (GccSpec, MpcSpec)) and config.channel.erasure_rate > 0:
-        raise ConfigError("erasure channels require the concatenated decoder")
-    workers = _workers(config)
-    indices = range(config.trials)
-    if workers == 1:
-        records = [run_trial(config, t) for t in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda t: run_trial(config, t), indices))
+    if config.channel.erasure_rate > 0 and not construction(config.spec).erasures:
+        raise ConfigError(ERRORS_ONLY)
+    records = [run_trial(config, t) for t in range(config.trials)]
 
     stats = ExperimentStats()
     for rec in records:

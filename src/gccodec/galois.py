@@ -67,15 +67,6 @@ def poly_trim(a):
     return a[:i]
 
 
-def poly_add(f, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = f.add(out[i], c)
-    return poly_trim(out)
-
-
 def poly_sub(f, a, b):
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):

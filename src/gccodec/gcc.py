@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from . import gmd, linalg
 from .block_codes import LinearCode, ee_decode, generic_code, wt
-from .concat import DecodeOptions, check_pattern, decode_rows
-from .errors import DecodeFailure, InvalidParams, LengthMismatch, UnknownDistance
+from .concat import DecodeOptions, check_matrix, check_pattern, decode_rows, encode_columns
+from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch, UnknownDistance
 from .galois import TowerView
 from .report import SKIP_EQ8, SKIP_REUSED, SKIP_T_NO_GAIN, DecodeReport
 
@@ -118,18 +118,7 @@ def gcc_encode(spec: GccSpec, msgs) -> tuple:
     if len(msgs) != spec.k:
         raise LengthMismatch(f"expected {spec.k} messages, got {len(msgs)}")
     words = [a.encode(m) for a, m in zip(spec.outers, msgs)]
-    return encode_columns(spec, words)
-
-
-def encode_columns(spec: GccSpec, outer_words) -> tuple:
-    f = spec.field
-    rows = []
-    for j in range(spec.m):
-        base_row = []
-        for tower, word in zip(spec.towers, outer_words):
-            base_row.extend(tower.to_base_vector(word[j]))
-        rows.append(linalg.vec_mat(f, tuple(base_row), spec.inner_generator))
-    return tuple(rows)
+    return encode_columns(spec.inner, spec.towers, words)
 
 
 def correctable_gcc(error_matrix, spec: GccSpec) -> bool:
@@ -137,17 +126,6 @@ def correctable_gcc(error_matrix, spec: GccSpec) -> bool:
     d1 = spec.subcodes[0].distance()
     total = sum(min(wt(row), d1) for row in error_matrix)
     return 2 * total < designed_distance(spec)
-
-
-def _check_matrix(spec: GccSpec, received):
-    if len(received) != spec.m:
-        raise LengthMismatch(f"expected {spec.m} rows, got {len(received)}")
-    rows = []
-    for row in received:
-        if len(row) != spec.n:
-            raise LengthMismatch(f"rows must have length {spec.n}")
-        rows.append(spec.field.vector(row))
-    return rows
 
 
 def _fold_level(spec: GccSpec, level: int, estimates, failed):
@@ -192,8 +170,9 @@ def _column_decode(spec, level, rd_weights, denom, column, mode, report):
     )
     report.outer_invocations[level - 1] = g.trials
     report.gmd_trials[level - 1] = g.trials
-    d_a = spec.outers[level - 1].distance()
-    assert g.trials <= (min(d_a, denom) + 1) // 2, "trial count exceeded the class bound"
+    bound = (min(spec.outers[level - 1].distance(), denom) + 1) // 2
+    if g.trials > bound:
+        raise ContractViolation(f"{g.trials} trials exceed the class bound {bound}")
     return g
 
 
@@ -209,7 +188,7 @@ def _new_report(spec: GccSpec) -> DecodeReport:
 
 
 def _finish(spec: GccSpec, report: DecodeReport):
-    report.codeword = encode_columns(spec, report.columns)
+    report.codeword = encode_columns(spec.inner, spec.towers, report.columns)
     return report
 
 
@@ -218,7 +197,7 @@ def gcc_decode_basic(spec: GccSpec, received, options: DecodeOptions | None = No
     options = options or DecodeOptions()
     if options.radius is not None:
         raise InvalidParams("extended-radius decoding is not available here")
-    residual = _check_matrix(spec, received)
+    residual = check_matrix(spec.field, received, spec.m, spec.n)
     empty = check_pattern(None, spec.m, spec.n)
     report = _new_report(spec)
     for level in range(spec.k, 0, -1):
@@ -245,7 +224,7 @@ def gcc_decode_improved(spec: GccSpec, received, options: DecodeOptions | None =
     options = options or DecodeOptions()
     if options.radius is not None:
         raise InvalidParams("extended-radius decoding is not available here")
-    residual = _check_matrix(spec, received)
+    residual = check_matrix(spec.field, received, spec.m, spec.n)
     report = _new_report(spec)
     f = spec.field
     m = spec.m
@@ -315,8 +294,8 @@ def gcc_decode_improved(spec: GccSpec, received, options: DecodeOptions | None =
                 else:
                     skips[SKIP_REUSED] += 1
                     est = tuple(f.sub(a, b) for a, b in zip(row, carried_residuals[j]))
-                    if j not in tainted:
-                        assert sub.contains(est), "carried row estimate left the subcode"
+                    if j not in tainted and not sub.contains(est):
+                        raise ContractViolation(f"carried row {j} left the subcode")
                     estimates[j] = est
                     residuals[j] = carried_residuals[j]
                     weights[j] = d_cur - 2 * wt(carried_residuals[j])

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .block_codes import LinearCode, ee_decode
-from .errors import InvalidParams, LengthMismatch
+from .errors import ContractViolation, InvalidParams, LengthMismatch
 
 MODE_UPTO = "upto"
 MODE_BEYOND = "beyond"
@@ -63,12 +63,16 @@ class ErasureChain:
         return len(self.sets)
 
 
+def _chain(weights, classes) -> ErasureChain:
+    sets = [frozenset()]
+    for a in classes:
+        sets.append(frozenset(i for i, w in enumerate(weights) if w <= a))
+    return ErasureChain(tuple(sets))
+
+
 def erasure_chain(rel: ReliabilityVector) -> ErasureChain:
     """Chain E_j = {i : w_i <= a_j} over the weight classes present."""
-    sets = [frozenset()]
-    for a in rel.classes():
-        sets.append(frozenset(i for i, w in enumerate(rel.weights) if w <= a))
-    return ErasureChain(tuple(sets))
+    return _chain(rel.weights, rel.classes())
 
 
 def chain_with_failure_class(rel: ReliabilityVector) -> ErasureChain:
@@ -78,27 +82,30 @@ def chain_with_failure_class(rel: ReliabilityVector) -> ErasureChain:
     possibly empty.  Callers that skip the no-erasure trial (because their
     weighting scheme makes it redundant) rely on this set being first.
     """
-    values = sorted(set(rel.weights) | {0})
-    sets = [frozenset()]
-    for a in values:
-        sets.append(frozenset(i for i, w in enumerate(rel.weights) if w <= a))
-    return ErasureChain(tuple(sets))
+    return _chain(rel.weights, sorted(set(rel.weights) | {0}))
+
+
+def _skip_reason(sets, j: int, d: int, previous):
+    """Why trial j of the chain sets cannot help, or None when it may.
+
+    previous is the set whose repetition makes trial j a duplicate: the set
+    before it in the chain, or the last set a decoder actually ran.
+    """
+    cur = sets[j]
+    if cur == previous:
+        return SKIP_DUPLICATE
+    if len(cur) >= d:
+        return SKIP_SIZE
+    if j + 1 < len(sets) and (d - len(cur)) % 2 == 0 and len(sets[j + 1]) == len(cur) + 1:
+        return SKIP_PARITY
+    return None
 
 
 def viable(j: int, chain: ErasureChain, d: int) -> bool:
     """Whether trial j (1 <= j < len(chain) - 1) can possibly be useful."""
     if not 1 <= j < len(chain.sets):
         raise InvalidParams(f"trial index {j} out of range")
-    cur = chain.sets[j]
-    if cur == chain.sets[j - 1]:
-        return False
-    if len(cur) >= d:
-        return False
-    if j + 1 < len(chain.sets):
-        nxt = chain.sets[j + 1]
-        if (d - len(cur)) % 2 == 0 and len(nxt) == len(cur) + 1:
-            return False
-    return True
+    return _skip_reason(chain.sets, j, d, chain.sets[j - 1]) is None
 
 
 def trial_bound(d: int) -> int:
@@ -178,24 +185,11 @@ def gmd_decode(
     last_run_set = None
     first = 1 if skip_zero_trial else 0
     for j in range(first, len(sets)):
-        cur = sets[j]
-        if j < start:
-            skips.append((j, SKIP_CARRY))
+        reason = SKIP_CARRY if j < start else _skip_reason(sets, j, d, last_run_set)
+        if reason is not None:
+            skips.append((j, reason))
             continue
-        if cur == last_run_set:
-            skips.append((j, SKIP_DUPLICATE))
-            continue
-        if len(cur) >= d:
-            skips.append((j, SKIP_SIZE))
-            continue
-        if (
-            j + 1 < len(sets)
-            and (d - len(cur)) % 2 == 0
-            and len(sets[j + 1]) == len(cur) + 1
-        ):
-            skips.append((j, SKIP_PARITY))
-            continue
-        last_run_set = cur
+        cur = last_run_set = sets[j]
         trials += 1
         outcome = ee_decode(code, word, cur)
         if not outcome.ok:
@@ -210,8 +204,8 @@ def gmd_decode(
                 best = (lhs, j, outcome)
     if mode == MODE_BEYOND:
         accepted = best
-    if derived:
-        assert trials <= trial_bound(d), "trial count exceeded the chain bound"
+    if derived and trials > trial_bound(d):
+        raise ContractViolation(f"{trials} trials exceed the chain bound {trial_bound(d)}")
     if accepted is None:
         return GmdReport(None, None, trials, None, skips, None)
     lhs, j, outcome = accepted

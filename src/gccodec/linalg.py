@@ -9,22 +9,6 @@ provide add/sub/mul/inv/neg and the in-place row update axpy(out, c, v)
 from .errors import InvalidParams
 
 
-def identity(f, n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def vec_add(f, u, v):
-    return tuple(f.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(f, u, v):
-    return tuple(f.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(f, c, u):
-    return tuple(f.mul(c, a) for a in u)
-
-
 def vec_mat(f, v, m):
     """Row vector times matrix."""
     if len(v) != len(m):
@@ -36,18 +20,6 @@ def vec_mat(f, v, m):
         if vi and any(row):
             axpy(out, vi, row)
     return tuple(out)
-
-
-def mat_mul(f, a, b):
-    return tuple(vec_mat(f, row, b) for row in a)
-
-
-def mat_sub(f, a, b):
-    return tuple(vec_sub(f, ra, rb) for ra, rb in zip(a, b))
-
-
-def transpose(m):
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0]))) if m else ()
 
 
 def rref(f, m):

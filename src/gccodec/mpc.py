@@ -20,16 +20,16 @@ from dataclasses import dataclass
 
 from . import gmd, linalg
 from .block_codes import ee_decode, wt
-from .concat import DecodeOptions
+from .concat import DecodeOptions, check_matrix
 from .errors import (
+    ContractViolation,
     DecodeFailure,
     InvalidParams,
-    LengthMismatch,
     NotNsc,
     ShapeError,
     TooLargeToEnumerate,
 )
-from .gcc import GccSpec, gcc_decode_improved, gcc_spec
+from .gcc import GccSpec, gcc_decode_improved, gcc_encode, gcc_spec
 from .report import DecodeReport
 
 
@@ -120,7 +120,8 @@ def mpc_spec(outers, matrix, field) -> MpcSpec:
     if nsc:
         n = out.n
         for i, sub in enumerate(spec.subcodes, start=1):
-            assert sub.distance() == n - i + 1, "prefix of an NSC matrix must be MDS"
+            if sub.distance() != n - i + 1:
+                raise ContractViolation(f"prefix {i} of an NSC matrix is not MDS")
     return out
 
 
@@ -136,8 +137,6 @@ def mpc_designed_distance(spec: MpcSpec):
 
 
 def mpc_encode(spec: MpcSpec, msgs) -> tuple:
-    from .gcc import gcc_encode
-
     return gcc_encode(spec.gcc, msgs)
 
 
@@ -194,17 +193,6 @@ def _bump(counter, key):
         counter[key] = counter.get(key, 0) + 1
 
 
-def _check_rows(spec, received, n):
-    if len(received) != spec.m:
-        raise LengthMismatch(f"expected {spec.m} rows")
-    out = []
-    for row in received:
-        if len(row) != n:
-            raise LengthMismatch(f"rows must have length {n}")
-        out.append(spec.field.vector(row))
-    return out
-
-
 def _require_uuv(spec: MpcSpec):
     if spec.k != 2 or spec.matrix != ((1, 1), (0, 1)):
         raise InvalidParams("this decoder handles the (u | u+v) matrix only")
@@ -219,7 +207,7 @@ def decode_uuv(spec: MpcSpec, received, counter=None):
     """
     _require_uuv(spec)
     f = spec.field
-    rows = _check_rows(spec, received, 2)
+    rows = check_matrix(f, received, spec.m, 2)
     a1, a2 = spec.outers
     diff = tuple(f.sub(r[1], r[0]) for r in rows)
     out2 = ee_decode(a2, diff)
@@ -244,7 +232,7 @@ def decode_uuv_naive(spec: MpcSpec, received, counter=None):
     """
     _require_uuv(spec)
     f = spec.field
-    rows = _check_rows(spec, received, 2)
+    rows = check_matrix(f, received, spec.m, 2)
     a1, a2 = spec.outers
     d_star, _ = mpc_designed_distance(spec)
     diff = tuple(f.sub(r[1], r[0]) for r in rows)
@@ -294,7 +282,7 @@ def decode_uvw(spec: MpcSpec, received, counter=None):
     """
     _require_uvw(spec)
     f = spec.field
-    rows = _check_rows(spec, received, 3)
+    rows = check_matrix(f, received, spec.m, 3)
     a1, a2, a3 = spec.outers
     m = spec.m
     b1 = spec.gcc.subcodes[0]

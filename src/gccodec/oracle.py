@@ -3,14 +3,14 @@
 These enumerate every codeword and serve two roles: ground truth in the
 test suite, and the working decoder for small generic codes (the nested
 subcodes of a layered construction are tiny at the scales this package
-targets).  oracle_sigma additionally asserts the uniqueness of the
-bound-satisfying codeword during the scan.
+targets).  oracle_sigma additionally checks the uniqueness of the
+bound-satisfying codeword during the scan (ContractViolation).
 """
 
 from __future__ import annotations
 
 from .block_codes import FAILURE, DecodeOutcome, LinearCode, check_erasures
-from .errors import InvalidParams, TooLargeToEnumerate
+from .errors import ContractViolation, InvalidParams, TooLargeToEnumerate
 
 _DECODE_TABLE_CAP = 512
 
@@ -36,7 +36,8 @@ def oracle_sigma(code: LinearCode, word, erasures=frozenset()) -> DecodeOutcome:
         # r - c is nonzero exactly where the symbols differ
         w = sum(1 for i in keep if word[i] != c[i])
         if 2 * w + len(erasures) < d:
-            assert hit is None, "two codewords inside the error-and-erasure bound"
+            if hit is not None:
+                raise ContractViolation("two codewords inside the error-and-erasure bound")
             hit = (c, w)
     if hit is None:
         return FAILURE

@@ -126,18 +126,6 @@ def load_spec(d: dict):
     raise ConfigError("unrecognized spec layout")
 
 
-def dump_spec(obj) -> dict:
-    if isinstance(obj, ConcatCode):
-        return concat_to_json(obj)
-    if isinstance(obj, MpcSpec):
-        return mpc_to_json(obj)
-    if isinstance(obj, GccSpec):
-        return gcc_to_json(obj)
-    if isinstance(obj, LinearCode):
-        return code_to_json(obj)
-    raise ConfigError(f"cannot serialize {type(obj).__name__}")
-
-
 def load_spec_file(path):
     with open(path) as fh:
         return load_spec(json.load(fh))
@@ -175,10 +163,6 @@ def matrix_from_json(data, m: int, n: int) -> tuple:
             raise ConfigError(f"expected {m * n} symbols, got {len(data)}")
         rows = [data[i * n : (i + 1) * n] for i in range(m)]
     return tuple(tuple(_integer(x, "word symbols") for x in r) for r in rows)
-
-
-def pattern_to_json(pattern) -> list:
-    return [sorted(int(i) for i in x) for x in pattern]
 
 
 def pattern_from_json(data, m: int):

@@ -85,6 +85,19 @@ def mpc_uvw3(gf3):
     return g.mpc_spec([a1, a2, a3], UVW_MATRIX, gf3)
 
 
+@pytest.fixture(scope="session")
+def mixed_spec(gf2, gf4):
+    """Level 1 over GF(4) (width 2), level 2 over GF(2); inner 3x7 over GF(2)."""
+    a1 = g.rs_code(gf4, 4, 1)  # [4,1,4] over GF(4)
+    a2 = g.generic_code(gf2, [[1, 0, 1, 1], [0, 1, 1, 0]])  # [4,2,2]
+    inner_gen = [
+        [1, 0, 0, 1, 1, 1, 0],
+        [0, 1, 0, 1, 1, 0, 1],
+        [0, 0, 1, 1, 0, 1, 1],
+    ]
+    return g.gcc_spec([a1, a2], (2, 1), inner_gen, gf2)
+
+
 def corrupt(field, word, positions, rng):
     """Flip the given flat positions of a codeword matrix to random other values."""
     n = len(word[0])

@@ -67,16 +67,13 @@ class TestRunExperiment:
         assert stats.trials_max == 1
         assert not stats.violation
 
-    def test_threads_agree_with_serial(self, cc_small, monkeypatch):
+    def test_parallel_trials_are_rejected(self, cc_small):
         channel = g.ChannelModel(error_rate=0.15, erasure_rate=0.05, seed=6)
-        serial = g.run_experiment(
-            g.ExperimentConfig(spec=cc_small, channel=channel, trials=60, threads=1)
-        )
-        monkeypatch.setenv("GCC_CODEC_THREADS", "4")
-        threaded = g.run_experiment(
-            g.ExperimentConfig(spec=cc_small, channel=channel, trials=60)
-        )
-        assert serial.to_json() == threaded.to_json()
+        for threads in (None, 1):
+            g.ExperimentConfig(spec=cc_small, channel=channel, trials=60, threads=threads)
+        for threads in (4, 0, 2):
+            with pytest.raises(g.ConfigError):
+                g.ExperimentConfig(spec=cc_small, channel=channel, trials=60, threads=threads)
 
     def test_jsonl_output(self, cc_small, tmp_path):
         out = tmp_path / "run.jsonl"
@@ -112,5 +109,19 @@ class TestRunExperiment:
             trials=300,
         )
         stats = g.run_experiment(config)
+        assert stats.in_region_failures == 0
+        assert not stats.violation
+
+    def test_gcc_channel_draws_inner_field_symbols(self, mixed_spec):
+        # level 1 lives over GF(4), the word over GF(2): the channel must
+        # draw GF(2) errors, not symbols of the first outer code's field
+        config = g.ExperimentConfig(
+            spec=mixed_spec,
+            channel=g.ChannelModel(error_rate=0.1, erasure_rate=0.0, seed=3),
+            trials=200,
+        )
+        stats = g.run_experiment(config)
+        assert stats.trials == 200
+        assert stats.in_region > 0
         assert stats.in_region_failures == 0
         assert not stats.violation

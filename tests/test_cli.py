@@ -102,6 +102,121 @@ class TestEncodeDecode:
         assert out["message"] == [1, 2, 3]
 
 
+def _spec_json(kind, request):
+    if kind == "rs":
+        return specio.code_to_json(g.rs_code(request.getfixturevalue("gf8"), 7, 3))
+    if kind == "cc":
+        return specio.concat_to_json(request.getfixturevalue("cc_two_cols"))
+    if kind == "gcc":
+        return specio.gcc_to_json(request.getfixturevalue("mixed_spec"))
+    return specio.mpc_to_json(request.getfixturevalue("mpc_uuv8"))
+
+
+# kind: (messages, flipped (position, xor) pairs, erasures, then the encode,
+# decode --report and code-info outputs recorded before the CLI dispatched
+# through experiment.construction)
+ROUND_TRIPS = {
+    "rs": (
+        [1, 2, 3],
+        [(0, 5), (4, 3)],
+        None,
+        {"codeword": [1, 0, 2, 3, 3, 2, 0], "shape": [7]},
+        {"codeword": [1, 0, 2, 3, 3, 2, 0], "message": [1, 2, 3]},
+        {"d": 5, "exact": True, "k": 3, "n": 7},
+    ),
+    "cc": (
+        [[1, 2], [3, 0]],
+        [(0, 1), (9, 1), (27, 1)],
+        [[], [], [2], []],
+        {
+            "codeword": [1, 0, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 1],
+            "shape": [4, 7],
+        },
+        {
+            "messages": [[1, 2], [3, 0]],
+            "report": {
+                "codeword": [[1, 0, 1, 1, 0, 1, 0], [1, 1, 1, 1, 1, 1, 1], [0, 1, 1, 1, 1, 0, 0], [0, 0, 1, 1, 0, 0, 1]],
+                "columns": [[1, 3, 2, 0], [3, 3, 3, 3]],
+                "failed_levels": [],
+                "gmd_trials": [1, 1],
+                "inner_invocations": [4],
+                "messages": [[1, 2], [3, 0]],
+                "ok": True,
+                "outer_invocations": [1, 1],
+                "row_skips": [],
+            },
+        },
+        {"d_star": 9, "exact": False, "k": 4, "n": 28},
+    ),
+    "gcc": (
+        [[3], [1, 0]],
+        [(1, 1), (13, 1)],
+        None,
+        {
+            "codeword": [1, 1, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0],
+            "shape": [4, 7],
+        },
+        {
+            "messages": [[3], [1, 0]],
+            "report": {
+                "codeword": [[1, 1, 1, 1, 0, 0, 0], [1, 1, 0, 0, 0, 1, 1], [1, 1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 0, 0, 0]],
+                "columns": [[3, 3, 3, 3], [1, 0, 1, 1]],
+                "failed_levels": [],
+                "gmd_trials": [1, 1],
+                "inner_invocations": [0, 4],
+                "messages": [[3], [1, 0]],
+                "ok": True,
+                "outer_invocations": [1, 1],
+                "row_skips": [{"NotInSuT": 4}, {}],
+            },
+        },
+        {"d_star": 8, "exact": False, "k": 3, "n": 28},
+    ),
+    "mpc": (
+        [[1, 2, 3, 4, 5], [6]],
+        [(0, 1), (7, 4)],
+        None,
+        {"codeword": [1, 7, 1, 7, 6, 0, 3, 5, 0, 6, 3, 5, 3, 5], "shape": [7, 2]},
+        {
+            "messages": [[1, 2, 3, 4, 5], [6]],
+            "report": {
+                "codeword": [[1, 7], [1, 7], [6, 0], [3, 5], [0, 6], [3, 5], [3, 5]],
+                "columns": [[1, 1, 6, 3, 0, 3, 3], [6, 6, 6, 6, 6, 6, 6]],
+                "failed_levels": [],
+                "gmd_trials": [1, 1],
+                "inner_invocations": [0, 7],
+                "messages": [[1, 2, 3, 4, 5], [6]],
+                "ok": True,
+                "outer_invocations": [1, 1],
+                "row_skips": [{"NotInSuT": 5, "SkipCondEq8": 2}, {}],
+            },
+        },
+        {"d_star": 6, "exact": True, "k": 6, "n": 14},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_TRIPS))
+def test_round_trip_outputs_are_unchanged(capsys, tmp_path, request, kind):
+    msgs, flips, erasures, encoded, decoded, info = ROUND_TRIPS[kind]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_spec_json(kind, request)))
+    spec = ["--spec", str(path)]
+    assert run(capsys, ["encode", *spec, "--msg", json.dumps(msgs)]) == (0, encoded)
+    word = list(encoded["codeword"])
+    for pos, delta in flips:
+        word[pos] ^= delta
+    argv = ["decode", *spec, "--word", json.dumps(word), "--report"]
+    if erasures is not None:
+        argv += ["--erasures", json.dumps(erasures)]
+    assert run(capsys, argv) == (0, decoded)
+    assert run(capsys, ["code-info", *spec]) == (0, info)
+    if kind in ("gcc", "mpc"):
+        # multistage decoding is errors-only: erasures are a usage error
+        pattern = [[0]] + [[]] * (encoded["shape"][0] - 1)
+        assert main(argv + ["--erasures", json.dumps(pattern)]) == 2
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

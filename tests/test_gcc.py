@@ -8,21 +8,6 @@ from conftest import UUV_MATRIX, corrupt, error_matrix
 
 
 @pytest.fixture(scope="module")
-def mixed_spec():
-    """Level 1 over GF(4) (width 2), level 2 over GF(2); inner 3x7 over GF(2)."""
-    gf2 = g.make_field(2, 1)
-    gf4 = g.extend_field(gf2, 2)
-    a1 = g.rs_code(gf4, 4, 1)  # [4,1,4] over GF(4)
-    a2 = g.generic_code(gf2, [[1, 0, 1, 1], [0, 1, 1, 0]])  # [4,2,2]
-    inner_gen = [
-        [1, 0, 0, 1, 1, 1, 0],
-        [0, 1, 0, 1, 1, 0, 1],
-        [0, 0, 1, 1, 0, 1, 1],
-    ]
-    return g.gcc_spec([a1, a2], (2, 1), inner_gen, gf2)
-
-
-@pytest.fixture(scope="module")
 def uuv_bin():
     """Binary (u | u+v) with [7,4,3] and [7,1,7] outer codes."""
     gf2 = g.make_field(2, 1)
