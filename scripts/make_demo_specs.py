@@ -4,16 +4,18 @@
 Usage: python scripts/make_demo_specs.py [outdir]
 """
 
+import argparse
 import json
 import pathlib
-import sys
 
 import gccodec as g
 from gccodec import specio
 
 
 def main():
-    outdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "demo-specs")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", nargs="?", default="demo-specs", help="default: demo-specs")
+    outdir = pathlib.Path(parser.parse_args().outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     gf2 = g.make_field(2, 1)

@@ -243,7 +243,6 @@ def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | N
             chain=chain,
             start=start,
         )
-        report.outer_invocations.append(g.trials)
         report.gmd_trials.append(g.trials)
         if options.radius is None and g.trials > bound:
             raise ContractViolation(f"{g.trials} trials exceed the class bound {bound}")

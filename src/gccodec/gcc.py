@@ -5,27 +5,36 @@ of inner subcodes B^(1) c B^(2) c ... c B^(k) generated by growing prefixes
 of the inner generator matrix.  Decoding runs k rounds from level k down to
 level 1: each round row-decodes the current residual with B^(i), recovers
 the level-i outer codeword through the reliability-weighted trial driver,
-and subtracts its contribution from the residual.
+and subtracts its contribution from the residual.  Both decoders share that
+round, and every row decode in it goes through concat.decode_rows.
 
-The improved decoder reuses work across rounds.  A row whose decode was
-consistent with the recovered column keeps its apparent error: residual
-minus apparent error is already a codeword of the next subcode, so no fresh
-decode is needed.  A row that decoded to the wrong codeword (the recovered
-column disagreed) is re-decoded only when the next subcode's radius can
-reach past the miscorrection, i.e. when d_i - wt(apparent) fits within the
-new half-distance radius; otherwise its weight is forced to zero for the
-next round but it is treated as a decodable row from then on.  A row that
-failed outright is re-decoded only when the next subcode corrects strictly
-more errors; otherwise its weight stays zero and it remains a failure row.
+The basic decoder decodes every row in every round.  The improved decoder
+decodes every row at level k and reuses work in the rounds below it, where
+each row falls into one of four cases:
+
+- decode it: a row that failed, when the new subcode's radius (d-1)/2 is
+  larger than the previous one; a row whose decode the recovered column
+  contradicted, when d_prev - wt(apparent error) fits within the new
+  radius, so the new decode can reach past the miscorrection;
+- reuse it (NotInSuT): a row the recovered column confirmed keeps its
+  apparent error, since residual minus apparent error is already a
+  codeword of the next subcode;
+- zero its weight as known-wrong (SkipCondEq8): a contradicted row the new
+  radius cannot reach keeps its estimate with weight zero, so every trial
+  erases it, but it is treated as a decodable row from then on;
+- keep it failed (TNoGain): a failed row whose radius does not grow.
+
+The rows to decode in a round go through one decode_rows call.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import gmd, linalg
-from .block_codes import LinearCode, ee_decode, generic_code, wt
-from .concat import DecodeOptions, check_matrix, check_pattern, decode_rows, encode_columns
+from .block_codes import LinearCode, generic_code, wt
+from .concat import DecodeOptions, RowDecodeResult, check_matrix, decode_rows, encode_columns
 from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch, UnknownDistance
 from .galois import TowerView
 from .report import SKIP_EQ8, SKIP_REUSED, SKIP_T_NO_GAIN, DecodeReport
@@ -65,7 +74,10 @@ class GccSpec:
 def gcc_spec(outers, widths, inner_generator, field, subcode_distances=None) -> GccSpec:
     """Build a k-level spec; subcode distances are computed exactly unless given."""
     outers = tuple(outers)
-    widths = tuple(int(s) for s in widths)
+    try:
+        widths = tuple(operator.index(s) for s in widths)
+    except TypeError:
+        raise InvalidParams(f"widths must be integers, got {widths!r}") from None
     if len(outers) != len(widths):
         raise InvalidParams("one expansion degree per outer code is required")
     gen = tuple(field.vector(row) for row in inner_generator)
@@ -157,170 +169,110 @@ def _level_contribution(spec: GccSpec, level: int, codeword):
     )
 
 
-def _column_decode(spec, level, rd_weights, denom, column, mode, report):
-    rel = gmd.ReliabilityVector(tuple(rd_weights), denom)
-    chain = gmd.chain_with_failure_class(rel)
-    g = gmd.gmd_decode(
-        spec.outers[level - 1],
-        column,
-        rel,
-        mode=mode,
-        skip_zero_trial=True,
-        chain=chain,
+def _fresh_rows(spec: GccSpec, level: int, residual):
+    """Decode every row of the residual with the level's subcode."""
+    return decode_rows(spec.subcodes[level - 1], residual, [frozenset()] * spec.m), {}
+
+
+def _multistage(spec: GccSpec, received, options: DecodeOptions | None, row_pass) -> DecodeReport:
+    """Rounds from level k down to level 1, shared by both decoders.
+
+    row_pass(level, residual, prev) returns the round's RowDecodeResult and
+    its row-skip counts; prev is None at level k, and after that the
+    previous round's RowDecodeResult with the set of rows whose decode its
+    recovered column contradicted.
+    """
+    options = options or DecodeOptions()
+    if options.radius is not None:
+        raise InvalidParams("extended-radius decoding is not available here")
+    residual = check_matrix(spec.field, received, spec.m, spec.n)
+    k = spec.k
+    report = DecodeReport(
+        columns=[None] * k,
+        messages=[None] * k,
+        inner_invocations=[0] * k,
+        gmd_trials=[0] * k,
+        row_skips=[{} for _ in range(k)],
     )
-    report.outer_invocations[level - 1] = g.trials
-    report.gmd_trials[level - 1] = g.trials
-    bound = (min(spec.outers[level - 1].distance(), denom) + 1) // 2
-    if g.trials > bound:
-        raise ContractViolation(f"{g.trials} trials exceed the class bound {bound}")
-    return g
-
-
-def _new_report(spec: GccSpec) -> DecodeReport:
-    return DecodeReport(
-        columns=[None] * spec.k,
-        messages=[None] * spec.k,
-        inner_invocations=[0] * spec.k,
-        outer_invocations=[0] * spec.k,
-        gmd_trials=[0] * spec.k,
-        row_skips=[{} for _ in range(spec.k)],
-    )
-
-
-def _finish(spec: GccSpec, report: DecodeReport):
+    prev = None
+    for level in range(k, 0, -1):
+        outer = spec.outers[level - 1]
+        rd, skips = row_pass(level, residual, prev)
+        report.inner_invocations[level - 1] = rd.invocations
+        report.row_skips[level - 1] = skips
+        column = _fold_level(spec, level, rd.estimates, rd.failed)
+        rel = gmd.ReliabilityVector(tuple(rd.weights), rd.denominator)
+        chain = gmd.chain_with_failure_class(rel)
+        g = gmd.gmd_decode(outer, column, rel, mode=options.mode, skip_zero_trial=True, chain=chain)
+        report.gmd_trials[level - 1] = g.trials
+        bound = (min(outer.distance(), rd.denominator) + 1) // 2
+        if g.trials > bound:
+            raise ContractViolation(f"{g.trials} trials exceed the class bound {bound}")
+        if not g.ok:
+            report.failed_levels.append(level)
+            raise DecodeFailure(f"level {level} exhausted all trials", report=report, level=level)
+        report.columns[level - 1] = g.codeword
+        report.messages[level - 1] = outer.message_of(g.codeword)
+        contrib = _level_contribution(spec, level, g.codeword)
+        residual = [
+            tuple(spec.field.sub(a, b) for a, b in zip(row, crow))
+            for row, crow in zip(residual, contrib)
+        ]
+        prev = rd, {j for j, e in enumerate(g.error) if e != 0 and not rd.failed[j]}
     report.codeword = encode_columns(spec.inner, spec.towers, report.columns)
     return report
 
 
 def gcc_decode_basic(spec: GccSpec, received, options: DecodeOptions | None = None) -> DecodeReport:
     """Multistage decoding with a fresh row-decode pass every round."""
-    options = options or DecodeOptions()
-    if options.radius is not None:
-        raise InvalidParams("extended-radius decoding is not available here")
-    residual = check_matrix(spec.field, received, spec.m, spec.n)
-    empty = check_pattern(None, spec.m, spec.n)
-    report = _new_report(spec)
-    for level in range(spec.k, 0, -1):
-        sub = spec.subcodes[level - 1]
-        rd = decode_rows(sub, residual, empty)
-        report.inner_invocations[level - 1] = rd.invocations
-        column = _fold_level(spec, level, rd.estimates, rd.failed)
-        g = _column_decode(spec, level, rd.weights, rd.denominator, column, options.mode, report)
-        if not g.ok:
-            report.failed_levels.append(level)
-            raise DecodeFailure(f"level {level} exhausted all trials", report=report, level=level)
-        report.columns[level - 1] = g.codeword
-        report.messages[level - 1] = spec.outers[level - 1].message_of(g.codeword)
-        contrib = _level_contribution(spec, level, g.codeword)
-        residual = [
-            tuple(spec.field.sub(a, b) for a, b in zip(row, crow))
-            for row, crow in zip(residual, contrib)
-        ]
-    return _finish(spec, report)
+    return _multistage(
+        spec, received, options, lambda level, residual, prev: _fresh_rows(spec, level, residual)
+    )
 
 
 def gcc_decode_improved(spec: GccSpec, received, options: DecodeOptions | None = None) -> DecodeReport:
     """Multistage decoding that skips redundant row decodes across rounds."""
-    options = options or DecodeOptions()
-    if options.radius is not None:
-        raise InvalidParams("extended-radius decoding is not available here")
-    residual = check_matrix(spec.field, received, spec.m, spec.n)
-    report = _new_report(spec)
     f = spec.field
-    m = spec.m
-
-    mis_rows: set = set()  # decoded rows contradicted by the recovered column
-    fail_rows: set = set()  # rows with no usable decode
     tainted: set = set()  # rows whose carried estimate is known not to be trustworthy
-    carried_residuals = [None] * m
-    prev_d = None
 
-    for level in range(spec.k, 0, -1):
+    def row_pass(level, residual, prev):
+        if prev is None:
+            return _fresh_rows(spec, level, residual)
+        carried, contradicted = prev
         sub = spec.subcodes[level - 1]
-        d_cur = sub.distance()
-        estimates = [None] * m
-        residuals = [None] * m
-        weights = [0] * m
-        failed = [False] * m
-        calls = 0
-        skips = {SKIP_REUSED: 0, SKIP_EQ8: 0, SKIP_T_NO_GAIN: 0}
-
-        if level == spec.k:
-            rd = decode_rows(sub, residual, [frozenset()] * m)
-            estimates, residuals = rd.estimates, rd.residuals
-            weights, failed = rd.weights, rd.failed
-            calls = rd.invocations
-        else:
-            for j in range(m):
-                row = residual[j]
-                if j in fail_rows:
-                    if (d_cur - 1) // 2 > (prev_d - 1) // 2:
-                        out = ee_decode(sub, row)
-                        calls += 1
-                        if out.ok:
-                            estimates[j] = out.codeword
-                            residuals[j] = out.error
-                            weights[j] = d_cur - 2 * out.weight
-                            tainted.discard(j)
-                        else:
-                            estimates[j], residuals[j] = row, (0,) * spec.n
-                            weights[j], failed[j] = 0, True
-                    else:
-                        skips[SKIP_T_NO_GAIN] += 1
-                        estimates[j], residuals[j] = row, (0,) * spec.n
-                        weights[j], failed[j] = 0, True
-                elif j in mis_rows:
-                    apparent = wt(carried_residuals[j])
-                    if prev_d - apparent <= (d_cur - 1) // 2:
-                        out = ee_decode(sub, row)
-                        calls += 1
-                        if out.ok:
-                            estimates[j] = out.codeword
-                            residuals[j] = out.error
-                            weights[j] = d_cur - 2 * out.weight
-                            tainted.discard(j)
-                        else:
-                            estimates[j], residuals[j] = row, (0,) * spec.n
-                            weights[j], failed[j] = 0, True
-                            tainted.discard(j)
-                    else:
-                        # Known-wrong estimate: zero its weight so every trial
-                        # erases it, but keep it out of the failure set.
-                        skips[SKIP_EQ8] += 1
-                        estimates[j] = tuple(f.sub(a, b) for a, b in zip(row, carried_residuals[j]))
-                        residuals[j] = carried_residuals[j]
-                        weights[j] = 0
-                        tainted.add(j)
+        d = sub.distance()
+        t = (d - 1) // 2
+        estimates, residuals, weights = list(residual), list(carried.residuals), [0] * spec.m
+        failed, apparents = list(carried.failed), list(carried.apparents)
+        skips = dict.fromkeys((SKIP_REUSED, SKIP_EQ8, SKIP_T_NO_GAIN), 0)
+        redo = []
+        for j, apparent in enumerate(carried.apparents):
+            if failed[j]:
+                if t > (carried.denominator - 1) // 2:
+                    redo.append(j)
                 else:
-                    skips[SKIP_REUSED] += 1
-                    est = tuple(f.sub(a, b) for a, b in zip(row, carried_residuals[j]))
-                    if j not in tainted and not sub.contains(est):
-                        raise ContractViolation(f"carried row {j} left the subcode")
-                    estimates[j] = est
-                    residuals[j] = carried_residuals[j]
-                    weights[j] = d_cur - 2 * wt(carried_residuals[j])
+                    skips[SKIP_T_NO_GAIN] += 1
+                continue
+            if j in contradicted and carried.denominator - apparent <= t:
+                redo.append(j)
+                continue
+            estimates[j] = tuple(f.sub(a, b) for a, b in zip(residual[j], residuals[j]))
+            if j in contradicted:
+                # Known-wrong estimate: its zero weight makes every trial
+                # erase it, but it stays out of the failure set.
+                skips[SKIP_EQ8] += 1
+                tainted.add(j)
+            else:
+                skips[SKIP_REUSED] += 1
+                weights[j] = d - 2 * apparent
+                if j not in tainted and not sub.contains(estimates[j]):
+                    raise ContractViolation(f"carried row {j} left the subcode")
+        fresh = decode_rows(sub, [residual[j] for j in redo], [frozenset()] * len(redo))
+        for i, j in enumerate(redo):
+            estimates[j], residuals[j] = fresh.estimates[i], fresh.residuals[i]
+            weights[j], failed[j], apparents[j] = fresh.weights[i], fresh.failed[i], fresh.apparents[i]
+        tainted.difference_update(redo)
+        rd = RowDecodeResult(estimates, residuals, weights, failed, apparents, d, fresh.invocations)
+        return rd, {key: n for key, n in skips.items() if n}
 
-        report.inner_invocations[level - 1] = calls
-        report.row_skips[level - 1] = {k: v for k, v in skips.items() if v}
-
-        column = _fold_level(spec, level, estimates, failed)
-        g = _column_decode(spec, level, weights, d_cur, column, options.mode, report)
-        if not g.ok:
-            report.failed_levels.append(level)
-            raise DecodeFailure(f"level {level} exhausted all trials", report=report, level=level)
-        report.columns[level - 1] = g.codeword
-        report.messages[level - 1] = spec.outers[level - 1].message_of(g.codeword)
-
-        contrib = _level_contribution(spec, level, g.codeword)
-        residual = [
-            tuple(f.sub(a, b) for a, b in zip(row, crow))
-            for row, crow in zip(residual, contrib)
-        ]
-        if level > 1:
-            fail_rows = {j for j in range(m) if failed[j]}
-            mis_rows = {
-                j for j in range(m) if g.error[j] != 0 and j not in fail_rows
-            }
-            carried_residuals = residuals
-            prev_d = d_cur
-    return _finish(spec, report)
+    return _multistage(spec, received, options, row_pass)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import gmd, linalg
 from .block_codes import ee_decode, wt
-from .concat import DecodeOptions, check_matrix
+from .concat import DecodeOptions, check_matrix, decode_rows
 from .errors import (
     ContractViolation,
     DecodeFailure,
@@ -317,14 +317,11 @@ def decode_uvw(spec: MpcSpec, received, counter=None):
     d1 = b1.distance()
     weights = [d1] * m
     v1_in = list(r3p)  # third coordinate of each row estimate
-    for j in flagged:
-        out = ee_decode(b1, (r1pp[j], r2pp[j], r3p[j]))
+    rows = [(r1pp[j], r2pp[j], r3p[j]) for j in flagged]
+    rd = decode_rows(b1, rows, [frozenset()] * len(rows))
+    for j, weight, estimate in zip(flagged, rd.weights, rd.estimates):
         _bump(counter, "inner:1")
-        if out.ok:
-            weights[j] = d1 - 2 * out.weight
-            v1_in[j] = out.codeword[2]
-        else:
-            weights[j] = 0
+        weights[j], v1_in[j] = weight, estimate[2]
     rel = gmd.ReliabilityVector(tuple(weights), d1)
     v1_in = tuple(v1_in)
 

@@ -22,7 +22,6 @@ class DecodeReport:
     columns: list = field(default_factory=list)
     messages: list = field(default_factory=list)
     inner_invocations: list = field(default_factory=list)
-    outer_invocations: list = field(default_factory=list)
     gmd_trials: list = field(default_factory=list)
     row_skips: list = field(default_factory=list)
     failed_levels: list = field(default_factory=list)
@@ -37,16 +36,17 @@ class DecodeReport:
 
     @property
     def total_outer(self) -> int:
-        return sum(self.outer_invocations)
+        return sum(self.gmd_trials)
 
     def to_json(self) -> dict:
         return {
             "ok": self.ok,
             "codeword": None if self.codeword is None else [list(r) for r in self.codeword],
-            "columns": [list(c) for c in self.columns],
-            "messages": [list(m) for m in self.messages],
+            "columns": [None if c is None else list(c) for c in self.columns],
+            "messages": [None if m is None else list(m) for m in self.messages],
             "inner_invocations": list(self.inner_invocations),
-            "outer_invocations": list(self.outer_invocations),
+            # one outer decode per GMD trial; the key stays for recorded outputs
+            "outer_invocations": list(self.gmd_trials),
             "gmd_trials": list(self.gmd_trials),
             "row_skips": [dict(s) for s in self.row_skips],
             "failed_levels": list(self.failed_levels),

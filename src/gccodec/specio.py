@@ -26,6 +26,12 @@ from .galois import Field, extend_field, make_field
 from .gcc import GccSpec, gcc_spec
 from .mpc import MpcSpec, mpc_spec
 
+# what a non-integer spec field is reported as
+FIELD_PARAMS = "field parameters p and m"
+CODE_PARAMS = "code parameters n and k"
+WIDTHS = "expansion degrees s"
+DISTANCES = "distances d and subcode_distances"
+
 
 def field_to_json(f: Field) -> dict:
     if f.base is None:
@@ -43,8 +49,10 @@ def field_to_json(f: Field) -> dict:
 def field_from_json(d: dict) -> Field:
     if "base" in d:
         base = field_from_json(d["base"])
-        return extend_field(base, int(d["m"]), d.get("modulus", "auto"))
-    return make_field(int(d["p"]), int(d["m"]), d.get("modulus", "auto"))
+        return extend_field(base, _integer(d["m"], FIELD_PARAMS), d.get("modulus", "auto"))
+    return make_field(
+        _integer(d["p"], FIELD_PARAMS), _integer(d["m"], FIELD_PARAMS), d.get("modulus", "auto")
+    )
 
 
 def code_to_json(code: LinearCode) -> dict:
@@ -63,8 +71,8 @@ def code_to_json(code: LinearCode) -> dict:
 def code_from_json(d: dict) -> LinearCode:
     field = field_from_json(d["field"])
     if d.get("kind") == "rs":
-        return rs_code(field, int(d["n"]), int(d["k"]))
-    return generic_code(field, d["generator"], d=d.get("d"))
+        return rs_code(field, _integer(d["n"], CODE_PARAMS), _integer(d["k"], CODE_PARAMS))
+    return generic_code(field, d["generator"], d=_optional_integer(d.get("d"), DISTANCES))
 
 
 def concat_to_json(cc: ConcatCode) -> dict:
@@ -79,7 +87,7 @@ def concat_from_json(d: dict) -> ConcatCode:
     outer = code_from_json(d["outer"])
     inner = code_from_json(d["inner"])
     cc = ConcatCode(outer, inner)
-    if cc.tower.s != int(d["s"]):
+    if cc.tower.s != _integer(d["s"], WIDTHS):
         raise ConfigError(f"expansion degree mismatch: spec says {d['s']}, fields give {cc.tower.s}")
     return cc
 
@@ -96,7 +104,11 @@ def gcc_to_json(spec: GccSpec) -> dict:
 def gcc_from_json(d: dict) -> GccSpec:
     field = field_from_json(d["field"])
     outers = [code_from_json(a) for a in d["outers"]]
-    return gcc_spec(outers, d["s"], d["inner_generator"], field, d.get("subcode_distances"))
+    widths = [_integer(s, WIDTHS) for s in _sequence(d["s"], WIDTHS)]
+    dists = d.get("subcode_distances")
+    if dists is not None:
+        dists = [_optional_integer(x, DISTANCES) for x in _sequence(dists, DISTANCES)]
+    return gcc_spec(outers, widths, d["inner_generator"], field, dists)
 
 
 def mpc_to_json(spec: MpcSpec) -> dict:
@@ -143,6 +155,10 @@ def _integer(x, what):
         except TypeError:
             pass
     raise ConfigError(f"{what} must be integers, got {x!r}")
+
+
+def _optional_integer(x, what):
+    return None if x is None else _integer(x, what)
 
 
 def _sequence(data, what):

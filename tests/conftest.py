@@ -19,6 +19,13 @@ TERNARY_7_4_3 = [
     [2, 0, 2, 0, 2, 0, 2],
     [1, 2, 1, 0, 2, 1, 1],
 ]
+# [8,1,8] repetition row, then the rest of an [8,4,4] extended Hamming code
+GROWING_RADIUS_INNER = [
+    [1] * 8,
+    [1, 0, 0, 0, 0, 1, 1, 1],
+    [0, 1, 0, 0, 1, 0, 1, 1],
+    [0, 0, 1, 0, 1, 1, 0, 1],
+]
 UVW_MATRIX = [[1, 2, 1], [1, 1, 0], [1, 0, 0]]
 UUV_MATRIX = [[1, 1], [0, 1]]
 
@@ -96,6 +103,20 @@ def mixed_spec(gf2, gf4):
         [0, 0, 1, 1, 0, 1, 1],
     ]
     return g.gcc_spec([a1, a2], (2, 1), inner_gen, gf2)
+
+
+@pytest.fixture(scope="session")
+def gcc_growing_radius(gf2, gf8):
+    """Hamming [7,4,3]/GF(2) over the [8,1,8] repetition subcode (width 1),
+    RS(7,3)/GF(8) over the [8,4,4] code (width 3); d* = min(3*8, 5*4) = 20.
+
+    The row radius grows from 1 at level 2 to 3 at level 1, so level 1
+    re-decodes rows that failed or were contradicted at level 2.
+    """
+    a1 = g.generic_code(gf2, GEN_HAMMING_7_4_3)
+    return g.gcc_spec(
+        [a1, g.rs_code(gf8, 7, 3)], (1, 3), GROWING_RADIUS_INNER, gf2, subcode_distances=(8, 4)
+    )
 
 
 def corrupt(field, word, positions, rng):

@@ -217,6 +217,66 @@ def test_round_trip_outputs_are_unchanged(capsys, tmp_path, request, kind):
         assert main(argv + ["--erasures", json.dumps(pattern)]) == 2
 
 
+# kind: (messages, flipped bit positions, erasures) of a word the decoder
+# gives up on: its report has no column for the failed level
+FAILING_WORDS = {
+    "cc": ([[1, 2], [3, 0]], [0, 8, 16, 24], [[6], [], [], []]),
+    "gcc": ([[3], [1, 0]], [0, 3, 7, 10, 14, 17, 21, 24], None),
+    "mpc": ([[1, 2, 3, 4, 5], [6]], [0, 1, 2], None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAILING_WORDS))
+def test_decode_failure_report(capsys, tmp_path, request, kind):
+    msgs, flips, erasures = FAILING_WORDS[kind]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_spec_json(kind, request)))
+    spec = ["--spec", str(path)]
+    word = run(capsys, ["encode", *spec, "--msg", json.dumps(msgs)])[1]["codeword"]
+    for pos in flips:
+        word[pos] ^= 1
+    argv = ["decode", *spec, "--word", json.dumps(word), "--report"]
+    if erasures is not None:
+        argv += ["--erasures", json.dumps(erasures)]
+    code, out = run(capsys, argv)
+    assert code == 1
+    report = out["report"]
+    assert not report["ok"] and report["failed_levels"]
+    for level in report["failed_levels"]:
+        assert report["columns"][level - 1] is None
+        assert report["messages"][level - 1] is None
+
+
+# kind, path to a spec field, a non-integer value int() would have accepted
+NON_INTEGER_FIELDS = [
+    ("rs", ("n",), 7.9),
+    ("rs", ("k",), 3.2),
+    ("rs", ("field", "p"), 2.9),
+    ("rs", ("field", "m"), 3.5),
+    ("cc", ("s",), "2"),
+    ("gcc", ("s",), [2.6, 1]),
+    ("cc", ("inner", "d"), 3.0),
+    ("gcc", ("subcode_distances",), [4.0, 4]),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    NON_INTEGER_FIELDS,
+    ids=[f"{k}-{'.'.join(p)}" for k, p, _ in NON_INTEGER_FIELDS],
+)
+def test_non_integer_spec_field(capsys, tmp_path, request, kind, path, value):
+    data = _spec_json(kind, request)
+    entry = data
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data))
+    assert main(["code-info", "--spec", str(spec_path)]) == 2
+    assert "must be integers" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

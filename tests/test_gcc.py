@@ -4,7 +4,22 @@ import pytest
 
 import gccodec as g
 from gccodec import specio
+from gccodec.report import SKIP_REUSED
 from conftest import UUV_MATRIX, corrupt, error_matrix
+
+# spec fixture: most errors per random word in the multistage decoder tests
+MAX_ERRORS = {
+    "gcc_growing_radius": 11,
+    "mixed_spec": 4,
+    "mpc_uuv8": 4,
+    "mpc_uvw3": 5,
+    "uuv_bin": 4,
+}
+
+
+def _gcc(request, name):
+    spec = request.getfixturevalue(name)
+    return getattr(spec, "gcc", spec)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +83,11 @@ class TestSpecValidation:
     def test_width_sum_checked(self, gf2, gf4):
         with pytest.raises(g.InvalidParams):
             g.gcc_spec([g.rs_code(gf4, 3, 1)], (1,), [[1, 1], [0, 1]], gf2)
+
+    def test_widths_must_be_integers(self, gf4, inner_523):
+        # int() would have truncated 2.6 to a valid width of 2
+        with pytest.raises(g.InvalidParams):
+            g.gcc_spec([g.rs_code(gf4, 3, 1)], (2.6,), inner_523.generator, inner_523.field)
 
     def test_outer_lengths_checked(self, gf2):
         a1 = g.repetition_code(gf2, 3)
@@ -177,16 +197,18 @@ class TestDecoders:
             received = tuple(tuple(r) for r in rows)
             assert g.gcc_decode_improved(uuv_bin, received).codeword == word
 
-    def test_improved_matches_basic_in_region(self, mixed_spec):
-        rng = random.Random(6)
-        for _ in range(500):
-            word, received = _random_trial(mixed_spec, rng, 4)
-            errors = error_matrix(mixed_spec.field, word, received)
-            if not g.correctable_gcc(errors, mixed_spec):
-                continue
-            basic = g.gcc_decode_basic(mixed_spec, received)
-            improved = g.gcc_decode_improved(mixed_spec, received)
-            assert basic.codeword == improved.codeword == word
+    def test_improved_matches_basic_in_region(self, request):
+        for name in ("mixed_spec", "gcc_growing_radius"):
+            spec = _gcc(request, name)
+            rng = random.Random(6)
+            for _ in range(500):
+                word, received = _random_trial(spec, rng, MAX_ERRORS[name])
+                errors = error_matrix(spec.field, word, received)
+                if not g.correctable_gcc(errors, spec):
+                    continue
+                basic = g.gcc_decode_basic(spec, received)
+                improved = g.gcc_decode_improved(spec, received)
+                assert basic.codeword == improved.codeword == word, name
 
     def test_inner_invocation_budget(self, mpc_uvw3):
         spec = mpc_uvw3.gcc
@@ -213,13 +235,38 @@ class TestDecoders:
             g.gcc_decode_improved(spec, (stuck,) * 3)
         assert info.value.level == 1
 
-    def test_skip_accounting(self, uuv_bin):
-        rng = random.Random(8)
-        word, received = _random_trial(uuv_bin, rng, 2)
-        report = g.gcc_decode_improved(uuv_bin, received)
-        # every row is either decoded or recorded as skipped in round 1
-        skipped = sum(report.row_skips[0].values())
-        assert skipped + report.inner_invocations[0] == uuv_bin.m
+    def test_skip_accounting(self, request):
+        # every level the decoder reached decodes or skips each row once
+        for name, max_errors in MAX_ERRORS.items():
+            spec = _gcc(request, name)
+            rng = random.Random(8)
+            redecoded = 0
+            for _ in range(300):
+                _, received = _random_trial(spec, rng, max_errors)
+                try:
+                    report = g.gcc_decode_improved(spec, received)
+                except g.DecodeFailure as exc:
+                    report = exc.report
+                for level in range(min(report.failed_levels, default=1), spec.k + 1):
+                    skipped = sum(report.row_skips[level - 1].values())
+                    assert skipped + report.inner_invocations[level - 1] == spec.m, name
+                redecoded += sum(report.inner_invocations[:-1])
+            if name == "gcc_growing_radius":
+                assert redecoded > 0
+
+    def test_redecodes_failed_and_contradicted_rows(self, gcc_growing_radius):
+        # Row 0 gets two errors, which the [8,4,4] level-2 subcode detects but
+        # cannot correct; row 1 gets three, which it decodes to a wrong
+        # codeword that the level-2 column then contradicts.  The repetition
+        # subcode corrects three errors, so level 1 re-decodes both rows.
+        spec = gcc_growing_radius
+        word = g.gcc_encode(spec, [(1, 0, 1, 1), (3, 5, 6)])
+        received = corrupt(spec.field, word, [0, 5, 8, 11, 14], random.Random(9))
+        report = g.gcc_decode_improved(spec, received)
+        assert report.codeword == word
+        assert report.inner_invocations == [2, spec.m]
+        assert report.row_skips == [{SKIP_REUSED: spec.m - 2}, {}]
+        assert g.gcc_decode_basic(spec, received).codeword == word
 
 
 class TestSerialization:

@@ -1,0 +1,54 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import gccodec as g
+from gccodec.cli import main
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args, cwd=None):
+    src = str(Path(g.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        env=env,
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_demo_specs_drive_the_cli(capsys, tmp_path):
+    outdir = tmp_path / "demo"
+    proc = run_script("make_demo_specs.py", str(outdir))
+    assert proc.returncode == 0, proc.stderr
+    specs = sorted(outdir.glob("mpc_*.json")) + sorted(outdir.glob("cc_*.json"))
+    assert len(specs) == 3
+    for spec in specs:
+        assert main(["code-info", "--spec", str(spec)]) == 0
+    assert main(["nsc-check", "--matrix", str(outdir / "matrix_uvw.json")]) == 0
+    assert main(["simulate", "--config", str(outdir / "simulate_uuv.json")]) == 0
+    stats = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert stats["trials"] == 2000 and not stats["violation"]
+    assert len((outdir / "run.jsonl").read_text().splitlines()) == 2001
+
+
+def test_demo_specs_help_writes_nothing(tmp_path):
+    proc = run_script("make_demo_specs.py", "--help", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "outdir" in proc.stdout
+    assert not any(tmp_path.iterdir())
+
+
+def test_wer_sweep(tmp_path):
+    proc = run_script("wer_sweep.py", "--trials", "20", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "error_rate,trials,wer_upto,wer_beyond,mean_inner,mean_outer"
+    assert len(lines) == 6
