@@ -60,10 +60,6 @@ class DecodeOutcome:
     def ok(self) -> bool:
         return self.codeword is not None
 
-    @classmethod
-    def failure(cls) -> "DecodeOutcome":
-        return FAILURE
-
 
 FAILURE = DecodeOutcome(None, None, None)
 
@@ -93,7 +89,6 @@ class LinearCode:
         self.decoder = None
         self._rinv = None
         self._codewords = None
-        self._codeword_set = None
 
     def __repr__(self):
         d = self._d if self._d is not None else "?"
@@ -163,11 +158,6 @@ class LinearCode:
                 out.append(tuple(word))
             self._codewords = tuple(out)
         return self._codewords
-
-    def codeword_set(self) -> frozenset:
-        if self._codeword_set is None:
-            self._codeword_set = frozenset(self.codewords())
-        return self._codeword_set
 
     # -- decoding ----------------------------------------------------------------
 
@@ -360,12 +350,12 @@ def rs_code(field, n: int, k: int) -> LinearCode:
     return code.attach(ReedSolomonDecoder(code))
 
 
-def generic_code(field, generator, d=None, attach_decoder=True) -> LinearCode:
+def generic_code(field, generator, d=None) -> LinearCode:
     """A generic linear code; small codes get an exhaustive EE decoder."""
     code = LinearCode(field, generator, d=d, kind="generic")
     if d is None and code.num_codewords() <= ENUMERATION_CAP:
         code.distance()
-    if attach_decoder and code.num_codewords() <= ENUMERATION_CAP:
+    if code.num_codewords() <= ENUMERATION_CAP:
         from .oracle import ExhaustiveDecoder
 
         code.attach(ExhaustiveDecoder(code))

@@ -12,10 +12,9 @@ import json
 import sys
 
 from .block_codes import LinearCode
-from .channel import ChannelModel
 from .concat import DecodeOptions
 from .errors import CodecError, ContractViolation, DecodeFailure
-from .experiment import ExperimentConfig, construction, run_experiment
+from .experiment import construction, run_experiment
 from .mpc import is_nsc, is_triangular
 from . import specio
 
@@ -89,31 +88,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
-        raw = json.load(fh)
-    spec = raw["spec"]
-    if isinstance(spec, str):
-        spec = specio.load_spec_file(spec)
-    else:
-        spec = specio.load_spec(spec)
-    channel = ChannelModel(
-        error_rate=raw["channel"]["error_rate"],
-        erasure_rate=raw["channel"].get("erasure_rate", 0.0),
-        seed=raw["channel"].get("seed", 0),
-    )
-    dec = raw.get("decoder", {})
-    options = DecodeOptions(
-        mode=dec.get("mode", "upto"),
-        carry_over=dec.get("carry_over", False),
-        radius=dec.get("radius"),
-    )
-    config = ExperimentConfig(
-        spec=spec,
-        channel=channel,
-        trials=int(raw["trials"]),
-        options=options,
-        output=raw.get("output"),
-        threads=raw.get("threads"),
-    )
+        config = specio.experiment_from_json(json.load(fh))
     stats = run_experiment(config)
     _print(stats.to_json())
     return EXIT_VIOLATION if stats.violation else EXIT_OK
@@ -129,8 +104,9 @@ def _cmd_nsc_check(args) -> int:
     out = {"nsc": nsc, "triangular": triangular, "d_star": None, "exact": triangular}
     dists = raw.get("outer_distances")
     if nsc and dists:
+        dists = specio._sequence(dists, specio.DISTANCES)
         n = len(matrix[0])
-        out["d_star"] = min(int(d) * (n - i) for i, d in enumerate(dists))
+        out["d_star"] = min(specio._integer(d, specio.DISTANCES) * (n - i) for i, d in enumerate(dists))
     _print(out)
     return EXIT_OK
 

@@ -55,7 +55,6 @@ class ConcatCode:
         self.tower = tower
         self.k = inner.k // tower.s
         self.m = outer.n
-        self.inner_rinv = linalg.right_inverse(inner.field, inner.generator)
 
     @property
     def length(self) -> int:
@@ -73,20 +72,16 @@ def cc_encode(cc: ConcatCode, msgs) -> tuple:
     if len(msgs) != cc.k:
         raise LengthMismatch(f"expected {cc.k} outer messages, got {len(msgs)}")
     words = [cc.outer.encode(m) for m in msgs]
-    return encode_columns(cc.inner, (cc.tower,) * cc.k, words)
+    return encode_columns(cc.inner.field, cc.inner.generator, (cc.tower,) * cc.k, words)
 
 
-def encode_columns(inner: LinearCode, towers, outer_words) -> tuple:
-    """Codeword matrix from outer codewords of a common length M: row j
-    expands symbol j of word i through towers[i], for every i, and encodes
-    the result with the inner code's generator."""
-    rows = []
-    for j in range(len(outer_words[0])):
-        base_row = []
-        for tower, word in zip(towers, outer_words):
-            base_row.extend(tower.to_base_vector(word[j]))
-        rows.append(linalg.vec_mat(inner.field, tuple(base_row), inner.generator))
-    return tuple(rows)
+def encode_columns(field, generator_rows, towers, words) -> tuple:
+    """M x N matrix from outer words of a common length M: row j expands
+    symbol j of word i through towers[i], for every i, and multiplies the
+    result by generator_rows.  With a GCC level's generator rows and tower
+    alone, this is the level's contribution to the codeword."""
+    expanded = [tuple(map(tower.to_base_vector, word)) for tower, word in zip(towers, words)]
+    return tuple(linalg.vec_mat(field, sum(parts, ()), generator_rows) for parts in zip(*expanded))
 
 
 @dataclass
@@ -171,18 +166,41 @@ def check_matrix(field, received, m: int, n: int) -> list:
     return out
 
 
-def fold_message_columns(cc: ConcatCode, rd: RowDecodeResult):
-    """Map row estimates back to M x k outer-symbol estimates (failures to 0)."""
-    f = cc.inner.field
-    s = cc.tower.s
-    columns = [[0] * cc.m for _ in range(cc.k)]
-    for j in range(cc.m):
-        if rd.failed[j]:
-            continue
-        base = linalg.vec_mat(f, rd.estimates[j], cc.inner_rinv)
-        for i in range(cc.k):
-            columns[i][j] = cc.tower.from_base_vector(base[i * s : (i + 1) * s])
-    return [tuple(col) for col in columns]
+def fold_message_columns(code: LinearCode, towers, rd: RowDecodeResult, start: int = 0):
+    """Outer-symbol columns from row estimates, the inverse of encode_columns:
+    the message of row j under code, from coordinate start on, packs into
+    symbol j of one column per tower (a failed row gives 0 everywhere)."""
+    messages = [None if bad else code.message_of(est) for est, bad in zip(rd.estimates, rd.failed)]
+    columns = []
+    for tower in towers:
+        end = start + tower.s
+        columns.append(
+            tuple(0 if msg is None else tower.from_base_vector(msg[start:end]) for msg in messages)
+        )
+        start = end
+    return columns
+
+
+def decode_column(
+    report: DecodeReport, i: int, outer: LinearCode, column, rel, chain, mode, start, bound
+):
+    """One GMD column step, shared by cc_decode and multistage decoding.
+
+    Decodes outer column i (0-based) along chain from index start, records
+    its trial count, and its codeword and message or i + 1 as a failed
+    level; more trials than bound (None: unchecked) is a ContractViolation.
+    Returns the GmdReport.
+    """
+    g = gmd.gmd_decode(outer, column, rel, mode=mode, skip_zero_trial=True, chain=chain, start=start)
+    report.gmd_trials[i] = g.trials
+    if bound is not None and g.trials > bound:
+        raise ContractViolation(f"{g.trials} trials exceed the class bound {bound}")
+    if g.ok:
+        report.columns[i] = g.codeword
+        report.messages[i] = outer.message_of(g.codeword)
+    else:
+        report.failed_levels.append(i + 1)
+    return g
 
 
 def extended_trial_chain(rd: RowDecodeResult, radius: int) -> gmd.ErasureChain:
@@ -228,36 +246,23 @@ def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | N
         chain = gmd.chain_with_failure_class(rel)
     else:
         chain = extended_trial_chain(rd, options.radius)
-    columns_in = fold_message_columns(cc, rd)
+    towers = (cc.tower,) * cc.k
+    columns_in = fold_message_columns(cc.inner, towers, rd)
 
-    report = DecodeReport(inner_invocations=[rd.invocations])
-    bound = trial_bound_cc(cc, erasure_mode)
+    k = cc.k
+    report = DecodeReport(
+        columns=[None] * k, messages=[None] * k, inner_invocations=[rd.invocations], gmd_trials=[0] * k
+    )
+    bound = trial_bound_cc(cc, erasure_mode) if options.radius is None else None
     start = 0
     for i, column in enumerate(columns_in):
-        g = gmd.gmd_decode(
-            cc.outer,
-            column,
-            rel,
-            mode=options.mode,
-            skip_zero_trial=True,
-            chain=chain,
-            start=start,
-        )
-        report.gmd_trials.append(g.trials)
-        if options.radius is None and g.trials > bound:
-            raise ContractViolation(f"{g.trials} trials exceed the class bound {bound}")
-        if g.ok:
-            report.columns.append(g.codeword)
-            report.messages.append(cc.outer.message_of(g.codeword))
-            if options.carry_over:
-                start = g.accepted_index
-        else:
-            report.columns.append(None)
-            report.messages.append(None)
-            report.failed_levels.append(i + 1)
+        g = decode_column(report, i, cc.outer, column, rel, chain, options.mode, start, bound)
+        if not g.ok:
             start = 0
+        elif options.carry_over:
+            start = g.accepted_index
     if not report.failed_levels:
-        report.codeword = encode_columns(cc.inner, (cc.tower,) * cc.k, report.columns)
+        report.codeword = encode_columns(cc.inner.field, cc.inner.generator, towers, report.columns)
         return report.columns, report
     raise DecodeFailure(
         f"columns {report.failed_levels} exhausted all trials", report=report

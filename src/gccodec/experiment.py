@@ -132,28 +132,25 @@ def construction(spec) -> Construction:
                 "exact": False,
             },
         )
-    if isinstance(spec, (GccSpec, MpcSpec)):
+    if isinstance(spec, GccSpec):
         mpc = isinstance(spec, MpcSpec)
-        gspec = spec.gcc if mpc else spec
 
         def decoder(received, pattern, options):
-            if mpc:
-                return mpc_decode(spec, received, options)
-            return gcc_decode_improved(gspec, received, options)
+            return (mpc_decode if mpc else gcc_decode_improved)(spec, received, options)
 
         def info():
             d_star, exact = mpc_designed_distance(spec) if mpc else (designed_distance(spec), False)
-            k = sum(a.k for a in gspec.outers)
-            return {"n": gspec.m * gspec.n, "k": k, "d_star": d_star, "exact": exact}
+            k = sum(a.k for a in spec.outers)
+            return {"n": spec.m * spec.n, "k": k, "d_star": d_star, "exact": exact}
 
         return Construction(
-            encode=lambda msgs: gcc_encode(gspec, msgs),
+            encode=lambda msgs: gcc_encode(spec, msgs),
             decoder=decoder,
-            region=lambda errors, pattern: correctable_gcc(errors, gspec),
-            outers=gspec.outers,
-            field=gspec.field,
-            m=gspec.m,
-            n=gspec.n,
+            region=lambda errors, pattern: correctable_gcc(errors, spec),
+            outers=spec.outers,
+            field=spec.field,
+            m=spec.m,
+            n=spec.n,
             erasures=False,
             info=info,
         )

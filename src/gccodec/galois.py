@@ -212,9 +212,6 @@ class Field:
     def element(self, value):
         return FieldElement(self, self.validate(value))
 
-    def elements(self):
-        return range(self.q)
-
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):

@@ -6,7 +6,10 @@ of the inner generator matrix.  Decoding runs k rounds from level k down to
 level 1: each round row-decodes the current residual with B^(i), recovers
 the level-i outer codeword through the reliability-weighted trial driver,
 and subtracts its contribution from the residual.  Both decoders share that
-round, and every row decode in it goes through concat.decode_rows.
+round, built from concat's parts: rows decode through decode_rows, fold
+through fold_message_columns, the column through decode_column, and the
+contribution is encode_columns of the level alone.  The contributions sum
+to the codeword, so it is the received word minus the final residual.
 
 The basic decoder decodes every row in every round.  The improved decoder
 decodes every row at level k and reuses work in the rounds below it, where
@@ -29,12 +32,21 @@ The rows to decode in a round go through one decode_rows call.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
-from . import gmd, linalg
+from . import gmd
 from .block_codes import LinearCode, generic_code, wt
-from .concat import DecodeOptions, RowDecodeResult, check_matrix, decode_rows, encode_columns
+from .concat import (
+    DecodeOptions,
+    RowDecodeResult,
+    check_matrix,
+    decode_column,
+    decode_rows,
+    encode_columns,
+    fold_message_columns,
+)
 from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch, UnknownDistance
 from .galois import TowerView
 from .report import SKIP_EQ8, SKIP_REUSED, SKIP_T_NO_GAIN, DecodeReport
@@ -48,7 +60,6 @@ class GccSpec:
     inner_generator: tuple
     towers: tuple
     subcodes: tuple
-    rinvs: tuple
     prefix: tuple
 
     @property
@@ -68,7 +79,7 @@ class GccSpec:
         return self.subcodes[-1]
 
     def __repr__(self):
-        return f"GccSpec(k={self.k}, M={self.m}, N={self.n}, q={self.field.q})"
+        return f"{type(self).__name__}(k={self.k}, M={self.m}, N={self.n}, q={self.field.q})"
 
 
 def gcc_spec(outers, widths, inner_generator, field, subcode_distances=None) -> GccSpec:
@@ -88,30 +99,22 @@ def gcc_spec(outers, widths, inner_generator, field, subcode_distances=None) -> 
     m = outers[0].n
     if any(a.n != m for a in outers):
         raise LengthMismatch("all outer codes must share the same length")
-    towers = []
-    prefix = []
-    total = 0
-    for a, s in zip(outers, widths):
-        towers.append(TowerView(a.field, field))
-        if towers[-1].s != s:
-            raise InvalidParams(
-                f"outer field {a.field} does not have degree {s} over {field}"
-            )
-        total += s
-        prefix.append(total)
+    towers = tuple(TowerView(a.field, field) for a in outers)
+    for a, tower, s in zip(outers, towers, widths):
+        if tower.s != s:
+            raise InvalidParams(f"outer field {a.field} does not have degree {s} over {field}")
+    prefix = tuple(itertools.accumulate(widths))
     subcodes = []
-    rinvs = []
     for i, b in enumerate(prefix):
         declared = None if subcode_distances is None else subcode_distances[i]
         sub = generic_code(field, gen[:b], d=declared)
         if sub.declared_distance() is None:
             raise UnknownDistance(f"distance of level-{i + 1} subcode must be supplied")
         subcodes.append(sub)
-        rinvs.append(linalg.right_inverse(field, gen[:b]))
     dists = [c.distance() for c in subcodes]
     if any(dists[i] < dists[i + 1] for i in range(len(dists) - 1)):
         raise InvalidParams("nested subcode distances must be non-increasing")
-    return GccSpec(field, outers, widths, gen, tuple(towers), tuple(subcodes), tuple(rinvs), tuple(prefix))
+    return GccSpec(field, outers, widths, gen, towers, tuple(subcodes), prefix)
 
 
 def prefix_subcode(spec: GccSpec, i: int) -> LinearCode:
@@ -130,7 +133,7 @@ def gcc_encode(spec: GccSpec, msgs) -> tuple:
     if len(msgs) != spec.k:
         raise LengthMismatch(f"expected {spec.k} messages, got {len(msgs)}")
     words = [a.encode(m) for a, m in zip(spec.outers, msgs)]
-    return encode_columns(spec.inner, spec.towers, words)
+    return encode_columns(spec.field, spec.inner_generator, spec.towers, words)
 
 
 def correctable_gcc(error_matrix, spec: GccSpec) -> bool:
@@ -138,35 +141,6 @@ def correctable_gcc(error_matrix, spec: GccSpec) -> bool:
     d1 = spec.subcodes[0].distance()
     total = sum(min(wt(row), d1) for row in error_matrix)
     return 2 * total < designed_distance(spec)
-
-
-def _fold_level(spec: GccSpec, level: int, estimates, failed):
-    """Level symbols from row estimates via the prefix right inverse."""
-    f = spec.field
-    lo = spec.prefix[level - 2] if level >= 2 else 0
-    hi = spec.prefix[level - 1]
-    tower = spec.towers[level - 1]
-    out = []
-    for est, bad in zip(estimates, failed):
-        if bad:
-            out.append(0)
-            continue
-        base = linalg.vec_mat(f, est, spec.rinvs[level - 1])
-        out.append(tower.from_base_vector(base[lo:hi]))
-    return tuple(out)
-
-
-def _level_contribution(spec: GccSpec, level: int, codeword):
-    """M x N matrix contributed by the level's outer codeword."""
-    f = spec.field
-    lo = spec.prefix[level - 2] if level >= 2 else 0
-    hi = spec.prefix[level - 1]
-    gen_rows = spec.inner_generator[lo:hi]
-    tower = spec.towers[level - 1]
-    return tuple(
-        linalg.vec_mat(f, tuple(tower.to_base_vector(sym)), gen_rows)
-        for sym in codeword
-    )
 
 
 def _fresh_rows(spec: GccSpec, level: int, residual):
@@ -185,7 +159,9 @@ def _multistage(spec: GccSpec, received, options: DecodeOptions | None, row_pass
     options = options or DecodeOptions()
     if options.radius is not None:
         raise InvalidParams("extended-radius decoding is not available here")
-    residual = check_matrix(spec.field, received, spec.m, spec.n)
+    f = spec.field
+    received = check_matrix(f, received, spec.m, spec.n)
+    residual = received
     k = spec.k
     report = DecodeReport(
         columns=[None] * k,
@@ -196,30 +172,24 @@ def _multistage(spec: GccSpec, received, options: DecodeOptions | None, row_pass
     )
     prev = None
     for level in range(k, 0, -1):
-        outer = spec.outers[level - 1]
+        i = level - 1
+        outer, towers = spec.outers[i], spec.towers[i:level]
+        lo = spec.prefix[i] - spec.widths[i]
         rd, skips = row_pass(level, residual, prev)
-        report.inner_invocations[level - 1] = rd.invocations
-        report.row_skips[level - 1] = skips
-        column = _fold_level(spec, level, rd.estimates, rd.failed)
+        report.inner_invocations[i] = rd.invocations
+        report.row_skips[i] = skips
+        (column,) = fold_message_columns(spec.subcodes[i], towers, rd, lo)
         rel = gmd.ReliabilityVector(tuple(rd.weights), rd.denominator)
         chain = gmd.chain_with_failure_class(rel)
-        g = gmd.gmd_decode(outer, column, rel, mode=options.mode, skip_zero_trial=True, chain=chain)
-        report.gmd_trials[level - 1] = g.trials
         bound = (min(outer.distance(), rd.denominator) + 1) // 2
-        if g.trials > bound:
-            raise ContractViolation(f"{g.trials} trials exceed the class bound {bound}")
+        g = decode_column(report, i, outer, column, rel, chain, options.mode, 0, bound)
         if not g.ok:
-            report.failed_levels.append(level)
             raise DecodeFailure(f"level {level} exhausted all trials", report=report, level=level)
-        report.columns[level - 1] = g.codeword
-        report.messages[level - 1] = outer.message_of(g.codeword)
-        contrib = _level_contribution(spec, level, g.codeword)
-        residual = [
-            tuple(spec.field.sub(a, b) for a, b in zip(row, crow))
-            for row, crow in zip(residual, contrib)
-        ]
+        contrib = encode_columns(f, spec.inner_generator[lo : spec.prefix[i]], towers, (g.codeword,))
+        residual = [tuple(map(f.sub, row, crow)) for row, crow in zip(residual, contrib)]
         prev = rd, {j for j, e in enumerate(g.error) if e != 0 and not rd.failed[j]}
-    report.codeword = encode_columns(spec.inner, spec.towers, report.columns)
+    # the level contributions sum to the codeword, which is received - residual
+    report.codeword = tuple(tuple(map(f.sub, row, rest)) for row, rest in zip(received, residual))
     return report
 
 

@@ -82,26 +82,17 @@ def is_triangular(field, matrix) -> bool:
     return place(0)
 
 
-@dataclass
-class MpcSpec:
-    field: object
-    outers: tuple
-    matrix: tuple
-    gcc: GccSpec
+@dataclass(repr=False)
+class MpcSpec(GccSpec):
+    """The GccSpec of a matrix-product code: width-one levels whose inner
+    generator is the matrix."""
+
     nsc: bool
     triangular: bool
 
     @property
-    def k(self) -> int:
-        return len(self.outers)
-
-    @property
-    def m(self) -> int:
-        return self.outers[0].n
-
-    @property
-    def n(self) -> int:
-        return len(self.matrix[0])
+    def matrix(self) -> tuple:
+        return self.inner_generator
 
 
 def mpc_spec(outers, matrix, field) -> MpcSpec:
@@ -115,14 +106,13 @@ def mpc_spec(outers, matrix, field) -> MpcSpec:
             raise InvalidParams("outer codes of a matrix-product spec live over the base field")
     nsc = is_nsc(field, matrix)
     triangular = is_triangular(field, matrix)
-    spec = gcc_spec(outers, (1,) * len(outers), matrix, field)
-    out = MpcSpec(field, outers, matrix, spec, nsc, triangular)
+    levels = gcc_spec(outers, (1,) * len(outers), matrix, field)
+    spec = MpcSpec(**vars(levels), nsc=nsc, triangular=triangular)
     if nsc:
-        n = out.n
         for i, sub in enumerate(spec.subcodes, start=1):
-            if sub.distance() != n - i + 1:
+            if sub.distance() != spec.n - i + 1:
                 raise ContractViolation(f"prefix {i} of an NSC matrix is not MDS")
-    return out
+    return spec
 
 
 def mpc_designed_distance(spec: MpcSpec):
@@ -137,7 +127,7 @@ def mpc_designed_distance(spec: MpcSpec):
 
 
 def mpc_encode(spec: MpcSpec, msgs) -> tuple:
-    return gcc_encode(spec.gcc, msgs)
+    return gcc_encode(spec, msgs)
 
 
 def mpc_decode(spec: MpcSpec, received, options: DecodeOptions | None = None) -> DecodeReport:
@@ -145,7 +135,7 @@ def mpc_decode(spec: MpcSpec, received, options: DecodeOptions | None = None) ->
     only when the prefix-code radius grows falls out of the skip rules."""
     if not spec.nsc:
         raise NotNsc("the specialized decoder requires an NSC matrix")
-    return gcc_decode_improved(spec.gcc, received, options)
+    return gcc_decode_improved(spec, received, options)
 
 
 def exhaustive_min_distance(spec: MpcSpec, cap: int = 1 << 20) -> int:
@@ -182,10 +172,6 @@ def random_nsc_matrix(field, k, n, rng, max_tries=20000):
 
 # ---------------------------------------------------------------------------
 # hand-rolled decoders for the two worked constructions
-
-
-def _col(received, j):
-    return tuple(row[j] for row in received)
 
 
 def _bump(counter, key):
@@ -285,7 +271,7 @@ def decode_uvw(spec: MpcSpec, received, counter=None):
     rows = check_matrix(f, received, spec.m, 3)
     a1, a2, a3 = spec.outers
     m = spec.m
-    b1 = spec.gcc.subcodes[0]
+    b1 = spec.subcodes[0]
 
     # level 3: R^1 - R^2 + R^3
     v3_in = tuple(f.add(f.sub(r[0], r[1]), r[2]) for r in rows)

@@ -9,6 +9,8 @@ bound-satisfying codeword during the scan (ContractViolation).
 
 from __future__ import annotations
 
+import itertools
+
 from .block_codes import FAILURE, DecodeOutcome, LinearCode, check_erasures
 from .errors import ContractViolation, InvalidParams, TooLargeToEnumerate
 
@@ -95,22 +97,8 @@ class ExhaustiveDecoder:
 
     def _build_table(self):
         code = self.code
-        f = code.field
-        d = code.distance()
-        table = {}
-        words = [()]
-        for _ in range(code.n):
-            words = [w + (x,) for w in words for x in range(f.q)]
-        for word in words:
-            hit = None
-            for c in code.codewords():
-                err = tuple(f.sub(a, b) for a, b in zip(word, c))
-                w = sum(1 for x in err if x != 0)
-                if 2 * w < d:
-                    hit = DecodeOutcome(c, err, w)
-                    break
-            table[word] = hit if hit is not None else FAILURE
-        self._table = table
+        words = itertools.product(range(code.field.q), repeat=code.n)
+        self._table = {w: oracle_sigma(code, w) for w in words}
 
     def __call__(self, word, erasures) -> DecodeOutcome:
         if not erasures:

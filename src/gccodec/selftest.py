@@ -13,7 +13,7 @@ from .block_codes import generic_code, rs_code
 from .concat import DecodeOptions
 from .errors import DecodeFailure
 from .galois import TowerView, extend_field, make_field
-from .mpc import decode_uuv, mpc_decode, mpc_spec
+from .mpc import decode_uuv, mpc_decode, mpc_encode, mpc_spec
 from .oracle import oracle_sigma
 
 
@@ -107,10 +107,8 @@ def _check_uuv_matches_generic(rng):
         f,
     )
     # length-2 repetition outers over GF(2); exhaustive over small errors
-    from .gcc import gcc_encode
-
     for msgs in itertools.product(range(2), repeat=2):
-        word = gcc_encode(spec.gcc, [(msgs[0],), (msgs[1],)])
+        word = mpc_encode(spec, [(msgs[0],), (msgs[1],)])
         for flip in range(4):
             rows = [list(r) for r in word]
             rows[flip // 2][flip % 2] ^= 1

@@ -12,6 +12,10 @@ Constructions: concatenated {"outer": code, "inner": code, "s": int};
 generalized {"outers": [code...], "s": [int...], "inner_generator": [[...]],
 "field": ...}; matrix-product {"outers": [code...], "B": [[...]],
 "field": ...}.  Words and matrices travel as row-major integer sequences.
+
+Simulation configs: {"spec": file name or spec, "channel": {"error_rate",
+"erasure_rate", "seed"}, "trials": int, "decoder": {"mode", "carry_over",
+"radius"}, "output": file name, "threads": 1}.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ import json
 import operator
 
 from .block_codes import LinearCode, generic_code, rs_code
-from .concat import ConcatCode
+from .channel import ChannelModel
+from .concat import ConcatCode, DecodeOptions
 from .errors import ConfigError
+from .experiment import ExperimentConfig
 from .galois import Field, extend_field, make_field
 from .gcc import GccSpec, gcc_spec
 from .mpc import MpcSpec, mpc_spec
@@ -31,6 +37,7 @@ FIELD_PARAMS = "field parameters p and m"
 CODE_PARAMS = "code parameters n and k"
 WIDTHS = "expansion degrees s"
 DISTANCES = "distances d and subcode_distances"
+RUN_PARAMS = "trials, seed, radius and threads"
 
 
 def field_to_json(f: Field) -> dict:
@@ -143,6 +150,34 @@ def load_spec_file(path):
         return load_spec(json.load(fh))
 
 
+def experiment_from_json(d: dict) -> ExperimentConfig:
+    """A simulation config; non-integer counts, non-numeric rates and a
+    non-boolean carry_over raise ConfigError instead of coercing."""
+    spec = d["spec"]
+    spec = load_spec_file(spec) if isinstance(spec, str) else load_spec(spec)
+    channel = d["channel"]
+    decoder = d.get("decoder", {})
+    carry_over = decoder.get("carry_over", False)
+    if not isinstance(carry_over, bool):
+        raise ConfigError(f"carry_over must be true or false, got {carry_over!r}")
+    return ExperimentConfig(
+        spec=spec,
+        channel=ChannelModel(
+            error_rate=_rate(channel["error_rate"]),
+            erasure_rate=_rate(channel.get("erasure_rate", 0.0)),
+            seed=_integer(channel.get("seed", 0), RUN_PARAMS),
+        ),
+        trials=_integer(d["trials"], RUN_PARAMS),
+        options=DecodeOptions(
+            mode=decoder.get("mode", "upto"),
+            carry_over=carry_over,
+            radius=_optional_integer(decoder.get("radius"), RUN_PARAMS),
+        ),
+        output=d.get("output"),
+        threads=_optional_integer(d.get("threads"), RUN_PARAMS),
+    )
+
+
 def matrix_to_json(matrix) -> list:
     return [int(x) for row in matrix for x in row]
 
@@ -159,6 +194,12 @@ def _integer(x, what):
 
 def _optional_integer(x, what):
     return None if x is None else _integer(x, what)
+
+
+def _rate(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ConfigError(f"channel rates must be numbers, got {x!r}")
+    return x
 
 
 def _sequence(data, what):

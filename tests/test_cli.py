@@ -372,6 +372,51 @@ class TestInfoAndChecks:
         assert len(out_path.read_text().splitlines()) == 41
 
 
+# (command, key path into its input file, value that must not be coerced)
+BAD_RUN_INPUTS = [
+    ("simulate", ("trials",), 3.7),
+    ("simulate", ("trials",), "5"),
+    ("simulate", ("channel", "seed"), 3.7),
+    ("simulate", ("channel", "seed"), "3"),
+    ("simulate", ("channel", "error_rate"), "0.1"),
+    ("simulate", ("decoder", "carry_over"), "yes"),
+    ("simulate", ("threads",), 1.0),
+    ("nsc-check", ("outer_distances",), [7.9, 5, 3]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    BAD_RUN_INPUTS,
+    ids=[f"{c}-{'.'.join(p)}-{v!r}" for c, p, v in BAD_RUN_INPUTS],
+)
+def test_run_inputs_are_not_coerced(capsys, tmp_path, mpc_spec_file, command, path, value):
+    if command == "simulate":
+        data = {
+            "spec": mpc_spec_file,
+            "channel": {"error_rate": 0.05, "seed": 11},
+            "trials": 5,
+            "decoder": {"mode": "upto", "carry_over": False},
+            "threads": 1,
+        }
+        flag = "--config"
+    else:
+        data = {
+            "field": {"p": 3, "m": 1, "modulus": [0, 1]},
+            "matrix": [[1, 2, 1], [1, 1, 0], [1, 0, 0]],
+            "outer_distances": [7, 5, 3],
+        }
+        flag = "--matrix"
+    entry = data
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(data))
+    assert main([command, flag, str(file)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

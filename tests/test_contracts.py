@@ -4,6 +4,7 @@ decoders' own guarantees are raised checks that survive python -O."""
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,14 +14,17 @@ import pytest
 import gccodec as g
 from gccodec import concat, gmd, mpc, specio
 from gccodec.cli import main
+from gccodec.experiment import construction
+
+from conftest import corrupt
 
 MALFORMED = {
     "cc_decode-int": ("cc_small", lambda s: g.cc_decode(s, 5)),
     "cc_decode-int-rows": ("cc_small", lambda s: g.cc_decode(s, [5, 5, 5])),
     "cc_decode-str": ("cc_small", lambda s: g.cc_decode(s, "abc")),
     "mpc_decode-int": ("mpc_uuv8", lambda s: g.mpc_decode(s, 5)),
-    "gcc_decode_basic-int-rows": ("mpc_uuv8", lambda s: g.gcc_decode_basic(s.gcc, [7] * 7)),
-    "gcc_decode_improved-int-rows": ("mpc_uuv8", lambda s: g.gcc_decode_improved(s.gcc, [7] * 7)),
+    "gcc_decode_basic-int-rows": ("mpc_uuv8", lambda s: g.gcc_decode_basic(s, [7] * 7)),
+    "gcc_decode_improved-int-rows": ("mpc_uuv8", lambda s: g.gcc_decode_improved(s, [7] * 7)),
     "gcc_decode_improved-none": ("mixed_spec", lambda s: g.gcc_decode_improved(s, None)),
     "decode_uuv-int": ("mpc_uuv8", lambda s: g.decode_uuv(s, 5)),
     "decode_uuv_naive-int-row": ("mpc_uuv8", lambda s: g.decode_uuv_naive(s, [[0, 0]] * 6 + [3])),
@@ -48,7 +52,7 @@ class TestContractViolation:
             gmd, "gmd_decode", lambda *a, **k: dataclasses.replace(decode(*a, **k), trials=99)
         )
         with pytest.raises(g.ContractViolation):
-            g.gcc_decode_improved(mpc_uuv8.gcc, word)
+            g.gcc_decode_improved(mpc_uuv8, word)
 
     def test_chain_trial_bound(self, monkeypatch, gf8):
         rs = g.rs_code(gf8, 7, 3)
@@ -60,7 +64,7 @@ class TestContractViolation:
         word = g.mpc_encode(mpc_uuv8, [(1, 2, 3, 4, 5), (6,)])
         monkeypatch.setattr(g.LinearCode, "contains", lambda code, w: False)
         with pytest.raises(g.ContractViolation):
-            g.gcc_decode_improved(mpc_uuv8.gcc, word)
+            g.gcc_decode_improved(mpc_uuv8, word)
 
     def test_nsc_prefix_not_mds(self, monkeypatch, gf8):
         monkeypatch.setattr(mpc, "is_nsc", lambda f, m: True)
@@ -73,6 +77,13 @@ class TestContractViolation:
         monkeypatch.setattr(g.LinearCode, "distance", lambda code: 7)
         with pytest.raises(g.ContractViolation):
             g.oracle_sigma(rep, (0, 0, 1))
+
+    def test_overstated_distance_in_decode_table(self, gf2):
+        # the errors-only table is built with oracle_sigma, so a declared
+        # distance above the true one is caught, not decoded to a first hit
+        rep = g.generic_code(gf2, [[1, 1, 1]], d=7)
+        with pytest.raises(g.ContractViolation):
+            rep.decode((0, 0, 1))
 
     def test_cli_exits_with_violation(self, monkeypatch, capsys, tmp_path, cc_small):
         path = tmp_path / "cc.json"
@@ -105,3 +116,39 @@ def test_contracts_survive_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "ContractViolation"]
+
+
+# decoder(spec, word, options) returning a report, and the fixture it decodes
+MISCORRECTING = {
+    "cc_decode-cc_two_cols": (lambda s, w, o: g.cc_decode(s, w, None, o)[1], "cc_two_cols"),
+    "gcc_decode_basic-mixed_spec": (g.gcc_decode_basic, "mixed_spec"),
+    "gcc_decode_improved-mixed_spec": (g.gcc_decode_improved, "mixed_spec"),
+    "gcc_decode_basic-gcc_growing_radius": (g.gcc_decode_basic, "gcc_growing_radius"),
+    "gcc_decode_improved-gcc_growing_radius": (g.gcc_decode_improved, "gcc_growing_radius"),
+    "mpc_decode-mpc_uuv8": (g.mpc_decode, "mpc_uuv8"),
+    "mpc_decode-mpc_uvw3": (g.mpc_decode, "mpc_uvw3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISCORRECTING))
+def test_miscorrected_codeword_encodes_its_messages(request, case):
+    """Beyond d*/2 errors, in beyond mode, a decoder may accept a wrong
+    codeword; the report's codeword must still encode the report's messages."""
+    decode, fixture = MISCORRECTING[case]
+    spec = request.getfixturevalue(fixture)
+    c = construction(spec)
+    d_star = c.info()["d_star"]
+    rng = random.Random(2024)
+    miscorrected = 0
+    for _ in range(300):
+        msgs = [tuple(rng.randrange(a.field.q) for _ in range(a.k)) for a in c.outers]
+        word = c.encode(msgs)
+        positions = rng.sample(range(c.m * c.n), rng.randint((d_star + 1) // 2, d_star))
+        received = corrupt(c.field, word, positions, rng)
+        try:
+            report = decode(spec, received, g.DecodeOptions(mode="beyond"))
+        except g.DecodeFailure:
+            continue
+        assert report.codeword == c.encode(report.messages)
+        miscorrected += report.codeword != word
+    assert miscorrected > 0

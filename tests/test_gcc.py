@@ -103,7 +103,7 @@ class TestSpecValidation:
             g.prefix_subcode(uuv_bin, 3)
 
     def test_uvw_subcode_distances(self, mpc_uvw3):
-        spec = mpc_uvw3.gcc
+        spec = mpc_uvw3
         assert g.prefix_subcode(spec, 1).distance() == 3
         assert g.prefix_subcode(spec, 2).distance() == 2
         assert g.prefix_subcode(spec, 3).distance() == 1
@@ -120,7 +120,7 @@ class TestDesignedDistance:
 
     def test_uvw(self, mpc_uvw3):
         # min(7*3, 5*2, 3*1)
-        assert g.designed_distance(mpc_uvw3.gcc) == 3
+        assert g.designed_distance(mpc_uvw3) == 3
 
 
 def _random_trial(spec, rng, max_errors):
@@ -211,7 +211,7 @@ class TestDecoders:
                 assert basic.codeword == improved.codeword == word, name
 
     def test_inner_invocation_budget(self, mpc_uvw3):
-        spec = mpc_uvw3.gcc
+        spec = mpc_uvw3
         rng = random.Random(7)
         bound = spec.m + sum(a.distance() - 1 for a in spec.outers)
         for _ in range(300):

@@ -108,7 +108,7 @@ class TestMpcDecode:
             except g.DecodeFailure:
                 got = None
             try:
-                ref = g.gcc_decode_improved(mpc_uuv8.gcc, received).codeword
+                ref = g.gcc_decode_improved(mpc_uuv8, received).codeword
             except g.DecodeFailure:
                 ref = None
             assert got == ref
@@ -164,7 +164,7 @@ class TestMpcDecode:
             ],
         )
         spec = g.mpc_spec([a1, a2], [[1, 2, 1], [1, 1, 0]], gf3)
-        assert [c.distance() for c in spec.gcc.subcodes] == [3, 2]
+        assert [c.distance() for c in spec.subcodes] == [3, 2]
         rng = random.Random(4)
         t = spec.k // 2
         bound = spec.m + sum(

@@ -52,3 +52,18 @@ def test_wer_sweep(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "error_rate,trials,wer_upto,wer_beyond,mean_inner,mean_outer"
     assert len(lines) == 6
+
+
+def test_decode_digest_is_reproducible(tmp_path):
+    assert run_script("make_demo_specs.py", str(tmp_path)).returncode == 0
+    specs = sorted(str(p) for p in tmp_path.glob("*.json") if p.stem.startswith(("cc_", "mpc_")))
+    assert len(specs) == 3
+    runs = [run_script("decode_digest.py", *specs, "--words", "30") for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = runs[0].stdout.splitlines()
+    assert runs[1].stdout.splitlines() == lines
+    assert [line.split()[0] for line in lines] == [Path(s).name for s in specs]
+    for line in lines:
+        name, decodes, digest = line.split()
+        assert int(decodes) > 0 and len(digest) == 64
