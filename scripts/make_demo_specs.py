@@ -36,6 +36,12 @@ def main():
     )
     (outdir / "cc_small.json").write_text(json.dumps(specio.concat_to_json(cc), indent=2))
 
+    # RS(64,40)/GF(256) over RS(15,8)/GF(16), GF(256) built over GF(16):
+    # the large-field concatenated code of the benchmark, designed distance 200
+    gf16 = g.make_field(2, 4)
+    rs256 = g.ConcatCode(g.rs_code(g.extend_field(gf16, 2), 64, 40), g.rs_code(gf16, 15, 8))
+    (outdir / "cc_rs256_gf16.json").write_text(json.dumps(specio.concat_to_json(rs256), indent=2))
+
     # three-level (u+v+w | 2u+v | u) over GF(3), outer distances (7, 5, 3)
     uvw = g.mpc_spec(
         [

@@ -13,6 +13,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import galois, linalg
 from .errors import (
     ErasureIndexError,
@@ -87,7 +89,8 @@ class LinearCode:
         self.kind = kind
         self.eval_points = eval_points
         self.decoder = None
-        self._rinv = None
+        self._encoder = linalg.RowMap(field, self.generator)
+        self._inverse = None  # RowMap of the right inverse, built on first use
         self._codewords = None
 
     def __repr__(self):
@@ -99,15 +102,25 @@ class LinearCode:
     def encode(self, msg) -> tuple:
         if len(msg) != self.k:
             raise LengthMismatch(f"message length {len(msg)} != k={self.k}")
-        msg = self.field.vector(msg)
-        return linalg.vec_mat(self.field, msg, self.generator)
+        return self._encoder.row(self.field.vector(msg))
+
+    def encode_all(self, msgs) -> list:
+        """The codewords of msgs, as one product with the generator."""
+        for msg in msgs:
+            if len(msg) != self.k:
+                raise LengthMismatch(f"message length {len(msg)} != k={self.k}")
+        return self._encoder([self.field.vector(msg) for msg in msgs])
+
+    def right_inverse(self) -> linalg.RowMap:
+        """The map codeword -> message: an n x k right inverse of the generator."""
+        if self._inverse is None:
+            self._inverse = linalg.RowMap(self.field, linalg.right_inverse(self.field, self.generator))
+        return self._inverse
 
     def message_of(self, codeword) -> tuple:
-        if self._rinv is None:
-            self._rinv = linalg.right_inverse(self.field, self.generator)
         if len(codeword) != self.n:
             raise LengthMismatch(f"word length {len(codeword)} != n={self.n}")
-        return linalg.vec_mat(self.field, tuple(codeword), self._rinv)
+        return (self._inverse or self.right_inverse()).row(tuple(codeword))
 
     def contains(self, word) -> bool:
         return self.encode(self.message_of(word)) == tuple(word)
@@ -214,7 +227,10 @@ class ReedSolomonDecoder:
     evaluation points (0, 1, ..., n-1 for rs_code, so 0 is one of them) and
     is not cyclic.  Its dual is the generalized RS code with column multipliers
     u_i = 1 / prod_{j != i}(x_i - x_j), which gives the power-sum syndromes
-    S_l = sum_i u_i r_i x_i^l, l < n - k.  Per call, the erasure locator is
+    S_l = sum_i u_i r_i x_i^l, l < n - k: the word times the n x (n - k)
+    matrix of u_i x_i^l, built once per code as a RowMap, whose array (when
+    its shape calls for one) also takes the root search as one product.
+    Per call, the erasure locator is
     folded into Forney syndromes, Berlekamp-Massey finds the error locator,
     a root search over the points places the errors and Forney's formula
     gives their values: O(n (n - k)) field operations.  The output is
@@ -227,7 +243,7 @@ class ReedSolomonDecoder:
         pts = code.eval_points
         r = code.n - code.k
         self._u = []
-        self._ux = []  # _ux[i][l] = u_i * x_i^l
+        ux = []  # ux[i][l] = u_i * x_i^l
         for xi in pts:
             prod = 1
             for xj in pts:
@@ -238,21 +254,25 @@ class ReedSolomonDecoder:
             for _ in range(r - 1):
                 row.append(f.mul(row[-1], xi))
             self._u.append(u)
-            self._ux.append(row[:r])
+            ux.append(row[:r])
+        self._syndromes = linalg.RowMap(f, ux)
 
     def __call__(self, word, erasures) -> DecodeOutcome:
         code = self.code
         f = code.field
         axpy, dot, mul = f.axpy, f.dot, f.mul
         n, d = code.n, code.distance()
-        pts, ux = code.eval_points, self._ux
+        pts, ux, array = code.eval_points, self._syndromes.matrix, self._syndromes.array
         ne = len(erasures)
         if ne >= d:
             return FAILURE
-        synd = [0] * (d - 1)
-        for y, row in zip(word, ux):
-            if y:
-                axpy(synd, y, row)
+        if array is None:
+            synd = [0] * (d - 1)
+            for y, row in zip(word, ux):
+                if y:
+                    axpy(synd, y, row)
+        else:
+            synd = list(self._syndromes.row(word))
         if not any(synd):
             return DecodeOutcome(tuple(word), (0,) * n, 0)
 
@@ -270,13 +290,18 @@ class ReedSolomonDecoder:
         conn = conn + [0] * (L + 1 - len(conn))
         sigma = conn[L::-1]
 
-        # roots of sigma away from the erasures (dot with ux[i] gives
-        # u_i sigma(x_i)); Lambda = Gamma * sigma must split into distinct
-        # linear factors over the points
+        # roots of sigma away from the erasures (zeros of u_i sigma(x_i));
+        # Lambda = Gamma * sigma must split into distinct linear factors
+        # over the points
         locs = sorted(erasures)
         lam = gamma
         if L:
-            errs = [i for i in range(n) if i not in erasures and dot(sigma, ux[i]) == 0]
+            if array is None:
+                errs = [i for i in range(n) if i not in erasures and dot(sigma, ux[i]) == 0]
+            else:
+                column = np.array(sigma, dtype=np.int64).reshape(-1, 1)
+                values = f.matmul(array[:, : L + 1], column)[:, 0]
+                errs = [i for i in np.flatnonzero(values == 0).tolist() if i not in erasures]
             if len(errs) != L:
                 return FAILURE
             locs += errs

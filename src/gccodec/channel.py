@@ -10,6 +10,7 @@ to a uniformly random different symbol with probability error_rate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,19 @@ class ChannelModel:
     seed: int = 0
 
     def __post_init__(self):
+        """Rates must be int or float and the seed a non-negative integer
+        (operator.index); bool, str and float seeds raise ConfigError
+        instead of being coerced."""
+        for rate in (self.error_rate, self.erasure_rate):
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+                raise ConfigError(f"channel rates must be numbers, got {rate!r}")
+        try:
+            seed = None if isinstance(self.seed, bool) else operator.index(self.seed)
+        except TypeError:
+            seed = None
+        if seed is None or seed < 0:
+            raise ConfigError(f"the channel seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
         if not 0 <= self.error_rate <= 1 or not 0 <= self.erasure_rate <= 1:
             raise ConfigError("rates must lie in [0, 1]")
         if self.error_rate + self.erasure_rate > 1:

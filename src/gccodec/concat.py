@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gmd, linalg
 from .block_codes import LinearCode, check_erasures, ee_decode, wt
 from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch
@@ -55,6 +57,8 @@ class ConcatCode:
         self.tower = tower
         self.k = inner.k // tower.s
         self.m = outer.n
+        self.encoder = symbol_map(inner.field, inner.generator, self.m, (tower,))
+        self.inverse = symbol_map(inner.field, inner.right_inverse().matrix, self.m, (tower,))
 
     @property
     def length(self) -> int:
@@ -71,17 +75,28 @@ def cc_encode(cc: ConcatCode, msgs) -> tuple:
     """Encode k outer messages into the M x N codeword matrix."""
     if len(msgs) != cc.k:
         raise LengthMismatch(f"expected {cc.k} outer messages, got {len(msgs)}")
-    words = [cc.outer.encode(m) for m in msgs]
-    return encode_columns(cc.inner.field, cc.inner.generator, (cc.tower,) * cc.k, words)
+    return encode_columns(cc.encoder, (cc.tower,) * cc.k, cc.outer.encode_all(msgs))
 
 
-def encode_columns(field, generator_rows, towers, words) -> tuple:
+def symbol_map(field, matrix, m: int, towers) -> linalg.RowMap:
+    """The RowMap of matrix for the m rows that outer symbols expand into
+    through towers; symbols past int64 keep the row loop."""
+    wide = any(tower.big.q > 1 << 63 for tower in towers)
+    return linalg.RowMap(field, matrix, 0 if wide else m)
+
+
+def encode_columns(generator: linalg.RowMap, towers, words) -> tuple:
     """M x N matrix from outer words of a common length M: row j expands
     symbol j of word i through towers[i], for every i, and multiplies the
-    result by generator_rows.  With a GCC level's generator rows and tower
-    alone, this is the level's contribution to the codeword."""
-    expanded = [tuple(map(tower.to_base_vector, word)) for tower, word in zip(towers, words)]
-    return tuple(linalg.vec_mat(field, sum(parts, ()), generator_rows) for parts in zip(*expanded))
+    result by the generator map, in one product when it runs on arrays.
+    With a GCC level's generator rows and tower alone, this is the level's
+    contribution to the codeword."""
+    if generator.array is None:
+        expanded = [tuple(map(tower.to_base_vector, word)) for tower, word in zip(towers, words)]
+        rows = [sum(parts, ()) for parts in zip(*expanded)]
+    else:
+        rows = np.concatenate([tower.expand(word) for tower, word in zip(towers, words)], axis=1)
+    return tuple(generator(rows))
 
 
 @dataclass
@@ -166,17 +181,25 @@ def check_matrix(field, received, m: int, n: int) -> list:
     return out
 
 
-def fold_message_columns(code: LinearCode, towers, rd: RowDecodeResult, start: int = 0):
+def fold_message_columns(inverse: linalg.RowMap, towers, rd: RowDecodeResult):
     """Outer-symbol columns from row estimates, the inverse of encode_columns:
-    the message of row j under code, from coordinate start on, packs into
-    symbol j of one column per tower (a failed row gives 0 everywhere)."""
-    messages = [None if bad else code.message_of(est) for est, bad in zip(rd.estimates, rd.failed)]
-    columns = []
+    the message of row j under inverse (a right inverse, or the columns of
+    one that a GCC level reads) packs into symbol j of one column per tower;
+    a failed row gives 0 everywhere."""
+    columns, start = [], 0
+    if inverse.array is None:
+        zero = (0,) * inverse.n
+        messages = [zero if bad else inverse.row(est) for est, bad in zip(rd.estimates, rd.failed)]
+        for tower in towers:
+            end = start + tower.s
+            columns.append(tuple(tower.from_base_vector(msg[start:end]) for msg in messages))
+            start = end
+        return columns
+    messages = inverse.field.matmul(np.array(rd.estimates, dtype=np.int64), inverse.array)
+    messages[np.array(rd.failed, dtype=bool)] = 0
     for tower in towers:
         end = start + tower.s
-        columns.append(
-            tuple(0 if msg is None else tower.from_base_vector(msg[start:end]) for msg in messages)
-        )
+        columns.append(tuple(tower.pack(messages[:, start:end]).tolist()))
         start = end
     return columns
 
@@ -247,7 +270,7 @@ def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | N
     else:
         chain = extended_trial_chain(rd, options.radius)
     towers = (cc.tower,) * cc.k
-    columns_in = fold_message_columns(cc.inner, towers, rd)
+    columns_in = fold_message_columns(cc.inverse, towers, rd)
 
     k = cc.k
     report = DecodeReport(
@@ -262,7 +285,7 @@ def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | N
         elif options.carry_over:
             start = g.accepted_index
     if not report.failed_levels:
-        report.codeword = encode_columns(cc.inner.field, cc.inner.generator, towers, report.columns)
+        report.codeword = encode_columns(cc.encoder, towers, report.columns)
         return report.columns, report
     raise DecodeFailure(
         f"columns {report.failed_levels} exhausted all trials", report=report

@@ -14,8 +14,10 @@ lookups, and odd-characteristic addition goes through Zech logarithms
 (characteristic 2 adds by XOR, prime fields reduce mod p).  Larger fields
 fall back to polynomial arithmetic on the digit vectors.  The vector kernels
 axpy (out += c * v, in place) and dot run whole rows on the tables; the
-linear algebra and the Reed-Solomon decoder are written on them.  None of
-this changes any observable value.
+linear algebra and the Reed-Solomon decoder are written on them.  matmul
+multiplies whole integer numpy arrays, on numpy copies of the same tables,
+and TowerView.expand/pack split and join whole columns of symbols.  None
+of this changes any observable value.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ from __future__ import annotations
 import itertools
 import operator
 
+import numpy as np
+
 from .errors import FieldMismatch, InvalidParams, NotPrime, ReducibleModulus
 from . import linalg
 
 _LOG_LIMIT = 1 << 16  # largest q with exp/log tables
+_MATMUL_BLOCK = 1 << 16  # most products matmul gathers at once
 
 
 def _is_prime(n: int) -> bool:
@@ -150,6 +155,7 @@ class Field:
         self._exp = None
         self._log = None if base is not None else False
         self._zech = None
+        self._exp_array = None  # numpy tables for matmul, built on first use
 
     # -- identity ----------------------------------------------------------
 
@@ -352,6 +358,53 @@ class Field:
             acc = add(acc, mul(a, b))
         return acc
 
+    def vectorised(self, k: int) -> bool:
+        """Whether matmul runs on whole arrays for inner dimension k (rather
+        than the row loop): fields with exp/log tables, and prime fields
+        where k*(p-1)^2 fits int64."""
+        if self.base is None:
+            return k * (self.p - 1) ** 2 < 1 << 63
+        return self.q <= _LOG_LIMIT
+
+    def matmul(self, a, b):
+        """The product a @ b over the field, a (M, K) and b (K, N) integer
+        numpy arrays of element encodings; returns an (M, N) array.
+
+        Prime fields reduce numpy's integer product mod p.  Fields with
+        exp/log tables gather the products exp[log a + log b] (at most
+        _MATMUL_BLOCK at a time) and sum them over K, by XOR in
+        characteristic 2 and otherwise digit by digit mod p: the base-p
+        digits of an encoding are its coordinates over GF(p), whatever the
+        tower.  Elsewhere (see vectorised) the rows go through vec_mat.
+        """
+        m, k = a.shape
+        n = b.shape[1]
+        if not self.vectorised(k):
+            rows = tuple(map(tuple, b.tolist()))
+            out = [linalg.vec_mat(self, row, rows) for row in a.tolist()]
+            return np.array(out, dtype=np.int64 if self.q <= 1 << 63 else object).reshape(m, n)
+        if self.base is None:
+            return (a @ b) % self.p
+        if self._exp_array is None:
+            self._build_arrays()
+        exp, log = self._exp_array, self._log_array
+        la, lb = log[a], log[b]
+        step = max(1, _MATMUL_BLOCK // max(1, m * n))
+
+        def products(lo):
+            return exp[la[:, lo : lo + step, None] + lb[None, lo : lo + step]]
+
+        if self.p == 2:
+            out = np.bitwise_xor.reduce(products(0), axis=1)
+            for lo in range(step, k, step):
+                out ^= np.bitwise_xor.reduce(products(lo), axis=1)
+            return out
+        powers, p = self._digit_powers, self.p
+        acc = (products(0)[..., None] // powers % p).sum(axis=1)
+        for lo in range(step, k, step):
+            acc += (products(lo)[..., None] // powers % p).sum(axis=1)
+        return acc % p @ powers
+
     # -- slow paths and tables ----------------------------------------------
 
     def _add_slow(self, a, b):
@@ -419,6 +472,18 @@ class Field:
         self._exp = powers * 2 + [0] * (2 * q1 + 1)
         self._log = log
         return log
+
+    def _build_arrays(self):
+        """numpy copies of the exp/log tables for matmul, and the place
+        values p^i of the base-p digits of an encoding."""
+        if self._log is None:
+            self._build_mul_table()
+        powers = [1]
+        while powers[-1] * self.p < self.q:
+            powers.append(powers[-1] * self.p)
+        self._digit_powers = np.array(powers, dtype=np.int64)
+        self._log_array = np.array(self._log, dtype=np.int64)
+        self._exp_array = np.array(self._exp, dtype=np.int64)  # last: marks the arrays built
 
     def _build_add_table(self):
         """Zech logarithms for odd characteristic: 1 + g^n = g^zech[n].
@@ -634,6 +699,12 @@ class TowerView:
                 raise InvalidParams("basis is linearly dependent over the base field")
             self.basis = basis
             self._expand_mat = linalg.mat_inv(base, rows)
+        # expand and pack: digits by place value, then the change of basis
+        self._places = np.array([base.q**i for i in range(self.s)], dtype=np.int64)
+        self._expand_array = self._basis_column = None
+        if self._expand_mat is not None and self.s > 1:
+            self._expand_array = np.array(self._expand_mat, dtype=np.int64)
+            self._basis_column = np.array(self.basis, dtype=np.int64).reshape(-1, 1)
 
     def to_base_vector(self, e):
         if isinstance(e, FieldElement):
@@ -660,6 +731,21 @@ class TowerView:
         for c, b in zip(coords, self.basis):
             acc = self.big.add(acc, self.big.mul(self.lift(c), b))
         return acc
+
+    def expand(self, word):
+        """The (M, s) array whose row i is to_base_vector(word[i]), for M
+        elements of the big field (unchecked; big.q must not exceed 2^63)."""
+        digits = np.asarray(word, dtype=np.int64).reshape(-1, 1) // self._places % self.base.q
+        if self._expand_array is None:
+            return digits
+        return self.base.matmul(digits, self._expand_array)
+
+    def pack(self, coords):
+        """The elements whose base coordinates are the rows of the (M, s)
+        array coords, as an array: the inverse of expand."""
+        if self._basis_column is None:
+            return coords @ self._places
+        return self.big.matmul(coords, self._basis_column)[:, 0]
 
     def lift(self, a: int) -> int:
         """Embed a base-field element into the big field."""

@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from .block_codes import generic_code, rs_code
 from .concat import DecodeOptions
 from .errors import DecodeFailure
@@ -25,10 +27,12 @@ def _require(cond, msg):
 
 def _check_field_axioms(rng):
     # prime fields, exp/log tables in characteristic 2 and 3 (Zech addition),
-    # a tower GF(16) over GF(4), and GF(1024) beyond 256 elements
+    # a tower GF(16) over GF(4), and GF(1024) beyond 256 elements; the
+    # array product runs mod p, by XOR, by base-p digits and (GF(2^17),
+    # past the tables) as the row loop
     gf4 = make_field(2, 2)
     fields = [make_field(2, 3), make_field(3, 2), make_field(5, 1)]
-    fields += [extend_field(gf4, 2), make_field(3, 5), make_field(2, 10)]
+    fields += [extend_field(gf4, 2), make_field(3, 5), make_field(2, 10), make_field(2, 17)]
     for f in fields:
         for _ in range(200):
             a, b, c = (rng.randrange(f.q) for _ in range(3))
@@ -52,6 +56,18 @@ def _check_field_axioms(rng):
         for x, y in zip(u, v):
             dot = f.add(dot, f.mul(x, y))
         _require(f.dot(u, v) == dot, f"{f}: dot")
+        # the array product against the scalar loop, zero row and column included
+        a = [[rng.randrange(f.q) for _ in range(4)] for _ in range(3)] + [[0] * 4]
+        b = [[0] + [rng.randrange(f.q) for _ in range(4)] for _ in range(4)]
+        prod = f.matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)).tolist()
+        for row, out in zip(a, prod):
+            expect = []
+            for j in range(5):
+                acc = 0
+                for x, col in zip(row, b):
+                    acc = f.add(acc, f.mul(x, col[j]))
+                expect.append(acc)
+            _require(out == expect, f"{f}: matmul")
 
 
 def _check_tower_roundtrip(rng):

@@ -37,7 +37,7 @@ FIELD_PARAMS = "field parameters p and m"
 CODE_PARAMS = "code parameters n and k"
 WIDTHS = "expansion degrees s"
 DISTANCES = "distances d and subcode_distances"
-RUN_PARAMS = "trials, seed, radius and threads"
+RUN_PARAMS = "trials, radius and threads"
 
 
 def field_to_json(f: Field) -> dict:
@@ -105,6 +105,7 @@ def gcc_to_json(spec: GccSpec) -> dict:
         "s": list(spec.widths),
         "inner_generator": [list(row) for row in spec.inner_generator],
         "field": field_to_json(spec.field),
+        "subcode_distances": [sub.distance() for sub in spec.subcodes],
     }
 
 
@@ -163,9 +164,9 @@ def experiment_from_json(d: dict) -> ExperimentConfig:
     return ExperimentConfig(
         spec=spec,
         channel=ChannelModel(
-            error_rate=_rate(channel["error_rate"]),
-            erasure_rate=_rate(channel.get("erasure_rate", 0.0)),
-            seed=_integer(channel.get("seed", 0), RUN_PARAMS),
+            error_rate=channel["error_rate"],
+            erasure_rate=channel.get("erasure_rate", 0.0),
+            seed=channel.get("seed", 0),
         ),
         trials=_integer(d["trials"], RUN_PARAMS),
         options=DecodeOptions(
@@ -194,12 +195,6 @@ def _integer(x, what):
 
 def _optional_integer(x, what):
     return None if x is None else _integer(x, what)
-
-
-def _rate(x):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ConfigError(f"channel rates must be numbers, got {x!r}")
-    return x
 
 
 def _sequence(data, what):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gccodec as g
-from gccodec import specio
+from gccodec import linalg, specio
 from gccodec.block_codes import DecodeOutcome
 
 
@@ -208,6 +208,29 @@ class TestReedSolomon:
             out = code.decode(tuple(word), erasures)
             assert out.codeword == sent
             assert 2 * out.weight + n_erased < d
+
+    @pytest.mark.parametrize("q_params,n,k", [((2, 3), 7, 3), ((3, 2), 9, 4), ((2, 4, 2), 40, 24)])
+    def test_array_and_loop_paths_agree(self, monkeypatch, q_params, n, k):
+        # syndromes and root search as array products, and as the row loop
+        field = _field(q_params)
+        codes = []
+        for threshold in (0, 1 << 62):
+            monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", threshold)
+            codes.append(g.rs_code(field, n, k))
+        array, loop = codes
+        assert array.decoder._syndromes.array is not None and loop.decoder._syndromes.array is None
+        rng = random.Random(n + k)
+        for _ in range(150):
+            sent = loop.encode(tuple(rng.randrange(field.q) for _ in range(k)))
+            assert array.encode(loop.message_of(sent)) == sent
+            erasures = frozenset(rng.sample(range(n), rng.randrange(0, n - k + 1)))
+            word = list(sent)
+            for pos in rng.sample(range(n), rng.randrange(0, n - k)):
+                word[pos] = rng.randrange(field.q)
+            out = array.decode(word, erasures)
+            assert out == loop.decode(word, erasures)
+            if q_params != (2, 4, 2):
+                assert out == g.oracle_sigma(loop, word, erasures)
 
     def test_gf1024_bounded_distance_roundtrip(self):
         # RS(255,223) over GF(1024): full-length code on log tables above q = 256

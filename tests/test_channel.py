@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import gccodec as g
@@ -52,6 +53,30 @@ class TestApplyChannel:
             g.ChannelModel(error_rate=0.7, erasure_rate=0.5)
         with pytest.raises(g.ConfigError):
             g.ChannelModel(error_rate=-0.1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"error_rate": 0.1, "seed": 3.7},
+            {"error_rate": 0.1, "seed": "3"},
+            {"error_rate": 0.1, "seed": True},
+            {"error_rate": 0.1, "seed": None},
+            {"error_rate": 0.1, "seed": -1},
+            {"error_rate": True},
+            {"error_rate": "0.1"},
+            {"error_rate": None},
+            {"error_rate": 0.1, "erasure_rate": "0"},
+            {"error_rate": 0.1, "erasure_rate": False},
+        ],
+        ids=repr,
+    )
+    def test_malformed_rates_and_seeds_are_config_errors(self, kwargs):
+        with pytest.raises(g.ConfigError):
+            g.ChannelModel(**kwargs)
+
+    def test_integer_seed_types_are_accepted(self):
+        ch = g.ChannelModel(error_rate=1, erasure_rate=0, seed=np.int64(7))
+        assert type(ch.seed) is int and ch == g.ChannelModel(error_rate=1, seed=7)
 
 
 class TestRunExperiment:

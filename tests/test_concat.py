@@ -1,11 +1,12 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import gccodec as g
-from gccodec import specio
-from gccodec.concat import decode_rows, extended_trial_chain
+from gccodec import linalg, specio
+from gccodec.concat import decode_rows, extended_trial_chain, symbol_map
 
 from conftest import corrupt, error_matrix
 
@@ -313,6 +314,48 @@ class TestExtendedRadius:
                 g.cc_encode(cc_rep5, [(0, 0)]),
                 options=g.DecodeOptions(radius=1),
             )
+
+
+@pytest.mark.parametrize("array", [False, True], ids=["row-loop", "array"])
+def test_custom_basis_encode_and_decode(monkeypatch, gf4, array):
+    """RS(15,5)/GF(16) over RS(4,2)/GF(4) with the basis (x, 1): symbols
+    expand through the custom basis, and every word within the guarantee
+    region decodes back, on both paths of the symbol maps."""
+    monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", 0 if array else 1 << 62)
+    gf16 = g.extend_field(gf4, 2)
+    tower = g.TowerView(gf16, gf4, basis=(gf4.q, 1))
+    cc = g.ConcatCode(g.rs_code(gf16, 15, 5), g.rs_code(gf4, 4, 2), tower)
+    assert (cc.encoder.array is not None) == (cc.inverse.array is not None) == array
+    default = g.ConcatCode(cc.outer, cc.inner)
+    rng = random.Random(17)
+    for trial in range(40):
+        msg = tuple(rng.randrange(gf16.q) for _ in range(5))
+        word = g.cc_encode(cc, [msg])
+        column = cc.outer.encode(msg)
+        assert word == tuple(cc.inner.encode(tower.to_base_vector(x)) for x in column)
+        if any(column):
+            assert word != g.cc_encode(default, [msg])
+        received = [list(row) for row in word]
+        for j in rng.sample(range(cc.m), rng.randrange(0, 8)):
+            for pos in rng.sample(range(cc.inner.n), rng.choice((1, 1, 2))):
+                received[j][pos] = gf4.add(received[j][pos], rng.randrange(1, gf4.q))
+        pattern = [frozenset()] * cc.m
+        if trial % 2:
+            pattern[rng.randrange(cc.m)] = frozenset({rng.randrange(cc.inner.n)})
+        errors = error_matrix(gf4, word, received)
+        errors = [[0 if i in x else e for i, e in enumerate(row)] for row, x in zip(errors, pattern)]
+        assert g.correctable_cc(errors, pattern, cc)  # loads at most 7 * 4 + 1 < 33
+        columns, report = g.cc_decode(cc, received, pattern)
+        assert columns == [column] and report.messages == [msg]
+        assert report.codeword == word
+
+
+def test_symbols_past_int64_keep_the_row_loop(gf2):
+    # a tower above 2^63 could not expand into int64 arrays
+    wide = SimpleNamespace(big=SimpleNamespace(q=1 << 64))
+    gen = [[1, 0, 1], [0, 1, 1]]
+    assert symbol_map(gf2, gen, 1000, (wide,)).array is None
+    assert symbol_map(gf2, gen, 1000, (g.TowerView(gf2, gf2),)).array is not None
 
 
 class TestSerialization:

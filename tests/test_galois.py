@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 import gccodec as g
-from gccodec import specio
+from gccodec import linalg, specio
 
 
 def naive_digits(value, p, m):
@@ -247,6 +249,73 @@ class TestBeyondLogTables:
         assert f._log is False
 
 
+MATMUL_FIELDS = {
+    **KERNEL_FIELDS,
+    "GF(2)": lambda: g.make_field(2, 1),
+    "GF(3)": lambda: g.make_field(3, 1),
+    "GF(2^17)": lambda: g.make_field(2, 17),  # no tables: the row loop
+    "GF(2^32+15)": lambda: g.make_field(4294967311, 1),  # (p-1)^2 overflows int64
+}
+# (M, K, N): a single row, a single inner coordinate, a general block
+MATMUL_SHAPES = [(1, 1, 1), (1, 6, 5), (4, 1, 3), (6, 5, 7)]
+
+
+def random_matrix(f, rng, rows, cols):
+    """Random elements with zero row 0 and zero column 0 when there are two."""
+    out = [[rng.choice((0, 1, rng.randrange(f.q))) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            if (i == 0 and rows > 1) or (j == 0 and cols > 1):
+                out[i][j] = 0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(MATMUL_FIELDS))
+class TestMatmul:
+    """Field.matmul against linalg.vec_mat, row by row."""
+
+    @pytest.mark.parametrize("shape", MATMUL_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_against_vec_mat(self, name, shape):
+        f = MATMUL_FIELDS[name]()
+        m, k, n = shape
+        rng = random.Random(f.q + m * k * n)
+        for _ in range(5):
+            a = random_matrix(f, rng, m, k)
+            b = random_matrix(f, rng, k, n)
+            out = f.matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+            assert out.shape == (m, n)
+            assert out.tolist() == [list(linalg.vec_mat(f, row, b)) for row in a]
+
+    def test_row_map_paths_agree(self, name):
+        f = MATMUL_FIELDS[name]()
+        rng = random.Random(f.q)
+        b = random_matrix(f, rng, 5, 4)
+        loop, array = linalg.RowMap(f, b, rows=0), linalg.RowMap(f, b, rows=1 << 20)
+        assert loop.array is None
+        assert (array.array is None) == (not f.vectorised(5))
+        rows = random_matrix(f, rng, 6, 5)
+        assert loop(rows) == array(rows) == [linalg.vec_mat(f, row, b) for row in rows]
+        assert loop.row(rows[1]) == array.row(rows[1]) == loop(rows)[1]
+
+
+@pytest.mark.parametrize("name", ["GF(7)", "GF(9)", "GF(256)/GF(16)"])
+def test_matmul_in_blocks(name):
+    # M * N above the block size: the products are gathered one K slice at a time
+    f = MATMUL_FIELDS[name]()
+    rng = random.Random(5)
+    a = random_matrix(f, rng, 300, 3)
+    b = random_matrix(f, rng, 3, 260)
+    out = f.matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    assert out.tolist() == [list(linalg.vec_mat(f, row, b)) for row in a]
+
+
+def test_vectorised():
+    assert g.make_field(2, 16).vectorised(1000)
+    assert not g.make_field(2, 17).vectorised(1)
+    assert g.make_field(3, 1).vectorised(1 << 40)
+    assert not g.make_field(4294967311, 1).vectorised(1)
+
+
 class TestVector:
     @pytest.mark.parametrize("bad", [[1.5], ["1"], [True], [None], 5, None])
     def test_rejects_non_integers(self, bad):
@@ -323,6 +392,15 @@ class TestTowerView:
         default = g.TowerView(big, gf4)
         for e in range(big.q):
             assert view.to_base_vector(e) == tuple(reversed(default.to_base_vector(e)))
+
+    @pytest.mark.parametrize("basis", [None, (4, 1), (4, 5)], ids=["default", "x,1", "x,x+1"])
+    def test_expand_and_pack_match_the_scalar_maps(self, gf4, basis):
+        big = g.extend_field(gf4, 2)
+        view = g.TowerView(big, gf4, basis=basis)
+        word = list(range(big.q))
+        coords = view.expand(word)
+        assert coords.tolist() == [list(view.to_base_vector(e)) for e in word]
+        assert view.pack(coords).tolist() == word
 
     def test_dependent_basis_rejected(self, gf4):
         big = g.extend_field(gf4, 2)

@@ -1,11 +1,13 @@
+import json
 import random
 
 import pytest
 
 import gccodec as g
 from gccodec import specio
+from gccodec.block_codes import ENUMERATION_CAP
 from gccodec.report import SKIP_REUSED
-from conftest import UUV_MATRIX, corrupt, error_matrix
+from conftest import GEN_HAMMING_7_4_3, GROWING_RADIUS_INNER, UUV_MATRIX, corrupt, error_matrix
 
 # spec fixture: most errors per random word in the multistage decoder tests
 MAX_ERRORS = {
@@ -276,3 +278,32 @@ class TestSerialization:
         assert specio.gcc_to_json(spec2) == d
         msgs = [(2,), (1, 1)]
         assert g.gcc_encode(spec2, msgs) == g.gcc_encode(mixed_spec, msgs)
+
+    def test_declared_subcode_distances_roundtrip(self, gf2, gf8):
+        # declared below the enumerated (8, 4): the reloaded spec keeps d* = 15
+        spec = g.gcc_spec(
+            [g.generic_code(gf2, GEN_HAMMING_7_4_3), g.rs_code(gf8, 7, 3)],
+            (1, 3),
+            GROWING_RADIUS_INNER,
+            gf2,
+            subcode_distances=(8, 3),
+        )
+        assert g.designed_distance(spec) == 15
+        spec2 = specio.load_spec(json.loads(json.dumps(specio.gcc_to_json(spec))))
+        assert [sub.distance() for sub in spec2.subcodes] == [8, 3]
+        assert g.designed_distance(spec2) == 15
+
+    def test_subcodes_past_the_enumeration_cap_reload(self):
+        # level 2's subcode RS(15,6)/GF(16) has 16^6 > 2^20 codewords, so its
+        # distance cannot be recomputed and must travel with the spec
+        gf16 = g.make_field(2, 4)
+        gf4096 = g.extend_field(gf16, 3)
+        inner = g.rs_code(gf16, 15, 6)
+        outers = [g.rs_code(gf4096, 4, 1), g.rs_code(gf4096, 4, 2)]
+        spec = g.gcc_spec(outers, (3, 3), inner.generator, gf16, subcode_distances=(13, 10))
+        assert spec.subcodes[1].num_codewords() > ENUMERATION_CAP
+        spec2 = specio.load_spec(json.loads(json.dumps(specio.gcc_to_json(spec))))
+        assert [sub.distance() for sub in spec2.subcodes] == [13, 10]
+        assert g.designed_distance(spec2) == g.designed_distance(spec) == 30
+        msgs = [(5,), (7, 4001)]
+        assert g.gcc_encode(spec2, msgs) == g.gcc_encode(spec, msgs)

@@ -29,7 +29,7 @@ def test_demo_specs_drive_the_cli(capsys, tmp_path):
     proc = run_script("make_demo_specs.py", str(outdir))
     assert proc.returncode == 0, proc.stderr
     specs = sorted(outdir.glob("mpc_*.json")) + sorted(outdir.glob("cc_*.json"))
-    assert len(specs) == 3
+    assert len(specs) == 4
     for spec in specs:
         assert main(["code-info", "--spec", str(spec)]) == 0
     assert main(["nsc-check", "--matrix", str(outdir / "matrix_uvw.json")]) == 0
@@ -57,7 +57,7 @@ def test_wer_sweep(tmp_path):
 def test_decode_digest_is_reproducible(tmp_path):
     assert run_script("make_demo_specs.py", str(tmp_path)).returncode == 0
     specs = sorted(str(p) for p in tmp_path.glob("*.json") if p.stem.startswith(("cc_", "mpc_")))
-    assert len(specs) == 3
+    assert len(specs) == 4
     runs = [run_script("decode_digest.py", *specs, "--words", "30") for _ in range(2)]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
