@@ -8,7 +8,9 @@ are corrupted with 0..d* random symbol errors (so about half land beyond
 d*/2) and decoded in the upto and beyond modes:
 
 - concatenated specs with and without carry-over, each with no erasures and
-  with random per-row erasures;
+  with random per-row erasures, and, when the inner code is small enough to
+  enumerate, errors-only at the extended radius t+1 of the inner code (rows
+  the inner decoder rejects go to oracle_radius);
 - GCC and matrix-product specs through gcc_decode_basic and
   gcc_decode_improved, plus decode_uuv and decode_uuv_naive or decode_uvw,
   with their counters, when the spec's matrix is one they accept.
@@ -27,6 +29,7 @@ import random
 
 import gccodec as g
 from gccodec import specio
+from gccodec.block_codes import ENUMERATION_CAP
 from gccodec.experiment import construction
 
 MODES = ("upto", "beyond")
@@ -66,6 +69,9 @@ def _calls(spec, received, pattern):
                 for erasures in (None, pattern):
                     options = g.DecodeOptions(mode=mode, carry_over=carry)
                     yield "cc", lambda o=options, e=erasures: g.cc_decode(spec, received, e, o)[1]
+            if spec.inner.num_codewords() <= ENUMERATION_CAP:
+                options = g.DecodeOptions(mode=mode, radius=(spec.inner.distance() - 1) // 2 + 1)
+                yield "cc-radius", lambda o=options: g.cc_decode(spec, received, None, o)[1]
         return
     for mode in MODES:
         options = g.DecodeOptions(mode=mode)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import galois, linalg
 from .errors import (
     ErasureIndexError,
@@ -139,35 +137,22 @@ class LinearCode:
         return self.field.q**self.k
 
     def codewords(self) -> tuple:
+        """Every codeword, messages in odometer order (first symbol fastest);
+        moving message symbol i from a to b adds (b - a) * generator row i."""
         if self._codewords is None:
-            if self.num_codewords() > ENUMERATION_CAP:
-                raise TooLargeToEnumerate(f"{self.num_codewords()} codewords exceeds cap")
-            f, gen = self.field, self.generator
-            n, q = self.n, f.q
-            # per-row scalar multiples, so the odometer walk costs O(n) per word
-            scaled = [
-                [tuple(f.mul(v, gij) for gij in row) for v in range(q)] for row in gen
-            ]
-            out = []
-            msg = [0] * self.k
-            word = [0] * n
-            out.append(tuple(word))
-            for _ in range(self.num_codewords() - 1):
+            num, f = self.num_codewords(), self.field
+            if num > ENUMERATION_CAP:
+                raise TooLargeToEnumerate(f"{num} codewords exceeds cap")
+            msg, word, out = [0] * self.k, [0] * self.n, [(0,) * self.n]
+            for _ in range(num - 1):
                 i = 0
                 while True:
                     old = msg[i]
-                    if old + 1 == q:
-                        msg[i] = 0
-                        drop, keep = scaled[i][old], scaled[i][0]
-                        for j in range(n):
-                            word[j] = f.add(f.sub(word[j], drop[j]), keep[j])
-                        i += 1
-                    else:
-                        msg[i] = old + 1
-                        drop, keep = scaled[i][old], scaled[i][old + 1]
-                        for j in range(n):
-                            word[j] = f.add(f.sub(word[j], drop[j]), keep[j])
+                    msg[i] = (old + 1) % f.q
+                    f.axpy(word, f.sub(msg[i], old), self.generator[i])
+                    if msg[i]:
                         break
+                    i += 1
                 out.append(tuple(word))
             self._codewords = tuple(out)
         return self._codewords
@@ -228,13 +213,13 @@ class ReedSolomonDecoder:
     is not cyclic.  Its dual is the generalized RS code with column multipliers
     u_i = 1 / prod_{j != i}(x_i - x_j), which gives the power-sum syndromes
     S_l = sum_i u_i r_i x_i^l, l < n - k: the word times the n x (n - k)
-    matrix of u_i x_i^l, built once per code as a RowMap, whose array (when
-    its shape calls for one) also takes the root search as one product.
-    Per call, the erasure locator is
-    folded into Forney syndromes, Berlekamp-Massey finds the error locator,
-    a root search over the points places the errors and Forney's formula
-    gives their values: O(n (n - k)) field operations.  The output is
-    re-checked for zero syndrome and 2*wt_E + |E| < d.
+    matrix of u_i x_i^l.  Per call, the erasure locator is folded into
+    Forney syndromes, Berlekamp-Massey finds the error locator sigma, a root
+    search places the errors (sigma times the transposed matrix gives
+    u_i sigma(x_i) at every point) and Forney's formula gives their values:
+    O(n (n - k)) field operations.  Both products are RowMaps built once per
+    code; they have the same size, so they run on the same path.  The output
+    is re-checked for zero syndrome and 2*wt_E + |E| < d.
     """
 
     def __init__(self, code: LinearCode):
@@ -256,23 +241,18 @@ class ReedSolomonDecoder:
             self._u.append(u)
             ux.append(row[:r])
         self._syndromes = linalg.RowMap(f, ux)
+        self._roots = linalg.RowMap(f, zip(*ux))
 
     def __call__(self, word, erasures) -> DecodeOutcome:
         code = self.code
         f = code.field
         axpy, dot, mul = f.axpy, f.dot, f.mul
         n, d = code.n, code.distance()
-        pts, ux, array = code.eval_points, self._syndromes.matrix, self._syndromes.array
+        pts, ux = code.eval_points, self._syndromes.matrix
         ne = len(erasures)
         if ne >= d:
             return FAILURE
-        if array is None:
-            synd = [0] * (d - 1)
-            for y, row in zip(word, ux):
-                if y:
-                    axpy(synd, y, row)
-        else:
-            synd = list(self._syndromes.row(word))
+        synd = self._syndromes.row(word)
         if not any(synd):
             return DecodeOutcome(tuple(word), (0,) * n, 0)
 
@@ -296,12 +276,8 @@ class ReedSolomonDecoder:
         locs = sorted(erasures)
         lam = gamma
         if L:
-            if array is None:
-                errs = [i for i in range(n) if i not in erasures and dot(sigma, ux[i]) == 0]
-            else:
-                column = np.array(sigma, dtype=np.int64).reshape(-1, 1)
-                values = f.matmul(array[:, : L + 1], column)[:, 0]
-                errs = [i for i in np.flatnonzero(values == 0).tolist() if i not in erasures]
+            values = self._roots.row(sigma + [0] * (d - 2 - L))
+            errs = [i for i, v in enumerate(values) if not v and i not in erasures]
             if len(errs) != L:
                 return FAILURE
             locs += errs
@@ -326,7 +302,7 @@ class ReedSolomonDecoder:
             if error[i]:
                 axpy(check, error[i], ux[i])
         w = sum(1 for i in locs if error[i] and i not in erasures)
-        if check != synd or 2 * w + ne >= d:
+        if tuple(check) != synd or 2 * w + ne >= d:
             return FAILURE
         codeword = tuple(f.sub(a, e) for a, e in zip(word, error))
         return DecodeOutcome(codeword, tuple(error), w)

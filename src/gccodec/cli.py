@@ -15,7 +15,7 @@ from .block_codes import LinearCode
 from .concat import DecodeOptions
 from .errors import CodecError, ContractViolation, DecodeFailure
 from .experiment import construction, run_experiment
-from .mpc import is_nsc, is_triangular
+from .mpc import is_nsc, is_triangular, nsc_designed_distance
 from . import specio
 
 EXIT_OK = 0
@@ -96,18 +96,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_nsc_check(args) -> int:
     with open(args.matrix) as fh:
-        raw = json.load(fh)
-    field = specio.field_from_json(raw["field"])
-    matrix = raw["matrix"]
+        field, matrix, dists = specio.nsc_check_from_json(json.load(fh))
     nsc = is_nsc(field, matrix)
     triangular = is_triangular(field, matrix)
-    out = {"nsc": nsc, "triangular": triangular, "d_star": None, "exact": triangular}
-    dists = raw.get("outer_distances")
-    if nsc and dists:
-        dists = specio._sequence(dists, specio.DISTANCES)
-        n = len(matrix[0])
-        out["d_star"] = min(specio._integer(d, specio.DISTANCES) * (n - i) for i, d in enumerate(dists))
-    _print(out)
+    d_star = nsc_designed_distance(dists, len(matrix[0])) if nsc and dists else None
+    _print({"nsc": nsc, "triangular": triangular, "d_star": d_star, "exact": triangular})
     return EXIT_OK
 
 

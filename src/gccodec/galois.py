@@ -131,6 +131,17 @@ def _poly_is_irreducible(f, poly):
     return True
 
 
+def _power(mul, a, e):
+    """a^e, e >= 0, by square and multiply with the product mul."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = mul(acc, a)
+        a = mul(a, a)
+        e >>= 1
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # fields
 
@@ -287,13 +298,7 @@ class Field:
     def pow(self, a, e):
         if e < 0:
             a, e = self.inv(a), -e
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return acc
+        return _power(self.mul, a, e)
 
     def axpy(self, out, c, v):
         """out[j] += c * v[j] for every j < len(v), in place; out is a list."""
@@ -421,15 +426,6 @@ class Field:
         rem = list(rem) + [0] * (self.degree - len(rem))
         return self.from_digits(rem)
 
-    def _pow_slow(self, a, e):
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self._mul_slow(acc, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return acc
-
     def _inv_slow(self, a):
         # extended Euclid on the coefficient polynomial and the modulus
         base = self.base
@@ -461,10 +457,11 @@ class Field:
             return False
         q1 = self.q - 1
         cofactors = [q1 // r for r in _prime_factors(q1)]
-        g = next(g for g in range(2, self.q) if all(self._pow_slow(g, e) != 1 for e in cofactors))
+        mul = self._mul_slow
+        g = next(g for g in range(2, self.q) if all(_power(mul, g, e) != 1 for e in cofactors))
         powers = [1]
         for _ in range(q1 - 1):
-            powers.append(self._mul_slow(powers[-1], g))
+            powers.append(mul(powers[-1], g))
         log = [0] * self.q
         for i, x in enumerate(powers):
             log[x] = i
@@ -670,9 +667,11 @@ class TowerView:
     """Expansion of GF(q^s) elements into length-s vectors over GF(q).
 
     The default basis is the polynomial basis 1, x, ..., x^(s-1) of the
-    extension, under which expansion is plain digit unpacking.  A custom
-    basis (s elements, linearly independent over the base) is accepted and
-    handled through a precomputed change-of-basis inverse.
+    extension, under which expansion is plain digit unpacking by place value.
+    A custom basis (s elements, linearly independent over the base) is held
+    as the s x s base-field matrix `rows` of its digits, plus its inverse:
+    coordinates times rows are an element's digits, digits times the inverse
+    are its coordinates.
     """
 
     def __init__(self, big: Field, base: Field | None = None, basis=None):
@@ -686,25 +685,23 @@ class TowerView:
             raise FieldMismatch(f"{big} is not built as an extension of {base}")
         self.big = big
         self.base = base
+        self._places = tuple(base.q**i for i in range(self.s))
+        self._place_array = np.array(self._places, dtype=np.int64)
         if basis is None:
-            radix = base.q
-            self.basis = tuple(radix**i for i in range(self.s)) if self.s > 1 else (1,)
-            self._expand_mat = None
-        else:
-            basis = big.vector(basis)
-            if len(basis) != self.s:
-                raise InvalidParams(f"basis must have exactly {self.s} elements")
-            rows = tuple(tuple(big.to_digits(b)) for b in basis) if self.s > 1 else ((1,),)
-            if linalg.rank(base, rows) != self.s:
-                raise InvalidParams("basis is linearly dependent over the base field")
-            self.basis = basis
-            self._expand_mat = linalg.mat_inv(base, rows)
-        # expand and pack: digits by place value, then the change of basis
-        self._places = np.array([base.q**i for i in range(self.s)], dtype=np.int64)
-        self._expand_array = self._basis_column = None
-        if self._expand_mat is not None and self.s > 1:
-            self._expand_array = np.array(self._expand_mat, dtype=np.int64)
-            self._basis_column = np.array(self.basis, dtype=np.int64).reshape(-1, 1)
+            self.basis = self._places
+            self.rows = self._inverse = None
+            return
+        basis = big.vector(basis)
+        if len(basis) != self.s:
+            raise InvalidParams(f"basis must have exactly {self.s} elements")
+        radix = base.q
+        self.rows = tuple(tuple(b // place % radix for place in self._places) for b in basis)
+        if linalg.rank(base, self.rows) != self.s:
+            raise InvalidParams("basis is linearly dependent over the base field")
+        self.basis = basis
+        self._inverse = linalg.mat_inv(base, self.rows)
+        self._rows_array = np.array(self.rows, dtype=np.int64)
+        self._inverse_array = np.array(self._inverse, dtype=np.int64)
 
     def to_base_vector(self, e):
         if isinstance(e, FieldElement):
@@ -712,40 +709,38 @@ class TowerView:
                 raise FieldMismatch(f"element of {e.field} is not in {self.big}")
             e = e.value
         e = self.big.validate(e)
-        if self.s == 1:
-            return (e,)
-        digits = tuple(self.big.to_digits(e))
-        if self._expand_mat is None:
-            return digits
-        return linalg.vec_mat(self.base, digits, self._expand_mat)
+        if self.s == 1:  # the degree-one views of MPC specs, on the hot path
+            digits = (e,)
+        else:
+            radix, digits = self.base.q, []
+            for _ in self._places:
+                e, digit = divmod(e, radix)
+                digits.append(digit)
+            digits = tuple(digits)
+        return digits if self._inverse is None else linalg.vec_mat(self.base, digits, self._inverse)
 
     def from_base_vector(self, vec):
         if len(vec) != self.s:
             raise InvalidParams(f"expected {self.s} coordinates, got {len(vec)}")
-        coords = self.base.vector(vec)
-        if self.s == 1:
-            return coords[0]
-        if self._expand_mat is None:
-            return self.big.from_digits(list(coords))
-        acc = 0
-        for c, b in zip(coords, self.basis):
-            acc = self.big.add(acc, self.big.mul(self.lift(c), b))
-        return acc
+        digits = self.base.vector(vec)
+        if self.rows is not None:
+            digits = linalg.vec_mat(self.base, digits, self.rows)
+        return digits[0] if self.s == 1 else sum(map(operator.mul, digits, self._places))
 
     def expand(self, word):
         """The (M, s) array whose row i is to_base_vector(word[i]), for M
         elements of the big field (unchecked; big.q must not exceed 2^63)."""
-        digits = np.asarray(word, dtype=np.int64).reshape(-1, 1) // self._places % self.base.q
-        if self._expand_array is None:
+        digits = np.asarray(word, dtype=np.int64).reshape(-1, 1) // self._place_array % self.base.q
+        if self._inverse is None:
             return digits
-        return self.base.matmul(digits, self._expand_array)
+        return self.base.matmul(digits, self._inverse_array)
 
     def pack(self, coords):
         """The elements whose base coordinates are the rows of the (M, s)
         array coords, as an array: the inverse of expand."""
-        if self._basis_column is None:
-            return coords @ self._places
-        return self.big.matmul(coords, self._basis_column)[:, 0]
+        if self.rows is not None:
+            coords = self.base.matmul(coords, self._rows_array)
+        return coords @ self._place_array
 
     def lift(self, a: int) -> int:
         """Embed a base-field element into the big field."""

@@ -119,11 +119,12 @@ def mpc_designed_distance(spec: MpcSpec):
     """(d*, exact): d* = min d_i * (N - i + 1); exact when also triangular."""
     if not spec.nsc:
         raise NotNsc("designed distance formula requires a non-singular-by-columns matrix")
-    n = spec.n
-    d_star = min(
-        a.distance() * (n - i) for i, a in enumerate(spec.outers)
-    )
-    return d_star, spec.triangular
+    return nsc_designed_distance([a.distance() for a in spec.outers], spec.n), spec.triangular
+
+
+def nsc_designed_distance(distances, n: int) -> int:
+    """d* = min over i of d_i * (N - i + 1), for outer distances d_1, d_2, ..."""
+    return min(d * (n - i) for i, d in enumerate(distances))
 
 
 def mpc_encode(spec: MpcSpec, msgs) -> tuple:
@@ -179,9 +180,18 @@ def _bump(counter, key):
         counter[key] = counter.get(key, 0) + 1
 
 
-def _require_uuv(spec: MpcSpec):
+def _uuv_level2(spec: MpcSpec, received, counter):
+    """(rows of received, level-2 outcome): the second column block minus
+    the first is the second-level word plus the difference of the errors."""
     if spec.k != 2 or spec.matrix != ((1, 1), (0, 1)):
         raise InvalidParams("this decoder handles the (u | u+v) matrix only")
+    f = spec.field
+    rows = check_matrix(f, received, spec.m, 2)
+    out2 = ee_decode(spec.outers[1], tuple(f.sub(r[1], r[0]) for r in rows))
+    _bump(counter, "outer:2")
+    if not out2.ok:
+        raise DecodeFailure("second-level decode failed", level=2)
+    return rows, out2
 
 
 def decode_uuv(spec: MpcSpec, received, counter=None):
@@ -191,17 +201,9 @@ def decode_uuv(spec: MpcSpec, received, counter=None):
     rows the first decode had to correct are erased when the first-level
     word is recovered from the first column block.  One decode per level.
     """
-    _require_uuv(spec)
-    f = spec.field
-    rows = check_matrix(f, received, spec.m, 2)
-    a1, a2 = spec.outers
-    diff = tuple(f.sub(r[1], r[0]) for r in rows)
-    out2 = ee_decode(a2, diff)
-    _bump(counter, "outer:2")
-    if not out2.ok:
-        raise DecodeFailure("second-level decode failed", level=2)
+    rows, out2 = _uuv_level2(spec, received, counter)
     unreliable = frozenset(j for j, e in enumerate(out2.error) if e != 0)
-    out1 = ee_decode(a1, tuple(r[0] for r in rows), unreliable)
+    out1 = ee_decode(spec.outers[0], tuple(r[0] for r in rows), unreliable)
     _bump(counter, "outer:1")
     if not out1.ok:
         raise DecodeFailure("first-level decode failed", level=1)
@@ -216,16 +218,10 @@ def decode_uuv_naive(spec: MpcSpec, received, counter=None):
     half the designed distance of the input, and otherwise retry on the
     second block minus the recovered second-level word.
     """
-    _require_uuv(spec)
+    rows, out2 = _uuv_level2(spec, received, counter)
     f = spec.field
-    rows = check_matrix(f, received, spec.m, 2)
-    a1, a2 = spec.outers
+    a1 = spec.outers[0]
     d_star, _ = mpc_designed_distance(spec)
-    diff = tuple(f.sub(r[1], r[0]) for r in rows)
-    out2 = ee_decode(a2, diff)
-    _bump(counter, "outer:2")
-    if not out2.ok:
-        raise DecodeFailure("second-level decode failed", level=2)
     v2 = out2.codeword
     out1 = ee_decode(a1, tuple(r[0] for r in rows))
     _bump(counter, "outer:1")

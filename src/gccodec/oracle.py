@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .block_codes import FAILURE, DecodeOutcome, LinearCode, check_erasures
-from .errors import ContractViolation, InvalidParams, TooLargeToEnumerate
+from .errors import ContractViolation, InvalidParams, LengthMismatch, TooLargeToEnumerate
 
 _DECODE_TABLE_CAP = 512
 
@@ -24,38 +24,51 @@ def _enumerable(code: LinearCode, cap=1 << 20):
         )
 
 
-def oracle_sigma(code: LinearCode, word, erasures=frozenset()) -> DecodeOutcome:
-    """Unique codeword with 2*wt_E(word - c) + |E| < d, or failure."""
+def _word(code: LinearCode, word) -> tuple:
+    """word as a tuple, once code is enumerable and word has length n."""
     _enumerable(code)
     word = tuple(word)
+    if len(word) != code.n:
+        raise LengthMismatch(f"word length {len(word)} != n={code.n}")
+    return word
+
+
+def _scan(code: LinearCode, word, keep):
+    """(c, number of positions in keep where word and c differ) for every
+    codeword c, in enumeration order."""
+    for c in code.codewords():
+        yield c, sum(1 for i in keep if word[i] != c[i])
+
+
+def _outcome(code: LinearCode, word, c, w) -> DecodeOutcome:
+    """c decoded from word, with the apparent error word - c of weight w."""
+    f = code.field
+    return DecodeOutcome(c, tuple(f.sub(a, b) for a, b in zip(word, c)), w)
+
+
+def oracle_sigma(code: LinearCode, word, erasures=frozenset()) -> DecodeOutcome:
+    """Unique codeword with 2*wt_E(word - c) + |E| < d, or failure."""
+    word = _word(code, word)
     erasures = check_erasures(erasures, code.n)
     d = code.distance()
     if len(erasures) >= d:
         return FAILURE
     keep = [i for i in range(code.n) if i not in erasures]
     hit = None
-    for c in code.codewords():
-        # r - c is nonzero exactly where the symbols differ
-        w = sum(1 for i in keep if word[i] != c[i])
+    for c, w in _scan(code, word, keep):
         if 2 * w + len(erasures) < d:
             if hit is not None:
                 raise ContractViolation("two codewords inside the error-and-erasure bound")
-            hit = (c, w)
-    if hit is None:
-        return FAILURE
-    c, w = hit
-    f = code.field
-    return DecodeOutcome(c, tuple(f.sub(a, b) for a, b in zip(word, c)), w)
+            hit = c, w
+    return FAILURE if hit is None else _outcome(code, word, *hit)
 
 
 def oracle_nearest(code: LinearCode, word):
     """All Hamming-nearest codewords and their common distance."""
-    _enumerable(code)
-    word = tuple(word)
+    word = _word(code, word)
     best = code.n + 1
     ties = []
-    for c in code.codewords():
-        dist = sum(1 for a, b in zip(word, c) if a != b)
+    for c, dist in _scan(code, word, range(code.n)):
         if dist < best:
             best = dist
             ties = [c]
@@ -68,18 +81,14 @@ def oracle_radius(code: LinearCode, word, radius: int) -> DecodeOutcome:
     """Unique codeword within Hamming distance radius; ambiguity is failure."""
     if radius < 0:
         raise InvalidParams("radius must be nonnegative")
-    _enumerable(code)
-    word = tuple(word)
-    f = code.field
+    word = _word(code, word)
     hit = None
-    for c in code.codewords():
-        dist = sum(1 for a, b in zip(word, c) if a != b)
+    for c, dist in _scan(code, word, range(code.n)):
         if dist <= radius:
             if hit is not None:
                 return FAILURE
-            err = tuple(f.sub(a, b) for a, b in zip(word, c))
-            hit = DecodeOutcome(c, err, dist)
-    return hit if hit is not None else FAILURE
+            hit = c, dist
+    return FAILURE if hit is None else _outcome(code, word, *hit)
 
 
 class ExhaustiveDecoder:

@@ -16,6 +16,8 @@ generalized {"outers": [code...], "s": [int...], "inner_generator": [[...]],
 Simulation configs: {"spec": file name or spec, "channel": {"error_rate",
 "erasure_rate", "seed"}, "trials": int, "decoder": {"mode", "carry_over",
 "radius"}, "output": file name, "threads": 1}.
+NSC checks: {"field": ..., "matrix": [[...]], "outer_distances": [int...]}.
+A non-object where an object belongs, or a missing entry, is a ConfigError.
 """
 
 from __future__ import annotations
@@ -54,12 +56,12 @@ def field_to_json(f: Field) -> dict:
 
 
 def field_from_json(d: dict) -> Field:
-    if "base" in d:
-        base = field_from_json(d["base"])
-        return extend_field(base, _integer(d["m"], FIELD_PARAMS), d.get("modulus", "auto"))
-    return make_field(
-        _integer(d["p"], FIELD_PARAMS), _integer(d["m"], FIELD_PARAMS), d.get("modulus", "auto")
-    )
+    m, modulus, base = _entries(d, "a field", "m", modulus="auto", base=None)
+    m = _integer(m, FIELD_PARAMS)
+    if base is not None:
+        return extend_field(field_from_json(base), m, modulus)
+    (p,) = _entries(d, "a field", "p")
+    return make_field(_integer(p, FIELD_PARAMS), m, modulus)
 
 
 def code_to_json(code: LinearCode) -> dict:
@@ -76,10 +78,13 @@ def code_to_json(code: LinearCode) -> dict:
 
 
 def code_from_json(d: dict) -> LinearCode:
-    field = field_from_json(d["field"])
-    if d.get("kind") == "rs":
-        return rs_code(field, _integer(d["n"], CODE_PARAMS), _integer(d["k"], CODE_PARAMS))
-    return generic_code(field, d["generator"], d=_optional_integer(d.get("d"), DISTANCES))
+    field, kind, declared = _entries(d, "a code", "field", kind=None, d=None)
+    field = field_from_json(field)
+    if kind == "rs":
+        n, k = _entries(d, "a code", "n", "k")
+        return rs_code(field, _integer(n, CODE_PARAMS), _integer(k, CODE_PARAMS))
+    (generator,) = _entries(d, "a code", "generator")
+    return generic_code(field, generator, d=_optional_integer(declared, DISTANCES))
 
 
 def concat_to_json(cc: ConcatCode) -> dict:
@@ -91,11 +96,11 @@ def concat_to_json(cc: ConcatCode) -> dict:
 
 
 def concat_from_json(d: dict) -> ConcatCode:
-    outer = code_from_json(d["outer"])
-    inner = code_from_json(d["inner"])
-    cc = ConcatCode(outer, inner)
-    if cc.tower.s != _integer(d["s"], WIDTHS):
-        raise ConfigError(f"expansion degree mismatch: spec says {d['s']}, fields give {cc.tower.s}")
+    outer, inner, s = _entries(d, "a concatenated spec", "outer", "inner", "s")
+    cc = ConcatCode(code_from_json(outer), code_from_json(inner))
+    s = _integer(s, WIDTHS)
+    if cc.tower.s != s:
+        raise ConfigError(f"expansion degree mismatch: spec says {s}, fields give {cc.tower.s}")
     return cc
 
 
@@ -110,13 +115,13 @@ def gcc_to_json(spec: GccSpec) -> dict:
 
 
 def gcc_from_json(d: dict) -> GccSpec:
-    field = field_from_json(d["field"])
-    outers = [code_from_json(a) for a in d["outers"]]
-    widths = [_integer(s, WIDTHS) for s in _sequence(d["s"], WIDTHS)]
-    dists = d.get("subcode_distances")
+    field, outers, widths, generator, dists = _entries(
+        d, "a GCC spec", "field", "outers", "s", "inner_generator", subcode_distances=None
+    )
+    widths = [_integer(s, WIDTHS) for s in _sequence(widths, WIDTHS)]
     if dists is not None:
         dists = [_optional_integer(x, DISTANCES) for x in _sequence(dists, DISTANCES)]
-    return gcc_spec(outers, widths, d["inner_generator"], field, dists)
+    return gcc_spec(_codes(outers), widths, generator, field_from_json(field), dists)
 
 
 def mpc_to_json(spec: MpcSpec) -> dict:
@@ -128,13 +133,17 @@ def mpc_to_json(spec: MpcSpec) -> dict:
 
 
 def mpc_from_json(d: dict) -> MpcSpec:
-    field = field_from_json(d["field"])
-    outers = [code_from_json(a) for a in d["outers"]]
-    return mpc_spec(outers, d["B"], field)
+    field, outers, matrix = _entries(d, "a matrix-product spec", "field", "outers", "B")
+    return mpc_spec(_codes(outers), matrix, field_from_json(field))
+
+
+def _codes(data) -> list:
+    return [code_from_json(a) for a in _sequence(data, "outers")]
 
 
 def load_spec(d: dict):
     """Dispatch a spec dict to its constructor by shape."""
+    _entries(d, "a spec")
     if "outer" in d and "inner" in d:
         return concat_from_json(d)
     if "B" in d:
@@ -154,29 +163,38 @@ def load_spec_file(path):
 def experiment_from_json(d: dict) -> ExperimentConfig:
     """A simulation config; non-integer counts, non-numeric rates and a
     non-boolean carry_over raise ConfigError instead of coercing."""
-    spec = d["spec"]
+    spec, channel, trials, decoder, output, threads = _entries(
+        d, "a simulation config", "spec", "channel", "trials", decoder={}, output=None, threads=None
+    )
     spec = load_spec_file(spec) if isinstance(spec, str) else load_spec(spec)
-    channel = d["channel"]
-    decoder = d.get("decoder", {})
-    carry_over = decoder.get("carry_over", False)
+    mode, carry_over, radius = _entries(
+        decoder, "decoder", mode="upto", carry_over=False, radius=None
+    )
     if not isinstance(carry_over, bool):
         raise ConfigError(f"carry_over must be true or false, got {carry_over!r}")
+    channel = ChannelModel(*_entries(channel, "channel", "error_rate", erasure_rate=0.0, seed=0))
     return ExperimentConfig(
         spec=spec,
-        channel=ChannelModel(
-            error_rate=channel["error_rate"],
-            erasure_rate=channel.get("erasure_rate", 0.0),
-            seed=channel.get("seed", 0),
-        ),
-        trials=_integer(d["trials"], RUN_PARAMS),
-        options=DecodeOptions(
-            mode=decoder.get("mode", "upto"),
-            carry_over=carry_over,
-            radius=_optional_integer(decoder.get("radius"), RUN_PARAMS),
-        ),
-        output=d.get("output"),
-        threads=_optional_integer(d.get("threads"), RUN_PARAMS),
+        channel=channel,
+        trials=_integer(trials, RUN_PARAMS),
+        options=DecodeOptions(mode, carry_over, _optional_integer(radius, RUN_PARAMS)),
+        output=output,
+        threads=_optional_integer(threads, RUN_PARAMS),
     )
+
+
+def nsc_check_from_json(d: dict) -> tuple:
+    """(field, matrix, outer distances or None) of an NSC-check file."""
+    field, rows, dists = _entries(d, "an nsc-check file", "field", "matrix", outer_distances=None)
+    field = field_from_json(field)
+    matrix = [field.vector(_sequence(row, "a matrix row")) for row in _sequence(rows, "a matrix")]
+    if not matrix or any(len(row) != len(matrix[0]) for row in matrix):
+        raise ConfigError("the matrix must be a non-empty list of rows of one length")
+    if dists is not None:
+        dists = [_integer(x, DISTANCES) for x in _sequence(dists, DISTANCES)]
+        if len(dists) != len(matrix):
+            raise ConfigError(f"outer_distances must have one entry per matrix row: {dists}")
+    return field, matrix, dists
 
 
 def matrix_to_json(matrix) -> list:
@@ -191,6 +209,18 @@ def _integer(x, what):
         except TypeError:
             pass
     raise ConfigError(f"{what} must be integers, got {x!r}")
+
+
+def _entries(obj, what, *keys, **defaults) -> list:
+    """The values of keys, then of the keys of defaults (the default where
+    absent), in obj read as `what`; a non-object obj, or a missing entry
+    that has no default, raises ConfigError naming it."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {obj!r}")
+    for key in keys:
+        if key not in obj:
+            raise ConfigError(f"{what} lacks the entry {key!r}")
+    return [obj[key] for key in keys] + [obj.get(key, v) for key, v in defaults.items()]
 
 
 def _optional_integer(x, what):

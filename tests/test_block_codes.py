@@ -219,6 +219,7 @@ class TestReedSolomon:
             codes.append(g.rs_code(field, n, k))
         array, loop = codes
         assert array.decoder._syndromes.array is not None and loop.decoder._syndromes.array is None
+        assert array.decoder._roots.array is not None and loop.decoder._roots.array is None
         rng = random.Random(n + k)
         for _ in range(150):
             sent = loop.encode(tuple(rng.randrange(field.q) for _ in range(k)))
@@ -231,6 +232,13 @@ class TestReedSolomon:
             assert out == loop.decode(word, erasures)
             if q_params != (2, 4, 2):
                 assert out == g.oracle_sigma(loop, word, erasures)
+
+    @pytest.mark.parametrize("q_params,n,k", [((2, 3), 7, 3), ((2, 4), 15, 8), ((2, 8), 64, 40)])
+    def test_root_search_takes_the_syndrome_path(self, q_params, n, k):
+        # the two maps have the same size, so the default threshold sends
+        # both to the row loop for the small codes and to arrays for RS(64,40)
+        decoder = g.rs_code(_field(q_params), n, k).decoder
+        assert (decoder._roots.array is None) == (decoder._syndromes.array is None) == (n < 64)
 
     def test_gf1024_bounded_distance_roundtrip(self):
         # RS(255,223) over GF(1024): full-length code on log tables above q = 256

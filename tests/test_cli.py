@@ -417,6 +417,65 @@ def test_run_inputs_are_not_coerced(capsys, tmp_path, mpc_spec_file, command, pa
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# (command, input kind, key path into the input (empty: the whole file), the
+# value put there (None: the entry is deleted), text the error must name);
+# a missing entry used to print only the bare key, and a non-object where an
+# object belongs raised an uncaught TypeError
+MALFORMED_INPUTS = [
+    ("simulate", "config", (), [1, 2], "a simulation config must be a JSON object"),
+    ("simulate", "config", ("channel",), None, "lacks the entry 'channel'"),
+    ("simulate", "config", ("trials",), None, "lacks the entry 'trials'"),
+    ("simulate", "config", ("channel", "error_rate"), None, "lacks the entry 'error_rate'"),
+    ("simulate", "config", ("channel",), [0.1], "channel must be a JSON object"),
+    ("simulate", "config", ("decoder",), "beyond", "decoder must be a JSON object"),
+    ("code-info", "cc", ("inner",), 5, "a code must be a JSON object"),
+    ("code-info", "cc", ("outer", "field"), None, "lacks the entry 'field'"),
+    ("code-info", "rs", ("field",), 7, "a field must be a JSON object"),
+    ("code-info", "rs", ("field", "m"), None, "lacks the entry 'm'"),
+    ("code-info", "mpc", ("outers",), {"n": 7}, "outers must be a list"),
+    ("code-info", "rs", (), [1, 2], "a spec must be a JSON object"),
+    ("nsc-check", "matrix", ("field",), None, "lacks the entry 'field'"),
+    ("nsc-check", "matrix", ("matrix",), [], "non-empty list of rows"),
+    ("nsc-check", "matrix", ("outer_distances",), [7, 5], "one entry per matrix row"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, kind, path, value, message",
+    MALFORMED_INPUTS,
+    ids=[f"{c}-{k}-{'.'.join(p) or 'file'}-{v!r}" for c, k, p, v, _ in MALFORMED_INPUTS],
+)
+def test_malformed_inputs_name_the_entry(
+    capsys, tmp_path, request, mpc_spec_file, command, kind, path, value, message
+):
+    if kind == "config":
+        data = {"spec": mpc_spec_file, "channel": {"error_rate": 0.05}, "trials": 5}
+    elif kind == "matrix":
+        data = {
+            "field": {"p": 3, "m": 1, "modulus": [0, 1]},
+            "matrix": [[1, 2, 1], [1, 1, 0], [1, 0, 0]],
+            "outer_distances": [7, 5, 3],
+        }
+    else:
+        data = _spec_json(kind, request)
+    if not path:
+        data = value
+    else:
+        entry = data
+        for key in path[:-1]:
+            entry = entry[key]
+        if value is None:
+            del entry[path[-1]]
+        else:
+            entry[path[-1]] = value
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(data))
+    flag = {"simulate": "--config", "nsc-check": "--matrix"}.get(command, "--spec")
+    assert main([command, flag, str(file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

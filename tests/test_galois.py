@@ -417,6 +417,16 @@ class TestTowerView:
         assert view.s == 1
         assert view.to_base_vector(2) == (2,)
         assert view.from_base_vector((2,)) == 2
+        # a degree-one basis (b,) still changes coordinates: e = c * b
+        custom = g.TowerView(gf3, gf3, basis=(2,))
+        assert custom.to_base_vector(2) == (1,)
+        for e in range(gf3.q):
+            assert custom.from_base_vector(custom.to_base_vector(e)) == e
+        coords = custom.expand(list(range(gf3.q)))
+        assert coords.tolist() == [list(custom.to_base_vector(e)) for e in range(gf3.q)]
+        assert custom.pack(coords).tolist() == list(range(gf3.q))
+        with pytest.raises(g.InvalidParams):
+            g.TowerView(gf3, gf3, basis=(0,))
 
 
 class TestSerialization:

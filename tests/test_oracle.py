@@ -31,6 +31,24 @@ class TestOracleSigma:
             g.oracle_sigma(code, (0,) * 8)
 
 
+@pytest.mark.parametrize("word", [(1, 0), (1, 0, 1, 1)], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        g.oracle_sigma,
+        lambda code, word: g.oracle_sigma(code, word, {0, 1, 2}),
+        g.oracle_nearest,
+        lambda code, word: g.oracle_radius(code, word, 1),
+    ],
+    ids=["sigma", "sigma-all-erased", "nearest", "radius"],
+)
+def test_word_of_the_wrong_length_is_rejected(gf2, oracle, word):
+    # the scans used to index past a short word or ignore a long word's tail;
+    # the length is checked before sigma's early failure on |E| >= d
+    with pytest.raises(g.LengthMismatch):
+        oracle(g.repetition_code(gf2, 3), word)
+
+
 class TestOracleNearest:
     def test_codeword_is_singleton(self, gf2, inner_523):
         word = inner_523.encode((1, 0))
