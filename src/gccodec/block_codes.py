@@ -81,14 +81,13 @@ class LinearCode:
         self.n = len(self.generator[0])
         if any(len(row) != self.n for row in self.generator):
             raise InvalidParams("generator matrix must be rectangular")
-        if linalg.rank(field, self.generator) != self.k:
-            raise InvalidParams("generator matrix must have full row rank")
         self._d = d
         self.kind = kind
         self.eval_points = eval_points
         self.decoder = None
         self._encoder = linalg.RowMap(field, self.generator)
-        self._inverse = None  # RowMap of the right inverse, built on first use
+        # codeword -> message: its elimination is also the full-rank check
+        self.inverse = linalg.RowMap(field, linalg.right_inverse(field, self.generator))
         self._codewords = None
 
     def __repr__(self):
@@ -109,16 +108,10 @@ class LinearCode:
                 raise LengthMismatch(f"message length {len(msg)} != k={self.k}")
         return self._encoder([self.field.vector(msg) for msg in msgs])
 
-    def right_inverse(self) -> linalg.RowMap:
-        """The map codeword -> message: an n x k right inverse of the generator."""
-        if self._inverse is None:
-            self._inverse = linalg.RowMap(self.field, linalg.right_inverse(self.field, self.generator))
-        return self._inverse
-
     def message_of(self, codeword) -> tuple:
         if len(codeword) != self.n:
             raise LengthMismatch(f"word length {len(codeword)} != n={self.n}")
-        return (self._inverse or self.right_inverse()).row(tuple(codeword))
+        return self.inverse.row(tuple(codeword))
 
     def contains(self, word) -> bool:
         return self.encode(self.message_of(word)) == tuple(word)
@@ -191,14 +184,8 @@ def min_distance(code: LinearCode, cap: int = ENUMERATION_CAP) -> int:
         raise TooLargeToEnumerate(
             f"{code.num_codewords()} codewords exceeds enumeration cap {cap}"
         )
-    best = code.n + 1
-    for word in code.codewords():
-        w = wt(word)
-        if 0 < w < best:
-            best = w
-    if best > code.n:
-        raise InvalidParams("code has no nonzero codeword")
-    return best
+    # a full-rank generator has k >= 1 rows, so a nonzero codeword exists
+    return min(filter(None, map(wt, code.codewords())))
 
 
 # ---------------------------------------------------------------------------

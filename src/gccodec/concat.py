@@ -43,11 +43,8 @@ class ConcatCode:
     messages and has length M*N with designed distance d_a*d_b.
     """
 
-    def __init__(self, outer: LinearCode, inner: LinearCode, tower: TowerView | None = None):
-        if tower is None:
-            tower = TowerView(outer.field, inner.field)
-        if tower.big != outer.field or tower.base != inner.field:
-            raise InvalidParams("tower view does not match the outer/inner fields")
+    def __init__(self, outer: LinearCode, inner: LinearCode):
+        tower = TowerView(outer.field, inner.field)
         if inner.k % tower.s != 0:
             raise InvalidParams(
                 f"inner dimension {inner.k} is not a multiple of the expansion degree {tower.s}"
@@ -58,7 +55,7 @@ class ConcatCode:
         self.k = inner.k // tower.s
         self.m = outer.n
         self.encoder = symbol_map(inner.field, inner.generator, self.m, (tower,))
-        self.inverse = symbol_map(inner.field, inner.right_inverse().matrix, self.m, (tower,))
+        self.inverse = symbol_map(inner.field, inner.inverse.matrix, self.m, (tower,))
 
     @property
     def length(self) -> int:

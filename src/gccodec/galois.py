@@ -188,27 +188,23 @@ class Field:
     # -- element helpers ----------------------------------------------------
 
     def validate(self, a):
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        """a as an element encoding: an integer in [0, q) of any integer
+        type (numpy integers included); bool, float, str and the like raise
+        InvalidParams rather than being coerced."""
+        e = a
+        if type(a) is not int and not isinstance(a, bool) and hasattr(a, "__index__"):
+            e = operator.index(a)
+        if type(e) is not int or not 0 <= e < self.q:
             raise InvalidParams(f"{a!r} is not an element encoding of {self}")
-        return a
+        return e
 
     def vector(self, values) -> tuple:
-        """values as a tuple of element encodings.
-
-        Any integer type passes (numpy integers included); bool, float, str
-        and non-sequences raise InvalidParams rather than being coerced.
-        """
+        """values as a tuple of element encodings (see validate); a
+        non-sequence raises InvalidParams."""
         try:
-            return tuple(map(self._element_of, values))
+            return tuple(map(self.validate, values))
         except TypeError:
             raise InvalidParams(f"expected a sequence of {self} elements, got {values!r}") from None
-
-    def _element_of(self, a):
-        if type(a) is not int and not isinstance(a, bool):
-            a = operator.index(a)
-        if type(a) is not int or not 0 <= a < self.q:
-            raise InvalidParams(f"{a!r} is not an element encoding of {self}")
-        return a
 
     def to_digits(self, a):
         """Coefficient vector over the base field (little endian)."""
@@ -538,29 +534,22 @@ def make_field(p: int, m: int, modulus="auto") -> Field:
         raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise InvalidParams("extension degree must be >= 1")
-    if m == 1:
-        if modulus == "auto":
-            modulus = (0, 1)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != 2 or modulus[1] != 1:
-            raise InvalidParams("degree-1 modulus must be monic of degree 1")
-        key = ("prime", p, modulus)
-        if key not in _FIELD_CACHE:
-            _FIELD_CACHE[key] = Field(p, None, 1, modulus, _token=_FIELD_TOKEN)
-        return _FIELD_CACHE[key]
-
-    prime = make_field(p, 1)
+    prime = _cached(Field(p, None, 1, (0, 1), _token=_FIELD_TOKEN))
     if modulus == "auto":
-        modulus = _auto_modulus(None, p, m)
-    modulus = tuple(int(c) % p for c in modulus)
+        modulus = (0, 1) if m == 1 else _auto_modulus(None, p, m)
+    modulus = prime.vector(modulus)
     if len(modulus) != m + 1 or modulus[-1] != 1:
         raise InvalidParams(f"modulus must be monic of degree {m}")
+    if m == 1:
+        return _cached(Field(p, None, 1, modulus, _token=_FIELD_TOKEN))
     if not _poly_is_irreducible(prime, list(modulus)):
         raise ReducibleModulus(f"modulus {list(modulus)} factors over GF({p})")
-    key = ("ext", prime.key, m, modulus)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = Field(p, prime, m, modulus, _token=_FIELD_TOKEN)
-    return _FIELD_CACHE[key]
+    return _cached(Field(p, prime, m, modulus, _token=_FIELD_TOKEN))
+
+
+def _cached(field: Field) -> Field:
+    """The one handle of field's key: field itself the first time."""
+    return _FIELD_CACHE.setdefault(field.key, field)
 
 
 def extend_field(base: Field, s: int, modulus="auto") -> Field:
@@ -576,10 +565,7 @@ def extend_field(base: Field, s: int, modulus="auto") -> Field:
         raise InvalidParams(f"modulus must be monic of degree {s}")
     if not _poly_is_irreducible(base, list(modulus)):
         raise ReducibleModulus(f"modulus {list(modulus)} factors over {base}")
-    key = ("ext", base.key, s, modulus)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = Field(base.p, base, s, modulus, _token=_FIELD_TOKEN)
-    return _FIELD_CACHE[key]
+    return _cached(Field(base.p, base, s, modulus, _token=_FIELD_TOKEN))
 
 
 class FieldElement:
@@ -592,13 +578,13 @@ class FieldElement:
         self.value = field.validate(value)
 
     def _coerce(self, other):
+        """other's encoding: an element of the same field, or what validate
+        accepts."""
         if isinstance(other, FieldElement):
             if other.field != self.field:
                 raise FieldMismatch(f"{self.field} vs {other.field}")
             return other.value
-        if isinstance(other, int):
-            return self.field.validate(other)
-        return NotImplemented
+        return self.field.validate(other)
 
     def __add__(self, other):
         v = self._coerce(other)
@@ -657,24 +643,17 @@ def field_arith(a: FieldElement, b: FieldElement | None, op: str) -> FieldElemen
     table = {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__, "div": a.__truediv__}
     if op not in table:
         raise InvalidParams(f"unknown operation {op!r}")
-    out = table[op](b)
-    if out is NotImplemented:
-        raise FieldMismatch("operands from different fields")
-    return out
+    return table[op](b)
 
 
 class TowerView:
     """Expansion of GF(q^s) elements into length-s vectors over GF(q).
 
-    The default basis is the polynomial basis 1, x, ..., x^(s-1) of the
-    extension, under which expansion is plain digit unpacking by place value.
-    A custom basis (s elements, linearly independent over the base) is held
-    as the s x s base-field matrix `rows` of its digits, plus its inverse:
-    coordinates times rows are an element's digits, digits times the inverse
-    are its coordinates.
+    The basis is the polynomial basis 1, x, ..., x^(s-1) of the extension,
+    under which expansion is plain digit unpacking by place value.
     """
 
-    def __init__(self, big: Field, base: Field | None = None, basis=None):
+    def __init__(self, big: Field, base: Field | None = None):
         if base is None:
             base = big if big.base is None else big.base
         if big == base:
@@ -687,21 +666,6 @@ class TowerView:
         self.base = base
         self._places = tuple(base.q**i for i in range(self.s))
         self._place_array = np.array(self._places, dtype=np.int64)
-        if basis is None:
-            self.basis = self._places
-            self.rows = self._inverse = None
-            return
-        basis = big.vector(basis)
-        if len(basis) != self.s:
-            raise InvalidParams(f"basis must have exactly {self.s} elements")
-        radix = base.q
-        self.rows = tuple(tuple(b // place % radix for place in self._places) for b in basis)
-        if linalg.rank(base, self.rows) != self.s:
-            raise InvalidParams("basis is linearly dependent over the base field")
-        self.basis = basis
-        self._inverse = linalg.mat_inv(base, self.rows)
-        self._rows_array = np.array(self.rows, dtype=np.int64)
-        self._inverse_array = np.array(self._inverse, dtype=np.int64)
 
     def to_base_vector(self, e):
         if isinstance(e, FieldElement):
@@ -710,36 +674,27 @@ class TowerView:
             e = e.value
         e = self.big.validate(e)
         if self.s == 1:  # the degree-one views of MPC specs, on the hot path
-            digits = (e,)
-        else:
-            radix, digits = self.base.q, []
-            for _ in self._places:
-                e, digit = divmod(e, radix)
-                digits.append(digit)
-            digits = tuple(digits)
-        return digits if self._inverse is None else linalg.vec_mat(self.base, digits, self._inverse)
+            return (e,)
+        radix, digits = self.base.q, []
+        for _ in self._places:
+            e, digit = divmod(e, radix)
+            digits.append(digit)
+        return tuple(digits)
 
     def from_base_vector(self, vec):
         if len(vec) != self.s:
             raise InvalidParams(f"expected {self.s} coordinates, got {len(vec)}")
         digits = self.base.vector(vec)
-        if self.rows is not None:
-            digits = linalg.vec_mat(self.base, digits, self.rows)
         return digits[0] if self.s == 1 else sum(map(operator.mul, digits, self._places))
 
     def expand(self, word):
         """The (M, s) array whose row i is to_base_vector(word[i]), for M
         elements of the big field (unchecked; big.q must not exceed 2^63)."""
-        digits = np.asarray(word, dtype=np.int64).reshape(-1, 1) // self._place_array % self.base.q
-        if self._inverse is None:
-            return digits
-        return self.base.matmul(digits, self._inverse_array)
+        return np.asarray(word, dtype=np.int64).reshape(-1, 1) // self._place_array % self.base.q
 
     def pack(self, coords):
         """The elements whose base coordinates are the rows of the (M, s)
         array coords, as an array: the inverse of expand."""
-        if self.rows is not None:
-            coords = self.base.matmul(coords, self._rows_array)
         return coords @ self._place_array
 
     def lift(self, a: int) -> int:

@@ -95,6 +95,8 @@ class GccSpec:
 def gcc_spec(outers, widths, inner_generator, field, subcode_distances=None) -> GccSpec:
     """Build a k-level spec; subcode distances are computed exactly unless given."""
     outers = tuple(outers)
+    if not outers:
+        raise InvalidParams("at least one outer code is required")
     try:
         widths = tuple(operator.index(s) for s in widths)
     except TypeError:
@@ -127,7 +129,7 @@ def gcc_spec(outers, widths, inner_generator, field, subcode_distances=None) -> 
     level_encoders, level_inverses = [], []
     for sub, tower, lo, hi in zip(subcodes, towers, (0,) + prefix, prefix):
         level_encoders.append(symbol_map(field, gen[lo:hi], m, (tower,)))
-        columns = [row[lo:hi] for row in sub.right_inverse().matrix]
+        columns = [row[lo:hi] for row in sub.inverse.matrix]
         level_inverses.append(symbol_map(field, columns, m, (tower,)))
     encoder = symbol_map(field, gen, m, towers)
     return GccSpec(

@@ -69,17 +69,9 @@ def vec_mat(f, v, m):
     return tuple(out)
 
 
-def rref(f, m):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    return _eliminate(f, m, reduced=True)
-
-
-def pivot_columns(f, m):
-    """Pivot columns of m; forward elimination only, half the work of rref."""
-    return _eliminate(f, m, reduced=False)[1]
-
-
 def _eliminate(f, m, reduced):
+    """(rows, pivot columns) of m brought to row echelon form, reduced
+    (zeros above each pivot too) when asked."""
     rows = [list(r) for r in m]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -100,57 +92,29 @@ def _eliminate(f, m, reduced):
                 f.axpy(rows[i], f.neg(rows[i][c]), scaled)
         pivots.append(c)
         r += 1
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return rows, pivots
 
 
 def rank(f, m):
-    return len(pivot_columns(f, m))
-
-
-def det(f, m):
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise InvalidParams("determinant requires a square matrix")
-    rows = [list(r) for r in m]
-    result = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = f.neg(result)
-        result = f.mul(result, rows[c][c])
-        inv = f.inv(rows[c][c])
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f.axpy(rows[i], f.neg(f.mul(inv, rows[i][c])), rows[c])
-    return result
-
-
-def mat_inv(f, m):
-    n = len(m)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    reduced, pivots = rref(f, aug)
-    if pivots[:n] != tuple(range(n)):
-        raise InvalidParams("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
+    """Rank of m, by forward elimination."""
+    return len(_eliminate(f, m, reduced=False)[1])
 
 
 def right_inverse(f, m):
     """N x K matrix R with m . R = I, m a full-rank K x N matrix.
 
-    Uses the lexicographically first set of K linearly independent columns
-    (the RREF pivot columns), so the choice is deterministic.
+    One reduced elimination of [m | I_K].  Its pivots among the first N
+    columns are the lexicographically first K independent columns of m,
+    and its right block is the inverse of those columns, which R holds at
+    their indices (every other row of R is zero), so the choice is
+    deterministic.  A pivot past column N means m is rank-deficient.
     """
-    k = len(m)
-    n = len(m[0])
-    pivots = pivot_columns(f, m)
-    if len(pivots) != k:
+    k, n = len(m), len(m[0])
+    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
+    rows, pivots = _eliminate(f, aug, reduced=True)
+    if pivots[-1] >= n:
         raise InvalidParams("matrix does not have full row rank")
-    sub = tuple(tuple(row[c] for c in pivots) for row in m)
-    sub_inv = mat_inv(f, sub)
-    out = [[0] * k for _ in range(n)]
-    for i, c in enumerate(pivots):
-        out[c] = list(sub_inv[i])
-    return tuple(tuple(row) for row in out)
+    out = [(0,) * k] * n
+    for c, row in zip(pivots, rows):
+        out[c] = tuple(row[n:])
+    return tuple(out)

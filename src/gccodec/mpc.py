@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gmd, linalg
-from .block_codes import ee_decode, wt
+from .block_codes import LinearCode, ee_decode, min_distance
 from .concat import DecodeOptions, check_matrix, decode_rows
 from .errors import (
     ContractViolation,
@@ -44,7 +44,7 @@ def is_nsc(field, matrix) -> bool:
         top = rows[:t]
         for cols in itertools.combinations(range(n), t):
             sub = tuple(tuple(row[c] for c in cols) for row in top)
-            if linalg.det(field, sub) == 0:
+            if linalg.rank(field, sub) < t:
                 return False
     return True
 
@@ -140,24 +140,18 @@ def mpc_decode(spec: MpcSpec, received, options: DecodeOptions | None = None) ->
 
 
 def exhaustive_min_distance(spec: MpcSpec, cap: int = 1 << 20) -> int:
-    """True minimum distance by enumerating all message combinations."""
-    total = 1
-    for a in spec.outers:
-        total *= a.num_codewords()
-    if total > cap:
-        raise TooLargeToEnumerate(f"{total} codewords exceeds cap {cap}")
-    f = spec.field
-    best = None
-    for combo in itertools.product(*(a.codewords() for a in spec.outers)):
-        weight = 0
-        for j in range(spec.m):
-            row = linalg.vec_mat(f, tuple(word[j] for word in combo), spec.matrix)
-            weight += wt(row)
-        if weight and (best is None or weight < best):
-            best = weight
-    if best is None:
-        raise InvalidParams("code has no nonzero codeword")
-    return best
+    """True minimum distance, by enumerating the code as a linear code over
+    the base field: its generator rows are the flattened encodings of the
+    unit messages."""
+    if spec.field.q ** sum(a.k for a in spec.outers) > cap:  # before building it
+        raise TooLargeToEnumerate(f"the code has more than {cap} codewords")
+    rows = []
+    for level, outer in enumerate(spec.outers):
+        for j in range(outer.k):
+            msgs = [[0] * a.k for a in spec.outers]
+            msgs[level][j] = 1
+            rows.append(sum(gcc_encode(spec, msgs), ()))
+    return min_distance(LinearCode(spec.field, rows), cap)
 
 
 def random_nsc_matrix(field, k, n, rng, max_tries=20000):

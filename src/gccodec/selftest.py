@@ -11,9 +11,10 @@ import random
 
 import numpy as np
 
+from . import linalg
 from .block_codes import generic_code, rs_code
 from .concat import DecodeOptions
-from .errors import DecodeFailure
+from .errors import DecodeFailure, InvalidParams
 from .galois import TowerView, extend_field, make_field
 from .mpc import decode_uuv, mpc_decode, mpc_encode, mpc_spec
 from .oracle import oracle_sigma
@@ -76,6 +77,35 @@ def _check_tower_roundtrip(rng):
     view = TowerView(big, base)
     for e in range(big.q):
         _require(view.from_base_vector(view.to_base_vector(e)) == e, f"tower roundtrip of {e}")
+
+
+def _check_elimination(rng):
+    # rank and right inverse of matrices of known rank r: a (k x r, unit
+    # lower triangular on top) times b (r x n, the columns of I_r among
+    # random ones); GF(9) on log tables and GF(2^17) past them
+    for f in (make_field(3, 2), make_field(2, 17)):
+        for _ in range(25):
+            n = rng.randrange(1, 7)
+            k = rng.randrange(1, n + 1)
+            r = rng.randrange(1, k + 1)
+            a = [
+                [rng.randrange(f.q) if j < i or i >= r else int(i == j) for j in range(r)]
+                for i in range(k)
+            ]
+            cols = [[int(i == j) for i in range(r)] for j in range(r)]
+            cols += [[rng.randrange(f.q) for _ in range(r)] for _ in range(n - r)]
+            rng.shuffle(cols)
+            m = [linalg.vec_mat(f, row, tuple(zip(*cols))) for row in a]
+            _require(linalg.rank(f, m) == r, f"{f}: rank of {m} is not {r}")
+            try:
+                inverse = linalg.right_inverse(f, m)
+            except InvalidParams:
+                _require(r < k, f"{f}: full-rank {m} has no right inverse")
+                continue
+            _require(r == k, f"{f}: rank-deficient {m} got a right inverse")
+            product = [linalg.vec_mat(f, row, inverse) for row in m]
+            identity = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+            _require(product == identity, f"{f}: m . R is not the identity for {m}")
 
 
 def _check_rs_against_oracle(rng):
@@ -159,6 +189,7 @@ def _check_nsc_prefixes(rng):
 CHECKS = [
     ("field-axioms", _check_field_axioms),
     ("tower-roundtrip", _check_tower_roundtrip),
+    ("elimination", _check_elimination),
     ("rs-vs-oracle", _check_rs_against_oracle),
     ("nested-erasure-consistency", _check_nested_erasure_consistency),
     ("uuv-vs-generic", _check_uuv_matches_generic),

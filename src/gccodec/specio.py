@@ -84,6 +84,7 @@ def code_from_json(d: dict) -> LinearCode:
         n, k = _entries(d, "a code", "n", "k")
         return rs_code(field, _integer(n, CODE_PARAMS), _integer(k, CODE_PARAMS))
     (generator,) = _entries(d, "a code", "generator")
+    generator = _matrix(generator, "generator")
     return generic_code(field, generator, d=_optional_integer(declared, DISTANCES))
 
 
@@ -121,6 +122,7 @@ def gcc_from_json(d: dict) -> GccSpec:
     widths = [_integer(s, WIDTHS) for s in _sequence(widths, WIDTHS)]
     if dists is not None:
         dists = [_optional_integer(x, DISTANCES) for x in _sequence(dists, DISTANCES)]
+    generator = _matrix(generator, "inner_generator")
     return gcc_spec(_codes(outers), widths, generator, field_from_json(field), dists)
 
 
@@ -134,7 +136,7 @@ def mpc_to_json(spec: MpcSpec) -> dict:
 
 def mpc_from_json(d: dict) -> MpcSpec:
     field, outers, matrix = _entries(d, "a matrix-product spec", "field", "outers", "B")
-    return mpc_spec(_codes(outers), matrix, field_from_json(field))
+    return mpc_spec(_codes(outers), _matrix(matrix, "B"), field_from_json(field))
 
 
 def _codes(data) -> list:
@@ -187,7 +189,7 @@ def nsc_check_from_json(d: dict) -> tuple:
     """(field, matrix, outer distances or None) of an NSC-check file."""
     field, rows, dists = _entries(d, "an nsc-check file", "field", "matrix", outer_distances=None)
     field = field_from_json(field)
-    matrix = [field.vector(_sequence(row, "a matrix row")) for row in _sequence(rows, "a matrix")]
+    matrix = [field.vector(row) for row in _matrix(rows, "a matrix")]
     if not matrix or any(len(row) != len(matrix[0]) for row in matrix):
         raise ConfigError("the matrix must be a non-empty list of rows of one length")
     if dists is not None:
@@ -231,6 +233,11 @@ def _sequence(data, what):
     if not isinstance(data, (list, tuple)):
         raise ConfigError(f"{what} must be a list, got {data!r}")
     return data
+
+
+def _matrix(data, what) -> list:
+    """data as a list of rows that are lists, else ConfigError."""
+    return [_sequence(row, f"a row of {what}") for row in _sequence(data, what)]
 
 
 def matrix_from_json(data, m: int, n: int) -> tuple:

@@ -476,6 +476,45 @@ def test_malformed_inputs_name_the_entry(
     assert err.startswith("error: ") and message in err
 
 
+# (kind, {key path into the spec: value put there}): non-lists where a
+# matrix or a modulus belongs, and empty outer lists, ended in a traceback
+# (exit 1); modulus coefficients that int(c) % p turned into x^3 + x + 1
+# were accepted (exit 0)
+MALFORMED_SPECS = [
+    ("cc", {("inner", "generator"): 5}),
+    ("cc", {("inner", "generator"): [5]}),
+    ("gcc", {("inner_generator",): 5}),
+    ("mpc", {("B",): 5}),
+    ("rs", {("field", "modulus"): 5}),
+    ("gcc", {("outers",): [], ("s",): [], ("inner_generator",): []}),
+    ("mpc", {("outers",): [], ("B",): []}),
+    ("rs", {("field", "modulus"): [1, 1.9, 0, 1]}),
+    ("rs", {("field", "modulus"): ["1", "1", "0", "1"]}),
+    ("rs", {("field", "modulus"): [3, 1, 0, 1]}),
+    ("rs", {("field", "modulus"): [True, 1, 0, 1]}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, edits",
+    MALFORMED_SPECS,
+    ids=[
+        f"{k}-" + "-".join(f"{'.'.join(p)}={v!r}" for p, v in e.items()) for k, e in MALFORMED_SPECS
+    ],
+)
+def test_malformed_spec_is_a_usage_error(capsys, tmp_path, request, kind, edits):
+    data = _spec_json(kind, request)
+    for path, value in edits.items():
+        entry = data
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+    file = tmp_path / "spec.json"
+    file.write_text(json.dumps(data))
+    assert main(["code-info", "--spec", str(file)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

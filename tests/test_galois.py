@@ -323,9 +323,49 @@ class TestVector:
             g.make_field(2, 3).vector(bad)
 
     def test_accepts_numpy_integers(self):
-        import numpy as np
-
         assert g.make_field(2, 3).vector(np.array([1, 7])) == (1, 7)
+
+
+class TestValidate:
+    """Every entry point reads elements by the rules of Field.vector: any
+    integer type in [0, q) passes as a plain int; bool, float, str do not."""
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None, 9, -1])
+    def test_rejects(self, gf3, bad):
+        gf9 = g.extend_field(gf3, 2)
+        view = g.TowerView(gf9, gf3)
+        one = gf9.element(1)
+        for check in (gf9.element, gf9.validate, view.to_base_vector, view.lift, one.__add__):
+            with pytest.raises(g.InvalidParams):
+                check(bad)
+        with pytest.raises(g.InvalidParams):
+            g.FieldElement(gf9, bad)
+        with pytest.raises(g.InvalidParams):
+            gf9.vector([bad])
+
+    def test_accepts_numpy_integers(self, gf3):
+        gf9 = g.extend_field(gf3, 2)
+        view = g.TowerView(gf9, gf3)
+        e = gf9.element(np.int64(5))
+        assert type(e.value) is int and e.value == 5
+        assert view.to_base_vector(np.int64(5)) == (2, 1)
+        assert view.lift(np.int8(2)) == 2 and type(view.lift(np.int8(2))) is int
+        assert type(g.TowerView(gf3, gf3).to_base_vector(np.int64(2))[0]) is int
+        assert gf9.vector([np.int64(5)]) == (gf9.validate(np.uint16(5)),)
+        assert gf9.element(1) + np.int64(5) == gf9.element(1) + 5
+
+    @pytest.mark.parametrize(
+        "modulus", [[1, 1.9, 0, 1], ["1", "1", "0", "1"], [3, 1, 0, 1], [True, 1, 0, 1], 5]
+    )
+    def test_make_field_reads_the_modulus_as_elements(self, modulus):
+        # int(c) % 2 would turn each of these into x^3 + x + 1
+        with pytest.raises(g.InvalidParams):
+            g.make_field(2, 3, modulus)
+
+    @pytest.mark.parametrize("modulus", [[0, 2], [1.0, 1], (0, True)])
+    def test_degree_one_modulus(self, modulus):
+        with pytest.raises(g.InvalidParams):
+            g.make_field(2, 1, modulus)
 
 
 class TestFieldElement:
@@ -360,8 +400,8 @@ class TestTowerView:
         big = g.extend_field(gf4, 2)  # GF(16) over GF(4)
         view = g.TowerView(big, gf4)
         assert view.to_base_vector(0) == (0, 0)
-        for i, b in enumerate(view.basis):
-            vec = view.to_base_vector(b)
+        for i in range(view.s):  # the polynomial basis 1, x
+            vec = view.to_base_vector(gf4.q**i)
             assert vec == tuple(1 if j == i else 0 for j in range(view.s))
 
     def test_roundtrip_all_elements(self, gf4):
@@ -383,29 +423,22 @@ class TestTowerView:
                     )
                     assert lhs == rhs
 
-    def test_custom_basis(self, gf4):
-        big = g.extend_field(gf4, 2)
-        # basis (x, 1) swaps coordinates relative to the default (1, x)
-        view = g.TowerView(big, gf4, basis=(gf4.q, 1))
-        for e in range(big.q):
-            assert view.from_base_vector(view.to_base_vector(e)) == e
-        default = g.TowerView(big, gf4)
-        for e in range(big.q):
-            assert view.to_base_vector(e) == tuple(reversed(default.to_base_vector(e)))
-
-    @pytest.mark.parametrize("basis", [None, (4, 1), (4, 5)], ids=["default", "x,1", "x,x+1"])
-    def test_expand_and_pack_match_the_scalar_maps(self, gf4, basis):
-        big = g.extend_field(gf4, 2)
-        view = g.TowerView(big, gf4, basis=basis)
-        word = list(range(big.q))
+    @pytest.mark.parametrize(
+        "tower",
+        [
+            lambda: (g.extend_field(g.make_field(2, 2), 2), g.make_field(2, 2)),
+            lambda: (g.make_field(2, 3), g.make_field(2, 1)),
+            lambda: (g.make_field(3, 1), g.make_field(3, 1)),
+        ],
+        ids=["default", "gf8-over-gf2", "degree-one"],
+    )
+    def test_expand_and_pack_match_the_scalar_maps(self, tower):
+        # "default": GF(16) over GF(4), the view ConcatCode builds by default
+        view = g.TowerView(*tower())
+        word = list(range(view.big.q))
         coords = view.expand(word)
         assert coords.tolist() == [list(view.to_base_vector(e)) for e in word]
         assert view.pack(coords).tolist() == word
-
-    def test_dependent_basis_rejected(self, gf4):
-        big = g.extend_field(gf4, 2)
-        with pytest.raises(g.InvalidParams):
-            g.TowerView(big, gf4, basis=(1, 2))  # 2 lies in the base field
 
     def test_mismatched_fields(self, gf2, gf4):
         big = g.extend_field(gf4, 2)
@@ -417,16 +450,8 @@ class TestTowerView:
         assert view.s == 1
         assert view.to_base_vector(2) == (2,)
         assert view.from_base_vector((2,)) == 2
-        # a degree-one basis (b,) still changes coordinates: e = c * b
-        custom = g.TowerView(gf3, gf3, basis=(2,))
-        assert custom.to_base_vector(2) == (1,)
         for e in range(gf3.q):
-            assert custom.from_base_vector(custom.to_base_vector(e)) == e
-        coords = custom.expand(list(range(gf3.q)))
-        assert coords.tolist() == [list(custom.to_base_vector(e)) for e in range(gf3.q)]
-        assert custom.pack(coords).tolist() == list(range(gf3.q))
-        with pytest.raises(g.InvalidParams):
-            g.TowerView(gf3, gf3, basis=(0,))
+            assert view.from_base_vector(view.to_base_vector(e)) == e
 
 
 class TestSerialization:

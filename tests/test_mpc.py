@@ -92,6 +92,42 @@ class TestDesignedDistance:
         assert g.exhaustive_min_distance(spec) == d_star
 
 
+def test_exhaustive_min_distance_matches_a_weight_scan():
+    """Against the lightest nonzero encoding of every message tuple, on
+    small random specs whose matrices need not be NSC or triangular."""
+    rng = random.Random(9)
+    kinds = set()
+    checked = 0
+    while checked < 30:
+        f = g.make_field(*rng.choice(((2, 1), (3, 1), (2, 2))))
+        k = rng.randrange(1, 4)
+        n = rng.randrange(k, 4)
+        m = rng.randrange(2, 5)
+        def rows(count, length):
+            return [[rng.randrange(f.q) for _ in range(length)] for _ in range(count)]
+
+        try:
+            outers = [g.generic_code(f, rows(rng.randrange(1, 3), m)) for _ in range(k)]
+            matrix = rows(k, n)
+            spec = g.mpc_spec(outers, matrix, f)
+        except g.InvalidParams:
+            continue
+        if spec.field.q ** sum(a.k for a in outers) > 4096:
+            continue
+        kinds.add((spec.nsc, spec.triangular))
+        messages = [itertools.product(range(f.q), repeat=a.k) for a in outers]
+        best = min(
+            sum(x != 0 for row in g.mpc_encode(spec, msgs) for x in row)
+            for msgs in itertools.product(*messages)
+            if any(map(any, msgs))
+        )
+        assert g.exhaustive_min_distance(spec) == best
+        checked += 1
+    assert {(False, False), (False, True), (True, True)} <= kinds
+    with pytest.raises(g.TooLargeToEnumerate):
+        g.exhaustive_min_distance(spec, cap=spec.field.q ** sum(a.k for a in spec.outers) - 1)
+
+
 class TestMpcDecode:
     def test_equals_improved_generic(self, mpc_uuv8):
         rng = random.Random(1)
