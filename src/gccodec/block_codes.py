@@ -135,7 +135,7 @@ class LinearCode:
         if self._codewords is None:
             num, f = self.num_codewords(), self.field
             if num > ENUMERATION_CAP:
-                raise TooLargeToEnumerate(f"{num} codewords exceeds cap")
+                raise TooLargeToEnumerate(f"{num} codewords exceeds enumeration cap {ENUMERATION_CAP}")
             msg, word, out = [0] * self.k, [0] * self.n, [(0,) * self.n]
             for _ in range(num - 1):
                 i = 0
@@ -178,12 +178,8 @@ def ee_decode(code: LinearCode, word, erasures=()) -> DecodeOutcome:
     return out
 
 
-def min_distance(code: LinearCode, cap: int = ENUMERATION_CAP) -> int:
+def min_distance(code: LinearCode) -> int:
     """Exact minimum distance by exhaustive enumeration of all codewords."""
-    if code.num_codewords() > cap:
-        raise TooLargeToEnumerate(
-            f"{code.num_codewords()} codewords exceeds enumeration cap {cap}"
-        )
     # a full-rank generator has k >= 1 rows, so a nonzero codeword exists
     return min(filter(None, map(wt, code.codewords())))
 

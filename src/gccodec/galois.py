@@ -8,16 +8,16 @@ residue itself, otherwise the little-endian base-q' digit packing of the
 coefficient vector in the polynomial basis.  FieldElement wraps an integer
 for operator syntax; the decoding machinery works on raw integers for speed.
 
-Extension fields with q <= 2^16 build, on first use and in O(q), exp/log
-tables of a primitive element: products, inverses and negatives are table
-lookups, and odd-characteristic addition goes through Zech logarithms
-(characteristic 2 adds by XOR, prime fields reduce mod p).  Larger fields
-fall back to polynomial arithmetic on the digit vectors.  The vector kernels
-axpy (out += c * v, in place) and dot run whole rows on the tables; the
-linear algebra and the Reed-Solomon decoder are written on them.  matmul
-multiplies whole integer numpy arrays, on numpy copies of the same tables,
-and TowerView.expand/pack split and join whole columns of symbols.  None
-of this changes any observable value.
+Extension fields with q <= 2^16 build, when their handle is first made and
+in O(q), exp/log tables of a primitive element: products, inverses and
+negatives are table lookups, and odd-characteristic addition goes through
+Zech logarithms (characteristic 2 adds by XOR, prime fields reduce mod p).
+Larger fields fall back to polynomial arithmetic on the digit vectors.  The
+vector kernels axpy (out += c * v, in place) and dot run whole rows on the
+tables; the linear algebra and the Reed-Solomon decoder are written on
+them.  matmul multiplies whole integer numpy arrays, on numpy copies of the
+same tables, and TowerView.expand/pack split and join whole columns of
+symbols.  None of this changes any observable value.
 """
 
 from __future__ import annotations
@@ -162,11 +162,7 @@ class Field:
         self.degree = degree
         self.modulus = tuple(modulus)
         self.q = (p if base is None else base.q) ** degree
-        # exp/log/Zech tables, built on first use; False where none apply
-        self._exp = None
-        self._log = None if base is not None else False
-        self._zech = None
-        self._exp_array = None  # numpy tables for matmul, built on first use
+        self._log = False  # the exp/log tables, where _cached builds them
 
     # -- identity ----------------------------------------------------------
 
@@ -211,8 +207,8 @@ class Field:
         radix = self.p if self.base is None else self.base.q
         digits = []
         for _ in range(self.degree):
-            digits.append(a % radix)
-            a //= radix
+            a, digit = divmod(a, radix)
+            digits.append(digit)
         return digits
 
     def from_digits(self, digits):
@@ -232,18 +228,15 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        zech = self._zech
-        if zech is None:
-            zech = self._build_add_table()
-        if not zech:
+        log = self._log
+        if not log:
             return self._add_slow(a, b)
         if not a:
             return b
         if not b:
             return a
-        log = self._log
         la = log[a]
-        return self._exp[la + zech[log[b] - la]]
+        return self._exp[la + self._zech[log[b] - la]]
 
     def sub(self, a, b):
         if self.base is None:
@@ -258,8 +251,6 @@ class Field:
         if self.p == 2:
             return a
         log = self._log
-        if log is None:
-            log = self._build_mul_table()
         if log:
             # -1 = g^((q-1)/2), the one element of order 2
             return self._exp[log[a] + (self.q - 1) // 2]
@@ -270,8 +261,6 @@ class Field:
         if self.base is None:
             return (a * b) % self.p
         log = self._log
-        if log is None:
-            log = self._build_mul_table()
         if log:
             return self._exp[log[a] + log[b]]
         return self._mul_slow(a, b)
@@ -282,8 +271,6 @@ class Field:
         if self.base is None:
             return pow(a, self.p - 2, self.p)
         log = self._log
-        if log is None:
-            log = self._build_mul_table()
         if log:
             return self._exp[self.q - 1 - log[a]]
         return self._inv_slow(a)
@@ -309,8 +296,6 @@ class Field:
                         out[j] ^= exp[lc + log[x]]
                 return
             zech = self._zech
-            if zech is None:
-                zech = self._build_add_table()
             for j, x in enumerate(v):
                 if x:
                     t = lc + log[x]
@@ -325,9 +310,6 @@ class Field:
             for j, x in enumerate(v):
                 if x:
                     out[j] = (out[j] + c * x) % p
-        elif log is None:
-            self._build_mul_table()
-            self.axpy(out, c, v)
         else:
             add, mul = self.add, self._mul_slow
             for j, x in enumerate(v):
@@ -350,9 +332,6 @@ class Field:
             return acc
         if self.base is None:
             return sum(map(operator.mul, u, v)) % self.p
-        if log is None:
-            self._build_mul_table()
-            return self.dot(u, v)
         add, mul = self.add, self._mul_slow
         acc = 0
         for a, b in zip(u, v):
@@ -386,8 +365,6 @@ class Field:
             return np.array(out, dtype=np.int64 if self.q <= 1 << 63 else object).reshape(m, n)
         if self.base is None:
             return (a @ b) % self.p
-        if self._exp_array is None:
-            self._build_arrays()
         exp, log = self._exp_array, self._log_array
         la, lb = log[a], log[b]
         step = max(1, _MATMUL_BLOCK // max(1, m * n))
@@ -438,7 +415,8 @@ class Field:
         return self.from_digits(t0)
 
     def _build_mul_table(self):
-        """exp/log tables of the first primitive element g in encoding order.
+        """exp/log tables of the first primitive element g in encoding order,
+        the Zech table for odd characteristic, and their numpy copies.
 
         The modulus need not be primitive, so x itself may have low order: a
         candidate is primitive when g^((q-1)/r) != 1 for every prime r of
@@ -446,11 +424,9 @@ class Field:
         exp[i] = g^(i mod (q-1)) for i < 2(q-1), so a product of two nonzero
         elements is exp[log a + log b] with no modulo.  log[0] = 2(q-1)
         points into a zero tail of exp, so any index sum with a zero operand
-        reads 0.  Returns log, or False when q exceeds _LOG_LIMIT.
+        reads 0.  matmul reads the arrays and the place values p^i of the
+        base-p digits of an encoding.
         """
-        if self.q > _LOG_LIMIT:
-            self._log = False
-            return False
         q1 = self.q - 1
         cofactors = [q1 // r for r in _prime_factors(q1)]
         mul = self._mul_slow
@@ -463,67 +439,50 @@ class Field:
             log[x] = i
         log[0] = 2 * q1
         self._exp = powers * 2 + [0] * (2 * q1 + 1)
-        self._log = log
-        return log
+        if self.p != 2:
+            self._zech = self._build_add_table(log)
+        places = [1]
+        while places[-1] * self.p < self.q:
+            places.append(places[-1] * self.p)
+        self._digit_powers = np.array(places, dtype=np.int64)
+        self._log_array = np.array(log, dtype=np.int64)
+        self._exp_array = np.array(self._exp, dtype=np.int64)
+        self._log = log  # last: the arithmetic takes the table paths from here
 
-    def _build_arrays(self):
-        """numpy copies of the exp/log tables for matmul, and the place
-        values p^i of the base-p digits of an encoding."""
-        if self._log is None:
-            self._build_mul_table()
-        powers = [1]
-        while powers[-1] * self.p < self.q:
-            powers.append(powers[-1] * self.p)
-        self._digit_powers = np.array(powers, dtype=np.int64)
-        self._log_array = np.array(self._log, dtype=np.int64)
-        self._exp_array = np.array(self._exp, dtype=np.int64)  # last: marks the arrays built
-
-    def _build_add_table(self):
+    def _build_add_table(self, log):
         """Zech logarithms for odd characteristic: 1 + g^n = g^zech[n].
 
         Adding 1 touches only the lowest base-field digit.  Where 1 + g^n = 0
         the entry is log[0], which reads 0 through the zero tail of exp; the
         table is doubled so that any log difference indexes it directly.
-        Returns the table, or False when the field has no log tables.
         """
-        log = self._log
-        if log is None:
-            log = self._build_mul_table()
-        if not log:
-            self._zech = False
-            return False
         radix, base_add = self.base.q, self.base.add
         zech = []
         for x in self._exp[: self.q - 1]:
             low = x % radix
             zech.append(log[x - low + base_add(low, 1)])
-        self._zech = zech * 2
-        return self._zech
+        return zech * 2
 
 
 _FIELD_TOKEN = object()
 _FIELD_CACHE: dict = {}
 
 
-def _auto_modulus(base_like, p, degree):
-    """Smallest monic irreducible of the given degree, by packed-integer order."""
-    f = base_like
-    radix = p if f is None else f.q
-    coeff_field = make_field(p, 1) if f is None else f
-    for packed in range(radix**degree):
-        tail = []
-        v = packed
-        for _ in range(degree):
-            tail.append(v % radix)
-            v //= radix
-        candidate = tail + [1]
-        if _poly_is_irreducible(coeff_field, candidate):
+def _auto_modulus(base, degree):
+    """Smallest monic irreducible of the given degree over base, by
+    packed-integer order."""
+    for packed in range(base.q**degree):
+        candidate = [0] * degree + [1]
+        for i in range(degree):
+            packed, candidate[i] = divmod(packed, base.q)
+        if _poly_is_irreducible(base, candidate):
             return tuple(candidate)
     raise InvalidParams("no irreducible modulus found")  # unreachable for valid inputs
 
 
 def make_field(p: int, m: int, modulus="auto") -> Field:
-    """GF(p^m) over the prime subfield GF(p).
+    """GF(p^m) over the prime subfield GF(p): extend_field of the one GF(p)
+    handle.
 
     The modulus is a little-endian coefficient sequence over GF(p), monic of
     degree m, and must be irreducible; "auto" picks the monic irreducible
@@ -532,37 +491,33 @@ def make_field(p: int, m: int, modulus="auto") -> Field:
     """
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if m < 1:
-        raise InvalidParams("extension degree must be >= 1")
-    prime = _cached(Field(p, None, 1, (0, 1), _token=_FIELD_TOKEN))
-    if modulus == "auto":
-        modulus = (0, 1) if m == 1 else _auto_modulus(None, p, m)
-    modulus = prime.vector(modulus)
-    if len(modulus) != m + 1 or modulus[-1] != 1:
-        raise InvalidParams(f"modulus must be monic of degree {m}")
-    if m == 1:
-        return _cached(Field(p, None, 1, modulus, _token=_FIELD_TOKEN))
-    if not _poly_is_irreducible(prime, list(modulus)):
-        raise ReducibleModulus(f"modulus {list(modulus)} factors over GF({p})")
-    return _cached(Field(p, prime, m, modulus, _token=_FIELD_TOKEN))
+    return extend_field(_cached(Field(p, None, 1, (0, 1), _token=_FIELD_TOKEN)), m, modulus)
 
 
 def _cached(field: Field) -> Field:
-    """The one handle of field's key: field itself the first time."""
-    return _FIELD_CACHE.setdefault(field.key, field)
+    """The one handle of field's key: field itself the first time, when an
+    extension field with q <= _LOG_LIMIT also builds its tables."""
+    known = _FIELD_CACHE.get(field.key)
+    if known is not None:
+        return known
+    if field.base is not None and field.q <= _LOG_LIMIT:
+        field._build_mul_table()
+    _FIELD_CACHE[field.key] = field
+    return field
 
 
 def extend_field(base: Field, s: int, modulus="auto") -> Field:
-    """GF(q^s) built as a degree-s extension of an existing handle."""
+    """GF(q^s) built as a degree-s extension of an existing handle; the
+    modulus is read as in make_field, over base, and s = 1 gives base."""
     if s < 1:
         raise InvalidParams("extension degree must be >= 1")
-    if s == 1:
-        return base
-    if modulus == "auto":
-        modulus = _auto_modulus(base, base.p, s)
+    if isinstance(modulus, str) and modulus == "auto":
+        modulus = _auto_modulus(base, s)
     modulus = base.vector(modulus)
     if len(modulus) != s + 1 or modulus[-1] != 1:
         raise InvalidParams(f"modulus must be monic of degree {s}")
+    if s == 1:
+        return base
     if not _poly_is_irreducible(base, list(modulus)):
         raise ReducibleModulus(f"modulus {list(modulus)} factors over {base}")
     return _cached(Field(base.p, base, s, modulus, _token=_FIELD_TOKEN))
@@ -664,8 +619,7 @@ class TowerView:
             raise FieldMismatch(f"{big} is not built as an extension of {base}")
         self.big = big
         self.base = base
-        self._places = tuple(base.q**i for i in range(self.s))
-        self._place_array = np.array(self._places, dtype=np.int64)
+        self._place_array = np.array([base.q**i for i in range(self.s)], dtype=np.int64)
 
     def to_base_vector(self, e):
         if isinstance(e, FieldElement):
@@ -675,17 +629,13 @@ class TowerView:
         e = self.big.validate(e)
         if self.s == 1:  # the degree-one views of MPC specs, on the hot path
             return (e,)
-        radix, digits = self.base.q, []
-        for _ in self._places:
-            e, digit = divmod(e, radix)
-            digits.append(digit)
-        return tuple(digits)
+        return tuple(self.big.to_digits(e))
 
     def from_base_vector(self, vec):
         if len(vec) != self.s:
             raise InvalidParams(f"expected {self.s} coordinates, got {len(vec)}")
         digits = self.base.vector(vec)
-        return digits[0] if self.s == 1 else sum(map(operator.mul, digits, self._places))
+        return digits[0] if self.s == 1 else self.big.from_digits(digits)
 
     def expand(self, word):
         """The (M, s) array whose row i is to_base_vector(word[i]), for M

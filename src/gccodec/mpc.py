@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gmd, linalg
-from .block_codes import LinearCode, ee_decode, min_distance
+from .block_codes import ENUMERATION_CAP, LinearCode, ee_decode, min_distance
 from .concat import DecodeOptions, check_matrix, decode_rows
 from .errors import (
     ContractViolation,
@@ -139,19 +139,19 @@ def mpc_decode(spec: MpcSpec, received, options: DecodeOptions | None = None) ->
     return gcc_decode_improved(spec, received, options)
 
 
-def exhaustive_min_distance(spec: MpcSpec, cap: int = 1 << 20) -> int:
+def exhaustive_min_distance(spec: MpcSpec) -> int:
     """True minimum distance, by enumerating the code as a linear code over
     the base field: its generator rows are the flattened encodings of the
     unit messages."""
-    if spec.field.q ** sum(a.k for a in spec.outers) > cap:  # before building it
-        raise TooLargeToEnumerate(f"the code has more than {cap} codewords")
+    if spec.field.q ** sum(a.k for a in spec.outers) > ENUMERATION_CAP:  # before building it
+        raise TooLargeToEnumerate(f"the code has more than {ENUMERATION_CAP} codewords")
     rows = []
     for level, outer in enumerate(spec.outers):
         for j in range(outer.k):
             msgs = [[0] * a.k for a in spec.outers]
             msgs[level][j] = 1
             rows.append(sum(gcc_encode(spec, msgs), ()))
-    return min_distance(LinearCode(spec.field, rows), cap)
+    return min_distance(LinearCode(spec.field, rows))
 
 
 def random_nsc_matrix(field, k, n, rng, max_tries=20000):

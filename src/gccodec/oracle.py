@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import itertools
 
-from .block_codes import FAILURE, DecodeOutcome, LinearCode, check_erasures
+from .block_codes import ENUMERATION_CAP, FAILURE, DecodeOutcome, LinearCode, check_erasures
 from .errors import ContractViolation, InvalidParams, LengthMismatch, TooLargeToEnumerate
 
 _DECODE_TABLE_CAP = 512
 
 
-def _enumerable(code: LinearCode, cap=1 << 20):
-    if code.num_codewords() > cap:
-        raise TooLargeToEnumerate(
-            f"{code.num_codewords()} codewords exceeds enumeration cap"
-        )
+def _enumerable(code: LinearCode):
+    if code.num_codewords() > ENUMERATION_CAP:
+        raise TooLargeToEnumerate(f"{code.num_codewords()} codewords exceeds enumeration cap {ENUMERATION_CAP}")
 
 
 def _word(code: LinearCode, word) -> tuple:

@@ -43,16 +43,10 @@ RUN_PARAMS = "trials, radius and threads"
 
 
 def field_to_json(f: Field) -> dict:
-    if f.base is None:
-        return {"p": f.p, "m": 1, "modulus": list(f.modulus)}
-    if f.base.base is None:
-        return {"p": f.p, "m": f.degree, "modulus": list(f.modulus)}
-    return {
-        "p": f.p,
-        "m": f.degree,
-        "modulus": list(f.modulus),
-        "base": field_to_json(f.base),
-    }
+    out = {"p": f.p, "m": f.degree, "modulus": list(f.modulus)}
+    if f.base is not None and f.base.base is not None:
+        out["base"] = field_to_json(f.base)
+    return out
 
 
 def field_from_json(d: dict) -> Field:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 import gccodec as g
-from gccodec import linalg, specio
+from gccodec import galois, linalg, specio
 
 
 def naive_digits(value, p, m):
@@ -89,6 +89,41 @@ class TestMakeField:
                 if digits[m] != 1:
                     continue
                 assert has_factor(p, digits)
+
+
+class TestConstructor:
+    """make_field is extend_field of the one prime handle."""
+
+    def test_numpy_modulus_reads_like_the_list(self):
+        assert g.make_field(2, 3, np.array([1, 1, 0, 1])) is g.make_field(2, 3, [1, 1, 0, 1])
+        gf4 = g.make_field(2, 2)
+        modulus = list(g.extend_field(gf4, 2).modulus)
+        assert g.extend_field(gf4, 2, np.array(modulus)) is g.extend_field(gf4, 2, modulus)
+
+    def test_one_prime_handle(self):
+        assert g.make_field(2, 1, [1, 1]) is g.make_field(2, 1)
+
+    def test_degree_one_modulus_is_checked(self):
+        with pytest.raises(g.InvalidParams):
+            g.extend_field(g.make_field(2, 2), 1, [7, 7])
+
+    def test_tables_built_once_with_the_handle(self, monkeypatch):
+        built = []
+        build = galois.Field._build_mul_table
+
+        def counted(f):
+            built.append(f)
+            build(f)
+
+        monkeypatch.setattr(galois, "_FIELD_CACHE", {})
+        monkeypatch.setattr(galois.Field, "_build_mul_table", counted)
+        for _ in range(3):
+            gf9 = g.make_field(3, 2)
+            gf81 = g.extend_field(gf9, 2)
+            gf16 = g.make_field(2, 4)
+        assert [f.q for f in built] == [9, 81, 16]
+        assert built[0] is gf9 and built[1] is gf81 and built[2] is gf16
+        assert all(f._log for f in built)
 
 
 class TestArithmetic:
@@ -231,20 +266,28 @@ class TestLogKernel:
                 assert f.pow(a, -3) == f.inv(f.mul(a, f.mul(a, a)))
 
 
+BEYOND_FIELDS = {
+    "GF(2^17)": lambda: g.make_field(2, 17),
+    "GF(3^11)": lambda: g.make_field(3, 11),  # q = 177147: Euclid inverse, digit-wise add and neg
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_FIELDS))
 class TestBeyondLogTables:
-    def test_polynomial_path_above_the_limit(self):
-        f = g.make_field(2, 17)
+    def test_polynomial_path_above_the_limit(self, name):
+        f = BEYOND_FIELDS[name]()
         rng = random.Random(3)
         for _ in range(20):
             a, b = rng.randrange(1, f.q), rng.randrange(f.q)
-            assert f.mul(a, b) == naive_mul(2, f.modulus, 17, a, b)
-        a = rng.randrange(1, f.q)
-        assert f.mul(a, f.inv(a)) == 1
+            assert f.mul(a, b) == naive_mul(f.p, f.modulus, f.degree, a, b)
+            assert f.add(a, b) == ref_digitwise(f, lambda x, y: x + y, a, b)
+            assert f.neg(a) == ref_digitwise(f, lambda x: -x, a)
+            assert naive_mul(f.p, f.modulus, f.degree, a, f.inv(a)) == 1
         u = [rng.randrange(f.q) for _ in range(5)]
         v = [rng.randrange(f.q) for _ in range(5)]
         out = list(u)
         f.axpy(out, 12345, v)
-        assert out == [x ^ f.mul(12345, y) for x, y in zip(u, v)]
+        assert out == [ref_digitwise(f, lambda x, y: x + y, x, f.mul(12345, y)) for x, y in zip(u, v)]
         assert f.dot(u, v) == f.add(f.mul(u[0], v[0]), f.dot(u[1:], v[1:]))
         assert f._log is False
 

@@ -124,8 +124,11 @@ def test_exhaustive_min_distance_matches_a_weight_scan():
         assert g.exhaustive_min_distance(spec) == best
         checked += 1
     assert {(False, False), (False, True), (True, True)} <= kinds
+    gf16 = g.make_field(2, 4)
+    rs = g.rs_code(gf16, 15, 3)
+    uuv = g.mpc_spec([rs, rs], [[1, 1], [0, 1]], gf16)  # 16^6 codewords
     with pytest.raises(g.TooLargeToEnumerate):
-        g.exhaustive_min_distance(spec, cap=spec.field.q ** sum(a.k for a in spec.outers) - 1)
+        g.exhaustive_min_distance(uuv)
 
 
 class TestMpcDecode:

@@ -1,10 +1,13 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import gccodec as g
+from gccodec import galois
 from gccodec.cli import main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -67,3 +70,24 @@ def test_decode_digest_is_reproducible(tmp_path):
     for line in lines:
         name, decodes, digest = line.split()
         assert int(decodes) > 0 and len(digest) == 64
+
+
+def test_benchmark_hooks_install_and_undo():
+    """perfbench/tracing.py wraps gccodec functions by name: every name it
+    wraps exists, the counters see Field.mul, and undo restores each one."""
+    path = SCRIPTS.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = galois.Field.mul, galois.Field._build_mul_table, galois.poly_mul
+    gf8 = g.make_field(2, 3)
+    tracer, patches, counts = tracing.Tracer(), tracing.Patches(), Counter()
+    try:
+        tracing.install_spans(tracer)
+        tracing.install_counters(counts, patches)
+        gf8.mul(3, 5)
+    finally:
+        patches.undo()
+        tracer.patches.undo()
+    assert counts["mul"] == 1
+    assert (galois.Field.mul, galois.Field._build_mul_table, galois.poly_mul) == originals
