@@ -10,11 +10,15 @@ violates the contract.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import galois, linalg
 from .errors import (
+    ContractViolation,
     ErasureIndexError,
     InvalidParams,
     LengthMismatch,
@@ -163,18 +167,37 @@ class LinearCode:
 
 def ee_decode(code: LinearCode, word, erasures=()) -> DecodeOutcome:
     """Run the code's error-and-erasure decoder and enforce the distance bound."""
+    word, erasures = _checked(code, word, erasures)
+    return _bounded(code, code.decoder(word, erasures), erasures)
+
+
+def ee_decode_many(code: LinearCode, words, erasure_sets) -> list:
+    """[ee_decode(code, word, erasures) for each pair], in one decode_batch
+    call when the decoder has one (a plain callable decodes row by row)."""
+    if len(words) != len(erasure_sets):
+        raise LengthMismatch(f"{len(words)} words but {len(erasure_sets)} erasure sets")
+    checked = [_checked(code, word, erasures) for word, erasures in zip(words, erasure_sets)]
+    words, erasure_sets = [w for w, _ in checked], [x for _, x in checked]
+    batch = getattr(code.decoder, "decode_batch", None)
+    outs = batch(words, erasure_sets) if batch else list(map(code.decoder, words, erasure_sets))
+    return [_bounded(code, out, erasures) for out, erasures in zip(outs, erasure_sets)]
+
+
+def _checked(code: LinearCode, word, erasures):
+    """(word as a tuple, erasures as a frozenset), once code has a decoder
+    and both fit length n."""
     if code.decoder is None:
         raise NoDecoder(f"{code!r} has no attached decoder")
     if len(word) != code.n:
         raise LengthMismatch(f"word length {len(word)} != n={code.n}")
-    erasures = check_erasures(erasures, code.n)
-    out = code.decoder(tuple(word), erasures)
-    if out.ok:
-        w = out.weight
-        if 2 * w + len(erasures) >= code.distance():
-            raise InvalidParams(
-                f"decoder for {code!r} returned a codeword outside the distance bound"
-            )
+    return tuple(word), check_erasures(erasures, code.n)
+
+
+def _bounded(code: LinearCode, out: DecodeOutcome, erasures) -> DecodeOutcome:
+    """out, once a decoded codeword is checked against 2*wt_E + |E| < d: a
+    decoder that breaks the bound is a ContractViolation."""
+    if out.ok and 2 * out.weight + len(erasures) >= code.distance():
+        raise ContractViolation(f"decoder for {code!r} returned a codeword outside the distance bound")
     return out
 
 
@@ -203,10 +226,15 @@ class ReedSolomonDecoder:
     O(n (n - k)) field operations.  Both products are RowMaps built once per
     code; they have the same size, so they run on the same path.  The output
     is re-checked for zero syndrome and 2*wt_E + |E| < d.
+
+    decode_batch runs the same steps for a list of words on arrays: each
+    product is one Field.matmul for the whole batch, and Berlekamp-Massey
+    runs masked, every row with its own length, L and shift.
     """
 
     def __init__(self, code: LinearCode):
         self.code = code
+        self._d = code.distance()
         f = code.field
         pts = code.eval_points
         r = code.n - code.k
@@ -225,17 +253,57 @@ class ReedSolomonDecoder:
             ux.append(row[:r])
         self._syndromes = linalg.RowMap(f, ux)
         self._roots = linalg.RowMap(f, zip(*ux))
+        if f.vectorised(code.n):
+            self._ux = np.array(ux, dtype=np.int64).reshape(code.n, r)
+            self._points = np.array(pts, dtype=np.int64)
+            self._u_array = np.array(self._u, dtype=np.int64)
 
     def __call__(self, word, erasures) -> DecodeOutcome:
+        if len(erasures) >= self._d:
+            return FAILURE
+        return self._solve(word, erasures, self._syndromes.row(word))
+
+    def decode_batch(self, words, erasure_sets) -> list:
+        """[self(word, erasures) for each pair].
+
+        From linalg.BATCH_MIN_ROWS words on, where matmul is vectorised for
+        n, the syndromes are one product, and when that many words have a
+        nonzero syndrome and fewer than d erasures they are solved together
+        on arrays; otherwise each goes through the scalar solve.
+        """
+        code = self.code
+        n, d = code.n, self._d
+        if len(words) < linalg.BATCH_MIN_ROWS or not code.field.vectorised(n):
+            return list(map(self, words, erasure_sets))
+        received = np.array(words, dtype=np.int64).reshape(-1, n)
+        synd = code.field.matmul(received, self._ux)
+        out = [FAILURE] * len(words)
+        solve = []
+        for b, (word, erasures, nonzero) in enumerate(zip(words, erasure_sets, synd.any(axis=1).tolist())):
+            if len(erasures) >= d:
+                continue
+            if nonzero:
+                solve.append(b)
+            else:
+                out[b] = DecodeOutcome(tuple(word), (0,) * n, 0)
+        if len(solve) < linalg.BATCH_MIN_ROWS:
+            for b in solve:
+                out[b] = self._solve(words[b], erasure_sets[b], tuple(synd[b].tolist()))
+            return out
+        solved = self._solve_arrays(received[solve], [erasure_sets[b] for b in solve], synd[solve])
+        for b, outcome in zip(solve, solved):
+            out[b] = outcome
+        return out
+
+    def _solve(self, word, erasures, synd) -> DecodeOutcome:
+        """The decode of one word with fewer than d erasures, from its
+        syndrome tuple."""
         code = self.code
         f = code.field
         axpy, dot, mul = f.axpy, f.dot, f.mul
-        n, d = code.n, code.distance()
+        n, d = code.n, self._d
         pts, ux = code.eval_points, self._syndromes.matrix
         ne = len(erasures)
-        if ne >= d:
-            return FAILURE
-        synd = self._syndromes.row(word)
         if not any(synd):
             return DecodeOutcome(tuple(word), (0,) * n, 0)
 
@@ -289,6 +357,95 @@ class ReedSolomonDecoder:
             return FAILURE
         codeword = tuple(f.sub(a, e) for a, e in zip(word, error))
         return DecodeOutcome(codeword, tuple(error), w)
+
+    def _solve_arrays(self, received, erasure_sets, synd) -> list:
+        """_solve for the rows of the (B, n) array received at once: row b
+        of the (B, n - k) array synd is the nonzero syndrome of received[b],
+        which has fewer than d erasures.  Every step is the scalar one on a
+        whole array; a row that a scalar step fails stays masked to its end."""
+        f = self.code.field
+        mul, add = f.mul_array, f.add_array
+        n, d = self.code.n, self._d
+        r = d - 1
+        batch = len(received)
+        ne = np.fromiter(map(len, erasure_sets), dtype=np.int64, count=batch)
+        erased = np.zeros((batch, n), dtype=bool)
+        erased[np.repeat(np.arange(batch), ne), list(itertools.chain.from_iterable(erasure_sets))] = True
+
+        # erasure locator Gamma, one linear factor per step, and the Forney
+        # syndromes T_l = sum_j gamma_j S_{l+j} by a Hankel gather of S
+        # (T_l is read only for l < d - 1 - |E|)
+        gamma = np.zeros((batch, d), dtype=np.int64)
+        gamma[:, 0] = 1
+        order = np.argsort(~erased, axis=1, kind="stable")  # erased positions first
+        for j in range(int(ne.max())):
+            new = mul(f.neg_array(self._points[order[:, j]])[:, None], gamma)
+            new[:, 1:] = add(new[:, 1:], gamma[:, :-1])
+            gamma = np.where((j < ne)[:, None], new, gamma)
+        hankel = np.arange(r)[:, None] + np.arange(d)
+        padded = np.concatenate([synd, np.zeros((batch, d), dtype=np.int64)], axis=1)
+        forney = f.sum_array(mul(gamma[:, None, :], padded[:, hankel]), 2)
+
+        # Berlekamp-Massey, row b over T_0 .. T_{d-2-|E_b|}.  deg C <= L
+        # <= d - 1, and `shifted` holds z^shift B, so d coefficients hold
+        # both; history[:, k : k + d] reversed is T_k, ..., T_0 and zeros
+        length = r - ne
+        conn = np.zeros((batch, d), dtype=np.int64)
+        conn[:, 0] = 1
+        shifted = _times_z(conn)
+        last_inv, L = np.ones(batch, dtype=np.int64), np.zeros(batch, dtype=np.int64)
+        history = np.concatenate([np.zeros((batch, r), dtype=np.int64), forney], axis=1)
+        for k in range(int(length.max())):
+            active = k < length
+            delta = f.sum_array(mul(conn, history[:, k : k + d][:, ::-1]), 1)
+            change = active & (delta != 0)
+            grow = change & (2 * L <= k)
+            new = add(conn, mul(f.neg_array(mul(delta, last_inv))[:, None], shifted))
+            base = np.where(grow[:, None], conn, shifted)
+            shifted = np.where(active[:, None], _times_z(base), shifted)
+            last_inv = np.where(grow, f.inv_array(delta), last_inv)
+            L = np.where(grow, k + 1 - L, L)
+            conn = np.where(change[:, None], new, conn)
+        ok = 2 * L + ne < d
+
+        # sigma = z^L C(1/z), padded to d - 1, times the transposed matrix
+        # gives u_i sigma(x_i); its roots away from the erasures must number L
+        back = L[:, None] - np.arange(r)
+        sigma = np.take_along_axis(conn, np.maximum(back, 0), axis=1) * (back >= 0)
+        roots = (f.matmul(sigma, self._ux.T) == 0) & ~erased
+        ok &= roots.sum(axis=1) == L
+        locs = (erased | roots) & ok[:, None]
+
+        # Forney: sigma is then monic with those L roots, so Lambda = Gamma *
+        # sigma; Omega by a Hankel gather of Lambda, and Omega and Lambda' at
+        # every point in one product
+        conv = np.arange(d)[:, None] - np.arange(d)  # m - j, or r past sigma
+        conv = np.where((conv >= 0) & (conv < r), conv, r)
+        padded_sigma = np.concatenate([sigma, np.zeros((batch, 1), dtype=np.int64)], axis=1)
+        lam = f.sum_array(mul(gamma[:, None, :], padded_sigma[:, conv]), 2)
+        lam = np.concatenate([lam, np.zeros((batch, r), dtype=np.int64)], axis=1)
+        omega = f.sum_array(mul(lam[:, hankel[:, :r] + 1], synd[:, None, :]), 2)
+        dlam = mul(np.arange(1, d) % f.p, lam[:, 1:d])
+        values = f.matmul(np.concatenate([omega, dlam]), self._ux.T)
+        num, den = values[:batch], values[batch:]
+        error = np.where(locs, mul(num, f.inv_array(mul(den, self._u_array))), 0)
+
+        # re-check, as in _solve
+        ok &= (f.matmul(error, self._ux) == synd).all(axis=1)
+        weight = ((error != 0) & ~erased).sum(axis=1)
+        ok &= 2 * weight + ne < d
+        codewords = add(received, f.neg_array(error))
+        return [
+            DecodeOutcome(tuple(c), tuple(e), w) if good else FAILURE
+            for c, e, w, good in zip(codewords.tolist(), error.tolist(), weight.tolist(), ok.tolist())
+        ]
+
+
+def _times_z(polys):
+    """The rows of polys, little endian, times z (the top coefficient drops)."""
+    out = np.zeros_like(polys)
+    out[:, 1:] = polys[:, :-1]
+    return out
 
 
 def _times_linear(f, poly, x):

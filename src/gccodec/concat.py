@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmd, linalg
-from .block_codes import LinearCode, check_erasures, ee_decode, wt
+from .block_codes import LinearCode, check_erasures, ee_decode, ee_decode_many, wt
 from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch
 from .galois import TowerView
 from .oracle import oracle_radius
@@ -110,7 +110,9 @@ class RowDecodeResult:
 
 
 def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None) -> RowDecodeResult:
-    """Decode each row with the inner code's EE decoder.
+    """Decode each row with the inner code's EE decoder: in one
+    ee_decode_many call when the decoder decodes batches, else one
+    ee_decode call per row.
 
     radius, when given, must exceed the half-distance radius; rows the
     regular decoder rejects are retried with the unique-in-ball reference
@@ -125,11 +127,13 @@ def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None)
             raise InvalidParams(f"extended radius {radius} must exceed {t}")
         if any(erasure_sets):
             raise InvalidParams("extended-radius decoding supports errors-only input")
+    if hasattr(code.decoder, "decode_batch"):
+        outs = ee_decode_many(code, rows, erasure_sets)
+    else:
+        outs = [ee_decode(code, row, erasures) for row, erasures in zip(rows, erasure_sets)]
     estimates, residuals, weights, failed, apparents = [], [], [], [], []
-    calls = 0
-    for row, erasures in zip(rows, erasure_sets):
-        out = ee_decode(code, row, erasures)
-        calls += 1
+    calls = len(outs)
+    for row, erasures, out in zip(rows, erasure_sets, outs):
         if not out.ok and radius is not None:
             out = oracle_radius(code, row, radius)
             calls += 1

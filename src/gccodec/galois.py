@@ -22,6 +22,7 @@ symbols.  None of this changes any observable value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -163,6 +164,13 @@ class Field:
         self.modulus = tuple(modulus)
         self.q = (p if base is None else base.q) ** degree
         self._log = False  # the exp/log tables, where _cached builds them
+        # place values p^i of the base-p digits of an encoding, for the
+        # array kernels (one digit in a prime field)
+        if self.vectorised(1):
+            places = [1]
+            while places[-1] * p < self.q:
+                places.append(places[-1] * p)
+            self._digit_powers = np.array(places, dtype=np.int64)
 
     # -- identity ----------------------------------------------------------
 
@@ -351,11 +359,9 @@ class Field:
         numpy arrays of element encodings; returns an (M, N) array.
 
         Prime fields reduce numpy's integer product mod p.  Fields with
-        exp/log tables gather the products exp[log a + log b] (at most
-        _MATMUL_BLOCK at a time) and sum them over K, by XOR in
-        characteristic 2 and otherwise digit by digit mod p: the base-p
-        digits of an encoding are its coordinates over GF(p), whatever the
-        tower.  Elsewhere (see vectorised) the rows go through vec_mat.
+        exp/log tables take the products with mul_array (at most
+        _MATMUL_BLOCK at a time) and sum them over K with sum_array.
+        Elsewhere (see vectorised) the rows go through vec_mat.
         """
         m, k = a.shape
         n = b.shape[1]
@@ -365,23 +371,58 @@ class Field:
             return np.array(out, dtype=np.int64 if self.q <= 1 << 63 else object).reshape(m, n)
         if self.base is None:
             return (a @ b) % self.p
-        exp, log = self._exp_array, self._log_array
-        la, lb = log[a], log[b]
         step = max(1, _MATMUL_BLOCK // max(1, m * n))
+        parts = (
+            self.sum_array(self.mul_array(a[:, lo : lo + step, None], b[None, lo : lo + step]), 1)
+            for lo in range(0, max(k, 1), step)
+        )
+        return functools.reduce(self.add_array, parts)
 
-        def products(lo):
-            return exp[la[:, lo : lo + step, None] + lb[None, lo : lo + step]]
+    # -- elementwise array kernels, where vectorised(1) holds -----------------
+    #
+    # Integer numpy arrays of element encodings, broadcast against each
+    # other.  Sums go by XOR in characteristic 2 and digit by digit mod p
+    # otherwise: the base-p digits of an encoding are its coordinates over
+    # GF(p), whatever the tower (a prime field has one digit).
 
+    def mul_array(self, a, b):
+        """Elementwise products a * b."""
+        if self.base is None:
+            return a * b % self.p
+        log = self._log_array
+        return self._exp_array[log[a] + log[b]]
+
+    def inv_array(self, a):
+        """Elementwise inverses, with 0 for 0."""
+        if self.base is None:
+            return _power(self.mul_array, a, self.p - 2) * (a != 0)
+        # log[0] = 2(q-1) sends 0 to a negative index, which wraps into the
+        # zero tail of exp
+        return self._exp_array[self.q - 1 - self._log_array[a]]
+
+    def _digits(self, a):
+        return a[..., None] // self._digit_powers % self.p
+
+    def _pack(self, digits):
+        return digits % self.p @ self._digit_powers
+
+    def add_array(self, a, b):
+        """Elementwise sums a + b."""
         if self.p == 2:
-            out = np.bitwise_xor.reduce(products(0), axis=1)
-            for lo in range(step, k, step):
-                out ^= np.bitwise_xor.reduce(products(lo), axis=1)
-            return out
-        powers, p = self._digit_powers, self.p
-        acc = (products(0)[..., None] // powers % p).sum(axis=1)
-        for lo in range(step, k, step):
-            acc += (products(lo)[..., None] // powers % p).sum(axis=1)
-        return acc % p @ powers
+            return a ^ b
+        return self._pack(self._digits(a) + self._digits(b))
+
+    def neg_array(self, a):
+        """Elementwise negatives -a."""
+        if self.p == 2:
+            return a
+        return self._pack(-self._digits(a))
+
+    def sum_array(self, a, axis):
+        """The sum of a along axis (a nonnegative axis number)."""
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=axis)
+        return self._pack(self._digits(a).sum(axis=axis))
 
     # -- slow paths and tables ----------------------------------------------
 
@@ -424,8 +465,7 @@ class Field:
         exp[i] = g^(i mod (q-1)) for i < 2(q-1), so a product of two nonzero
         elements is exp[log a + log b] with no modulo.  log[0] = 2(q-1)
         points into a zero tail of exp, so any index sum with a zero operand
-        reads 0.  matmul reads the arrays and the place values p^i of the
-        base-p digits of an encoding.
+        reads 0.  The array kernels read the numpy copies.
         """
         q1 = self.q - 1
         cofactors = [q1 // r for r in _prime_factors(q1)]
@@ -441,10 +481,6 @@ class Field:
         self._exp = powers * 2 + [0] * (2 * q1 + 1)
         if self.p != 2:
             self._zech = self._build_add_table(log)
-        places = [1]
-        while places[-1] * self.p < self.q:
-            places.append(places[-1] * self.p)
-        self._digit_powers = np.array(places, dtype=np.int64)
         self._log_array = np.array(log, dtype=np.int64)
         self._exp_array = np.array(self._exp, dtype=np.int64)
         self._log = log  # last: the arithmetic takes the table paths from here
@@ -465,7 +501,7 @@ class Field:
 
 
 _FIELD_TOKEN = object()
-_FIELD_CACHE: dict = {}
+_FIELD_CACHE: dict = {}  # handles by key, and by (..., "auto") for an auto modulus
 
 
 def _auto_modulus(base, degree):
@@ -508,16 +544,26 @@ def _cached(field: Field) -> Field:
 
 def extend_field(base: Field, s: int, modulus="auto") -> Field:
     """GF(q^s) built as a degree-s extension of an existing handle; the
-    modulus is read as in make_field, over base, and s = 1 gives base."""
+    modulus is read as in make_field, over base, and s = 1 gives base.
+
+    A handle made before is found by (base, s, modulus or "auto") ahead of
+    the modulus search and the irreducibility test.
+    """
     if s < 1:
         raise InvalidParams("extension degree must be >= 1")
     if isinstance(modulus, str) and modulus == "auto":
-        modulus = _auto_modulus(base, s)
+        key = ("ext", base.key, s, "auto")
+        if key not in _FIELD_CACHE:
+            _FIELD_CACHE[key] = extend_field(base, s, _auto_modulus(base, s))
+        return _FIELD_CACHE[key]
     modulus = base.vector(modulus)
     if len(modulus) != s + 1 or modulus[-1] != 1:
         raise InvalidParams(f"modulus must be monic of degree {s}")
     if s == 1:
         return base
+    known = _FIELD_CACHE.get(("ext", base.key, s, modulus))
+    if known is not None:
+        return known
     if not _poly_is_irreducible(base, list(modulus)):
         raise ReducibleModulus(f"modulus {list(modulus)} factors over {base}")
     return _cached(Field(base.p, base, s, modulus, _token=_FIELD_TOKEN))

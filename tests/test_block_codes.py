@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import gccodec as g
 from gccodec import linalg, specio
-from gccodec.block_codes import DecodeOutcome
+from gccodec.block_codes import DecodeOutcome, ReedSolomonDecoder, ee_decode_many
+from gccodec.concat import decode_rows
 
 
 def _field(params):
@@ -84,16 +85,46 @@ class TestSigmaContract:
         assert not code.decode((1, 1, 0), frozenset({0, 1, 2})).ok
 
     def test_decoder_breaching_bound_is_caught(self, gf2):
-        code = g.repetition_code(gf2, 3)
         code = g.LinearCode(gf2, [[1, 1, 1]], d=3)
         code.attach(lambda word, erasures: DecodeOutcome((0, 0, 0), word, g.wt(word)))
-        with pytest.raises(g.InvalidParams):
+        with pytest.raises(g.ContractViolation):
             code.decode((1, 1, 0))
+
+    def test_decoder_breaching_bound_is_caught_in_a_batch(self, gf2):
+        # a plain callable decodes row by row, a decode_batch method in one
+        # call; both outcomes meet the same bound check
+        class Breaching:
+            def __call__(self, word, erasures):
+                return DecodeOutcome((0, 0, 0), word, g.wt(word))
+
+            def decode_batch(self, words, erasure_sets):
+                return list(map(self, words, erasure_sets))
+
+        for decoder in (Breaching(), Breaching().__call__):
+            code = g.LinearCode(gf2, [[1, 1, 1]], d=3).attach(decoder)
+            assert ee_decode_many(code, [(0, 0, 0), (1, 0, 0)], [(), ()])[1].weight == 1
+            with pytest.raises(g.ContractViolation):
+                ee_decode_many(code, [(0, 0, 0), (1, 1, 0)], [(), ()])
+            with pytest.raises(g.ContractViolation):
+                ee_decode_many(code, [(1, 0, 0)], [{1}])
 
     def test_no_decoder(self, gf2):
         code = g.LinearCode(gf2, [[1, 1, 1]], d=3)
         with pytest.raises(g.NoDecoder):
             code.decode((1, 1, 1))
+        with pytest.raises(g.NoDecoder):
+            ee_decode_many(code, [(1, 1, 1)], [()])
+
+    def test_batch_entry_point_checks_every_row(self, gf8):
+        code = g.rs_code(gf8, 7, 3)
+        words = [(0,) * 7] * 20
+        with pytest.raises(g.LengthMismatch):
+            ee_decode_many(code, words[:-1] + [(0,) * 6], [()] * 20)
+        with pytest.raises(g.ErasureIndexError):
+            ee_decode_many(code, words, [()] * 19 + [{7}])
+        with pytest.raises(g.LengthMismatch):
+            ee_decode_many(code, words, [()] * 19)
+        assert ee_decode_many(code, [], []) == []
 
     @pytest.mark.parametrize("p,m,bad", [(7, 1, 8), (2, 3, 300), (2, 3, -1)])
     def test_symbols_are_validated(self, p, m, bad):
@@ -270,6 +301,108 @@ class TestReedSolomon:
             data.draw(st.sets(st.integers(0, 6), max_size=6))
         )
         assert code.decode(word, erasures).codeword == g.oracle_sigma(code, word, erasures).codeword
+
+
+BATCH_FIELDS = {
+    "GF(2)": lambda: g.make_field(2, 1),
+    "GF(4)": lambda: g.make_field(2, 2),
+    "GF(8)": lambda: g.make_field(2, 3),
+    "GF(16)": lambda: g.make_field(2, 4),
+    "GF(5)": lambda: g.make_field(5, 1),
+    "GF(7)": lambda: g.make_field(7, 1),
+    "GF(9)": lambda: g.make_field(3, 2),
+    "GF(27)/GF(3)": lambda: g.extend_field(g.make_field(3, 1), 3),
+}
+
+
+def random_batch(code, rng, size, beyond=2):
+    """size received words of code, each with its own erasure set (up to d
+    erasures) and up to `beyond` errors past the error-and-erasure radius."""
+    f, n, d = code.field, code.n, code.distance()
+    words, erasure_sets = [], []
+    for _ in range(size):
+        word = list(code.encode([rng.randrange(f.q) for _ in range(code.k)]))
+        erasures = rng.sample(range(n), rng.randrange(0, min(n, d) + 1))
+        kept = [i for i in range(n) if i not in erasures]
+        errors = rng.sample(kept, min(len(kept), rng.randrange(0, (d - len(erasures)) // 2 + beyond + 1)))
+        for i in erasures + errors:
+            word[i] = f.add(word[i], rng.randrange(1, f.q) if i in errors else rng.randrange(f.q))
+        words.append(tuple(word))
+        erasure_sets.append(frozenset(erasures))
+    return words, erasure_sets
+
+
+def per_row_twin(code):
+    """code with its decoder attached as a plain callable, which has no
+    decode_batch, so every row goes through ee_decode on its own."""
+    twin = g.LinearCode(code.field, code.generator, d=code.distance(), kind=code.kind, eval_points=code.eval_points)
+    return twin.attach(code.decoder.__call__)
+
+
+class TestBatchDecode:
+    """ReedSolomonDecoder.decode_batch against the scalar decoder and the oracle."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_equals_scalar_and_oracle_hypothesis(self, data):
+        field = BATCH_FIELDS[data.draw(st.sampled_from(sorted(BATCH_FIELDS)))]()
+        n = data.draw(st.integers(1, min(field.q, 12)))
+        k = data.draw(st.integers(1, max(k for k in range(1, n + 1) if field.q**k <= 1024 or k == 1)))
+        size = data.draw(st.sampled_from([1, 7, linalg.BATCH_MIN_ROWS - 1, linalg.BATCH_MIN_ROWS, 32, 48, 64]))
+        code = g.rs_code(field, n, k)
+        rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+        words, erasure_sets = random_batch(code, rng, size)
+        batch = code.decoder.decode_batch(words, erasure_sets)
+        assert batch == [code.decoder(w, x) for w, x in zip(words, erasure_sets)]
+        assert batch == [g.oracle_sigma(code, w, x) for w, x in zip(words, erasure_sets)]
+        # decode_rows: the same RowDecodeResult through the batch and the per-row path
+        twin = per_row_twin(code)
+        assert decode_rows(code, words, erasure_sets) == decode_rows(twin, words, erasure_sets)
+        t = (n - k) // 2
+        if t + 1 < n:
+            errors_only = [frozenset()] * size
+            assert decode_rows(code, words, errors_only, t + 1) == decode_rows(twin, words, errors_only, t + 1)
+
+    @pytest.mark.parametrize(
+        "make,n,k",
+        [
+            (lambda: g.make_field(2, 4), 15, 8),
+            (lambda: g.extend_field(g.make_field(2, 4), 2), 64, 40),
+            (lambda: g.make_field(3, 2), 9, 3),
+            (lambda: g.make_field(65537, 1), 20, 9),  # a prime field above 2^16 is vectorised
+        ],
+    )
+    def test_crossover_picks_the_path(self, monkeypatch, make, n, k):
+        solved = []
+        solve = ReedSolomonDecoder._solve_arrays
+        monkeypatch.setattr(
+            ReedSolomonDecoder, "_solve_arrays", lambda self, w, x, s: solved.append(len(w)) or solve(self, w, x, s)
+        )
+        code = g.rs_code(make(), n, k)
+        f, rng, edge = code.field, random.Random(n), linalg.BATCH_MIN_ROWS
+        for size, nonzero, calls in [(edge - 1, edge - 1, []), (40, edge - 1, []), (40, edge, [edge]), (40, 40, [40])]:
+            # rows below `nonzero` carry one error, erased on every other row
+            words, erasure_sets = [], []
+            for i in range(size):
+                word = list(code.encode([rng.randrange(f.q) for _ in range(k)]))
+                pos = rng.randrange(n)
+                if i < nonzero:
+                    word[pos] = f.add(word[pos], rng.randrange(1, f.q))
+                words.append(tuple(word))
+                erasure_sets.append(frozenset({pos}) if i < nonzero and i % 2 else frozenset())
+            solved.clear()
+            batch = code.decoder.decode_batch(words, erasure_sets)
+            assert batch == [code.decoder(w, x) for w, x in zip(words, erasure_sets)]
+            assert all(out.ok for out in batch)
+            assert solved == calls
+
+    def test_fields_above_the_tables_stay_scalar(self, monkeypatch):
+        monkeypatch.setattr(ReedSolomonDecoder, "_solve_arrays", None)
+        code = g.rs_code(g.make_field(2, 17), 12, 6)
+        words, erasure_sets = random_batch(code, random.Random(17), 40)
+        assert code.decoder.decode_batch(words, erasure_sets) == [
+            code.decoder(w, x) for w, x in zip(words, erasure_sets)
+        ]
 
 
 class TestMinDistance:

@@ -126,6 +126,33 @@ class TestConstructor:
         assert all(f._log for f in built)
 
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: g.make_field(2, 8),
+            lambda: g.make_field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
+            lambda: g.make_field(3, 3),
+            lambda: g.extend_field(g.make_field(2, 4), 2),
+            lambda: g.extend_field(g.make_field(3, 1), 2, [2, 2, 1]),
+        ],
+    )
+    def test_repeated_call_finds_the_handle_first(self, monkeypatch, make):
+        # the modulus search and the irreducibility test run once per handle
+        first = make()
+
+        def refuse(*args):
+            raise AssertionError("irreducibility test on a repeated call")
+
+        monkeypatch.setattr(galois, "_poly_is_irreducible", refuse)
+        assert make() is first
+
+    def test_auto_and_explicit_modulus_give_one_handle(self, monkeypatch):
+        monkeypatch.setattr(galois, "_FIELD_CACHE", {})
+        auto = g.make_field(2, 4)
+        assert g.make_field(2, 4, list(auto.modulus)) is auto
+        assert g.make_field(2, 4) is auto
+
+
 class TestArithmetic:
     def test_mod3(self):
         f = g.make_field(3, 1)
@@ -339,6 +366,38 @@ class TestMatmul:
         rows = random_matrix(f, rng, 6, 5)
         assert loop(rows) == array(rows) == [linalg.vec_mat(f, row, b) for row in rows]
         assert loop.row(rows[1]) == array.row(rows[1]) == loop(rows)[1]
+
+
+ARRAY_FIELDS = {
+    **KERNEL_FIELDS,
+    "GF(2)": lambda: g.make_field(2, 1),
+    "GF(5)": lambda: g.make_field(5, 1),
+    "GF(27)/GF(3)": lambda: g.extend_field(g.make_field(3, 1), 3),
+    "GF(81)/GF(9)": lambda: g.extend_field(g.make_field(3, 2), 2),
+    "GF(65537)": lambda: g.make_field(65537, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_FIELDS))
+def test_elementwise_array_kernels(name):
+    """mul/add/neg/inv/sum on arrays against the scalar operations."""
+    f = ARRAY_FIELDS[name]()
+    assert f.vectorised(1)
+    pairs = kernel_pairs(f, count=400)
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    assert f.mul_array(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
+    assert f.add_array(a, b).tolist() == [f.add(x, y) for x, y in pairs]
+    assert f.neg_array(a).tolist() == [f.neg(x) for x in a.tolist()]
+    assert f.inv_array(a).tolist() == [f.inv(x) if x else 0 for x in a.tolist()]
+    # broadcasting, and sums along either axis of a 2-d array
+    assert f.mul_array(a[:5, None], b[None, :7]).tolist() == [[f.mul(x, y) for y in b[:7].tolist()] for x in a[:5].tolist()]
+    grid = np.resize(np.concatenate([a, b]), (3, 40))
+    for axis in (0, 1):
+        expect = np.zeros(grid.shape[1 - axis], dtype=np.int64).tolist()
+        for line in np.moveaxis(grid, axis, 0).tolist():
+            expect = [f.add(x, y) for x, y in zip(expect, line)]
+        assert f.sum_array(grid, axis).tolist() == expect
 
 
 @pytest.mark.parametrize("name", ["GF(7)", "GF(9)", "GF(256)/GF(16)"])

@@ -57,6 +57,17 @@ def test_wer_sweep(tmp_path):
     assert len(lines) == 6
 
 
+# decode_digest.py --words 30 on the demo specs, as recorded when the Reed-
+# Solomon rows started to decode in batches; a change that moves a decision
+# has to change these lines on purpose.
+DEMO_DIGESTS = [
+    "cc_rs256_gf16.json 240 49289d14ba7d2031ca52ab33d67e9d3e603603b9fb4e8b3a19387298d48f4881",
+    "cc_small.json 300 9ec9829fb8d4974294b17d30901edb9befab55d16df04f27611ae6861c879c93",
+    "mpc_uuv_gf8.json 180 3e9a83c71b3b7b73bb1c7f432f0dbf1b281a7ffb9db92ac0225f0f69378f6f7b",
+    "mpc_uvw_gf3.json 150 f759f7c137ff3a2bbfb90e82f2aa2483653de0aa55a022700d7b0d2e041aee4f",
+]
+
+
 def test_decode_digest_is_reproducible(tmp_path):
     assert run_script("make_demo_specs.py", str(tmp_path)).returncode == 0
     specs = sorted(str(p) for p in tmp_path.glob("*.json") if p.stem.startswith(("cc_", "mpc_")))
@@ -66,10 +77,7 @@ def test_decode_digest_is_reproducible(tmp_path):
         assert proc.returncode == 0, proc.stderr
     lines = runs[0].stdout.splitlines()
     assert runs[1].stdout.splitlines() == lines
-    assert [line.split()[0] for line in lines] == [Path(s).name for s in specs]
-    for line in lines:
-        name, decodes, digest = line.split()
-        assert int(decodes) > 0 and len(digest) == 64
+    assert lines == DEMO_DIGESTS
 
 
 def test_benchmark_hooks_install_and_undo():
