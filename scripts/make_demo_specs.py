@@ -62,6 +62,27 @@ def main():
     )
     (outdir / "mpc_uvw_gf3.json").write_text(json.dumps(specio.mpc_to_json(uvw), indent=2))
 
+    # three levels on the Reed-Muller chain RM(1,3) [8,4,4] c RM(2,3) [8,7,2]
+    # c GF(2)^8 (the monomials of degree <= 1, then 2, then 3 at the points
+    # of GF(2)^3), outers RS(8,7)/GF(16), RS(8,5)/GF(8) and [8,1,8]; d* = 8
+    rm_chain = [
+        [1, 1, 1, 1, 1, 1, 1, 1],
+        [0, 1, 0, 1, 0, 1, 0, 1],
+        [0, 0, 1, 1, 0, 0, 1, 1],
+        [0, 0, 0, 0, 1, 1, 1, 1],
+        [0, 0, 0, 1, 0, 0, 0, 1],
+        [0, 0, 0, 0, 0, 1, 0, 1],
+        [0, 0, 0, 0, 0, 0, 1, 1],
+        [0, 0, 0, 0, 0, 0, 0, 1],
+    ]
+    rm = g.gcc_spec(
+        [g.rs_code(gf16, 8, 7), g.rs_code(gf8, 8, 5), g.repetition_code(gf2, 8)],
+        (4, 3, 1),
+        rm_chain,
+        gf2,
+    )
+    (outdir / "gcc_rm_chain_gf2.json").write_text(json.dumps(specio.gcc_to_json(rm), indent=2))
+
     sim = {
         "spec": str(outdir / "mpc_uuv_gf8.json"),
         "channel": {"error_rate": 0.05, "erasure_rate": 0.0, "seed": 1},

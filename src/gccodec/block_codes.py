@@ -3,9 +3,9 @@
 The decoding contract used everywhere in this package: given a received word
 r and an erasure set E, a decoder must return the codeword c with
 2*wt_E(r - c) + |E| < d when one exists (it is then unique) and report
-failure otherwise.  Every bundled decoder re-verifies its output against the
-bound before returning, so a decoder can never smuggle out a codeword that
-violates the contract.
+failure otherwise.  ee_decode and ee_decode_many re-check every decoded
+codeword against the bound (_bounded), so a decoder that returns one
+outside it raises ContractViolation instead of passing it on.
 """
 
 from __future__ import annotations
@@ -69,14 +69,17 @@ FAILURE = DecodeOutcome(None, None, None)
 
 
 class LinearCode:
-    """A linear [n, k] code given by a full-rank generator matrix.
+    """A linear [n, k] code given by a full-rank generator matrix, with the
+    decoder attached to it, which keeps its own parameters.
 
     The minimum distance may be declared at construction (trusted for MDS
     constructions) or computed on demand by exhaustive enumeration when the
     code is small enough.
     """
 
-    def __init__(self, field, generator, d=None, kind="generic", eval_points=None):
+    def __init__(self, field, generator, d=None):
+        if d is not None and d < 1:
+            raise InvalidParams(f"a declared distance must be at least 1, got {d}")
         self.field = field
         self.generator = tuple(field.vector(row) for row in generator)
         self.k = len(self.generator)
@@ -86,8 +89,6 @@ class LinearCode:
         if any(len(row) != self.n for row in self.generator):
             raise InvalidParams("generator matrix must be rectangular")
         self._d = d
-        self.kind = kind
-        self.eval_points = eval_points
         self.decoder = None
         self._encoder = linalg.RowMap(field, self.generator)
         # codeword -> message: its elimination is also the full-rank check
@@ -232,12 +233,12 @@ class ReedSolomonDecoder:
     runs masked, every row with its own length, L and shift.
     """
 
-    def __init__(self, code: LinearCode):
-        self.code = code
-        self._d = code.distance()
-        f = code.field
-        pts = code.eval_points
-        r = code.n - code.k
+    def __init__(self, field, points, k: int):
+        self.field = field
+        self.points = tuple(points)
+        self.n = len(self.points)
+        self.d = self.n - k + 1
+        f, pts, r = field, self.points, self.d - 1
         self._u = []
         ux = []  # ux[i][l] = u_i * x_i^l
         for xi in pts:
@@ -253,13 +254,13 @@ class ReedSolomonDecoder:
             ux.append(row[:r])
         self._syndromes = linalg.RowMap(f, ux)
         self._roots = linalg.RowMap(f, zip(*ux))
-        if f.vectorised(code.n):
-            self._ux = np.array(ux, dtype=np.int64).reshape(code.n, r)
-            self._points = np.array(pts, dtype=np.int64)
+        if f.vectorised(self.n):
+            self._ux = np.array(ux, dtype=np.int64).reshape(self.n, r)
+            self._points_array = np.array(pts, dtype=np.int64)
             self._u_array = np.array(self._u, dtype=np.int64)
 
     def __call__(self, word, erasures) -> DecodeOutcome:
-        if len(erasures) >= self._d:
+        if len(erasures) >= self.d:
             return FAILURE
         return self._solve(word, erasures, self._syndromes.row(word))
 
@@ -271,12 +272,11 @@ class ReedSolomonDecoder:
         nonzero syndrome and fewer than d erasures they are solved together
         on arrays; otherwise each goes through the scalar solve.
         """
-        code = self.code
-        n, d = code.n, self._d
-        if len(words) < linalg.BATCH_MIN_ROWS or not code.field.vectorised(n):
+        n, d = self.n, self.d
+        if len(words) < linalg.BATCH_MIN_ROWS or not self.field.vectorised(n):
             return list(map(self, words, erasure_sets))
         received = np.array(words, dtype=np.int64).reshape(-1, n)
-        synd = code.field.matmul(received, self._ux)
+        synd = self.field.matmul(received, self._ux)
         out = [FAILURE] * len(words)
         solve = []
         for b, (word, erasures, nonzero) in enumerate(zip(words, erasure_sets, synd.any(axis=1).tolist())):
@@ -298,11 +298,10 @@ class ReedSolomonDecoder:
     def _solve(self, word, erasures, synd) -> DecodeOutcome:
         """The decode of one word with fewer than d erasures, from its
         syndrome tuple."""
-        code = self.code
-        f = code.field
+        f = self.field
         axpy, dot, mul = f.axpy, f.dot, f.mul
-        n, d = code.n, self._d
-        pts, ux = code.eval_points, self._syndromes.matrix
+        n, d = self.n, self.d
+        pts, ux = self.points, self._syndromes.matrix
         ne = len(erasures)
         if not any(synd):
             return DecodeOutcome(tuple(word), (0,) * n, 0)
@@ -363,9 +362,9 @@ class ReedSolomonDecoder:
         of the (B, n - k) array synd is the nonzero syndrome of received[b],
         which has fewer than d erasures.  Every step is the scalar one on a
         whole array; a row that a scalar step fails stays masked to its end."""
-        f = self.code.field
+        f = self.field
         mul, add = f.mul_array, f.add_array
-        n, d = self.code.n, self._d
+        n, d = self.n, self.d
         r = d - 1
         batch = len(received)
         ne = np.fromiter(map(len, erasure_sets), dtype=np.int64, count=batch)
@@ -379,7 +378,7 @@ class ReedSolomonDecoder:
         gamma[:, 0] = 1
         order = np.argsort(~erased, axis=1, kind="stable")  # erased positions first
         for j in range(int(ne.max())):
-            new = mul(f.neg_array(self._points[order[:, j]])[:, None], gamma)
+            new = mul(f.neg_array(self._points_array[order[:, j]])[:, None], gamma)
             new[:, 1:] = add(new[:, 1:], gamma[:, :-1])
             gamma = np.where((j < ne)[:, None], new, gamma)
         hankel = np.arange(r)[:, None] + np.arange(d)
@@ -487,13 +486,12 @@ def rs_code(field, n: int, k: int) -> LinearCode:
     gen = [(1,) * n]  # row i holds x^i at every point
     for _ in range(k - 1):
         gen.append(tuple(field.mul(a, x) for a, x in zip(gen[-1], points)))
-    code = LinearCode(field, gen, d=n - k + 1, kind="rs", eval_points=points)
-    return code.attach(ReedSolomonDecoder(code))
+    return LinearCode(field, gen, d=n - k + 1).attach(ReedSolomonDecoder(field, points, k))
 
 
 def generic_code(field, generator, d=None) -> LinearCode:
     """A generic linear code; small codes get an exhaustive EE decoder."""
-    code = LinearCode(field, generator, d=d, kind="generic")
+    code = LinearCode(field, generator, d=d)
     if d is None and code.num_codewords() <= ENUMERATION_CAP:
         code.distance()
     if code.num_codewords() <= ENUMERATION_CAP:

@@ -16,15 +16,18 @@ decodes every row at level k and reuses work in the rounds below it, where
 each row falls into one of four cases:
 
 - decode it: a row that failed, when the new subcode's radius (d-1)/2 is
-  larger than the previous one; a row whose decode the recovered column
-  contradicted, when d_prev - wt(apparent error) fits within the new
-  radius, so the new decode can reach past the miscorrection;
-- reuse it (NotInSuT): a row the recovered column confirmed keeps its
-  apparent error, since residual minus apparent error is already a
-  codeword of the next subcode;
-- zero its weight as known-wrong (SkipCondEq8): a contradicted row the new
+  larger than the one it failed with; a known-wrong row (a recovered
+  column contradicted its last decode, in this round or an earlier one),
+  when d_origin - wt(apparent error) fits within the new radius, d_origin
+  being the distance of the subcode that made that decode, so the new
+  decode can reach past the miscorrection;
+- reuse it (NotInSuT): a row whose last decode no column contradicted
+  keeps its apparent error, since residual minus apparent error is already
+  a codeword of the next subcode;
+- zero its weight as known-wrong (SkipCondEq8): a known-wrong row the new
   radius cannot reach keeps its estimate with weight zero, so every trial
-  erases it, but it is treated as a decodable row from then on;
+  erases it, but it stays out of the failure set; its estimate is off by a
+  nonzero codeword at every level until a decode replaces it;
 - keep it failed (TNoGain): a failed row whose radius does not grow.
 
 The rows to decode in a round go through one decode_rows call.
@@ -117,9 +120,11 @@ def gcc_spec(outers, widths, inner_generator, field, subcode_distances=None) -> 
             raise InvalidParams(f"outer field {a.field} does not have degree {s} over {field}")
     prefix = tuple(itertools.accumulate(widths))
     subcodes = []
-    for i, b in enumerate(prefix):
-        declared = None if subcode_distances is None else subcode_distances[i]
-        sub = generic_code(field, gen[:b], d=declared)
+    declared = (None,) * len(prefix) if subcode_distances is None else tuple(subcode_distances)
+    if len(declared) != len(prefix):
+        raise InvalidParams(f"{len(declared)} subcode distances given for {len(prefix)} levels")
+    for i, (b, d) in enumerate(zip(prefix, declared)):
+        sub = generic_code(field, gen[:b], d=d)
         if sub.declared_distance() is None:
             raise UnknownDistance(f"distance of level-{i + 1} subcode must be supplied")
         subcodes.append(sub)
@@ -223,7 +228,10 @@ def gcc_decode_basic(spec: GccSpec, received, options: DecodeOptions | None = No
 def gcc_decode_improved(spec: GccSpec, received, options: DecodeOptions | None = None) -> DecodeReport:
     """Multistage decoding that skips redundant row decodes across rounds."""
     f = spec.field
-    tainted: set = set()  # rows whose carried estimate is known not to be trustworthy
+    # rows whose carried estimate is known wrong: a column contradicted the
+    # decode that gave it, and no re-decode has replaced it since
+    tainted: set = set()
+    origin = [spec.inner.distance()] * spec.m  # distance of the subcode that last decoded each row
 
     def row_pass(level, residual, prev):
         if prev is None:
@@ -236,31 +244,35 @@ def gcc_decode_improved(spec: GccSpec, received, options: DecodeOptions | None =
         failed, apparents = list(carried.failed), list(carried.apparents)
         skips = dict.fromkeys((SKIP_REUSED, SKIP_EQ8, SKIP_T_NO_GAIN), 0)
         redo = []
+        tainted.update(contradicted)
         for j, apparent in enumerate(carried.apparents):
             if failed[j]:
-                if t > (carried.denominator - 1) // 2:
+                if t > (origin[j] - 1) // 2:
                     redo.append(j)
                 else:
                     skips[SKIP_T_NO_GAIN] += 1
                 continue
-            if j in contradicted and carried.denominator - apparent <= t:
+            # the wrong decode that gave this apparent error was made with
+            # distance origin[j], so the row holds at least origin[j] - apparent
+            # errors: a new decode can reach them once that fits the radius
+            if j in tainted and origin[j] - apparent <= t:
                 redo.append(j)
                 continue
             estimates[j] = tuple(f.sub(a, b) for a, b in zip(residual[j], residuals[j]))
-            if j in contradicted:
+            if j in tainted:
                 # Known-wrong estimate: its zero weight makes every trial
                 # erase it, but it stays out of the failure set.
                 skips[SKIP_EQ8] += 1
-                tainted.add(j)
             else:
                 skips[SKIP_REUSED] += 1
                 weights[j] = d - 2 * apparent
-                if j not in tainted and not sub.contains(estimates[j]):
+                if not sub.contains(estimates[j]):
                     raise ContractViolation(f"carried row {j} left the subcode")
         fresh = decode_rows(sub, [residual[j] for j in redo], [frozenset()] * len(redo))
         for i, j in enumerate(redo):
             estimates[j], residuals[j] = fresh.estimates[i], fresh.residuals[i]
             weights[j], failed[j], apparents[j] = fresh.weights[i], fresh.failed[i], fresh.apparents[i]
+            origin[j] = d
         tainted.difference_update(redo)
         rd = RowDecodeResult(estimates, residuals, weights, failed, apparents, d, fresh.invocations)
         return rd, {key: n for key, n in skips.items() if n}

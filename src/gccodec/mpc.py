@@ -99,6 +99,8 @@ def mpc_spec(outers, matrix, field) -> MpcSpec:
     """Validate and assemble a matrix-product spec (degree-one levels)."""
     outers = tuple(outers)
     matrix = tuple(field.vector(row) for row in matrix)
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise InvalidParams("the matrix rows must all have one length")
     if len(outers) != len(matrix):
         raise InvalidParams("one outer code per matrix row is required")
     for a in outers:

@@ -6,7 +6,8 @@ modulus coefficients are then relative to the base).  Elements serialize as
 integers in [0, q) (base-p digit packing, little-endian coefficients).
 
 Codes: {"kind": "rs" | "generic", "field": ..., "n": ..., "k": ...,
-"generator": [[...]] (generic only), "d": int | null}.
+"generator": [[...]] (generic only), "d": int | null}; "rs" marks a code whose
+decoder is a ReedSolomonDecoder.  Only this module knows the kinds.
 
 Constructions: concatenated {"outer": code, "inner": code, "s": int};
 generalized {"outers": [code...], "s": [int...], "inner_generator": [[...]],
@@ -17,7 +18,8 @@ Simulation configs: {"spec": file name or spec, "channel": {"error_rate",
 "erasure_rate", "seed"}, "trials": int, "decoder": {"mode", "carry_over",
 "radius"}, "output": file name, "threads": 1}.
 NSC checks: {"field": ..., "matrix": [[...]], "outer_distances": [int...]}.
-A non-object where an object belongs, or a missing entry, is a ConfigError.
+A non-object where an object belongs, a missing entry, an unknown code kind
+or an "rs" d other than n - k + 1 is a ConfigError.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import operator
 
-from .block_codes import LinearCode, generic_code, rs_code
+from .block_codes import LinearCode, ReedSolomonDecoder, generic_code, rs_code
 from .channel import ChannelModel
 from .concat import ConcatCode, DecodeOptions
 from .errors import ConfigError
@@ -59,27 +61,33 @@ def field_from_json(d: dict) -> Field:
 
 
 def code_to_json(code: LinearCode) -> dict:
+    rs = isinstance(code.decoder, ReedSolomonDecoder)
     out = {
-        "kind": code.kind,
+        "kind": "rs" if rs else "generic",
         "field": field_to_json(code.field),
         "n": code.n,
         "k": code.k,
         "d": code.declared_distance(),
     }
-    if code.kind != "rs":
+    if not rs:
         out["generator"] = [list(row) for row in code.generator]
     return out
 
 
 def code_from_json(d: dict) -> LinearCode:
-    field, kind, declared = _entries(d, "a code", "field", kind=None, d=None)
+    field, kind, declared = _entries(d, "a code", "field", kind="generic", d=None)
     field = field_from_json(field)
+    declared = _optional_integer(declared, DISTANCES)
     if kind == "rs":
         n, k = _entries(d, "a code", "n", "k")
-        return rs_code(field, _integer(n, CODE_PARAMS), _integer(k, CODE_PARAMS))
+        code = rs_code(field, _integer(n, CODE_PARAMS), _integer(k, CODE_PARAMS))
+        if declared not in (None, code.distance()):
+            raise ConfigError(f"rs code [{code.n},{code.k}] has d={code.distance()}, not {declared}")
+        return code
+    if kind != "generic":
+        raise ConfigError(f"unknown code kind {kind!r}: expected 'rs' or 'generic'")
     (generator,) = _entries(d, "a code", "generator")
-    generator = _matrix(generator, "generator")
-    return generic_code(field, generator, d=_optional_integer(declared, DISTANCES))
+    return generic_code(field, _matrix(generator, "generator"), d=declared)
 
 
 def concat_to_json(cc: ConcatCode) -> dict:

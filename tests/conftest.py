@@ -26,6 +26,19 @@ GROWING_RADIUS_INNER = [
     [0, 1, 0, 0, 1, 0, 1, 1],
     [0, 0, 1, 0, 1, 1, 0, 1],
 ]
+# the Reed-Muller chain RM(1,3) [8,4,4] c RM(2,3) [8,7,2] c GF(2)^8: the
+# monomials 1, x0, x1, x2, then x0x1, x0x2, x1x2, then x0x1x2 evaluated at
+# the points 0..7 of GF(2)^3 (x_v is bit v)
+RM3_CHAIN = [
+    [1, 1, 1, 1, 1, 1, 1, 1],
+    [0, 1, 0, 1, 0, 1, 0, 1],
+    [0, 0, 1, 1, 0, 0, 1, 1],
+    [0, 0, 0, 0, 1, 1, 1, 1],
+    [0, 0, 0, 1, 0, 0, 0, 1],
+    [0, 0, 0, 0, 0, 1, 0, 1],
+    [0, 0, 0, 0, 0, 0, 1, 1],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+]
 UVW_MATRIX = [[1, 2, 1], [1, 1, 0], [1, 0, 0]]
 UUV_MATRIX = [[1, 1], [0, 1]]
 
@@ -117,6 +130,17 @@ def gcc_growing_radius(gf2, gf8):
     return g.gcc_spec(
         [a1, g.rs_code(gf8, 7, 3)], (1, 3), GROWING_RADIUS_INNER, gf2, subcode_distances=(8, 4)
     )
+
+
+@pytest.fixture(scope="session")
+def rm_chain(gf2, gf8):
+    """Three levels on the RM3_CHAIN subcodes (distances 4, 2, 1):
+    RS(8,7)/GF(16) (width 4), RS(8,5)/GF(8) (width 3) and the [8,1,8]
+    repetition code (width 1); d* = min(2*4, 4*2, 8*1) = 8."""
+    outers = [g.rs_code(g.make_field(2, 4), 8, 7), g.rs_code(gf8, 8, 5), g.repetition_code(gf2, 8)]
+    spec = g.gcc_spec(outers, (4, 3, 1), RM3_CHAIN, gf2)
+    assert [sub.distance() for sub in spec.subcodes] == [4, 2, 1]
+    return spec
 
 
 def corrupt(field, word, positions, rng):

@@ -335,7 +335,7 @@ def random_batch(code, rng, size, beyond=2):
 def per_row_twin(code):
     """code with its decoder attached as a plain callable, which has no
     decode_batch, so every row goes through ee_decode on its own."""
-    twin = g.LinearCode(code.field, code.generator, d=code.distance(), kind=code.kind, eval_points=code.eval_points)
+    twin = g.LinearCode(code.field, code.generator, d=code.distance())
     return twin.attach(code.decoder.__call__)
 
 

@@ -479,7 +479,10 @@ def test_malformed_inputs_name_the_entry(
 # (kind, {key path into the spec: value put there}): non-lists where a
 # matrix or a modulus belongs, and empty outer lists, ended in a traceback
 # (exit 1); modulus coefficients that int(c) % p turned into x^3 + x + 1
-# were accepted (exit 0)
+# were accepted (exit 0); so were an unknown code kind (read as generic), an
+# rs d other than n - k + 1 (ignored), extra subcode distances (ignored) and
+# a declared d below 1, while too few subcode distances and a ragged B ended
+# in an IndexError traceback
 MALFORMED_SPECS = [
     ("cc", {("inner", "generator"): 5}),
     ("cc", {("inner", "generator"): [5]}),
@@ -492,6 +495,14 @@ MALFORMED_SPECS = [
     ("rs", {("field", "modulus"): ["1", "1", "0", "1"]}),
     ("rs", {("field", "modulus"): [3, 1, 0, 1]}),
     ("rs", {("field", "modulus"): [True, 1, 0, 1]}),
+    ("cc", {("inner", "kind"): "bch"}),
+    ("rs", {("d",): 4}),
+    ("cc", {("outer", "d"): 4}),
+    ("gcc", {("subcode_distances",): [4]}),
+    ("gcc", {("subcode_distances",): [4, 4, 4]}),
+    ("mpc", {("B",): [[1, 1], [0]]}),
+    ("cc", {("inner", "d"): 0}),
+    ("cc", {("inner", "d"): -3}),
 ]
 
 

@@ -15,6 +15,7 @@ MAX_ERRORS = {
     "mixed_spec": 4,
     "mpc_uuv8": 4,
     "mpc_uvw3": 5,
+    "rm_chain": 3,
     "uuv_bin": 4,
 }
 
@@ -211,6 +212,21 @@ class TestDecoders:
                 basic = g.gcc_decode_basic(spec, received)
                 improved = g.gcc_decode_improved(spec, received)
                 assert basic.codeword == improved.codeword == word, name
+
+    def test_three_level_chain_region(self, rm_chain):
+        # 1-3 bit errors are inside the region (d_1 = 4, d* = 8).  A row whose
+        # decode a column contradicted stays known-wrong (erased) until the
+        # radius reaches it, judged by the distance it was decoded with, and
+        # is then re-decoded.
+        spec = rm_chain
+        rng = random.Random(10)
+        for _ in range(2000):
+            msgs = [tuple(rng.randrange(a.field.q) for _ in range(a.k)) for a in spec.outers]
+            word = g.gcc_encode(spec, msgs)
+            received = corrupt(spec.field, word, rng.sample(range(spec.m * spec.n), rng.randint(1, 3)), rng)
+            assert g.correctable_gcc(error_matrix(spec.field, word, received), spec)
+            assert g.gcc_decode_basic(spec, received).codeword == word
+            assert g.gcc_decode_improved(spec, received).codeword == word
 
     def test_inner_invocation_budget(self, mpc_uvw3):
         spec = mpc_uvw3
