@@ -77,7 +77,7 @@ class LinearCode:
     code is small enough.
     """
 
-    def __init__(self, field, generator, d=None):
+    def __init__(self, field, generator, d=None, *, _inverse=None):
         if d is not None and d < 1:
             raise InvalidParams(f"a declared distance must be at least 1, got {d}")
         self.field = field
@@ -92,7 +92,10 @@ class LinearCode:
         self.decoder = None
         self._encoder = linalg.RowMap(field, self.generator)
         # codeword -> message: its elimination is also the full-rank check
-        self.inverse = linalg.RowMap(field, linalg.right_inverse(field, self.generator))
+        # (rs_code passes the matrix it builds without one)
+        if _inverse is None:
+            _inverse = linalg.right_inverse(field, self.generator)
+        self.inverse = linalg.RowMap(field, _inverse)
         self._codewords = None
 
     def __repr__(self):
@@ -119,7 +122,7 @@ class LinearCode:
         return self.inverse.row(tuple(codeword))
 
     def contains(self, word) -> bool:
-        return self.encode(self.message_of(word)) == tuple(word)
+        return self._encoder.row(self.message_of(word)) == tuple(word)
 
     # -- distance and enumeration ----------------------------------------------
 
@@ -254,7 +257,11 @@ class ReedSolomonDecoder:
             ux.append(row[:r])
         self._syndromes = linalg.RowMap(f, ux)
         self._roots = linalg.RowMap(f, zip(*ux))
-        if f.vectorised(self.n):
+        # batches solve on arrays where sums are cheap there: by XOR in
+        # characteristic 2, as one digit mod p in a prime field, not digit
+        # by digit in an odd-characteristic extension (see BATCH_MIN_ROWS)
+        self._batched = f.vectorised(self.n) and (f.p == 2 or f.base is None)
+        if self._batched:
             self._ux = np.array(ux, dtype=np.int64).reshape(self.n, r)
             self._points_array = np.array(pts, dtype=np.int64)
             self._u_array = np.array(self._u, dtype=np.int64)
@@ -268,12 +275,13 @@ class ReedSolomonDecoder:
         """[self(word, erasures) for each pair].
 
         From linalg.BATCH_MIN_ROWS words on, where matmul is vectorised for
-        n, the syndromes are one product, and when that many words have a
-        nonzero syndrome and fewer than d erasures they are solved together
-        on arrays; otherwise each goes through the scalar solve.
+        n and the field is not an odd-characteristic extension, the
+        syndromes are one product, and when that many words have a nonzero
+        syndrome and fewer than d erasures they are solved together on
+        arrays; otherwise each goes through the scalar solve.
         """
         n, d = self.n, self.d
-        if len(words) < linalg.BATCH_MIN_ROWS or not self.field.vectorised(n):
+        if len(words) < linalg.BATCH_MIN_ROWS or not self._batched:
             return list(map(self, words, erasure_sets))
         received = np.array(words, dtype=np.int64).reshape(-1, n)
         synd = self.field.matmul(received, self._ux)
@@ -486,7 +494,37 @@ def rs_code(field, n: int, k: int) -> LinearCode:
     gen = [(1,) * n]  # row i holds x^i at every point
     for _ in range(k - 1):
         gen.append(tuple(field.mul(a, x) for a, x in zip(gen[-1], points)))
-    return LinearCode(field, gen, d=n - k + 1).attach(ReedSolomonDecoder(field, points, k))
+    inverse = _lagrange_inverse(field, points[:k]) + ((0,) * k,) * (n - k)
+    code = LinearCode(field, gen, d=n - k + 1, _inverse=inverse)
+    return code.attach(ReedSolomonDecoder(field, points, k))
+
+
+def _lagrange_inverse(f, points):
+    """The inverse of the k x k Vandermonde matrix (x_j^i) on k distinct
+    points, in O(k^2): row j holds the coefficients of the Lagrange
+    polynomial L_j, which is 1 at x_j and 0 at the other points.
+
+    Any k columns of an RS generator are independent, so
+    linalg.right_inverse takes the first k as its pivots and returns this
+    matrix on them, with zero rows below it.
+    """
+    k = len(points)
+    prod = [1]  # prod_m (z - x_m)
+    for x in points:
+        prod = _times_linear(f, prod, x)
+    rows = []
+    for xj in points:
+        # prod / (z - x_j) by synthetic division, then scaled to 1 at x_j
+        quot, acc = [0] * k, 0
+        for i in range(k, 0, -1):
+            acc = f.add(prod[i], f.mul(xj, acc))
+            quot[i - 1] = acc
+        value = 0
+        for c in reversed(quot):
+            value = f.add(c, f.mul(xj, value))
+        scale = f.inv(value)
+        rows.append(tuple(f.mul(scale, c) for c in quot))
+    return tuple(rows)
 
 
 def generic_code(field, generator, d=None) -> LinearCode:

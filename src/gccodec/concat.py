@@ -87,10 +87,15 @@ def encode_columns(generator: linalg.RowMap, towers, words) -> tuple:
     symbol j of word i through towers[i], for every i, and multiplies the
     result by the generator map, in one product when it runs on arrays.
     With a GCC level's generator rows and tower alone, this is the level's
-    contribution to the codeword."""
+    contribution to the codeword.  Every caller passes codewords the
+    library made, so degree-one towers (every MPC level) pass symbols
+    through unchecked."""
     if generator.array is None:
-        expanded = [tuple(map(tower.to_base_vector, word)) for tower, word in zip(towers, words)]
-        rows = [sum(parts, ()) for parts in zip(*expanded)]
+        if all(tower.s == 1 for tower in towers):
+            rows = list(zip(*words))
+        else:
+            expanded = [tuple(map(tower.to_base_vector, word)) for tower, word in zip(towers, words)]
+            rows = [sum(parts, ()) for parts in zip(*expanded)]
     else:
         rows = np.concatenate([tower.expand(word) for tower, word in zip(towers, words)], axis=1)
     return tuple(generator(rows))
@@ -186,11 +191,14 @@ def fold_message_columns(inverse: linalg.RowMap, towers, rd: RowDecodeResult):
     """Outer-symbol columns from row estimates, the inverse of encode_columns:
     the message of row j under inverse (a right inverse, or the columns of
     one that a GCC level reads) packs into symbol j of one column per tower;
-    a failed row gives 0 everywhere."""
+    a failed row gives 0 everywhere.  Through degree-one towers the message
+    symbols are the column symbols."""
     columns, start = [], 0
     if inverse.array is None:
         zero = (0,) * inverse.n
         messages = [zero if bad else inverse.row(est) for est, bad in zip(rd.estimates, rd.failed)]
+        if all(tower.s == 1 for tower in towers):
+            return list(zip(*messages))
         for tower in towers:
             end = start + tower.s
             columns.append(tuple(tower.from_base_vector(msg[start:end]) for msg in messages))

@@ -4,9 +4,13 @@ Matrices are tuples (or lists) of row tuples holding field elements in their
 integer encoding; all arithmetic goes through the field handle, which must
 provide add/sub/mul/inv/neg and the in-place row update axpy(out, c, v)
 (out[j] += c * v[j]) that the row loops run on.  RowMap applies one fixed
-matrix to batches of rows, through the field's array product matmul or
-through the row loop, whichever its shape favours.
+matrix to batches of rows through one of three kernels, chosen once, at
+construction, from the map's shape and field: the field's array product
+matmul for large products, a lookup table of every row's image for small
+domains, and the row loop otherwise.
 """
+
+import itertools
 
 import numpy as np
 
@@ -30,19 +34,44 @@ ARRAY_MIN_PRODUCTS = 128
 # 1.34 / 2.41 ms at 48; RS(64,40)/GF(256) 1.76 / 0.96 ms at 4, 2.75 / 2.92
 # ms at 12, 3.17 / 3.84 ms at 16, 4.13 / 5.36 ms at 24.  The array solve
 # costs a fixed ~0.5-1.5 ms per call, so they cross between 8 and 16 words
-# in characteristic 2.  Odd characteristic sums digit by digit and crosses
-# later: RS(9,3)/GF(9) near 48 words.
+# in characteristic 2.  Odd prime fields sum one digit mod p and cross a
+# little later: RS(7,3)/GF(7) 0.72 / 0.56 ms at 16 words, 0.84 / 1.18 ms at
+# 32; RS(31,15)/GF(31) 2.63 / 1.89 ms at 16, 3.45 / 4.23 ms at 32.  Odd-
+# characteristic extensions sum digit by digit, and ReedSolomonDecoder
+# solves them one by one at any size: the array solve wins only with two
+# digits and many words (RS(9,3)/GF(9) 2.05-2.36 / 2.35-3.24 ms at 48
+# words, 12.4-12.8 / 18.9-20.7 ms at 256; RS(25,15)/GF(25) even within
+# noise from 48 words on) and loses with more digits at every size
+# (RS(26,12)/GF(27) 14.9-18.2 / 9.8-13.4 ms at 64, 71.9-75.1 / 49.2-58.7 ms
+# at 256; RS(80,60)/GF(81) 62.2 / 20.6-22.6 ms at 64), so no one crossover
+# by words serves them.
 BATCH_MIN_ROWS = 16
+
+# Most entries of a precomputed lookup table: the q^K images of a RowMap's
+# domain, and the q^n decodes of an ExhaustiveDecoder's errors-only table.
+# Measured the same way: a RowMap.row lookup takes 0.13-0.18 us against
+# 1.4-3.8 us through vec_mat on GF(8) maps from 1 x 2 to 3 x 7, and filling
+# 512 entries takes 1.4-2.1 ms (GF(8) 3 x 7, GF(2) 9 x 7), what ~1000
+# lookups save.  Every small map of the benchmark's constructions fits: at
+# most 64 inputs on (u | u+v) over GF(8), 256 on the Hamming [7,4] and
+# RS(4,2)/GF(4) codes.
+TABLE_CAP = 512
 
 
 class RowMap:
     """The linear map x -> x . matrix over f, applied to lists of rows.
 
     Built once by the code or spec that owns the matrix, for batches of
-    `rows` rows: the product runs on arrays (`array` holds the matrix) when
-    rows * K * N reaches ARRAY_MIN_PRODUCTS and f.matmul is vectorised for
-    K, and through vec_mat row by row otherwise (`array` is None).  Both
-    give the same tuples of ints.
+    `rows` rows, with one of three kernels: the product runs on arrays
+    (`array` holds the matrix) when rows * K * N reaches ARRAY_MIN_PRODUCTS
+    and f.matmul is vectorised for K; otherwise, when the domain has at most
+    TABLE_CAP rows (q^K), each row is looked up in `table`, which maps every
+    row tuple to its image; otherwise vec_mat runs row by row.  All three
+    give the same tuples of ints.  A row the table does not hold (a wrong
+    length, or entries that are not elements) goes through vec_mat, which
+    reads or rejects it as it would without the table.  Keys compare by
+    value, so a row that equals a row of elements (numpy integers, or
+    floats such as 1.0) reads as that row.
     """
 
     def __init__(self, f, matrix, rows: int = 1):
@@ -50,12 +79,20 @@ class RowMap:
         self.matrix = tuple(tuple(row) for row in matrix)
         self.k = len(self.matrix)
         self.n = len(self.matrix[0]) if self.matrix else 0
-        self.array = None
+        self.array = self.table = None
         if rows * self.k * self.n >= ARRAY_MIN_PRODUCTS and f.vectorised(self.k):
             self.array = np.array(self.matrix, dtype=np.int64).reshape(self.k, self.n)
+        elif f.q**self.k <= TABLE_CAP:
+            domain = itertools.product(range(f.q), repeat=self.k)
+            self.table = {x: vec_mat(f, x, self.matrix) for x in domain}
 
     def row(self, x) -> tuple:
         """x . matrix for one row x."""
+        if self.table is not None:
+            try:
+                return self.table[tuple(x)]
+            except (KeyError, TypeError):
+                pass  # not a row of elements: vec_mat reads or rejects it
         if self.array is None:
             return vec_mat(self.field, x, self.matrix)
         return self((x,))[0]
@@ -63,7 +100,7 @@ class RowMap:
     def __call__(self, rows) -> list:
         """[row . matrix for row in rows], as tuples."""
         if self.array is None:
-            return [vec_mat(self.field, row, self.matrix) for row in rows]
+            return list(map(self.row, rows))
         x = np.array(rows, dtype=np.int64).reshape(len(rows), self.k)
         return list(map(tuple, self.field.matmul(x, self.array).tolist()))
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 
+from . import linalg
 from .block_codes import ENUMERATION_CAP, FAILURE, DecodeOutcome, LinearCode, check_erasures
 from .errors import ContractViolation, InvalidParams, LengthMismatch, TooLargeToEnumerate
-
-_DECODE_TABLE_CAP = 512
 
 
 def _enumerable(code: LinearCode):
@@ -92,7 +91,7 @@ def oracle_radius(code: LinearCode, word, radius: int) -> DecodeOutcome:
 class ExhaustiveDecoder:
     """EE decoder backed by oracle_sigma, with a cached errors-only table.
 
-    For codes with at most a few hundred possible received words the full
+    For codes with at most linalg.TABLE_CAP possible received words the full
     errors-only decode map is materialized once, which makes per-row decoding
     in the layered decoders a dictionary lookup.
     """
@@ -109,7 +108,7 @@ class ExhaustiveDecoder:
 
     def __call__(self, word, erasures) -> DecodeOutcome:
         if not erasures:
-            if self._table is None and self.code.field.q**self.code.n <= _DECODE_TABLE_CAP:
+            if self._table is None and self.code.field.q**self.code.n <= linalg.TABLE_CAP:
                 self._build_table()
             if self._table is not None:
                 return self._table[tuple(word)]

@@ -108,6 +108,27 @@ def _check_elimination(rng):
             _require(product == identity, f"{f}: m . R is not the identity for {m}")
 
 
+def _check_row_maps(rng):
+    # every RowMap kernel against dot products: the lookup table (q^K up to
+    # TABLE_CAP), the row loop (past it) and the array product (a batch
+    # large enough), on random maps with domains on both sides of the cap
+    seen = set()
+    for f in (make_field(2, 1), make_field(3, 2), extend_field(make_field(2, 2), 2)):
+        top = max(k for k in range(1, 12) if f.q**k <= linalg.TABLE_CAP)
+        for k in list(range(1, top + 2)) * 4:
+            n = rng.randrange(1, 6)
+            m = [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]
+            rows = [[rng.randrange(f.q) for _ in range(k)] for _ in range(5)]
+            expect = [tuple(f.dot(row, col) for col in zip(*m)) for row in rows]
+            for rowmap in (linalg.RowMap(f, m), linalg.RowMap(f, m, rows=1 << 20)):
+                kind = "table" if rowmap.table is not None else "row loop"
+                kind = "array" if rowmap.array is not None else kind
+                seen.add(kind)
+                _require(rowmap(rows) == expect, f"{f}: {kind} products of {m}")
+                _require(rowmap.row(rows[0]) == expect[0], f"{f}: {kind} row of {m}")
+    _require(seen == {"table", "row loop", "array"}, f"kernels checked: {sorted(seen)}")
+
+
 def _check_rs_against_oracle(rng):
     # GF(8) and the odd-characteristic GF(9)
     for (p, m), n, k, words in (((2, 3), 7, 3, 150), ((3, 2), 9, 4, 40)):
@@ -190,6 +211,7 @@ CHECKS = [
     ("field-axioms", _check_field_axioms),
     ("tower-roundtrip", _check_tower_roundtrip),
     ("elimination", _check_elimination),
+    ("row-maps", _check_row_maps),
     ("rs-vs-oracle", _check_rs_against_oracle),
     ("nested-erasure-consistency", _check_nested_erasure_consistency),
     ("uuv-vs-generic", _check_uuv_matches_generic),

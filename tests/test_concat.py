@@ -6,7 +6,14 @@ import pytest
 
 import gccodec as g
 from gccodec import linalg, specio
-from gccodec.concat import decode_rows, extended_trial_chain, symbol_map
+from gccodec.concat import (
+    RowDecodeResult,
+    decode_rows,
+    encode_columns,
+    extended_trial_chain,
+    fold_message_columns,
+    symbol_map,
+)
 
 from conftest import corrupt, error_matrix
 
@@ -396,3 +403,65 @@ class TestSerialization:
         word[0][0] = 0.9
         with pytest.raises(g.InvalidParams):
             g.cc_decode(cc_small, word)
+
+
+def expanded_encode(generator, towers, words):
+    """encode_columns by expanding every symbol through its tower, row by row."""
+    expanded = [tuple(map(tower.to_base_vector, word)) for tower, word in zip(towers, words)]
+    rows = [sum(parts, ()) for parts in zip(*expanded)]
+    return tuple(linalg.vec_mat(generator.field, row, generator.matrix) for row in rows)
+
+
+def packed_fold(inverse, towers, rd):
+    """fold_message_columns by packing every message slice through its tower."""
+    zero = (0,) * inverse.n
+    messages = [
+        zero if bad else linalg.vec_mat(inverse.field, est, inverse.matrix)
+        for est, bad in zip(rd.estimates, rd.failed)
+    ]
+    columns, start = [], 0
+    for tower in towers:
+        end = start + tower.s
+        columns.append(tuple(tower.from_base_vector(msg[start:end]) for msg in messages))
+        start = end
+    return columns
+
+
+@pytest.mark.parametrize("kernel", ["as-built", "row-loop", "array"])
+def test_symbol_maps_match_the_tower_expansion(monkeypatch, mpc_uuv8, mixed_spec, cc_small, gf4, kernel):
+    """encode_columns and fold_message_columns against the expansion through
+    TowerView, on degree-one towers (MPC levels, a CC over one field),
+    degree-two towers and a spec that mixes both."""
+    cc_one_field = g.ConcatCode(g.rs_code(gf4, 4, 2), g.rs_code(gf4, 3, 2))
+    cases = []  # (generator map, inverse map or None, towers, outer codes, row code)
+    for spec in (mpc_uuv8, mixed_spec):
+        cases.append((spec.encoder, None, spec.towers, spec.outers, None))
+        for i, sub in enumerate(spec.subcodes):
+            level = slice(i, i + 1)
+            maps = spec.level_encoders[i], spec.level_inverses[i]
+            cases.append((*maps, spec.towers[level], spec.outers[level], sub))
+    for cc in (cc_small, cc_one_field):
+        cases.append((cc.encoder, cc.inverse, (cc.tower,) * cc.k, (cc.outer,) * cc.k, cc.inner))
+    degrees = {tuple(tower.s for tower in towers) for _, _, towers, _, _ in cases}
+    assert degrees == {(1,), (1, 1), (2,), (2, 1)}
+
+    monkeypatch.setattr(linalg, "TABLE_CAP", 0 if kernel == "row-loop" else linalg.TABLE_CAP)
+
+    def rebuilt(rowmap):
+        if kernel == "as-built" or rowmap is None:
+            return rowmap
+        return linalg.RowMap(rowmap.field, rowmap.matrix, 1 << 20 if kernel == "array" else 0)
+
+    rng = random.Random(29)
+    for generator, inverse, towers, outers, row_code in cases:
+        generator, inverse = rebuilt(generator), rebuilt(inverse)
+        for _ in range(8):
+            words = [a.encode([rng.randrange(a.field.q) for _ in range(a.k)]) for a in outers]
+            assert encode_columns(generator, towers, words) == expanded_encode(generator, towers, words)
+            if inverse is None:
+                continue
+            f = row_code.field
+            estimates = [row_code.encode([rng.randrange(f.q) for _ in range(row_code.k)]) for _ in words[0]]
+            failed = [rng.random() < 0.3 for _ in estimates]
+            rd = RowDecodeResult(estimates, None, None, failed, None, row_code.distance(), 0)
+            assert fold_message_columns(inverse, towers, rd) == packed_fold(inverse, towers, rd)
