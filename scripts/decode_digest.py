@@ -18,7 +18,9 @@ d*/2) and decoded in the upto and beyond modes:
 Each decode gives a record: the report, or the failure's message, level and
 report.  The line is "name decodes sha256", the hash taken over the
 canonical JSON of every record in order, so two versions of the library
-that print the same line made the same decisions.
+that print the same line made the same decisions.  Other JSON files (a
+single code, or the matrix and the simulation config that
+make_demo_specs.py writes) are skipped with a note on stderr.
 """
 
 import argparse
@@ -26,6 +28,7 @@ import hashlib
 import json
 import pathlib
 import random
+import sys
 
 import gccodec as g
 from gccodec import specio
@@ -119,9 +122,14 @@ def main():
     parser.add_argument("--seed", type=int, default=1, help="word seed (default 1)")
     args = parser.parse_args()
     for path in args.specs:
-        spec = specio.load_spec_file(path)
-        count, hexdigest = digest(spec, args.words, args.seed)
-        print(pathlib.Path(path).name, count, hexdigest)
+        name = pathlib.Path(path).name
+        try:
+            count, hexdigest = digest(specio.load_spec_file(path), args.words, args.seed)
+        except g.ConfigError as exc:
+            # make_demo_specs.py writes a matrix and a simulation config beside the specs
+            print(f"{name}: skipped, not a construction spec ({exc})", file=sys.stderr)
+            continue
+        print(name, count, hexdigest)
 
 
 if __name__ == "__main__":

@@ -117,9 +117,10 @@ class LinearCode:
         return self._encoder([self.field.vector(msg) for msg in msgs])
 
     def message_of(self, codeword) -> tuple:
-        if len(codeword) != self.n:
-            raise LengthMismatch(f"word length {len(codeword)} != n={self.n}")
-        return self.inverse.row(tuple(codeword))
+        word = self.field.vector(codeword)
+        if len(word) != self.n:
+            raise LengthMismatch(f"word length {len(word)} != n={self.n}")
+        return self.inverse.row(word)
 
     def contains(self, word) -> bool:
         return self._encoder.row(self.message_of(word)) == tuple(word)
@@ -228,8 +229,7 @@ class ReedSolomonDecoder:
     search places the errors (sigma times the transposed matrix gives
     u_i sigma(x_i) at every point) and Forney's formula gives their values:
     O(n (n - k)) field operations.  Both products are RowMaps built once per
-    code; they have the same size, so they run on the same path.  The output
-    is re-checked for zero syndrome and 2*wt_E + |E| < d.
+    code.  The output is re-checked for zero syndrome and 2*wt_E + |E| < d.
 
     decode_batch runs the same steps for a list of words on arrays: each
     product is one Field.matmul for the whole batch, and Berlekamp-Massey
@@ -262,7 +262,6 @@ class ReedSolomonDecoder:
         # by digit in an odd-characteristic extension (see BATCH_MIN_ROWS)
         self._batched = f.vectorised(self.n) and (f.p == 2 or f.base is None)
         if self._batched:
-            self._ux = np.array(ux, dtype=np.int64).reshape(self.n, r)
             self._points_array = np.array(pts, dtype=np.int64)
             self._u_array = np.array(self._u, dtype=np.int64)
 
@@ -284,7 +283,7 @@ class ReedSolomonDecoder:
         if len(words) < linalg.BATCH_MIN_ROWS or not self._batched:
             return list(map(self, words, erasure_sets))
         received = np.array(words, dtype=np.int64).reshape(-1, n)
-        synd = self.field.matmul(received, self._ux)
+        synd = self.field.matmul(received, self._syndromes.array)
         out = [FAILURE] * len(words)
         solve = []
         for b, (word, erasures, nonzero) in enumerate(zip(words, erasure_sets, synd.any(axis=1).tolist())):
@@ -419,7 +418,7 @@ class ReedSolomonDecoder:
         # gives u_i sigma(x_i); its roots away from the erasures must number L
         back = L[:, None] - np.arange(r)
         sigma = np.take_along_axis(conn, np.maximum(back, 0), axis=1) * (back >= 0)
-        roots = (f.matmul(sigma, self._ux.T) == 0) & ~erased
+        roots = (f.matmul(sigma, self._roots.array) == 0) & ~erased
         ok &= roots.sum(axis=1) == L
         locs = (erased | roots) & ok[:, None]
 
@@ -433,12 +432,12 @@ class ReedSolomonDecoder:
         lam = np.concatenate([lam, np.zeros((batch, r), dtype=np.int64)], axis=1)
         omega = f.sum_array(mul(lam[:, hankel[:, :r] + 1], synd[:, None, :]), 2)
         dlam = mul(np.arange(1, d) % f.p, lam[:, 1:d])
-        values = f.matmul(np.concatenate([omega, dlam]), self._ux.T)
+        values = f.matmul(np.concatenate([omega, dlam]), self._roots.array)
         num, den = values[:batch], values[batch:]
         error = np.where(locs, mul(num, f.inv_array(mul(den, self._u_array))), 0)
 
         # re-check, as in _solve
-        ok &= (f.matmul(error, self._ux) == synd).all(axis=1)
+        ok &= (f.matmul(error, self._syndromes.array) == synd).all(axis=1)
         weight = ((error != 0) & ~erased).sum(axis=1)
         ok &= 2 * weight + ne < d
         codewords = add(received, f.neg_array(error))

@@ -1,10 +1,11 @@
 """Concatenated codes: outer code over GF(q^s), inner code over GF(q).
 
-Encoding expands each outer-codeword symbol into s inner-field symbols and
-re-encodes row-wise with the inner code.  Decoding runs the inner decoder on
-every row, turns the apparent error-and-erasure load of each row into a
-reliability weight, and recovers each of the k message columns with the
-multi-trial driver from the gmd module.
+Encoding splits row j of the outer codewords into inner-field symbols and
+re-encodes it with the inner code, one linalg.RowMap call for all rows; a
+second map folds row estimates back into outer symbols.  Decoding runs the
+inner decoder on every row, turns the apparent error-and-erasure load of
+each row into a reliability weight, and recovers each of the k message
+columns with the multi-trial driver from the gmd module.
 
 Row weights follow the error-and-erasure scheme: with per-row erasure set X
 and apparent error e, the raw score is 2*wt_X(e) + |X| on success and the
@@ -18,8 +19,6 @@ rows erased, because those rows are already counted as unreliable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import gmd, linalg
 from .block_codes import LinearCode, check_erasures, ee_decode, ee_decode_many, wt
@@ -54,8 +53,8 @@ class ConcatCode:
         self.tower = tower
         self.k = inner.k // tower.s
         self.m = outer.n
-        self.encoder = symbol_map(inner.field, inner.generator, self.m, (tower,))
-        self.inverse = symbol_map(inner.field, inner.inverse.matrix, self.m, (tower,))
+        self.encoder = linalg.RowMap(inner.field, inner.generator, split=(tower,) * self.k)
+        self.inverse = linalg.RowMap(inner.field, inner.inverse.matrix, join=(tower,) * self.k)
 
     @property
     def length(self) -> int:
@@ -72,33 +71,14 @@ def cc_encode(cc: ConcatCode, msgs) -> tuple:
     """Encode k outer messages into the M x N codeword matrix."""
     if len(msgs) != cc.k:
         raise LengthMismatch(f"expected {cc.k} outer messages, got {len(msgs)}")
-    return encode_columns(cc.encoder, (cc.tower,) * cc.k, cc.outer.encode_all(msgs))
+    return encode_columns(cc.encoder, cc.outer.encode_all(msgs))
 
 
-def symbol_map(field, matrix, m: int, towers) -> linalg.RowMap:
-    """The RowMap of matrix for the m rows that outer symbols expand into
-    through towers; symbols past int64 keep the row loop."""
-    wide = any(tower.big.q > 1 << 63 for tower in towers)
-    return linalg.RowMap(field, matrix, 0 if wide else m)
-
-
-def encode_columns(generator: linalg.RowMap, towers, words) -> tuple:
-    """M x N matrix from outer words of a common length M: row j expands
-    symbol j of word i through towers[i], for every i, and multiplies the
-    result by the generator map, in one product when it runs on arrays.
-    With a GCC level's generator rows and tower alone, this is the level's
-    contribution to the codeword.  Every caller passes codewords the
-    library made, so degree-one towers (every MPC level) pass symbols
-    through unchecked."""
-    if generator.array is None:
-        if all(tower.s == 1 for tower in towers):
-            rows = list(zip(*words))
-        else:
-            expanded = [tuple(map(tower.to_base_vector, word)) for tower, word in zip(towers, words)]
-            rows = [sum(parts, ()) for parts in zip(*expanded)]
-    else:
-        rows = np.concatenate([tower.expand(word) for tower, word in zip(towers, words)], axis=1)
-    return tuple(generator(rows))
+def encode_columns(generator: linalg.RowMap, words) -> tuple:
+    """M x N matrix from outer words of a common length M: row j is symbol j
+    of every word through the generator map; with a GCC level's generator
+    rows alone, the level's contribution to the codeword."""
+    return tuple(generator(list(zip(*words))))
 
 
 @dataclass
@@ -187,30 +167,12 @@ def check_matrix(field, received, m: int, n: int) -> list:
     return out
 
 
-def fold_message_columns(inverse: linalg.RowMap, towers, rd: RowDecodeResult):
+def fold_message_columns(inverse: linalg.RowMap, rd: RowDecodeResult) -> list:
     """Outer-symbol columns from row estimates, the inverse of encode_columns:
-    the message of row j under inverse (a right inverse, or the columns of
-    one that a GCC level reads) packs into symbol j of one column per tower;
-    a failed row gives 0 everywhere.  Through degree-one towers the message
-    symbols are the column symbols."""
-    columns, start = [], 0
-    if inverse.array is None:
-        zero = (0,) * inverse.n
-        messages = [zero if bad else inverse.row(est) for est, bad in zip(rd.estimates, rd.failed)]
-        if all(tower.s == 1 for tower in towers):
-            return list(zip(*messages))
-        for tower in towers:
-            end = start + tower.s
-            columns.append(tuple(tower.from_base_vector(msg[start:end]) for msg in messages))
-            start = end
-        return columns
-    messages = inverse.field.matmul(np.array(rd.estimates, dtype=np.int64), inverse.array)
-    messages[np.array(rd.failed, dtype=bool)] = 0
-    for tower in towers:
-        end = start + tower.s
-        columns.append(tuple(tower.pack(messages[:, start:end]).tolist()))
-        start = end
-    return columns
+    row j of the columns is estimate j through inverse (a right inverse, or
+    the columns of one that a GCC level reads); a failed row gives zeros."""
+    messages = inverse([(0,) * inverse.k if bad else est for est, bad in zip(rd.estimates, rd.failed)])
+    return list(zip(*messages))
 
 
 def decode_column(
@@ -229,7 +191,7 @@ def decode_column(
         raise ContractViolation(f"{g.trials} trials exceed the class bound {bound}")
     if g.ok:
         report.columns[i] = g.codeword
-        report.messages[i] = outer.message_of(g.codeword)
+        report.messages[i] = outer.inverse.row(g.codeword)
     else:
         report.failed_levels.append(i + 1)
     return g
@@ -278,8 +240,7 @@ def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | N
         chain = gmd.chain_with_failure_class(rel)
     else:
         chain = extended_trial_chain(rd, options.radius)
-    towers = (cc.tower,) * cc.k
-    columns_in = fold_message_columns(cc.inverse, towers, rd)
+    columns_in = fold_message_columns(cc.inverse, rd)
 
     k = cc.k
     report = DecodeReport(
@@ -294,7 +255,7 @@ def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | N
         elif options.carry_over:
             start = g.accepted_index
     if not report.failed_levels:
-        report.codeword = encode_columns(cc.encoder, towers, report.columns)
+        report.codeword = encode_columns(cc.encoder, report.columns)
         return report.columns, report
     raise DecodeFailure(
         f"columns {report.failed_levels} exhausted all trials", report=report

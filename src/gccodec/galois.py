@@ -16,8 +16,8 @@ Larger fields fall back to polynomial arithmetic on the digit vectors.  The
 vector kernels axpy (out += c * v, in place) and dot run whole rows on the
 tables; the linear algebra and the Reed-Solomon decoder are written on
 them.  matmul multiplies whole integer numpy arrays, on numpy copies of the
-same tables, and TowerView.expand/pack split and join whole columns of
-symbols.  None of this changes any observable value.
+same tables; TowerView.expand/pack split and join whole columns of symbols
+for RowMap's array kernel.  None of this changes any observable value.
 """
 
 from __future__ import annotations

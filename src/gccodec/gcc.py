@@ -49,7 +49,6 @@ from .concat import (
     decode_rows,
     encode_columns,
     fold_message_columns,
-    symbol_map,
 )
 from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch, UnknownDistance
 from .galois import TowerView
@@ -58,8 +57,8 @@ from .report import SKIP_EQ8, SKIP_REUSED, SKIP_T_NO_GAIN, DecodeReport
 
 @dataclass
 class GccSpec:
-    """A k-level spec as gcc_spec builds it.  encoder maps the M expanded
-    outer-symbol rows through the whole inner generator; level i (0-based)
+    """A k-level spec as gcc_spec builds it.  encoder maps the M rows of
+    outer symbols, one per level, through the whole inner generator; level i
     adds its contribution through level_encoders[i], its generator rows,
     and reads its symbols back through level_inverses[i], the columns of
     subcode i's right inverse that its outer code owns."""
@@ -68,7 +67,6 @@ class GccSpec:
     outers: tuple
     widths: tuple
     inner_generator: tuple
-    towers: tuple
     subcodes: tuple
     prefix: tuple
     encoder: linalg.RowMap
@@ -133,12 +131,12 @@ def gcc_spec(outers, widths, inner_generator, field, subcode_distances=None) -> 
         raise InvalidParams("nested subcode distances must be non-increasing")
     level_encoders, level_inverses = [], []
     for sub, tower, lo, hi in zip(subcodes, towers, (0,) + prefix, prefix):
-        level_encoders.append(symbol_map(field, gen[lo:hi], m, (tower,)))
+        level_encoders.append(linalg.RowMap(field, gen[lo:hi], split=(tower,)))
         columns = [row[lo:hi] for row in sub.inverse.matrix]
-        level_inverses.append(symbol_map(field, columns, m, (tower,)))
-    encoder = symbol_map(field, gen, m, towers)
+        level_inverses.append(linalg.RowMap(field, columns, join=(tower,)))
+    encoder = linalg.RowMap(field, gen, split=towers)
     return GccSpec(
-        field, outers, widths, gen, towers, tuple(subcodes), prefix,
+        field, outers, widths, gen, tuple(subcodes), prefix,
         encoder, tuple(level_encoders), tuple(level_inverses),
     )
 
@@ -159,7 +157,7 @@ def gcc_encode(spec: GccSpec, msgs) -> tuple:
     if len(msgs) != spec.k:
         raise LengthMismatch(f"expected {spec.k} messages, got {len(msgs)}")
     words = [a.encode(m) for a, m in zip(spec.outers, msgs)]
-    return encode_columns(spec.encoder, spec.towers, words)
+    return encode_columns(spec.encoder, words)
 
 
 def correctable_gcc(error_matrix, spec: GccSpec) -> bool:
@@ -199,18 +197,18 @@ def _multistage(spec: GccSpec, received, options: DecodeOptions | None, row_pass
     prev = None
     for level in range(k, 0, -1):
         i = level - 1
-        outer, towers = spec.outers[i], spec.towers[i:level]
+        outer = spec.outers[i]
         rd, skips = row_pass(level, residual, prev)
         report.inner_invocations[i] = rd.invocations
         report.row_skips[i] = skips
-        (column,) = fold_message_columns(spec.level_inverses[i], towers, rd)
+        (column,) = fold_message_columns(spec.level_inverses[i], rd)
         rel = gmd.ReliabilityVector(tuple(rd.weights), rd.denominator)
         chain = gmd.chain_with_failure_class(rel)
         bound = (min(outer.distance(), rd.denominator) + 1) // 2
         g = decode_column(report, i, outer, column, rel, chain, options.mode, 0, bound)
         if not g.ok:
             raise DecodeFailure(f"level {level} exhausted all trials", report=report, level=level)
-        contrib = encode_columns(spec.level_encoders[i], towers, (g.codeword,))
+        contrib = encode_columns(spec.level_encoders[i], (g.codeword,))
         residual = [tuple(map(f.sub, row, crow)) for row, crow in zip(residual, contrib)]
         prev = rd, {j for j, e in enumerate(g.error) if e != 0 and not rd.failed[j]}
     # the level contributions sum to the codeword, which is received - residual

@@ -4,10 +4,10 @@ Matrices are tuples (or lists) of row tuples holding field elements in their
 integer encoding; all arithmetic goes through the field handle, which must
 provide add/sub/mul/inv/neg and the in-place row update axpy(out, c, v)
 (out[j] += c * v[j]) that the row loops run on.  RowMap applies one fixed
-matrix to batches of rows through one of three kernels, chosen once, at
-construction, from the map's shape and field: the field's array product
-matmul for large products, a lookup table of every row's image for small
-domains, and the row loop otherwise.
+matrix to batches of rows, splitting outer symbols into inner digits or
+joining them back, and picks one of three kernels per call: a lookup table
+of every row's image for small domains, the field's array product matmul
+for a batch of enough products, and the row loop otherwise.
 """
 
 import itertools
@@ -61,30 +61,34 @@ TABLE_CAP = 512
 class RowMap:
     """The linear map x -> x . matrix over f, applied to lists of rows.
 
-    Built once by the code or spec that owns the matrix, for batches of
-    `rows` rows, with one of three kernels: the product runs on arrays
-    (`array` holds the matrix) when rows * K * N reaches ARRAY_MIN_PRODUCTS
-    and f.matmul is vectorised for K; otherwise, when the domain has at most
-    TABLE_CAP rows (q^K), each row is looked up in `table`, which maps every
-    row tuple to its image; otherwise vec_mat runs row by row.  All three
-    give the same tuples of ints.  A row the table does not hold (a wrong
-    length, or entries that are not elements) goes through vec_mat, which
-    reads or rejects it as it would without the table.  Keys compare by
-    value, so a row that equals a row of elements (numpy integers, or
-    floats such as 1.0) reads as that row.
+    With split=towers (galois.TowerView), a row holds one symbol per tower,
+    which expands into its coordinates over f; with join=towers, the image
+    packs into one symbol per tower.  Each call takes the lookup table
+    `table`, if one was built (q^K at most TABLE_CAP); else one f.matmul
+    between TowerView.expand and pack, unchecked, when len(rows) * K * N
+    reaches ARRAY_MIN_PRODUCTS and `array` holds the matrix (f.matmul is
+    vectorised for K, no tower exceeds 2^63 elements); else the row loop,
+    vec_mat between to_base_vector and from_base_vector.  All three give the
+    same tuples of ints; a row the table does not hold (a wrong length,
+    entries that are not elements) goes through the row loop, which reads or
+    rejects it.  Keys compare by value, so a row that equals a row of
+    elements (numpy integers, or floats such as 1.0) reads as that row.
     """
 
-    def __init__(self, f, matrix, rows: int = 1):
+    def __init__(self, f, matrix, *, split=(), join=()):
         self.field = f
         self.matrix = tuple(tuple(row) for row in matrix)
         self.k = len(self.matrix)
         self.n = len(self.matrix[0]) if self.matrix else 0
+        self.split, self.join = tuple(split), tuple(join)
+        ends = itertools.accumulate(t.s for t in self.join)
+        self._slices = [(t, end - t.s, end) for t, end in zip(self.join, ends)]
         self.array = self.table = None
-        if rows * self.k * self.n >= ARRAY_MIN_PRODUCTS and f.vectorised(self.k):
+        if f.vectorised(self.k) and all(t.big.q <= 1 << 63 for t in self.split + self.join):
             self.array = np.array(self.matrix, dtype=np.int64).reshape(self.k, self.n)
-        elif f.q**self.k <= TABLE_CAP:
-            domain = itertools.product(range(f.q), repeat=self.k)
-            self.table = {x: vec_mat(f, x, self.matrix) for x in domain}
+        if f.q**self.k <= TABLE_CAP:
+            symbols = [range(tower.big.q) for tower in self.split] or [range(f.q)] * self.k
+            self.table = {x: self._loop(x) for x in itertools.product(*symbols)}
 
     def row(self, x) -> tuple:
         """x . matrix for one row x."""
@@ -92,17 +96,35 @@ class RowMap:
             try:
                 return self.table[tuple(x)]
             except (KeyError, TypeError):
-                pass  # not a row of elements: vec_mat reads or rejects it
-        if self.array is None:
-            return vec_mat(self.field, x, self.matrix)
-        return self((x,))[0]
+                pass  # not a row of the domain: the row loop reads or rejects it
+        elif self.array is not None and self.k * self.n >= ARRAY_MIN_PRODUCTS:
+            return self((x,))[0]
+        return self._loop(x)
 
     def __call__(self, rows) -> list:
-        """[row . matrix for row in rows], as tuples."""
-        if self.array is None:
+        """[row . matrix for row in rows], as tuples, rows a sequence."""
+        if self.table is not None:
             return list(map(self.row, rows))
-        x = np.array(rows, dtype=np.int64).reshape(len(rows), self.k)
-        return list(map(tuple, self.field.matmul(x, self.array).tolist()))
+        if self.array is None or len(rows) * self.k * self.n < ARRAY_MIN_PRODUCTS:
+            return list(map(self._loop, rows))
+        x = np.array(rows, dtype=np.int64).reshape(len(rows), len(self.split) or self.k)
+        if self.split:
+            x = np.concatenate([t.expand(col) for t, col in zip(self.split, x.T)], axis=1)
+        out = self.field.matmul(x, self.array)
+        if self.join:
+            out = np.stack([t.pack(out[:, lo:hi]) for t, lo, hi in self._slices], axis=1)
+        return list(map(tuple, out.tolist()))
+
+    def _loop(self, x) -> tuple:
+        """x . matrix by vec_mat, through to_base_vector and from_base_vector."""
+        if self.split:
+            if len(x) != len(self.split):
+                raise InvalidParams(f"expected {len(self.split)} symbols, got {len(x)}")
+            x = [d for t, e in zip(self.split, x) for d in t.to_base_vector(e)]
+        out = vec_mat(self.field, x, self.matrix)
+        if self.join:
+            out = tuple(t.from_base_vector(out[lo:hi]) for t, lo, hi in self._slices)
+        return out
 
 
 def vec_mat(f, v, m):

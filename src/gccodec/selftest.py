@@ -108,25 +108,43 @@ def _check_elimination(rng):
             _require(product == identity, f"{f}: m . R is not the identity for {m}")
 
 
+def _image(f, m, split, join, row):
+    """row . m by dot products, through to_base_vector and from_base_vector."""
+    digits = [d for t, e in zip(split, row) for d in t.to_base_vector(e)] if split else row
+    out = [f.dot(digits, col) for col in zip(*m)]
+    ends = itertools.accumulate(t.s for t in join)
+    return tuple(t.from_base_vector(out[e - t.s : e]) for t, e in zip(join, ends)) if join else tuple(out)
+
+
 def _check_row_maps(rng):
-    # every RowMap kernel against dot products: the lookup table (q^K up to
-    # TABLE_CAP), the row loop (past it) and the array product (a batch
-    # large enough), on random maps with domains on both sides of the cap
+    # every RowMap kernel against dot products: the table (q^K up to the
+    # cap), and past it the row loop and the array product (batches below
+    # and at ARRAY_MIN_PRODUCTS products); plain maps over GF(2), GF(9) and
+    # GF(16)/GF(4), and maps that split symbols or join digits through
+    # towers of degree two and one, GF(4)/GF(2) and GF(16)/GF(4)
     seen = set()
-    for f in (make_field(2, 1), make_field(3, 2), extend_field(make_field(2, 2), 2)):
+    gf4 = make_field(2, 2)
+    cases = [(make_field(2, 1), "plain"), (make_field(3, 2), "plain"), (extend_field(gf4, 2), "plain")]
+    cases += [(f, side) for f in (make_field(2, 1), gf4) for side in ("split", "join")]
+    for f, side in cases:
         top = max(k for k in range(1, 12) if f.q**k <= linalg.TABLE_CAP)
-        for k in list(range(1, top + 2)) * 4:
+        for k in list(range(1, top + 2)) * 2:
             n = rng.randrange(1, 6)
             m = [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]
-            rows = [[rng.randrange(f.q) for _ in range(k)] for _ in range(5)]
-            expect = [tuple(f.dot(row, col) for col in zip(*m)) for row in rows]
-            for rowmap in (linalg.RowMap(f, m), linalg.RowMap(f, m, rows=1 << 20)):
-                kind = "table" if rowmap.table is not None else "row loop"
-                kind = "array" if rowmap.array is not None else kind
-                seen.add(kind)
-                _require(rowmap(rows) == expect, f"{f}: {kind} products of {m}")
-                _require(rowmap.row(rows[0]) == expect[0], f"{f}: {kind} row of {m}")
-    _require(seen == {"table", "row loop", "array"}, f"kernels checked: {sorted(seen)}")
+            width = k if side == "split" else n
+            towers = [TowerView(extend_field(f, 2), f)] * (width // 2) + [TowerView(f, f)] * (width % 2)
+            split, join = {"plain": ((), ()), "split": (towers, ()), "join": ((), towers)}[side]
+            rowmap = linalg.RowMap(f, m, split=split, join=join)
+            least = linalg.ARRAY_MIN_PRODUCTS
+            for size in (min(5, (least - 1) // (k * n)), -(-least // (k * n))):
+                domains = [t.big.q for t in split] or [f.q] * k
+                rows = [[rng.randrange(q) for q in domains] for _ in range(size)]
+                expect = [_image(f, m, split, join, row) for row in rows]
+                kind = "table" if rowmap.table else "row loop" if size * k * n < least else "array"
+                seen.add((side, kind))
+                ok = rowmap(rows) == expect and rowmap.row(rows[0]) == expect[0]
+                _require(ok, f"{f}: {side} {kind} products of {m}")
+    _require(len(seen) == 9, f"kernels checked: {sorted(seen)}")
 
 
 def _check_rs_against_oracle(rng):

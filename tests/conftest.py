@@ -143,6 +143,20 @@ def rm_chain(gf2, gf8):
     return spec
 
 
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """The (M, K) shape of every Field.matmul call the test makes: the
+    RowMap calls that ran on arrays rather than a table or the row loop."""
+    calls, matmul = [], g.Field.matmul
+
+    def spy(f, a, b):
+        calls.append(a.shape)
+        return matmul(f, a, b)
+
+    monkeypatch.setattr(g.Field, "matmul", spy)
+    return calls
+
+
 def corrupt(field, word, positions, rng):
     """Flip the given flat positions of a codeword matrix to random other values."""
     n = len(word[0])

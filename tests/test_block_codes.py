@@ -69,6 +69,17 @@ class TestEncode:
                 word = word[:pos] + (f.add(word[pos], rng.randrange(1, f.q)),) + word[pos + 1 :]
             assert code.contains(word) == (code.encode(code.message_of(word)) == word) == (trial % 2 == 0)
 
+    @pytest.mark.parametrize("symbol", [-1, "q", 1.5, True, "1"])
+    @pytest.mark.parametrize("rs", [True, False], ids=["RS(7,5)/GF(8)", "Hamming"])
+    def test_message_of_and_contains_check_symbols(self, gf2, gf8, rs, symbol):
+        # as encode and decode do: a word whose symbols are not elements
+        code = g.rs_code(gf8, 7, 5) if rs else g.generic_code(gf2, GEN_HAMMING_7_4_3)
+        word = (code.field.q if symbol == "q" else symbol,) + (0,) * (code.n - 1)
+        with pytest.raises(g.InvalidParams):
+            code.message_of(word)
+        with pytest.raises(g.InvalidParams):
+            code.contains(word)
+
 
 class TestWtPunctured:
     def test_examples(self):
@@ -264,35 +275,45 @@ class TestReedSolomon:
             assert 2 * out.weight + n_erased < d
 
     @pytest.mark.parametrize("q_params,n,k", [((2, 3), 7, 3), ((3, 2), 9, 4), ((2, 4, 2), 40, 24)])
-    def test_array_and_loop_paths_agree(self, monkeypatch, q_params, n, k):
-        # syndromes and root search as array products, and as the row loop
+    def test_array_and_loop_paths_agree(self, monkeypatch, matmul_calls, q_params, n, k):
+        # syndromes and root search as array products, and as the row loop,
+        # pinned per call by ARRAY_MIN_PRODUCTS
         field = _field(q_params)
-        codes = []
-        for threshold in (0, 1 << 62):
+        code = g.rs_code(field, n, k)
+        for rowmap in (code.decoder._syndromes, code.decoder._roots):
+            assert rowmap.table is None and rowmap.array is not None
+
+        def decode_at(threshold, word, erasures):
             monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", threshold)
-            codes.append(g.rs_code(field, n, k))
-        array, loop = codes
-        assert array.decoder._syndromes.array is not None and loop.decoder._syndromes.array is None
-        assert array.decoder._roots.array is not None and loop.decoder._roots.array is None
+            matmul_calls.clear()
+            out = code.decode(word, erasures)
+            assert bool(matmul_calls) == (threshold == 0)
+            return out
+
         rng = random.Random(n + k)
         for _ in range(150):
-            sent = loop.encode(tuple(rng.randrange(field.q) for _ in range(k)))
-            assert array.encode(loop.message_of(sent)) == sent
+            sent = code.encode(tuple(rng.randrange(field.q) for _ in range(k)))
+            assert code.encode(code.message_of(sent)) == sent
             erasures = frozenset(rng.sample(range(n), rng.randrange(0, n - k + 1)))
             word = list(sent)
             for pos in rng.sample(range(n), rng.randrange(0, n - k)):
                 word[pos] = rng.randrange(field.q)
-            out = array.decode(word, erasures)
-            assert out == loop.decode(word, erasures)
+            out = decode_at(0, word, erasures)
+            assert out == decode_at(1 << 62, word, erasures)
             if q_params != (2, 4, 2):
-                assert out == g.oracle_sigma(loop, word, erasures)
+                assert out == g.oracle_sigma(code, word, erasures)
 
     @pytest.mark.parametrize("q_params,n,k", [((2, 3), 7, 3), ((2, 4), 15, 8), ((2, 8), 64, 40)])
-    def test_root_search_takes_the_syndrome_path(self, q_params, n, k):
-        # the two maps have the same size, so the default threshold sends
-        # both to the row loop for the small codes and to arrays for RS(64,40)
-        decoder = g.rs_code(_field(q_params), n, k).decoder
-        assert (decoder._roots.array is None) == (decoder._syndromes.array is None) == (n < 64)
+    def test_root_search_takes_the_syndrome_path(self, matmul_calls, q_params, n, k):
+        # a word makes as many products in the root search as in the
+        # syndromes, so the default threshold sends both to the row loop for
+        # the small codes and to arrays for RS(64,40)
+        code = g.rs_code(_field(q_params), n, k)
+        word = list(code.encode((1,) * k))
+        word[3] ^= 1
+        matmul_calls.clear()
+        assert code.decode(word).weight == 1
+        assert len(matmul_calls) == (2 if n == 64 else 0)
 
     def test_gf1024_bounded_distance_roundtrip(self):
         # RS(255,223) over GF(1024): full-length code on log tables above q = 256

@@ -12,7 +12,6 @@ from gccodec.concat import (
     encode_columns,
     extended_trial_chain,
     fold_message_columns,
-    symbol_map,
 )
 
 from conftest import corrupt, error_matrix
@@ -324,18 +323,22 @@ class TestExtendedRadius:
 
 
 @pytest.mark.parametrize("array", [False, True], ids=["row-loop", "array"])
-def test_custom_basis_encode_and_decode(monkeypatch, gf4, array):
+def test_custom_basis_encode_and_decode(monkeypatch, matmul_calls, gf4, array):
     """RS(15,5)/GF(16) over RS(4,2)/GF(4): symbols expand into their
     coordinates in the polynomial basis (1, x), and every word within the
-    guarantee region decodes back, on both paths of the symbol maps."""
+    guarantee region decodes back, on the two kernels of symbol maps
+    without a table, pinned by ARRAY_MIN_PRODUCTS."""
+    monkeypatch.setattr(linalg, "TABLE_CAP", 0)
     monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", 0 if array else 1 << 62)
     gf16 = g.extend_field(gf4, 2)
     cc = g.ConcatCode(g.rs_code(gf16, 15, 5), g.rs_code(gf4, 4, 2))
-    assert (cc.encoder.array is not None) == (cc.inverse.array is not None) == array
+    assert cc.encoder.table is None and cc.inverse.table is None
     rng = random.Random(17)
     for trial in range(40):
         msg = tuple(rng.randrange(gf16.q) for _ in range(5))
+        matmul_calls.clear()
         word = g.cc_encode(cc, [msg])
+        assert ((15, 2) in matmul_calls) == array  # the encoder's 15 rows of 2 digits
         column = cc.outer.encode(msg)
         assert word == tuple(cc.inner.encode((x % gf4.q, x // gf4.q)) for x in column)
         received = [list(row) for row in word]
@@ -348,17 +351,30 @@ def test_custom_basis_encode_and_decode(monkeypatch, gf4, array):
         errors = error_matrix(gf4, word, received)
         errors = [[0 if i in x else e for i, e in enumerate(row)] for row, x in zip(errors, pattern)]
         assert g.correctable_cc(errors, pattern, cc)  # loads at most 7 * 4 + 1 < 33
+        matmul_calls.clear()
         columns, report = g.cc_decode(cc, received, pattern)
+        assert ((15, 4) in matmul_calls) == array  # the inverse's 15 rows of 4 digits
         assert columns == [column] and report.messages == [msg]
         assert report.codeword == word
 
 
-def test_symbols_past_int64_keep_the_row_loop(gf2):
-    # a tower above 2^63 could not expand into int64 arrays
-    wide = SimpleNamespace(big=SimpleNamespace(q=1 << 64))
-    gen = [[1, 0, 1], [0, 1, 1]]
-    assert symbol_map(gf2, gen, 1000, (wide,)).array is None
-    assert symbol_map(gf2, gen, 1000, (g.TowerView(gf2, gf2),)).array is not None
+def test_symbols_past_int64_keep_the_row_loop(monkeypatch, matmul_calls, gf2):
+    # a tower above 2^63 could not expand into int64 arrays, so its maps
+    # build no array and take the row loop at any batch size; the view is a
+    # degree-one GF(2) view that claims a wider big field
+    wide = g.TowerView(gf2, gf2)
+    wide.big = SimpleNamespace(q=1 << 64, validate=gf2.validate)
+    monkeypatch.setattr(linalg, "TABLE_CAP", 0)
+    monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", 0)
+    gen = [[1, 0, 1]]
+    for tower, arrays in ((wide, 0), (g.TowerView(gf2, gf2), 2)):
+        encoder = linalg.RowMap(gf2, gen, split=(tower,))
+        inverse = linalg.RowMap(gf2, tuple(zip(*gen)), join=(tower,))
+        assert (encoder.array is None) == (inverse.array is None) == (not arrays)
+        matmul_calls.clear()
+        assert encoder([(1,), (0,)]) == [(1, 0, 1), (0, 0, 0)]
+        assert inverse([(1, 0, 1), (0, 1, 1)]) == [(0,), (1,)]
+        assert len(matmul_calls) == arrays
 
 
 class TestSerialization:
@@ -405,14 +421,14 @@ class TestSerialization:
             g.cc_decode(cc_small, word)
 
 
-def expanded_encode(generator, towers, words):
+def expanded_encode(generator, words):
     """encode_columns by expanding every symbol through its tower, row by row."""
-    expanded = [tuple(map(tower.to_base_vector, word)) for tower, word in zip(towers, words)]
+    expanded = [tuple(map(tower.to_base_vector, word)) for tower, word in zip(generator.split, words)]
     rows = [sum(parts, ()) for parts in zip(*expanded)]
     return tuple(linalg.vec_mat(generator.field, row, generator.matrix) for row in rows)
 
 
-def packed_fold(inverse, towers, rd):
+def packed_fold(inverse, rd):
     """fold_message_columns by packing every message slice through its tower."""
     zero = (0,) * inverse.n
     messages = [
@@ -420,7 +436,7 @@ def packed_fold(inverse, towers, rd):
         for est, bad in zip(rd.estimates, rd.failed)
     ]
     columns, start = [], 0
-    for tower in towers:
+    for tower in inverse.join:
         end = start + tower.s
         columns.append(tuple(tower.from_base_vector(msg[start:end]) for msg in messages))
         start = end
@@ -428,40 +444,48 @@ def packed_fold(inverse, towers, rd):
 
 
 @pytest.mark.parametrize("kernel", ["as-built", "row-loop", "array"])
-def test_symbol_maps_match_the_tower_expansion(monkeypatch, mpc_uuv8, mixed_spec, cc_small, gf4, kernel):
+def test_symbol_maps_match_the_tower_expansion(
+    monkeypatch, matmul_calls, mpc_uuv8, mixed_spec, cc_small, gf4, kernel
+):
     """encode_columns and fold_message_columns against the expansion through
     TowerView, on degree-one towers (MPC levels, a CC over one field),
     degree-two towers and a spec that mixes both."""
     cc_one_field = g.ConcatCode(g.rs_code(gf4, 4, 2), g.rs_code(gf4, 3, 2))
-    cases = []  # (generator map, inverse map or None, towers, outer codes, row code)
+    cases = []  # (generator map, inverse map or None, outer codes, row code)
     for spec in (mpc_uuv8, mixed_spec):
-        cases.append((spec.encoder, None, spec.towers, spec.outers, None))
+        cases.append((spec.encoder, None, spec.outers, None))
         for i, sub in enumerate(spec.subcodes):
-            level = slice(i, i + 1)
             maps = spec.level_encoders[i], spec.level_inverses[i]
-            cases.append((*maps, spec.towers[level], spec.outers[level], sub))
+            cases.append((*maps, spec.outers[i : i + 1], sub))
     for cc in (cc_small, cc_one_field):
-        cases.append((cc.encoder, cc.inverse, (cc.tower,) * cc.k, (cc.outer,) * cc.k, cc.inner))
-    degrees = {tuple(tower.s for tower in towers) for _, _, towers, _, _ in cases}
+        cases.append((cc.encoder, cc.inverse, (cc.outer,) * cc.k, cc.inner))
+    for generator, inverse, outers, _ in cases:
+        assert [tower.big for tower in generator.split] == [a.field for a in outers]
+        assert inverse is None or inverse.join == generator.split
+    degrees = {tuple(tower.s for tower in generator.split) for generator, *_ in cases}
     assert degrees == {(1,), (1, 1), (2,), (2, 1)}
-
-    monkeypatch.setattr(linalg, "TABLE_CAP", 0 if kernel == "row-loop" else linalg.TABLE_CAP)
 
     def rebuilt(rowmap):
         if kernel == "as-built" or rowmap is None:
             return rowmap
-        return linalg.RowMap(rowmap.field, rowmap.matrix, 1 << 20 if kernel == "array" else 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "TABLE_CAP", 0)
+            return linalg.RowMap(rowmap.field, rowmap.matrix, split=rowmap.split, join=rowmap.join)
 
+    threshold = {"as-built": linalg.ARRAY_MIN_PRODUCTS, "row-loop": 1 << 62, "array": 0}[kernel]
+    monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", threshold)
     rng = random.Random(29)
-    for generator, inverse, towers, outers, row_code in cases:
+    for generator, inverse, outers, row_code in cases:
         generator, inverse = rebuilt(generator), rebuilt(inverse)
         for _ in range(8):
             words = [a.encode([rng.randrange(a.field.q) for _ in range(a.k)]) for a in outers]
-            assert encode_columns(generator, towers, words) == expanded_encode(generator, towers, words)
+            assert encode_columns(generator, words) == expanded_encode(generator, words)
             if inverse is None:
                 continue
             f = row_code.field
             estimates = [row_code.encode([rng.randrange(f.q) for _ in range(row_code.k)]) for _ in words[0]]
             failed = [rng.random() < 0.3 for _ in estimates]
             rd = RowDecodeResult(estimates, None, None, failed, None, row_code.distance(), 0)
-            assert fold_message_columns(inverse, towers, rd) == packed_fold(inverse, towers, rd)
+            assert fold_message_columns(inverse, rd) == packed_fold(inverse, rd)
+    if kernel != "as-built":
+        assert bool(matmul_calls) == (kernel == "array")

@@ -356,16 +356,23 @@ class TestMatmul:
             assert out.shape == (m, n)
             assert out.tolist() == [list(linalg.vec_mat(f, row, b)) for row in a]
 
-    def test_row_map_paths_agree(self, name):
+    def test_row_map_paths_agree(self, name, monkeypatch, matmul_calls):
+        # one map without a table, pinned to the row loop and then to the
+        # array product (where matmul is vectorised) by ARRAY_MIN_PRODUCTS
         f = MATMUL_FIELDS[name]()
         rng = random.Random(f.q)
         b = random_matrix(f, rng, 5, 4)
-        loop, array = linalg.RowMap(f, b, rows=0), linalg.RowMap(f, b, rows=1 << 20)
-        assert loop.array is None
-        assert (array.array is None) == (not f.vectorised(5))
+        monkeypatch.setattr(linalg, "TABLE_CAP", 0)
+        rowmap = linalg.RowMap(f, b)
+        assert rowmap.table is None and (rowmap.array is None) == (not f.vectorised(5))
         rows = random_matrix(f, rng, 6, 5)
-        assert loop(rows) == array(rows) == [linalg.vec_mat(f, row, b) for row in rows]
-        assert loop.row(rows[1]) == array.row(rows[1]) == loop(rows)[1]
+        expect = [linalg.vec_mat(f, row, b) for row in rows]
+        for threshold, arrays in ((1 << 62, 0), (0, 2 * f.vectorised(5))):
+            monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", threshold)
+            matmul_calls.clear()
+            assert rowmap(rows) == expect
+            assert rowmap.row(rows[1]) == expect[1]
+            assert len(matmul_calls) == arrays
 
 
 ARRAY_FIELDS = {

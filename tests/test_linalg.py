@@ -69,26 +69,65 @@ def test_elimination_pins_down_rank_and_right_inverse(case):
 ROW_MAP_FIELDS = {**FIELDS, "GF(4)": lambda: g.make_field(2, 2)}
 
 
-def row_map_kernels(f, m):
-    """(default, row loop, array product) RowMaps of m; the default is a
-    lookup table when f.q**len(m) <= TABLE_CAP and the row loop otherwise."""
+def tower(f, s):
+    """The degree-s view over f (s = 1 or 2): f itself, or its quadratic
+    extension."""
+    return g.TowerView(f if s == 1 else g.extend_field(f, 2), f)
+
+
+def row_map_kernels(f, m, towers):
+    """[(kernel, RowMap of m, ARRAY_MIN_PRODUCTS that pins it)]: the map as
+    built, a lookup table when f.q**len(m) <= TABLE_CAP (the row loop
+    otherwise), and the row loop and the array product of the map built
+    without a table.  towers holds RowMap's split or join keyword."""
+    table = linalg.RowMap(f, m, **towers)
     with mock.patch.object(linalg, "TABLE_CAP", 0):
-        loop = linalg.RowMap(f, m, rows=0)
-    return linalg.RowMap(f, m, rows=0), loop, linalg.RowMap(f, m, rows=1 << 20)
+        bare = linalg.RowMap(f, m, **towers)
+    assert (table.table is not None) == (f.q ** len(m) <= linalg.TABLE_CAP)
+    assert bare.table is None and bare.array is not None
+    return [("table", table, 1 << 62), ("row loop", bare, 1 << 62), ("array", bare, 0)]
 
 
 @st.composite
 def row_maps(draw):
-    """(field, K x N matrix, rows of K elements), K up to one past the
-    largest domain the table cap admits."""
+    """(field, K x N matrix, towers, rows), K up to one past the largest
+    domain the table cap admits.  towers is {} for a plain map, or the
+    split or join keyword of a RowMap: towers of degree one and two over
+    the field, their degrees summing to K or N.  A row holds K elements, or
+    one symbol per split tower."""
     f = ROW_MAP_FIELDS[draw(st.sampled_from(sorted(ROW_MAP_FIELDS)))]()
     top = max(k for k in range(1, 12) if f.q**k <= linalg.TABLE_CAP) + 1
     k = draw(st.integers(1, top))
     n = draw(st.integers(1, 5))
     element = st.integers(0, f.q - 1)
     m = [draw(st.lists(element, min_size=n, max_size=n)) for _ in range(k)]
-    rows = draw(st.lists(st.lists(element, min_size=k, max_size=k), min_size=1, max_size=4))
-    return f, m, rows
+    side = draw(st.sampled_from(["plain", "split", "join"]))
+    towers, symbols = {}, [element] * k
+    if side != "plain":
+        degrees, left = [], k if side == "split" else n
+        while left:
+            degrees.append(draw(st.sampled_from([1, 2][:left])))
+            left -= degrees[-1]
+        towers = {side: tuple(tower(f, s) for s in degrees)}
+        if side == "split":
+            symbols = [st.integers(0, t.big.q - 1) for t in towers["split"]]
+    rows = draw(st.lists(st.tuples(*symbols).map(list), min_size=1, max_size=4))
+    return f, m, towers, rows
+
+
+def checked_product(f, m, towers, x):
+    """x . m by vec_mat, after to_base_vector on a split map's symbols and
+    before from_base_vector on a join map's digits."""
+    split, join = towers.get("split"), towers.get("join")
+    if split:
+        if len(x) != len(split):
+            raise g.InvalidParams(f"expected {len(split)} symbols, got {len(x)}")
+        x = sum((t.to_base_vector(e) for t, e in zip(split, x)), ())
+    out = linalg.vec_mat(f, x, m)
+    if join:
+        ends = itertools.accumulate(t.s for t in join)
+        out = tuple(t.from_base_vector(out[end - t.s : end]) for t, end in zip(join, ends))
+    return out
 
 
 def outcome(call):
@@ -100,28 +139,26 @@ def outcome(call):
 
 
 @given(row_maps())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_row_map_kernels_agree(case):
-    f, m, rows = case
-    table, loop, array = row_map_kernels(f, m)
-    assert (table.table is not None) == (f.q ** len(m) <= linalg.TABLE_CAP)
-    assert table.array is None and loop.table is None and loop.array is None
-    assert array.array is not None and array.table is None
-    expect = [linalg.vec_mat(f, row, m) for row in rows]
+    f, m, towers, rows = case
+    expect = [checked_product(f, m, towers, row) for row in rows]
     as_numpy = [tuple(map(np.int64, row)) for row in rows]
-    for given_rows in (rows, [tuple(row) for row in rows], as_numpy, [np.array(row) for row in rows]):
-        for kernel in (table, loop, array):
-            assert kernel(given_rows) == expect
-            assert [kernel.row(row) for row in given_rows] == expect
+    for kernel, rowmap, threshold in row_map_kernels(f, m, towers):
+        with mock.patch.object(linalg, "ARRAY_MIN_PRODUCTS", threshold):
+            for given_rows in (rows, [tuple(row) for row in rows], as_numpy, [np.array(row) for row in rows]):
+                assert rowmap(given_rows) == expect, kernel
+                assert [rowmap.row(row) for row in given_rows] == expect, kernel
 
 
 @given(row_maps(), st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_row_map_table_misses_read_like_vec_mat(case, data):
     """A row the table does not hold reads, or fails with the same
-    exception type, as vec_mat would read it."""
-    f, m, rows = case
-    table, loop, _ = row_map_kernels(f, m)
+    exception type, as checked_product would read it, and so does the row
+    loop."""
+    f, m, towers, rows = case
+    (_, table, _), (_, loop, _), _ = row_map_kernels(f, m, towers)
     row = list(rows[0])
     how = data.draw(st.sampled_from(["short", "long", "entry", "scalar"]))
     if how == "short":
@@ -129,16 +166,56 @@ def test_row_map_table_misses_read_like_vec_mat(case, data):
     elif how == "long":
         row = row + [0]
     elif how == "entry":
-        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(
-            st.sampled_from([f.q, -1, 1 << 70, None, "1", 1.5, [], True])
-        )
+        i = data.draw(st.integers(0, len(row) - 1))
+        split = towers.get("split")
+        # True equals 1, which a table of symbols holds
+        bad = [-1, 1 << 70, None, "1", 1.5, []] + ([] if split else [True])
+        row[i] = data.draw(st.sampled_from(bad + [split[i].big.q if split else f.q]))
     else:
         row = data.draw(st.sampled_from([len(m), None]))
-    for x in (row, tuple(row)) if isinstance(row, list) else (row,):
-        expect = outcome(lambda: linalg.vec_mat(f, x, m))
-        for kernel in (table, loop):
-            assert outcome(lambda: kernel.row(x)) == expect
-            assert outcome(lambda: kernel([x])) == outcome(lambda: [linalg.vec_mat(f, x, m)])
+    with mock.patch.object(linalg, "ARRAY_MIN_PRODUCTS", 1 << 62):
+        for x in (row, tuple(row)) if isinstance(row, list) else (row,):
+            expect = outcome(lambda: checked_product(f, m, towers, x))
+            for kernel in (table, loop):
+                assert outcome(lambda: kernel.row(x)) == expect
+                assert outcome(lambda: kernel([x])) == outcome(lambda: [checked_product(f, m, towers, x)])
+
+
+def test_symbol_table_misses_raise_rather_than_yield_digits():
+    """A row of GF(4) symbols, or of GF(2) digits, that the table does not
+    hold goes through to_base_vector or from_base_vector and raises."""
+    gf2 = g.make_field(2, 1)
+    split = linalg.RowMap(gf2, [[1, 0, 1], [0, 1, 1]], split=(tower(gf2, 2),))
+    join = linalg.RowMap(gf2, [[1, 0], [0, 1], [1, 1]], join=(tower(gf2, 2),))
+    assert split.table is not None and join.table is not None
+    for row in [(4,), (-1,), (None,), ("1",), (1.5,), (1, 2), ()]:
+        with pytest.raises(g.InvalidParams):
+            split.row(row)
+    # vec_mat reads 1.5 over GF(2) as a float digit, which no symbol packs
+    for row in [(1.5, 0, 0), (0, 0, 0.5)]:
+        with pytest.raises(g.InvalidParams):
+            join.row(row)
+
+
+@given(row_maps())
+@settings(max_examples=100, deadline=None)
+def test_row_map_batch_size_picks_the_kernel(case):
+    """One map without a table gives the same tuples to a batch just below
+    ARRAY_MIN_PRODUCTS products, on the row loop, and to one at it, in one
+    Field.matmul."""
+    f, m, towers, rows = case
+    with mock.patch.object(linalg, "TABLE_CAP", 0):
+        rowmap = linalg.RowMap(f, m, **towers)
+    products = len(m) * len(m[0])
+    small = (linalg.ARRAY_MIN_PRODUCTS - 1) // products
+    large = -(-linalg.ARRAY_MIN_PRODUCTS // products)
+    batch = [rows[i % len(rows)] for i in range(large)]
+    expect = [checked_product(f, m, towers, row) for row in batch]
+    with mock.patch.object(g.Field, "matmul", autospec=True, side_effect=g.Field.matmul) as spy:
+        assert rowmap(batch[:small]) == expect[:small]
+        assert spy.call_count == 0
+        assert rowmap(batch) == expect
+        assert spy.call_count == 1
 
 
 def test_benchmark_maps_are_tabled(mpc_uuv8, cc_two_cols):

@@ -103,6 +103,16 @@ def test_decode_digest_is_reproducible(tmp_path):
     assert lines == DEMO_DIGESTS
 
 
+def test_decode_digest_skips_files_that_are_not_code_specs(tmp_path):
+    # the matrix and the simulation config make_demo_specs.py writes beside the specs
+    assert run_script("make_demo_specs.py", str(tmp_path)).returncode == 0
+    proc = run_script("decode_digest.py", *sorted(map(str, tmp_path.glob("*.json"))), "--words", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == [line.split()[0] for line in DEMO_DIGESTS]
+    notes = proc.stderr.splitlines()
+    assert [note.split(":")[0] for note in notes] == ["matrix_uvw.json", "simulate_uuv.json"]
+
+
 def test_benchmark_hooks_install_and_undo():
     """perfbench/tracing.py wraps gccodec functions by name: every name it
     wraps exists, the counters see Field.mul, and undo restores each one."""
