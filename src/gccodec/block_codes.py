@@ -125,6 +125,11 @@ class LinearCode:
     def contains(self, word) -> bool:
         return self._encoder.row(self.message_of(word)) == tuple(word)
 
+    def holds(self, word: tuple) -> bool:
+        """contains() for a tuple of n field elements the library made,
+        read without validating it."""
+        return self._encoder.row(self.inverse.row(word)) == word
+
     # -- distance and enumeration ----------------------------------------------
 
     def distance(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dfield
 from typing import Callable, NamedTuple
 
 from . import concat
-from .channel import ChannelModel, apply_channel, trial_rng
+from .channel import ChannelModel, apply_channel, trial_stream
 from .concat import ConcatCode, DecodeOptions, cc_decode, correctable_cc
 from .errors import ConfigError, DecodeFailure
 from .gcc import GccSpec, correctable_gcc, designed_distance, gcc_decode_improved, gcc_encode
@@ -159,12 +159,13 @@ def construction(spec) -> Construction:
 
 def run_trial(config: ExperimentConfig, trial: int) -> dict:
     c = construction(config.spec)
-    rng = trial_rng(config.channel, trial)
-    msgs = [
-        tuple(int(rng.integers(0, a.field.q)) for _ in range(a.k)) for a in c.outers
-    ]
+    stream = trial_stream(config.channel, trial)
+    # a lower bound on what the trial reads: one output per two message
+    # symbols, one per channel symbol
+    stream.reserve((sum(a.k for a in c.outers) + 1) // 2 + c.m * c.n)
+    msgs = [tuple(stream.integers(0, a.field.q) for _ in range(a.k)) for a in c.outers]
     word = c.encode(msgs)
-    received, pattern, errors = apply_channel(word, c.field, config.channel, rng=rng)
+    received, pattern, errors = apply_channel(word, c.field, config.channel, rng=stream)
     weight = sum(1 for row in errors for x in row if x != 0)
     erased = sum(len(x) for x in pattern)
     inside = c.region(errors, pattern)

@@ -264,7 +264,7 @@ def gcc_decode_improved(spec: GccSpec, received, options: DecodeOptions | None =
             else:
                 skips[SKIP_REUSED] += 1
                 weights[j] = d - 2 * apparent
-                if not sub.contains(estimates[j]):
+                if not sub.holds(estimates[j]):
                     raise ContractViolation(f"carried row {j} left the subcode")
         fresh = decode_rows(sub, [residual[j] for j in redo], [frozenset()] * len(redo))
         for i, j in enumerate(redo):

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import linalg
 from .block_codes import generic_code, rs_code
+from .channel import RawStream
 from .concat import DecodeOptions
 from .errors import DecodeFailure, InvalidParams
 from .galois import TowerView, extend_field, make_field
@@ -225,6 +226,28 @@ def _check_nsc_prefixes(rng):
         _require(min_distance(code) == 3 - t + 1, f"prefix of {t} rows is not MDS")
 
 
+def _check_channel_stream(rng):
+    # the channel's block reader against numpy's scalar Generator.random()
+    # and Generator.integers() calls, over every integers() branch: 32-bit
+    # Lemire, a plain 32-bit half and 64-bit Lemire; 3 * 2^30 and 3 * 2^61
+    # reject about a quarter of their draws
+    highs = (2, 3, 8, 9, 256, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**61, 2**62)
+    for seed in (0, 1, 2**32 + 5):
+        numpy_rng = np.random.Generator(np.random.PCG64(seed))
+        stream = RawStream.borrow(np.random.Generator(np.random.PCG64(seed)))
+        for _ in range(200):
+            if rng.random() < 0.3:
+                got, want = stream.random(), numpy_rng.random()
+                _require(got == want, f"seed {seed}: random() gave {got}, numpy {want}")
+            else:
+                hi = rng.choice(highs)
+                got, want = stream.integers(1, hi), int(numpy_rng.integers(1, hi))
+                _require(got == want, f"seed {seed}: integers(1, {hi}) gave {got}, numpy {want}")
+        stream.release()
+        end = stream.bit_generator.state == numpy_rng.bit_generator.state
+        _require(end, f"seed {seed}: the bit generator's end state differs from numpy's")
+
+
 CHECKS = [
     ("field-axioms", _check_field_axioms),
     ("tower-roundtrip", _check_tower_roundtrip),
@@ -234,6 +257,7 @@ CHECKS = [
     ("nested-erasure-consistency", _check_nested_erasure_consistency),
     ("uuv-vs-generic", _check_uuv_matches_generic),
     ("nsc-prefixes-mds", _check_nsc_prefixes),
+    ("channel-stream", _check_channel_stream),
 ]
 
 

@@ -68,6 +68,7 @@ class TestEncode:
                 pos = rng.randrange(n)
                 word = word[:pos] + (f.add(word[pos], rng.randrange(1, f.q)),) + word[pos + 1 :]
             assert code.contains(word) == (code.encode(code.message_of(word)) == word) == (trial % 2 == 0)
+            assert code.holds(word) == code.contains(word)
 
     @pytest.mark.parametrize("symbol", [-1, "q", 1.5, True, "1"])
     @pytest.mark.parametrize("rs", [True, False], ids=["RS(7,5)/GF(8)", "Hamming"])

@@ -1,7 +1,55 @@
+import hashlib
+import json
+import operator
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import gccodec as g
+from gccodec.channel import RawStream, trial_stream
+
+# 3 * 2^30 and 3 * 2^61 reject about a quarter of their Lemire draws
+HIGHS = (2, 3, 8, 9, 256, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 2**33 - 1, 3 * 2**61, 2**62)
+# (error_rate, erasure_rate): noiseless, certain flips, erasures only, mixed
+RATES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.3), (0.3, 0.0), (0.2, 0.1), (0.5, 0.5))
+
+
+def reference_channel(word, field, channel, rng):
+    """apply_channel as one numpy call per draw: the stream RawStream must match."""
+    flat = word and isinstance(word[0], int)
+    rows = (word,) if flat else tuple(tuple(r) for r in word)
+    out_rows, patterns, err_rows = [], [], []
+    for row in rows:
+        received, erased, errs = [], set(), []
+        for j, sym in enumerate(row):
+            u = rng.random()
+            if u < channel.erasure_rate:
+                erased.add(j)
+                received.append(0)
+                errs.append(0)
+            elif u < channel.erasure_rate + channel.error_rate:
+                delta = int(rng.integers(1, field.q))
+                received.append(field.add(sym, delta))
+                errs.append(delta)
+            else:
+                received.append(sym)
+                errs.append(0)
+        out_rows.append(tuple(received))
+        patterns.append(frozenset(erased))
+        err_rows.append(tuple(errs))
+    if flat:
+        return out_rows[0], patterns[0], err_rows[0]
+    return tuple(out_rows), tuple(patterns), tuple(err_rows)
+
+
+def _generators(seed, half):
+    """Two equal Generators, with a 32-bit half buffered when half is set."""
+    pair = [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
+    if half:
+        for rng in pair:
+            rng.integers(0, 5)
+    return pair
 
 
 class TestApplyChannel:
@@ -77,6 +125,154 @@ class TestApplyChannel:
     def test_integer_seed_types_are_accepted(self):
         ch = g.ChannelModel(error_rate=1, erasure_rate=0, seed=np.int64(7))
         assert type(ch.seed) is int and ch == g.ChannelModel(error_rate=1, seed=7)
+
+
+class TestRawStream:
+    @pytest.mark.parametrize("half", [False, True], ids=["no-half", "half"])
+    @pytest.mark.parametrize("hi", HIGHS)
+    def test_draws_match_numpy(self, hi, half):
+        # random() and integers() interleaved, ranges with and without
+        # rejections, a 32-bit half buffered or not at the start
+        mine, theirs = _generators(hi % 1000 + 17, half)
+        stream = RawStream.borrow(mine)
+        for step in range(300):
+            lo = (0, 1, hi // 3)[step % 3]
+            if step % 4 == 3:
+                assert stream.random() == theirs.random()
+            else:
+                assert stream.integers(lo, hi) == int(theirs.integers(lo, hi))
+        stream.release()
+        assert mine.bit_generator.state == theirs.bit_generator.state
+        assert mine.integers(0, 7, size=5).tolist() == theirs.integers(0, 7, size=5).tolist()
+
+    def test_a_range_of_one_draws_nothing(self):
+        stream = trial_stream(g.ChannelModel(0.1, seed=3))
+        assert [stream.integers(4, 5) for _ in range(3)] == [4] * 3
+        assert stream.random() == g.trial_rng(g.ChannelModel(0.1, seed=3)).random()
+
+    def test_reserve_fetches_only_the_shortfall(self):
+        stream = trial_stream(g.ChannelModel(0.1, seed=4))
+        stream.reserve(5)
+        stream.random()
+        stream.reserve(5)  # four buffered: fetches one
+        rng = g.trial_rng(g.ChannelModel(0.1, seed=4))
+        rng.bit_generator.advance(6)
+        assert stream.bit_generator.state == rng.bit_generator.state
+
+    def test_release_writes_the_half_back_only_when_changed(self):
+        class Spy:
+            """A bit generator that records the states written to it."""
+
+            def __init__(self, bit_generator):
+                self.bit_generator, self.writes = bit_generator, []
+                self.random_raw = bit_generator.random_raw
+
+            @property
+            def state(self):
+                return self.bit_generator.state
+
+            @state.setter
+            def state(self, value):
+                self.writes.append(value)
+                self.bit_generator.state = value
+
+        spy = Spy(_generators(5, True)[0].bit_generator)
+        stream = RawStream.borrow(SimpleNamespace(bit_generator=spy))
+        stream.random()
+        stream.release()
+        assert spy.writes == []
+        stream.integers(0, 3)  # takes the buffered half
+        stream.release()
+        assert [(w["has_uint32"], w["uinteger"]) for w in spy.writes] == [(0, stream._half)]
+
+
+class TestChannelStream:
+    """apply_channel against the per-draw reference loop, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        gf2, gf16 = g.make_field(2, 1), g.make_field(2, 4)
+        out = [g.make_field(p, m) for p, m in ((2, 1), (3, 1), (7, 1), (2, 3), (3, 2), (2, 4))]
+        out += [g.extend_field(gf2, 2), g.extend_field(gf16, 2)]
+        # past the 32-bit Lemire path: a plain 32-bit draw and 64-bit Lemire
+        # (only q and add are read, so stand-ins spare building GF(2^33))
+        out += [SimpleNamespace(q=q, add=operator.xor) for q in (2**32 + 1, 2**33)]
+        return out
+
+    @pytest.mark.parametrize("half", [False, True], ids=["no-half", "half"])
+    @pytest.mark.parametrize("flat", [False, True], ids=["matrix", "flat"])
+    @pytest.mark.parametrize("rates", RATES, ids=str)
+    def test_matches_reference_loop(self, fields, rates, flat, half):
+        for f in fields:
+            seed = f.q % 997 + int(flat) + 2 * int(half)
+            channel = g.ChannelModel(error_rate=rates[0], erasure_rate=rates[1], seed=seed)
+            word = tuple(tuple((7 * i + 3 * j) % f.q for j in range(9)) for i in range(6))
+            if flat:
+                word = word[0] + word[1]
+            mine, theirs = _generators(seed, half)
+            got = g.apply_channel(word, f, channel, rng=mine)
+            assert got == reference_channel(word, f, channel, theirs), f.q
+            assert mine.bit_generator.state == theirs.bit_generator.state, f.q
+            assert mine.random() == theirs.random()
+            assert mine.integers(0, 3, size=4).tolist() == theirs.integers(0, 3, size=4).tolist()
+
+    @pytest.mark.parametrize("rates", RATES, ids=str)
+    def test_trial_stream_matches_trial_rng(self, fields, rates):
+        channel = g.ChannelModel(error_rate=rates[0], erasure_rate=rates[1], seed=21)
+        for trial, f in enumerate(fields):
+            word = tuple(tuple((i + j) % f.q for j in range(5)) for i in range(4))
+            expect = reference_channel(word, f, channel, g.trial_rng(channel, trial))
+            assert g.apply_channel(word, f, channel, trial=trial) == expect
+            stream = trial_stream(channel, trial)
+            assert g.apply_channel(word, f, channel, rng=stream) == expect
+            assert stream._block == []  # nothing was read ahead
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 1 / 3, 0.5, 0.9999, 1.0, 2.0**-60])
+    def test_thresholds_match_random(self, rate):
+        # raw outputs around the threshold classify as random() < rate does
+        from gccodec.channel import _below
+
+        bound = _below(rate)
+        for raw in range(max(0, bound - 4100), min(2**64, bound + 4100), 7):
+            assert (raw < bound) == ((raw >> 11) * 2.0**-53 < rate)
+
+
+# sha256 over the JSON lines of run_trial's records, recorded with numpy's
+# per-symbol Generator.random()/integers() calls
+STREAM_DIGESTS = {
+    "cc_small": "e462c0c6b17ed8590869d550ed0984f50499c5bda34df11ed4b44c791cb15f14",
+    "mpc_uuv8": "9ce8187e265ff90b9dcb7fdbccc5a2447b95ce1fdad5e30239f308e0effa136f",
+    "cc_two_cols": "133d761ff6305b53228df9fedb6c4f81aeefbf0aea026602f5a8b83644dea1a7",
+    "cc_gf16_inner": "f6eeb78dca02587c0d3f461f4606a9689e652df0cd2e20c36cfdb707f7add485",
+}
+
+
+@pytest.mark.parametrize(
+    "name,rates,mode,trials",
+    [
+        ("cc_small", (0.1, 0.05), "upto", 200),
+        ("mpc_uuv8", (0.08, 0.0), "upto", 200),
+        ("cc_two_cols", (0.05, 0.02), "beyond", 200),
+        ("cc_gf16_inner", (0.1, 0.03), "upto", 40),
+    ],
+)
+def test_run_trial_records_are_pinned(request, name, rates, mode, trials):
+    """The simulation stream: seeded messages, channel and decodes."""
+    if name == "cc_gf16_inner":
+        gf16 = g.make_field(2, 4)
+        spec = g.ConcatCode(g.rs_code(g.extend_field(gf16, 2), 16, 8), g.rs_code(gf16, 15, 8))
+    else:
+        spec = request.getfixturevalue(name)
+    config = g.ExperimentConfig(
+        spec=spec,
+        channel=g.ChannelModel(error_rate=rates[0], erasure_rate=rates[1], seed=11),
+        trials=trials,
+        options=g.DecodeOptions(mode=mode),
+    )
+    digest = hashlib.sha256()
+    for t in range(trials):
+        digest.update(json.dumps(g.experiment.run_trial(config, t), sort_keys=True).encode())
+    assert digest.hexdigest() == STREAM_DIGESTS[name]
 
 
 class TestRunExperiment:

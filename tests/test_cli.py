@@ -532,6 +532,23 @@ def test_selftest(capsys):
     assert "ok " in out and "VIOLATION" not in out
 
 
+def test_selftest_catches_a_drifted_channel_stream(monkeypatch, capsys):
+    # a reader that keeps the high half first no longer matches numpy
+    from gccodec.channel import RawStream
+
+    def high_first(stream):
+        if stream._has:
+            stream._has = 0
+            return stream._half
+        raw = stream._next()
+        stream._has, stream._half = 1, raw & 0xFFFFFFFF
+        return raw >> 32
+
+    monkeypatch.setattr(RawStream, "_uint32", high_first)
+    assert main(["selftest"]) == 3
+    assert "VIOLATION channel-stream" in capsys.readouterr().out
+
+
 def test_selftest_checks_survive_optimize_flag():
     """Under python -O a broken Field.mul must still fail the selftest."""
     script = (

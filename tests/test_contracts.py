@@ -62,7 +62,7 @@ class TestContractViolation:
 
     def test_carried_row_left_subcode(self, monkeypatch, mpc_uuv8):
         word = g.mpc_encode(mpc_uuv8, [(1, 2, 3, 4, 5), (6,)])
-        monkeypatch.setattr(g.LinearCode, "contains", lambda code, w: False)
+        monkeypatch.setattr(g.LinearCode, "holds", lambda code, w: False)
         with pytest.raises(g.ContractViolation):
             g.gcc_decode_improved(mpc_uuv8, word)
 
