@@ -31,7 +31,6 @@ from .errors import (
     InvalidParams,
     LengthMismatch,
     NoDecoder,
-    NotNsc,
     NotPrime,
     ReducibleModulus,
     ShapeError,

@@ -105,16 +105,18 @@ class LinearCode:
     # -- encoding -------------------------------------------------------------
 
     def encode(self, msg) -> tuple:
+        msg = self.field.vector(msg)
         if len(msg) != self.k:
             raise LengthMismatch(f"message length {len(msg)} != k={self.k}")
-        return self._encoder.row(self.field.vector(msg))
+        return self._encoder.row(msg)
 
     def encode_all(self, msgs) -> list:
         """The codewords of msgs, as one product with the generator."""
+        msgs = [self.field.vector(msg) for msg in msgs]
         for msg in msgs:
             if len(msg) != self.k:
                 raise LengthMismatch(f"message length {len(msg)} != k={self.k}")
-        return self._encoder([self.field.vector(msg) for msg in msgs])
+        return self._encoder(msgs)
 
     def message_of(self, codeword) -> tuple:
         word = self.field.vector(codeword)

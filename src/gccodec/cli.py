@@ -100,7 +100,7 @@ def _cmd_nsc_check(args) -> int:
     nsc = is_nsc(field, matrix)
     triangular = is_triangular(field, matrix)
     d_star = nsc_designed_distance(dists, len(matrix[0])) if nsc and dists else None
-    _print({"nsc": nsc, "triangular": triangular, "d_star": d_star, "exact": triangular})
+    _print({"nsc": nsc, "triangular": triangular, "d_star": d_star, "exact": nsc and triangular})
     return EXIT_OK
 
 

@@ -67,10 +67,20 @@ class ConcatCode:
         return f"ConcatCode({self.outer!r} over {self.inner!r}, k={self.k})"
 
 
+def check_messages(msgs, count: int):
+    """Raise unless msgs is a sequence of count messages: InvalidParams for
+    a non-sequence, LengthMismatch for another count."""
+    try:
+        got = len(msgs)
+    except TypeError:
+        raise InvalidParams(f"expected a list of messages, got {msgs!r}") from None
+    if got != count:
+        raise LengthMismatch(f"expected {count} messages, got {got}")
+
+
 def cc_encode(cc: ConcatCode, msgs) -> tuple:
     """Encode k outer messages into the M x N codeword matrix."""
-    if len(msgs) != cc.k:
-        raise LengthMismatch(f"expected {cc.k} outer messages, got {len(msgs)}")
+    check_messages(msgs, cc.k)
     return encode_columns(cc.encoder, cc.outer.encode_all(msgs))
 
 

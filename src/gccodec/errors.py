@@ -41,10 +41,6 @@ class NoDecoder(CodecError):
     pass
 
 
-class NotNsc(CodecError):
-    pass
-
-
 class ShapeError(CodecError):
     pass
 

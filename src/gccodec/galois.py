@@ -29,7 +29,6 @@ import operator
 import numpy as np
 
 from .errors import FieldMismatch, InvalidParams, NotPrime, ReducibleModulus
-from . import linalg
 
 _LOG_LIMIT = 1 << 16  # largest q with exp/log tables
 _MATMUL_BLOCK = 1 << 16  # most products matmul gathers at once
@@ -347,9 +346,8 @@ class Field:
         return acc
 
     def vectorised(self, k: int) -> bool:
-        """Whether matmul runs on whole arrays for inner dimension k (rather
-        than the row loop): fields with exp/log tables, and prime fields
-        where k*(p-1)^2 fits int64."""
+        """Whether matmul runs for inner dimension k: fields with exp/log
+        tables, and prime fields where k*(p-1)^2 fits int64."""
         if self.base is None:
             return k * (self.p - 1) ** 2 < 1 << 63
         return self.q <= _LOG_LIMIT
@@ -361,14 +359,12 @@ class Field:
         Prime fields reduce numpy's integer product mod p.  Fields with
         exp/log tables take the products with mul_array (at most
         _MATMUL_BLOCK at a time) and sum them over K with sum_array.
-        Elsewhere (see vectorised) the rows go through vec_mat.
+        Elsewhere (see vectorised) it raises InvalidParams.
         """
         m, k = a.shape
         n = b.shape[1]
         if not self.vectorised(k):
-            rows = tuple(map(tuple, b.tolist()))
-            out = [linalg.vec_mat(self, row, rows) for row in a.tolist()]
-            return np.array(out, dtype=np.int64 if self.q <= 1 << 63 else object).reshape(m, n)
+            raise InvalidParams(f"{self} has no array product for inner dimension {k}")
         if self.base is None:
             return (a @ b) % self.p
         step = max(1, _MATMUL_BLOCK // max(1, m * n))
@@ -554,19 +550,20 @@ def extend_field(base: Field, s: int, modulus="auto") -> Field:
     if isinstance(modulus, str) and modulus == "auto":
         key = ("ext", base.key, s, "auto")
         if key not in _FIELD_CACHE:
-            _FIELD_CACHE[key] = extend_field(base, s, _auto_modulus(base, s))
+            _FIELD_CACHE[key] = _extension(base, s, _auto_modulus(base, s))
         return _FIELD_CACHE[key]
     modulus = base.vector(modulus)
     if len(modulus) != s + 1 or modulus[-1] != 1:
         raise InvalidParams(f"modulus must be monic of degree {s}")
-    if s == 1:
-        return base
-    known = _FIELD_CACHE.get(("ext", base.key, s, modulus))
-    if known is not None:
-        return known
-    if not _poly_is_irreducible(base, list(modulus)):
-        raise ReducibleModulus(f"modulus {list(modulus)} factors over {base}")
-    return _cached(Field(base.p, base, s, modulus, _token=_FIELD_TOKEN))
+    if s > 1 and ("ext", base.key, s, modulus) not in _FIELD_CACHE:
+        if not _poly_is_irreducible(base, list(modulus)):
+            raise ReducibleModulus(f"modulus {list(modulus)} factors over {base}")
+    return _extension(base, s, modulus)
+
+
+def _extension(base: Field, s: int, modulus: tuple) -> Field:
+    """The handle of base[x] / (modulus), a modulus known to be irreducible."""
+    return base if s == 1 else _cached(Field(base.p, base, s, modulus, _token=_FIELD_TOKEN))
 
 
 class FieldElement:

@@ -45,6 +45,7 @@ from .concat import (
     DecodeOptions,
     RowDecodeResult,
     check_matrix,
+    check_messages,
     decode_column,
     decode_rows,
     encode_columns,
@@ -154,8 +155,7 @@ def designed_distance(spec: GccSpec) -> int:
 
 
 def gcc_encode(spec: GccSpec, msgs) -> tuple:
-    if len(msgs) != spec.k:
-        raise LengthMismatch(f"expected {spec.k} messages, got {len(msgs)}")
+    check_messages(msgs, spec.k)
     words = [a.encode(m) for a, m in zip(spec.outers, msgs)]
     return encode_columns(spec.encoder, words)
 

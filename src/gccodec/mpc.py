@@ -1,10 +1,13 @@
 """Matrix-product codes: k outer codes over GF(q) combined by a k x N matrix.
 
-These are the expansion-degree-one case of the generalized concatenated
-construction.  When the combining matrix is non-singular by columns (every
-t x t minor of the first t rows is invertible) each prefix code is MDS, the
-designed distance is min over i of d_i * (N - i + 1), and it is the exact
-minimum distance when the matrix is additionally a column permutation of an
+A matrix-product code is the expansion-degree-one case of the generalized
+concatenated construction: the row prefixes of any full-rank matrix form
+the inner chain B^(1) c ... c B^(k), so the GCC bound d* = min over i of
+d_i * d(B^(i)) holds, and the multistage decoder corrects inside it, for
+every such matrix.  When the matrix is non-singular by columns (every t x t
+minor of the first t rows is invertible) each prefix code is MDS and the
+bound reads min over i of d_i * (N - i + 1); it is the exact minimum
+distance when the matrix is in addition a column permutation of an
 upper-triangular matrix.
 
 Besides the generic multistage decoder, two constructions get hand-rolled
@@ -21,15 +24,8 @@ from dataclasses import dataclass
 from . import gmd, linalg
 from .block_codes import ENUMERATION_CAP, LinearCode, ee_decode, min_distance
 from .concat import DecodeOptions, check_matrix, decode_rows
-from .errors import (
-    ContractViolation,
-    DecodeFailure,
-    InvalidParams,
-    NotNsc,
-    ShapeError,
-    TooLargeToEnumerate,
-)
-from .gcc import GccSpec, gcc_decode_improved, gcc_encode, gcc_spec
+from .errors import ContractViolation, DecodeFailure, InvalidParams, ShapeError, TooLargeToEnumerate
+from .gcc import GccSpec, designed_distance, gcc_decode_improved, gcc_encode, gcc_spec
 from .report import DecodeReport
 
 
@@ -50,36 +46,17 @@ def is_nsc(field, matrix) -> bool:
 
 
 def is_triangular(field, matrix) -> bool:
-    """Whether some column permutation is upper-triangular (nonzero diagonal)."""
-    k = len(matrix)
-    n = len(matrix[0]) if k else 0
-    if n > 32:
-        raise TooLargeToEnumerate("triangularity search is capped at 32 columns")
+    """Whether some column permutation is upper-triangular (nonzero diagonal).
+
+    Row i needs a column that is nonzero in row i and zero in every row
+    below it.  No column serves two rows, since it would be both zero and
+    nonzero in the lower one, so one such column per row is enough.
+    """
     rows = tuple(field.vector(row) for row in matrix)
-
-    def candidates(i):
-        # diagonal column for row i: zero below, nonzero on the diagonal
-        return [
-            c
-            for c in range(n)
-            if rows[i][c] != 0 and all(rows[r][c] == 0 for r in range(i + 1, k))
-        ]
-
-    used: set = set()
-
-    def place(i):
-        if i == k:
-            return True
-        for c in candidates(i):
-            if c in used:
-                continue
-            used.add(c)
-            if place(i + 1):
-                return True
-            used.discard(c)
-        return False
-
-    return place(0)
+    return all(
+        any(x != 0 and not any(below) for x, *below in zip(row, *rows[i + 1 :]))
+        for i, row in enumerate(rows)
+    )
 
 
 @dataclass(repr=False)
@@ -118,10 +95,9 @@ def mpc_spec(outers, matrix, field) -> MpcSpec:
 
 
 def mpc_designed_distance(spec: MpcSpec):
-    """(d*, exact): d* = min d_i * (N - i + 1); exact when also triangular."""
-    if not spec.nsc:
-        raise NotNsc("designed distance formula requires a non-singular-by-columns matrix")
-    return nsc_designed_distance([a.distance() for a in spec.outers], spec.n), spec.triangular
+    """(d*, exact): the GCC bound, which is min d_i * (N - i + 1) on an NSC
+    matrix and exact when that matrix is also triangular."""
+    return designed_distance(spec), spec.nsc and spec.triangular
 
 
 def nsc_designed_distance(distances, n: int) -> int:
@@ -134,10 +110,9 @@ def mpc_encode(spec: MpcSpec, msgs) -> tuple:
 
 
 def mpc_decode(spec: MpcSpec, received, options: DecodeOptions | None = None) -> DecodeReport:
-    """Multistage decoding; the round schedule that re-decodes failure rows
-    only when the prefix-code radius grows falls out of the skip rules."""
-    if not spec.nsc:
-        raise NotNsc("the specialized decoder requires an NSC matrix")
+    """Multistage decoding of any matrix-product code; the round schedule
+    that re-decodes failure rows only when the prefix-code radius grows
+    falls out of the skip rules."""
     return gcc_decode_improved(spec, received, options)
 
 

@@ -18,8 +18,8 @@ Simulation configs: {"spec": file name or spec, "channel": {"error_rate",
 "erasure_rate", "seed"}, "trials": int, "decoder": {"mode", "carry_over",
 "radius"}, "output": file name, "threads": 1}.
 NSC checks: {"field": ..., "matrix": [[...]], "outer_distances": [int...]}.
-A non-object where an object belongs, a missing entry, an unknown code kind
-or an "rs" d other than n - k + 1 is a ConfigError.
+A non-object where an object belongs, a missing entry, an unknown code kind,
+an "rs" d other than n - k + 1 or an outer distance below 1 is a ConfigError.
 """
 
 from __future__ import annotations
@@ -198,6 +198,8 @@ def nsc_check_from_json(d: dict) -> tuple:
         dists = [_integer(x, DISTANCES) for x in _sequence(dists, DISTANCES)]
         if len(dists) != len(matrix):
             raise ConfigError(f"outer_distances must have one entry per matrix row: {dists}")
+        if min(dists) < 1:
+            raise ConfigError(f"outer_distances must be at least 1: {dists}")
     return field, matrix, dists
 
 

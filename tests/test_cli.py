@@ -105,10 +105,17 @@ class TestEncodeDecode:
 def _spec_json(kind, request):
     if kind == "rs":
         return specio.code_to_json(g.rs_code(request.getfixturevalue("gf8"), 7, 3))
-    if kind == "cc":
-        return specio.concat_to_json(request.getfixturevalue("cc_two_cols"))
-    if kind == "gcc":
-        return specio.gcc_to_json(request.getfixturevalue("mixed_spec"))
+    if kind in ("cc", "cc_small"):
+        fixture = "cc_two_cols" if kind == "cc" else kind
+        return specio.concat_to_json(request.getfixturevalue(fixture))
+    if kind in ("gcc", "rm_chain"):
+        fixture = "mixed_spec" if kind == "gcc" else kind
+        return specio.gcc_to_json(request.getfixturevalue(fixture))
+    if kind == "mpc_non_nsc":
+        # two [3,1,3] repetition codes over the identity: triangular, not NSC
+        gf2 = request.getfixturevalue("gf2")
+        a = g.repetition_code(gf2, 3)
+        return specio.mpc_to_json(g.mpc_spec([a, a], [[1, 0], [0, 1]], gf2))
     return specio.mpc_to_json(request.getfixturevalue("mpc_uuv8"))
 
 
@@ -193,6 +200,28 @@ ROUND_TRIPS = {
         },
         {"d_star": 6, "exact": True, "k": 6, "n": 14},
     ),
+    # recorded when non-NSC matrix-product specs began to decode as GCCs
+    "mpc_non_nsc": (
+        [[1], [0]],
+        [(3, 1)],
+        None,
+        {"codeword": [1, 0, 1, 0, 1, 0], "shape": [3, 2]},
+        {
+            "messages": [[1], [0]],
+            "report": {
+                "codeword": [[1, 0], [1, 0], [1, 0]],
+                "columns": [[1, 1, 1], [0, 0, 0]],
+                "failed_levels": [],
+                "gmd_trials": [1, 1],
+                "inner_invocations": [0, 3],
+                "messages": [[1], [0]],
+                "ok": True,
+                "outer_invocations": [1, 1],
+                "row_skips": [{"NotInSuT": 2, "SkipCondEq8": 1}, {}],
+            },
+        },
+        {"d_star": 3, "exact": False, "k": 2, "n": 6},
+    ),
 }
 
 
@@ -211,7 +240,7 @@ def test_round_trip_outputs_are_unchanged(capsys, tmp_path, request, kind):
         argv += ["--erasures", json.dumps(erasures)]
     assert run(capsys, argv) == (0, decoded)
     assert run(capsys, ["code-info", *spec]) == (0, info)
-    if kind in ("gcc", "mpc"):
+    if kind in ("gcc", "mpc", "mpc_non_nsc"):
         # multistage decoding is errors-only: erasures are a usage error
         pattern = [[0]] + [[]] * (encoded["shape"][0] - 1)
         assert main(argv + ["--erasures", json.dumps(pattern)]) == 2
@@ -354,6 +383,31 @@ class TestInfoAndChecks:
         assert out["nsc"] and out["triangular"] and out["exact"]
         assert out["d_star"] == 3
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1, 0], [0, 1]], [[1] * 40, [0] * 39 + [1]]],
+        ids=["identity", "2x40"],
+    )
+    def test_nsc_check_of_a_triangular_non_nsc_matrix(self, capsys, tmp_path, matrix):
+        # the identity read "exact": true; wider than 32 columns exited 2
+        path = tmp_path / "mat.json"
+        data = {"field": {"p": 2, "m": 1, "modulus": [0, 1]}, "matrix": matrix}
+        path.write_text(json.dumps({**data, "outer_distances": [3, 3]}))
+        code, out = run(capsys, ["nsc-check", "--matrix", str(path)])
+        assert code == 0
+        assert out == {"nsc": False, "triangular": True, "d_star": None, "exact": False}
+
+    def test_simulate_a_non_nsc_spec(self, capsys, tmp_path, request):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(_spec_json("mpc_non_nsc", request)))
+        config = {"spec": str(spec_path), "channel": {"error_rate": 0.1, "seed": 5}, "trials": 100}
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out = run(capsys, ["simulate", "--config", str(cfg_path)])
+        assert code == 0
+        assert out["trials"] == 100 and out["in_region"] > 0
+        assert out["in_region_failures"] == 0 and not out["violation"]
+
     def test_simulate(self, capsys, tmp_path, mpc_spec_file):
         out_path = tmp_path / "run.jsonl"
         config = {
@@ -437,6 +491,9 @@ MALFORMED_INPUTS = [
     ("nsc-check", "matrix", ("field",), None, "lacks the entry 'field'"),
     ("nsc-check", "matrix", ("matrix",), [], "non-empty list of rows"),
     ("nsc-check", "matrix", ("outer_distances",), [7, 5], "one entry per matrix row"),
+    # distances below 1 printed a d_star of 0 and -15
+    ("nsc-check", "matrix", ("outer_distances",), [0, 0, 0], "at least 1"),
+    ("nsc-check", "matrix", ("outer_distances",), [-5, 2, 1], "at least 1"),
 ]
 
 
@@ -474,6 +531,27 @@ def test_malformed_inputs_name_the_entry(
     assert main([command, flag, str(file)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+# (kind, message): messages that are not lists where the encoder reads a
+# list ended in a TypeError traceback
+MALFORMED_MESSAGES = [
+    ("rs", "5"),
+    ("cc_small", "[5]"),
+    ("cc_small", "7"),
+    ("cc_small", "[null]"),
+    ("rm_chain", "[1,2,3]"),
+    ("mpc", "[[1,2,3,4,5],6]"),
+    ("mpc", "5"),
+]
+
+
+@pytest.mark.parametrize("kind, msg", MALFORMED_MESSAGES, ids=[f"{k}-{m}" for k, m in MALFORMED_MESSAGES])
+def test_malformed_message_is_a_usage_error(capsys, tmp_path, request, kind, msg):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_spec_json(kind, request)))
+    assert main(["encode", "--spec", str(path), "--msg", msg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # (kind, {key path into the spec: value put there}): non-lists where a

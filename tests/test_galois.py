@@ -152,6 +152,27 @@ class TestConstructor:
         assert g.make_field(2, 4, list(auto.modulus)) is auto
         assert g.make_field(2, 4) is auto
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: g.make_field(2, 8), lambda: g.extend_field(g.make_field(2, 4), 2)],
+        ids=["GF(256)", "GF(256)/GF(16)"],
+    )
+    def test_auto_modulus_is_tested_once(self, monkeypatch, make):
+        # the search tests each candidate once and builds the handle from
+        # the one it picked without testing it again
+        tested = []
+        test = galois._poly_is_irreducible
+
+        def counted(f, poly):
+            tested.append((f.key, tuple(poly)))
+            return test(f, poly)
+
+        monkeypatch.setattr(galois, "_FIELD_CACHE", {})
+        monkeypatch.setattr(galois, "_poly_is_irreducible", counted)
+        field = make()
+        assert (field.base.key, field.modulus) in tested
+        assert len(tested) == len(set(tested))
+
 
 class TestArithmetic:
     def test_mod3(self):
@@ -323,8 +344,8 @@ MATMUL_FIELDS = {
     **KERNEL_FIELDS,
     "GF(2)": lambda: g.make_field(2, 1),
     "GF(3)": lambda: g.make_field(3, 1),
-    "GF(2^17)": lambda: g.make_field(2, 17),  # no tables: the row loop
-    "GF(2^32+15)": lambda: g.make_field(4294967311, 1),  # (p-1)^2 overflows int64
+    "GF(2^17)": lambda: g.make_field(2, 17),  # no tables: no array product
+    "GF(2^32+15)": lambda: g.make_field(4294967311, 1),  # (p-1)^2 overflows int64: none
 }
 # (M, K, N): a single row, a single inner coordinate, a general block
 MATMUL_SHAPES = [(1, 1, 1), (1, 6, 5), (4, 1, 3), (6, 5, 7)]
@@ -342,7 +363,8 @@ def random_matrix(f, rng, rows, cols):
 
 @pytest.mark.parametrize("name", sorted(MATMUL_FIELDS))
 class TestMatmul:
-    """Field.matmul against linalg.vec_mat, row by row."""
+    """Field.matmul against linalg.vec_mat, row by row; a field without
+    an array product for the inner dimension raises InvalidParams."""
 
     @pytest.mark.parametrize("shape", MATMUL_SHAPES, ids=lambda s: "x".join(map(str, s)))
     def test_against_vec_mat(self, name, shape):
@@ -352,6 +374,11 @@ class TestMatmul:
         for _ in range(5):
             a = random_matrix(f, rng, m, k)
             b = random_matrix(f, rng, k, n)
+            if not f.vectorised(k):
+                # no array product: RowMap keeps these fields on its row loop
+                with pytest.raises(g.InvalidParams):
+                    f.matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+                continue
             out = f.matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
             assert out.shape == (m, n)
             assert out.tolist() == [list(linalg.vec_mat(f, row, b)) for row in a]

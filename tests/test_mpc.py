@@ -6,6 +6,7 @@ import pytest
 
 import gccodec as g
 from gccodec import specio
+from gccodec.mpc import nsc_designed_distance
 
 from conftest import UUV_MATRIX, UVW_MATRIX, corrupt, error_matrix
 
@@ -56,6 +57,49 @@ class TestIsTriangular:
     def test_wide_matrix(self, gf2):
         assert g.is_triangular(gf2, [[1, 0, 1, 1], [0, 1, 0, 1]])
 
+    def test_matches_a_permutation_search(self):
+        # random matrices, k > N and zero rows and columns included
+        rng = random.Random(16)
+        fields = [g.make_field(2, 1), g.make_field(3, 1), g.make_field(2, 2)]
+        kinds = set()
+        for _ in range(3000):
+            f = rng.choice(fields)
+            k, n = rng.randrange(1, 5), rng.randrange(1, 7)
+            matrix = [[rng.choice((0, 0, 1, rng.randrange(f.q))) for _ in range(n)] for _ in range(k)]
+            if rng.random() < 0.2:
+                matrix[rng.randrange(k)] = [0] * n
+            if rng.random() < 0.2:
+                c = rng.randrange(n)
+                for row in matrix:
+                    row[c] = 0
+            expected = triangular_by_permutation(matrix)
+            kinds.add((k > n, expected))
+            assert g.is_triangular(f, matrix) == expected, matrix
+        assert kinds == {(False, False), (False, True), (True, False)}
+
+    def test_wider_than_32_columns(self, gf2):
+        # two rows over GF(2) cannot be NSC beyond N = 2, so only the
+        # triangular flag is set
+        matrix = [[1] * 40, [0] * 39 + [1]]
+        assert g.is_triangular(gf2, matrix)
+        a = g.repetition_code(gf2, 3)
+        spec = g.mpc_spec([a, a], matrix, gf2)
+        assert (spec.n, spec.nsc, spec.triangular) == (40, False, True)
+        assert g.mpc_designed_distance(spec) == (3, False)
+
+
+def triangular_by_permutation(matrix):
+    """By definition: some k columns, taken in order as the diagonal, are
+    nonzero on it and zero below it."""
+    k, n = len(matrix), len(matrix[0])
+    return any(
+        all(
+            matrix[i][c] != 0 and all(matrix[r][c] == 0 for r in range(i + 1, k))
+            for i, c in enumerate(cols)
+        )
+        for cols in itertools.permutations(range(n), k)
+    )
+
 
 class TestDesignedDistance:
     def test_uuv8(self, mpc_uuv8):
@@ -75,13 +119,13 @@ class TestDesignedDistance:
         )
         assert g.mpc_designed_distance(spec)[0] == expect
 
-    def test_requires_nsc(self, gf2):
+    def test_non_nsc_spec_gets_the_gcc_bound(self, gf2):
         a = g.repetition_code(gf2, 3)
         spec = g.mpc_spec([a, a], [[1, 0], [0, 1]], gf2)
-        with pytest.raises(g.NotNsc):
-            g.mpc_designed_distance(spec)
-        with pytest.raises(g.NotNsc):
-            g.mpc_decode(spec, ((0, 0),) * 3)
+        assert not spec.nsc and spec.triangular
+        assert g.mpc_designed_distance(spec) == (3, False)
+        received = ((0, 1), (0, 0), (0, 0))
+        assert g.mpc_decode(spec, received).codeword == ((0, 0),) * 3
 
     def test_exact_for_triangular_small_codes(self, gf2):
         a1 = g.repetition_code(gf2, 3)
@@ -129,6 +173,71 @@ def test_exhaustive_min_distance_matches_a_weight_scan():
     uuv = g.mpc_spec([rs, rs], [[1, 1], [0, 1]], gf16)  # 16^6 codewords
     with pytest.raises(g.TooLargeToEnumerate):
         g.exhaustive_min_distance(uuv)
+
+
+def random_mpc_specs(rng, count, nsc):
+    """count random specs over GF(2), GF(3) and GF(4) whose full-rank
+    matrices are NSC or not as asked, small enough to enumerate errors."""
+    fields = [g.make_field(2, 1), g.make_field(3, 1), g.make_field(2, 2)]
+    specs = []
+    while len(specs) < count:
+        f = rng.choice(fields)
+        k = rng.randrange(1, 4)
+        n = rng.randrange(k, 4)
+        m = rng.randrange(3, 6)
+
+        def rows(count, length):
+            return [[rng.randrange(f.q) for _ in range(length)] for _ in range(count)]
+
+        try:
+            outers = [g.generic_code(f, rows(rng.randrange(1, 3), m)) for _ in range(k)]
+            spec = g.mpc_spec(outers, rows(k, n), f)
+        except g.InvalidParams:  # rank-deficient, or prefix distances that grow
+            continue
+        if spec.nsc == nsc:
+            specs.append(spec)
+    return specs
+
+
+class TestAnyFullRankMatrix:
+    """A matrix-product code is the GCC of its matrix's row prefixes,
+    whether or not the matrix is NSC."""
+
+    def test_designed_distance_is_the_gcc_bound(self):
+        rng = random.Random(160)
+        for nsc in (False, True):
+            for spec in random_mpc_specs(rng, 30, nsc):
+                d_star, exact = g.mpc_designed_distance(spec)
+                assert d_star == g.designed_distance(spec)
+                assert exact == (nsc and spec.triangular)
+                if nsc:
+                    dists = [a.distance() for a in spec.outers]
+                    assert d_star == nsc_designed_distance(dists, spec.n)
+
+    def test_non_nsc_specs_decode_inside_the_region(self):
+        # every error pattern of weight up to (d* - 1) / 2 on a few messages
+        rng = random.Random(161)
+        specs = [s for s in random_mpc_specs(rng, 60, False) if g.designed_distance(s) >= 3]
+        assert len(specs) >= 20 and {s.field.q for s in specs} == {2, 3, 4}
+        checked = 0
+        for spec in specs[:24]:
+            f = spec.field
+            t = (g.designed_distance(spec) - 1) // 2
+            cells = [(j, c) for j in range(spec.m) for c in range(spec.n)]
+            for _ in range(2):
+                msgs = [tuple(rng.randrange(f.q) for _ in range(a.k)) for a in spec.outers]
+                word = g.mpc_encode(spec, msgs)
+                for w in range(t + 1):
+                    for where in itertools.combinations(cells, w):
+                        for values in itertools.product(range(1, f.q), repeat=w):
+                            rows = [list(r) for r in word]
+                            for (j, c), e in zip(where, values):
+                                rows[j][c] = f.add(rows[j][c], e)
+                            received = tuple(map(tuple, rows))
+                            assert g.correctable_gcc(error_matrix(f, word, received), spec)
+                            assert g.mpc_decode(spec, received).codeword == word
+                            checked += 1
+        assert checked > 1000
 
 
 class TestMpcDecode:
