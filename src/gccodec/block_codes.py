@@ -238,9 +238,14 @@ class ReedSolomonDecoder:
     O(n (n - k)) field operations.  Both products are RowMaps built once per
     code.  The output is re-checked for zero syndrome and 2*wt_E + |E| < d.
 
-    decode_batch runs the same steps for a list of words on arrays: each
-    product is one Field.matmul for the whole batch, and Berlekamp-Massey
-    runs masked, every row with its own length, L and shift.
+    decode_batch runs the same steps for a list of words on arrays, and
+    asks the two maps for all four products (syndromes, root search,
+    Forney's Omega and Lambda' at every point, re-check) through
+    RowMap.product, whose kernel the field picks: packed tables in
+    characteristic 2 up to 2^8 elements, Field.matmul elsewhere.
+    Berlekamp-Massey runs masked, every row with its own length, L and
+    shift, and a batch without erasures skips the erasure locator and the
+    two products with it, since there Gamma = 1, T = S and Lambda = sigma.
     """
 
     def __init__(self, field, points, k: int):
@@ -280,17 +285,18 @@ class ReedSolomonDecoder:
     def decode_batch(self, words, erasure_sets) -> list:
         """[self(word, erasures) for each pair].
 
-        From linalg.BATCH_MIN_ROWS words on, where matmul is vectorised for
-        n and the field is not an odd-characteristic extension, the
-        syndromes are one product, and when that many words have a nonzero
-        syndrome and fewer than d erasures they are solved together on
-        arrays; otherwise each goes through the scalar solve.
+        From linalg.BATCH_MIN_ROWS words on, where the syndrome map has an
+        array kernel (matmul is vectorised for n) and the field is not an
+        odd-characteristic extension, the syndromes are one product, and
+        when that many words have a nonzero syndrome and fewer than d
+        erasures they are solved together on arrays; otherwise each goes
+        through the scalar solve.
         """
         n, d = self.n, self.d
         if len(words) < linalg.BATCH_MIN_ROWS or not self._batched:
             return list(map(self, words, erasure_sets))
         received = np.array(words, dtype=np.int64).reshape(-1, n)
-        synd = self.field.matmul(received, self._syndromes.array)
+        synd = self._syndromes.product(received)
         out = [FAILURE] * len(words)
         solve = []
         for b, (word, erasures, nonzero) in enumerate(zip(words, erasure_sets, synd.any(axis=1).tolist())):
@@ -387,17 +393,21 @@ class ReedSolomonDecoder:
 
         # erasure locator Gamma, one linear factor per step, and the Forney
         # syndromes T_l = sum_j gamma_j S_{l+j} by a Hankel gather of S
-        # (T_l is read only for l < d - 1 - |E|)
-        gamma = np.zeros((batch, d), dtype=np.int64)
-        gamma[:, 0] = 1
-        order = np.argsort(~erased, axis=1, kind="stable")  # erased positions first
-        for j in range(int(ne.max())):
-            new = mul(f.neg_array(self._points_array[order[:, j]])[:, None], gamma)
-            new[:, 1:] = add(new[:, 1:], gamma[:, :-1])
-            gamma = np.where((j < ne)[:, None], new, gamma)
+        # (T_l is read only for l < d - 1 - |E|); without erasures Gamma = 1
+        # and T = S
+        erasures = ne.any()
         hankel = np.arange(r)[:, None] + np.arange(d)
-        padded = np.concatenate([synd, np.zeros((batch, d), dtype=np.int64)], axis=1)
-        forney = f.sum_array(mul(gamma[:, None, :], padded[:, hankel]), 2)
+        forney = synd
+        if erasures:
+            gamma = np.zeros((batch, d), dtype=np.int64)
+            gamma[:, 0] = 1
+            order = np.argsort(~erased, axis=1, kind="stable")  # erased positions first
+            for j in range(int(ne.max())):
+                new = mul(f.neg_array(self._points_array[order[:, j]])[:, None], gamma)
+                new[:, 1:] = add(new[:, 1:], gamma[:, :-1])
+                gamma = np.where((j < ne)[:, None], new, gamma)
+            padded = np.concatenate([synd, np.zeros((batch, d), dtype=np.int64)], axis=1)
+            forney = f.sum_array(mul(gamma[:, None, :], padded[:, hankel]), 2)
 
         # Berlekamp-Massey, row b over T_0 .. T_{d-2-|E_b|}.  deg C <= L
         # <= d - 1, and `shifted` holds z^shift B, so d coefficients hold
@@ -425,26 +435,26 @@ class ReedSolomonDecoder:
         # gives u_i sigma(x_i); its roots away from the erasures must number L
         back = L[:, None] - np.arange(r)
         sigma = np.take_along_axis(conn, np.maximum(back, 0), axis=1) * (back >= 0)
-        roots = (f.matmul(sigma, self._roots.array) == 0) & ~erased
+        roots = (self._roots.product(sigma) == 0) & ~erased
         ok &= roots.sum(axis=1) == L
         locs = (erased | roots) & ok[:, None]
 
         # Forney: sigma is then monic with those L roots, so Lambda = Gamma *
         # sigma; Omega by a Hankel gather of Lambda, and Omega and Lambda' at
         # every point in one product
-        conv = np.arange(d)[:, None] - np.arange(d)  # m - j, or r past sigma
-        conv = np.where((conv >= 0) & (conv < r), conv, r)
-        padded_sigma = np.concatenate([sigma, np.zeros((batch, 1), dtype=np.int64)], axis=1)
-        lam = f.sum_array(mul(gamma[:, None, :], padded_sigma[:, conv]), 2)
-        lam = np.concatenate([lam, np.zeros((batch, r), dtype=np.int64)], axis=1)
+        lam = np.concatenate([sigma, np.zeros((batch, d), dtype=np.int64)], axis=1)
+        if erasures:
+            conv = np.arange(d)[:, None] - np.arange(d)  # m - j, or r past sigma
+            conv = np.where((conv >= 0) & (conv < r), conv, r)
+            lam[:, :d] = f.sum_array(mul(gamma[:, None, :], lam[:, conv]), 2)
         omega = f.sum_array(mul(lam[:, hankel[:, :r] + 1], synd[:, None, :]), 2)
         dlam = mul(np.arange(1, d) % f.p, lam[:, 1:d])
-        values = f.matmul(np.concatenate([omega, dlam]), self._roots.array)
+        values = self._roots.product(np.concatenate([omega, dlam]))
         num, den = values[:batch], values[batch:]
         error = np.where(locs, mul(num, f.inv_array(mul(den, self._u_array))), 0)
 
         # re-check, as in _solve
-        ok &= (f.matmul(error, self._syndromes.array) == synd).all(axis=1)
+        ok &= (self._syndromes.product(error) == synd).all(axis=1)
         weight = ((error != 0) & ~erased).sum(axis=1)
         ok &= 2 * weight + ne < d
         codewords = add(received, f.neg_array(error))

@@ -13,9 +13,10 @@ import sys
 
 from .block_codes import LinearCode
 from .concat import DecodeOptions
-from .errors import CodecError, ContractViolation, DecodeFailure
+from .errors import CodecError, ContractViolation, DecodeFailure, TooLargeToEnumerate
 from .experiment import construction, run_experiment
-from .mpc import is_nsc, is_triangular, nsc_designed_distance
+from .linalg import rank
+from .mpc import is_nsc, is_triangular, matrix_designed_distance
 from . import specio
 
 EXIT_OK = 0
@@ -99,7 +100,12 @@ def _cmd_nsc_check(args) -> int:
         field, matrix, dists = specio.nsc_check_from_json(json.load(fh))
     nsc = is_nsc(field, matrix)
     triangular = is_triangular(field, matrix)
-    d_star = nsc_designed_distance(dists, len(matrix[0])) if nsc and dists else None
+    d_star = None  # without distances, for a rank-deficient matrix, or past enumeration
+    if dists and rank(field, matrix) == len(matrix):
+        try:
+            d_star = matrix_designed_distance(field, matrix, dists, nsc)
+        except TooLargeToEnumerate:
+            pass
     _print({"nsc": nsc, "triangular": triangular, "d_star": d_star, "exact": nsc and triangular})
     return EXIT_OK
 

@@ -17,13 +17,14 @@ vector kernels axpy (out += c * v, in place) and dot run whole rows on the
 tables; the linear algebra and the Reed-Solomon decoder are written on
 them.  matmul multiplies whole integer numpy arrays, on numpy copies of the
 same tables; TowerView.expand/pack split and join whole columns of symbols
-for RowMap's array kernel.  None of this changes any observable value.
+around it for RowMap's matmul kernel (RowMaps over characteristic 2 up to
+2^8 elements take packed tables instead).  None of this changes any
+observable value.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 
 import numpy as np
@@ -115,25 +116,60 @@ def poly_divmod(f, a, b):
 
 
 def _poly_is_irreducible(f, poly):
-    """Trial division by every monic polynomial of degree <= deg/2."""
+    """Rabin's test: poly, of degree s over f = GF(q), is irreducible when
+    x^(q^s) = x mod poly and gcd(x^(q^(s/r)) - x, poly) = 1 for every
+    prime r dividing s.
+
+    The powers x^(q^j) mod poly follow one another through the Frobenius
+    map h -> h^q, which is linear over f: h^q = sum_i h_i x^(q i), so
+    its rows x^(q i) mod poly are found once and each step is s row
+    updates.  O(s^3 + s^2 log q) field operations.
+    """
     poly = poly_trim(list(poly))
-    deg = len(poly) - 1
-    if deg <= 0:
+    s = len(poly) - 1
+    if s <= 0:
         return False
-    if deg == 1:
+    if s == 1:
         return True
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(f.q), repeat=d):
-            divisor = list(tail) + [1]
-            _, rem = poly_divmod(f, poly, divisor)
-            if not rem:
-                return False
+    lead = f.inv(poly[-1])
+    tail = [f.neg(f.mul(lead, c)) for c in poly[:-1]]  # x^s = tail mod poly
+    x = [0, 1] + [0] * (s - 2)
+    xq = _power(lambda a, b: _mulmod(f, a, b, tail), x, f.q, [1] + [0] * (s - 1))
+    rows = [[1] + [0] * (s - 1)]
+    for _ in range(s - 1):
+        rows.append(_mulmod(f, rows[-1], xq, tail))
+    powers = [x]  # x^(q^j) mod poly
+    for _ in range(s):
+        h = [0] * s
+        for c, row in zip(powers[-1], rows):
+            f.axpy(h, c, row)
+        powers.append(h)
+    if powers[s] != x:
+        return False
+    for r in _prime_factors(s):
+        a, b = poly, poly_sub(f, powers[s // r], x)
+        while b:
+            a, b = b, poly_divmod(f, a, b)[1]
+        if len(a) > 1:
+            return False
     return True
 
 
-def _power(mul, a, e):
+def _mulmod(f, a, b, tail):
+    """a * b mod x^s - tail(x), a and b of s coefficients, by Horner's rule
+    over the coefficients of a."""
+    acc = [0] * len(tail)
+    for c in reversed(a):
+        top = acc.pop()
+        acc.insert(0, 0)
+        f.axpy(acc, top, tail)
+        f.axpy(acc, c, b)
+    return acc
+
+
+def _power(mul, a, e, one=1):
     """a^e, e >= 0, by square and multiply with the product mul."""
-    acc = 1
+    acc = one
     while e:
         if e & 1:
             acc = mul(acc, a)

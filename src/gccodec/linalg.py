@@ -5,47 +5,55 @@ integer encoding; all arithmetic goes through the field handle, which must
 provide add/sub/mul/inv/neg and the in-place row update axpy(out, c, v)
 (out[j] += c * v[j]) that the row loops run on.  RowMap applies one fixed
 matrix to batches of rows, splitting outer symbols into inner digits or
-joining them back, and picks one of three kernels per call: a lookup table
-of every row's image for small domains, the field's array product matmul
-for a batch of enough products, and the row loop otherwise.
+joining them back, and picks one of four kernels per call: a lookup table
+of every row's image for small domains; for a batch of enough products,
+packed split tables (one gather, one XOR reduction) in characteristic 2 up
+to 2^8 elements and the field's array product matmul in every other field
+that has one; and the row loop otherwise.
 """
 
+import functools
 import itertools
 
 import numpy as np
 
 from .errors import InvalidParams
 
-# Smallest product M*K*N (rows times matrix size) that a RowMap runs as one
-# Field.matmul.  Measured on one core of an Intel Xeon VM with numpy 2.4:
-# the array path costs a fixed 7-15 us per call (conversions and five numpy
-# calls) plus ~10 ns per product, the vec_mat loop ~3 us per row plus
-# 0.1-0.3 us per product; they cross near 100 products over GF(2), GF(3),
-# GF(8), GF(16) and GF(256) alike (1x15x7: 25 us loop, 15 us array; 1x7x6:
-# 12 us loop, 14 us array), and a map's own digit expansion and packing
-# move the crossover up a little.
+# Smallest product M*K*N (rows times matrix size) that a RowMap runs on
+# arrays.  Measured through RowMap calls on one core of an Intel Xeon VM
+# with numpy 2.4: the packed tables cost a fixed ~9 us per call and next to
+# nothing per product, the vec_mat loop ~3 us per row plus 0.07-0.1 us per
+# product over GF(8), GF(16) and GF(256), and they cross near 100-150
+# products (loop / packed: GF(8) 1x8x8 6.4 / 8.9 us, 1x12x12 9.6 / 9.2 us;
+# GF(256) 1x8x8 8.9 / 8.9 us, 1x15x7 12.6 / 9.1 us); over GF(2), where the
+# loop runs on plain ints, near 200 (1x12x12 9.2 / 10.2 us, 1x16x16 10.2 /
+# 9.2 us).  Field.matmul crosses a little earlier over GF(3) (1x8x8 3.3 /
+# 3.8 us, 1x15x7 7.9 / 4.1 us) and a little later over GF(9) (1x12x12
+# 20.8 / 20.4 us), so one threshold serves every kernel.
 ARRAY_MIN_PRODUCTS = 128
 
 # Fewest words that ReedSolomonDecoder.decode_batch solves together on
 # arrays rather than one by one (words with a zero syndrome or with d or
 # more erasures need no solve).  Measured the same way, solving B words
-# that all carry errors, array solve against scalar solve: RS(15,8)/GF(16)
-# 0.65 / 0.31 ms at B = 4, 0.78 / 0.95 ms at 12, 0.84 / 1.07 ms at 16,
-# 1.34 / 2.41 ms at 48; RS(64,40)/GF(256) 1.76 / 0.96 ms at 4, 2.75 / 2.92
-# ms at 12, 3.17 / 3.84 ms at 16, 4.13 / 5.36 ms at 24.  The array solve
-# costs a fixed ~0.5-1.5 ms per call, so they cross between 8 and 16 words
-# in characteristic 2.  Odd prime fields sum one digit mod p and cross a
-# little later: RS(7,3)/GF(7) 0.72 / 0.56 ms at 16 words, 0.84 / 1.18 ms at
-# 32; RS(31,15)/GF(31) 2.63 / 1.89 ms at 16, 3.45 / 4.23 ms at 32.  Odd-
-# characteristic extensions sum digit by digit, and ReedSolomonDecoder
-# solves them one by one at any size: the array solve wins only with two
-# digits and many words (RS(9,3)/GF(9) 2.05-2.36 / 2.35-3.24 ms at 48
-# words, 12.4-12.8 / 18.9-20.7 ms at 256; RS(25,15)/GF(25) even within
-# noise from 48 words on) and loses with more digits at every size
-# (RS(26,12)/GF(27) 14.9-18.2 / 9.8-13.4 ms at 64, 71.9-75.1 / 49.2-58.7 ms
-# at 256; RS(80,60)/GF(81) 62.2 / 20.6-22.6 ms at 64), so no one crossover
-# by words serves them.
-BATCH_MIN_ROWS = 16
+# that all carry errors, array solve against scalar solve, errors only /
+# with erasures: RS(15,8)/GF(16) 0.29 / 0.35 and 0.32 / 0.35 ms at B = 8,
+# 0.30 / 0.53 and 0.34 / 0.68 ms at 12; RS(64,40)/GF(256) 0.70 / 0.79 ms at
+# 4 (errors only), 0.88 / 1.84 and 0.93 / 1.47 ms at 8, 0.87 / 2.21 and
+# 0.99 / 2.24 ms at 12.  With packed tables and no erasure passes on an
+# errors-only batch, characteristic 2 crosses between 4 and 8 words.  Prime
+# fields sum one digit mod p and cross later: RS(7,3)/GF(7) 0.30 / 0.29 and
+# 0.31 / 0.23 ms at 12, 0.29 / 0.37 and 0.34 / 0.32 ms at 16;
+# RS(31,15)/GF(31) 1.05 / 1.16 and 1.31 / 1.15 ms at 12, 1.11 / 1.76 and
+# 1.41 / 1.54 ms at 16.  At 12 words characteristic 2 gains ~2x and prime
+# fields lose at most ~1.3x.  Odd-characteristic extensions sum digit by
+# digit, and ReedSolomonDecoder solves them one by one at any size: the
+# array solve wins only with two digits and many words (RS(9,3)/GF(9)
+# 2.05-2.36 / 2.35-3.24 ms at 48 words, 12.4-12.8 / 18.9-20.7 ms at 256;
+# RS(25,15)/GF(25) even within noise from 48 words on) and loses with more
+# digits at every size (RS(26,12)/GF(27) 14.9-18.2 / 9.8-13.4 ms at 64,
+# 71.9-75.1 / 49.2-58.7 ms at 256; RS(80,60)/GF(81) 62.2 / 20.6-22.6 ms at
+# 64), so no one crossover by words serves them.
+BATCH_MIN_ROWS = 12
 
 # Most entries of a precomputed lookup table: the q^K images of a RowMap's
 # domain, and the q^n decodes of an ExhaustiveDecoder's errors-only table.
@@ -57,6 +65,8 @@ BATCH_MIN_ROWS = 16
 # RS(4,2)/GF(4) codes.
 TABLE_CAP = 512
 
+_PACKED_BLOCK = 1 << 16  # most table words RowMap._packed_product gathers at once
+
 
 class RowMap:
     """The linear map x -> x . matrix over f, applied to lists of rows.
@@ -64,15 +74,20 @@ class RowMap:
     With split=towers (galois.TowerView), a row holds one symbol per tower,
     which expands into its coordinates over f; with join=towers, the image
     packs into one symbol per tower.  Each call takes the lookup table
-    `table`, if one was built (q^K at most TABLE_CAP); else one f.matmul
-    between TowerView.expand and pack, unchecked, when len(rows) * K * N
-    reaches ARRAY_MIN_PRODUCTS and `array` holds the matrix (f.matmul is
-    vectorised for K, no tower exceeds 2^63 elements); else the row loop,
-    vec_mat between to_base_vector and from_base_vector.  All three give the
-    same tuples of ints; a row the table does not hold (a wrong length,
-    entries that are not elements) goes through the row loop, which reads or
-    rejects it.  Keys compare by value, so a row that equals a row of
-    elements (numpy integers, or floats such as 1.0) reads as that row.
+    `table`, if one was built (q^K at most TABLE_CAP); else the array
+    kernel `product` when len(rows) * K * N reaches ARRAY_MIN_PRODUCTS and
+    `array` holds the matrix (f.matmul is vectorised for K, no tower
+    exceeds 2^63 elements); else the row loop, vec_mat between
+    to_base_vector and from_base_vector.  All of them give the same tuples
+    of ints for rows of elements.
+
+    Only the row loop checks a row: it rejects a wrong length and entries
+    that are not elements (see Field.validate), bool and float included.
+    The table and array kernels read a row by value: a row the table does
+    not hold goes through the row loop, but one that equals a row of
+    elements (True, 1.0, numpy integers) reads as that row, and the array
+    kernel converts every row to int64 unchecked.  So every public entry
+    point validates its symbols before a map sees them.
     """
 
     def __init__(self, f, matrix, *, split=(), join=()):
@@ -86,6 +101,9 @@ class RowMap:
         self.array = self.table = None
         if f.vectorised(self.k) and all(t.big.q <= 1 << 63 for t in self.split + self.join):
             self.array = np.array(self.matrix, dtype=np.int64).reshape(self.k, self.n)
+        # the field picks the array kernel: packed tables where sums are XORs
+        # of at most 8-bit elements, Field.matmul elsewhere
+        self.packed = f.p == 2 and f.q <= 1 << 8
         if f.q**self.k <= TABLE_CAP:
             symbols = [range(tower.big.q) for tower in self.split] or [range(f.q)] * self.k
             self.table = {x: self._loop(x) for x in itertools.product(*symbols)}
@@ -108,12 +126,7 @@ class RowMap:
         if self.array is None or len(rows) * self.k * self.n < ARRAY_MIN_PRODUCTS:
             return list(map(self._loop, rows))
         x = np.array(rows, dtype=np.int64).reshape(len(rows), len(self.split) or self.k)
-        if self.split:
-            x = np.concatenate([t.expand(col) for t, col in zip(self.split, x.T)], axis=1)
-        out = self.field.matmul(x, self.array)
-        if self.join:
-            out = np.stack([t.pack(out[:, lo:hi]) for t, lo, hi in self._slices], axis=1)
-        return list(map(tuple, out.tolist()))
+        return list(map(tuple, self.product(x).tolist()))
 
     def _loop(self, x) -> tuple:
         """x . matrix by vec_mat, through to_base_vector and from_base_vector."""
@@ -125,6 +138,97 @@ class RowMap:
         if self.join:
             out = tuple(t.from_base_vector(out[lo:hi]) for t, lo, hi in self._slices)
         return out
+
+    def product(self, x):
+        """x . matrix on arrays, where `array` is set: x is a (B, len(split)
+        or K) int64 array of symbols, unchecked, and the (B, len(join) or
+        N) int64 array of their images comes back."""
+        if self.packed:
+            return self._packed_product(x)
+        return self._matmul_product(x)
+
+    def _matmul_product(self, x):
+        """One Field.matmul between TowerView.expand and pack."""
+        if self.split:
+            x = np.concatenate([t.expand(col) for t, col in zip(self.split, x.T)], axis=1)
+        out = self.field.matmul(x, self.array)
+        if self.join:
+            out = np.stack([t.pack(out[:, lo:hi]) for t, lo, hi in self._slices], axis=1)
+        return out
+
+    def _packed_product(self, x):
+        """x . matrix in characteristic 2 by split tables: one gather of the
+        images of every 4-bit slice of x, one XOR reduction, one unpack
+        (Plank, Greenan and Miller, FAST 2013).
+
+        x . matrix is GF(2)-linear in the bits of x, so each symbol's image
+        is the XOR of its 4-bit slices' images.  Those are kept packed, m
+        bits per element, into uint64 words; an output symbol (m bits, or
+        s * m for a joined tower) never straddles two words.
+        """
+        tables, columns, shifts, offsets, word, shift, mask = self._packed
+        step = max(1, _PACKED_BLOCK // max(1, tables.shape[1] * len(offsets)))
+        if len(x) > step:
+            return np.concatenate([self._packed_product(x[lo : lo + step]) for lo in range(0, len(x), step)])
+        slices = x.T.take(columns, axis=0) >> shifts & 15
+        packed = np.bitwise_xor.reduce(tables.take(slices + offsets, axis=0), axis=0)
+        return (packed.take(word, axis=1) >> shift & mask).view(np.int64)
+
+    @functools.cached_property
+    def _packed(self):
+        """(tables, columns, shifts, offsets, word, shift, mask) of
+        _packed_product, built on its first call: row offsets[t] + v of
+        tables is the packed image of the value v at bits shifts[t] of input
+        symbol columns[t]; output symbol j is word[j] >> shift[j] & mask[j]
+        of the XOR of those rows."""
+        f, m = self.field, self.field.q.bit_length() - 1
+        ins = [t.s for t in self.split] or [1] * self.k
+        outs = [t.s for t in self.join] or [1] * self.n
+        # output layout: each symbol at the end of the last word, or at the
+        # start of a new one where it does not fit
+        word, shift, words, at = [], [], 0, 64
+        for s in outs:
+            if at + s * m > 64:
+                words, at = words + 1, 0
+            word.append(words - 1)
+            shift.append(at)
+            at += s * m
+        # images of each bit of each input digit, packed (digit row r, bit b)
+        digit_word = np.repeat(np.array(word, dtype=np.int64), outs)
+        digit_shift = [lo + m * i for lo, s in zip(shift, outs) for i in range(s)]
+        units = np.array([1 << b for b in range(m)], dtype=np.int64)
+        images = f.mul_array(units[None, :, None], self.array[:, None, :]).astype(np.uint64)
+        images <<= np.array(digit_shift, dtype=np.uint64)
+        bits = np.zeros((self.k * m, words), dtype=np.uint64)
+        for w in range(words):
+            bits[:, w] = np.bitwise_or.reduce(images[..., digit_word == w], axis=2).reshape(-1)
+        # slices of 4 bits per input symbol: the rows of their bits in
+        # `bits`, -1 (a zero row) past the symbol's width
+        columns, shifts, slots = [], [], []
+        r = 0
+        for c, s in enumerate(ins):
+            width = s * m
+            for lo in range(0, width, 4):
+                columns.append(c)
+                shifts.append(lo)
+                slots.append([r + b if b < width else -1 for b in range(lo, lo + 4)])
+            r += width
+        padded = np.concatenate([bits, np.zeros((1, words), dtype=np.uint64)])
+        slice_bits = padded[np.array(slots, dtype=np.int64).reshape(-1, 4)]
+        # entry v of a slice's table is the XOR of the images of v's bits
+        tables = np.zeros((len(slots), 16, words), dtype=np.uint64)
+        for b in range(4):
+            tables[:, 1 << b : 2 << b] = tables[:, : 1 << b] ^ slice_bits[:, b, None]
+        masks = [(1 << s * m) - 1 for s in outs]
+        return (
+            tables.reshape(16 * len(slots), words),
+            np.array(columns, dtype=np.int64),
+            np.array(shifts, dtype=np.int64)[:, None],
+            16 * np.arange(len(slots))[:, None],
+            np.array(word, dtype=np.int64),
+            np.array(shift, dtype=np.uint64),
+            np.array(masks, dtype=np.uint64),
+        )
 
 
 def vec_mat(f, v, m):

@@ -105,6 +105,18 @@ def nsc_designed_distance(distances, n: int) -> int:
     return min(d * (n - i) for i, d in enumerate(distances))
 
 
+def matrix_designed_distance(field, matrix, distances, nsc: bool) -> int:
+    """d* = min over i of d_i * d(B^(i)), B^(i) the code of the first i rows
+    of a full-rank matrix: the bound designed_distance gives its spec.  On
+    an NSC matrix d(B^(i)) = N - i + 1; otherwise each prefix is
+    enumerated, the largest first, so one past ENUMERATION_CAP raises
+    TooLargeToEnumerate before any work."""
+    if nsc:
+        return nsc_designed_distance(distances, len(matrix[0]))
+    prefixes = [LinearCode(field, matrix[:i]).distance() for i in range(len(matrix), 0, -1)]
+    return min(d * b for d, b in zip(distances, reversed(prefixes)))
+
+
 def mpc_encode(spec: MpcSpec, msgs) -> tuple:
     return gcc_encode(spec, msgs)
 

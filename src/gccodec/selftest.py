@@ -250,6 +250,37 @@ def _check_channel_stream(rng):
         _require(end, f"seed {seed}: the bit generator's end state differs from numpy's")
 
 
+def _check_packed_products(rng):
+    # RowMap's packed tables against Field.matmul and the row loop over
+    # GF(2), GF(8), GF(16)/GF(4) and GF(256)/GF(16): K = 1, N past one
+    # 64-bit word of elements, zero matrix rows, an empty batch, and maps
+    # that split symbols or join digits (through degree-two towers, and
+    # degree-one ones over GF(256)/GF(16)); each batch holds the zero row
+    # and the first unit row, whose image is matrix row 0
+    gf4, gf16 = make_field(2, 2), make_field(2, 4)
+    for f in (make_field(2, 1), make_field(2, 3), extend_field(gf4, 2), extend_field(gf16, 2)):
+        bits = f.q.bit_length() - 1
+        tower = TowerView(extend_field(f, 2) if f.q <= 16 else f, f)
+        wide = 64 // bits + 1
+        cases = ((1, wide, "plain"), (5, 64 // bits, "plain"), (4, wide, "split"), (7, wide + wide % 2, "join"))
+        for k, n, side in cases:
+            matrix = [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]
+            if k > 1:
+                matrix[rng.randrange(1, k)] = [0] * n
+            split = (tower,) * (k // tower.s) if side == "split" else ()
+            join = (tower,) * (n // tower.s) if side == "join" else ()
+            rowmap = linalg.RowMap(f, matrix, split=split, join=join)
+            domains = [t.big.q for t in split] or [f.q] * k
+            rows = [[0] * len(domains), [1] + [0] * (len(domains) - 1)]
+            rows += [[rng.randrange(q) for q in domains] for _ in range(rng.randrange(1, 9))]
+            x = np.array(rows, dtype=np.int64)
+            packed = rowmap._packed_product(x).tolist()
+            what = f"{f}: {side} {k} x {n} packed products"
+            _require(rowmap.packed and packed == rowmap._matmul_product(x).tolist(), f"{what} against matmul")
+            _require(packed == [list(rowmap._loop(row)) for row in rows], f"{what} against the row loop")
+            _require(rowmap._packed_product(x[:0]).shape == (0, len(join) or n), f"{what} of no rows")
+
+
 CHECKS = [
     ("field-axioms", _check_field_axioms),
     ("tower-roundtrip", _check_tower_roundtrip),
@@ -260,6 +291,7 @@ CHECKS = [
     ("uuv-vs-generic", _check_uuv_matches_generic),
     ("nsc-prefixes-mds", _check_nsc_prefixes),
     ("channel-stream", _check_channel_stream),
+    ("packed-products", _check_packed_products),
 ]
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 import gccodec as g
+from gccodec import linalg
 
 # generator matrices frozen after a seeded search; distances are re-verified
 # exhaustively at construction time by min_distance
@@ -143,17 +144,30 @@ def rm_chain(gf2, gf8):
     return spec
 
 
-@pytest.fixture
-def matmul_calls(monkeypatch):
-    """The (M, K) shape of every Field.matmul call the test makes: the
-    RowMap calls that ran on arrays rather than a table or the row loop."""
-    calls, matmul = [], g.Field.matmul
+def array_kernel(f) -> str:
+    """The array kernel of RowMaps over f: packed tables in characteristic 2
+    up to 2^8 elements, Field.matmul elsewhere."""
+    return "packed" if f.p == 2 and f.q <= 256 else "matmul"
 
-    def spy(f, a, b):
-        calls.append(a.shape)
+
+@pytest.fixture
+def array_calls(monkeypatch):
+    """(kernel, (M, K)) of every array product the test makes, M rows of K
+    digits: the RowMap calls that ran on arrays rather than a table or the
+    row loop, "packed" through RowMap._packed_product and "matmul" through
+    Field.matmul."""
+    calls, matmul, packed = [], g.Field.matmul, linalg.RowMap._packed_product
+
+    def spy_matmul(f, a, b):
+        calls.append(("matmul", a.shape))
         return matmul(f, a, b)
 
-    monkeypatch.setattr(g.Field, "matmul", spy)
+    def spy_packed(rowmap, x):
+        calls.append(("packed", (len(x), rowmap.k)))
+        return packed(rowmap, x)
+
+    monkeypatch.setattr(g.Field, "matmul", spy_matmul)
+    monkeypatch.setattr(linalg.RowMap, "_packed_product", spy_packed)
     return calls
 
 

@@ -9,7 +9,7 @@ import gccodec as g
 from gccodec import linalg, specio
 from gccodec.block_codes import DecodeOutcome, ReedSolomonDecoder, ee_decode_many
 from gccodec.concat import decode_rows
-from conftest import GEN_HAMMING_7_4_3
+from conftest import GEN_HAMMING_7_4_3, array_kernel
 
 
 def _field(params):
@@ -276,9 +276,10 @@ class TestReedSolomon:
             assert 2 * out.weight + n_erased < d
 
     @pytest.mark.parametrize("q_params,n,k", [((2, 3), 7, 3), ((3, 2), 9, 4), ((2, 4, 2), 40, 24)])
-    def test_array_and_loop_paths_agree(self, monkeypatch, matmul_calls, q_params, n, k):
-        # syndromes and root search as array products, and as the row loop,
-        # pinned per call by ARRAY_MIN_PRODUCTS
+    def test_array_and_loop_paths_agree(self, monkeypatch, array_calls, q_params, n, k):
+        # syndromes and root search as array products (packed tables over
+        # GF(8) and GF(256)/GF(16), Field.matmul over GF(9)), and as the row
+        # loop, pinned per call by ARRAY_MIN_PRODUCTS
         field = _field(q_params)
         code = g.rs_code(field, n, k)
         for rowmap in (code.decoder._syndromes, code.decoder._roots):
@@ -286,9 +287,10 @@ class TestReedSolomon:
 
         def decode_at(threshold, word, erasures):
             monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", threshold)
-            matmul_calls.clear()
+            array_calls.clear()
             out = code.decode(word, erasures)
-            assert bool(matmul_calls) == (threshold == 0)
+            kernels = {kernel for kernel, _ in array_calls}
+            assert kernels == ({array_kernel(field)} if threshold == 0 else set())
             return out
 
         rng = random.Random(n + k)
@@ -305,16 +307,16 @@ class TestReedSolomon:
                 assert out == g.oracle_sigma(code, word, erasures)
 
     @pytest.mark.parametrize("q_params,n,k", [((2, 3), 7, 3), ((2, 4), 15, 8), ((2, 8), 64, 40)])
-    def test_root_search_takes_the_syndrome_path(self, matmul_calls, q_params, n, k):
+    def test_root_search_takes_the_syndrome_path(self, array_calls, q_params, n, k):
         # a word makes as many products in the root search as in the
         # syndromes, so the default threshold sends both to the row loop for
-        # the small codes and to arrays for RS(64,40)
+        # the small codes and to packed tables for RS(64,40)
         code = g.rs_code(_field(q_params), n, k)
         word = list(code.encode((1,) * k))
         word[3] ^= 1
-        matmul_calls.clear()
+        array_calls.clear()
         assert code.decode(word).weight == 1
-        assert len(matmul_calls) == (2 if n == 64 else 0)
+        assert array_calls == ([("packed", (1, 64)), ("packed", (1, 24))] if n == 64 else [])
 
     def test_gf1024_bounded_distance_roundtrip(self):
         # RS(255,223) over GF(1024): full-length code on log tables above q = 256

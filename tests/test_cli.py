@@ -389,13 +389,31 @@ class TestInfoAndChecks:
         ids=["identity", "2x40"],
     )
     def test_nsc_check_of_a_triangular_non_nsc_matrix(self, capsys, tmp_path, matrix):
-        # the identity read "exact": true; wider than 32 columns exited 2
+        # the identity read "exact": true; wider than 32 columns exited 2;
+        # d* is the GCC bound min(3 * d(B^(1)), 3 * d(B^(2))) = 3 * 1, as
+        # code-info gives the spec, where it read null
         path = tmp_path / "mat.json"
         data = {"field": {"p": 2, "m": 1, "modulus": [0, 1]}, "matrix": matrix}
         path.write_text(json.dumps({**data, "outer_distances": [3, 3]}))
         code, out = run(capsys, ["nsc-check", "--matrix", str(path)])
         assert code == 0
-        assert out == {"nsc": False, "triangular": True, "d_star": None, "exact": False}
+        assert out == {"nsc": False, "triangular": True, "d_star": 3, "exact": False}
+
+    @pytest.mark.parametrize(
+        "field,matrix",
+        [
+            ({"p": 2, "m": 1, "modulus": [0, 1]}, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+            ({"p": 2, "m": 8}, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]),
+        ],
+        ids=["rank-deficient", "past-enumeration"],
+    )
+    def test_nsc_check_without_a_d_star(self, capsys, tmp_path, field, matrix):
+        # no GCC for a rank-deficient matrix; 256^3 codewords in prefix 3
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps({"field": field, "matrix": matrix, "outer_distances": [3, 3, 3]}))
+        code, out = run(capsys, ["nsc-check", "--matrix", str(path)])
+        assert code == 0
+        assert out["nsc"] is False and out["d_star"] is None
 
     def test_simulate_a_non_nsc_spec(self, capsys, tmp_path, request):
         spec_path = tmp_path / "spec.json"
@@ -625,6 +643,22 @@ def test_selftest_catches_a_drifted_channel_stream(monkeypatch, capsys):
     monkeypatch.setattr(RawStream, "_uint32", high_first)
     assert main(["selftest"]) == 3
     assert "VIOLATION channel-stream" in capsys.readouterr().out
+
+
+def test_selftest_catches_a_flipped_packed_table_entry(monkeypatch, capsys):
+    # one bit of the image of the value 1 in the first slice's table
+    from gccodec import linalg
+
+    build = linalg.RowMap._packed.func
+
+    def flipped(rowmap):
+        tables, *rest = build(rowmap)
+        tables[1, 0] ^= 1
+        return (tables, *rest)
+
+    monkeypatch.setattr(linalg.RowMap, "_packed", property(flipped))
+    assert main(["selftest"]) == 3
+    assert "VIOLATION packed-products" in capsys.readouterr().out
 
 
 def test_selftest_checks_survive_optimize_flag():

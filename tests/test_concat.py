@@ -14,7 +14,7 @@ from gccodec.concat import (
     fold_message_columns,
 )
 
-from conftest import corrupt, error_matrix
+from conftest import array_kernel, corrupt, error_matrix
 
 
 class TestEncode:
@@ -323,22 +323,25 @@ class TestExtendedRadius:
 
 
 @pytest.mark.parametrize("array", [False, True], ids=["row-loop", "array"])
-def test_custom_basis_encode_and_decode(monkeypatch, matmul_calls, gf4, array):
+def test_custom_basis_encode_and_decode(monkeypatch, array_calls, gf4, array):
     """RS(15,5)/GF(16) over RS(4,2)/GF(4): symbols expand into their
     coordinates in the polynomial basis (1, x), and every word within the
     guarantee region decodes back, on the two kernels of symbol maps
-    without a table, pinned by ARRAY_MIN_PRODUCTS."""
+    without a table (the array one is packed tables over GF(4)), pinned by
+    ARRAY_MIN_PRODUCTS."""
     monkeypatch.setattr(linalg, "TABLE_CAP", 0)
     monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", 0 if array else 1 << 62)
+    # the 15 rows decode one by one, so every array product is a symbol map's
+    monkeypatch.setattr(linalg, "BATCH_MIN_ROWS", 16)
     gf16 = g.extend_field(gf4, 2)
     cc = g.ConcatCode(g.rs_code(gf16, 15, 5), g.rs_code(gf4, 4, 2))
     assert cc.encoder.table is None and cc.inverse.table is None
     rng = random.Random(17)
     for trial in range(40):
         msg = tuple(rng.randrange(gf16.q) for _ in range(5))
-        matmul_calls.clear()
+        array_calls.clear()
         word = g.cc_encode(cc, [msg])
-        assert ((15, 2) in matmul_calls) == array  # the encoder's 15 rows of 2 digits
+        assert (("packed", (15, 2)) in array_calls) == array  # the encoder's 15 rows of 2 digits
         column = cc.outer.encode(msg)
         assert word == tuple(cc.inner.encode((x % gf4.q, x // gf4.q)) for x in column)
         received = [list(row) for row in word]
@@ -351,14 +354,14 @@ def test_custom_basis_encode_and_decode(monkeypatch, matmul_calls, gf4, array):
         errors = error_matrix(gf4, word, received)
         errors = [[0 if i in x else e for i, e in enumerate(row)] for row, x in zip(errors, pattern)]
         assert g.correctable_cc(errors, pattern, cc)  # loads at most 7 * 4 + 1 < 33
-        matmul_calls.clear()
+        array_calls.clear()
         columns, report = g.cc_decode(cc, received, pattern)
-        assert ((15, 4) in matmul_calls) == array  # the inverse's 15 rows of 4 digits
+        assert (("packed", (15, 4)) in array_calls) == array  # the inverse's 15 rows of 4 digits
         assert columns == [column] and report.messages == [msg]
         assert report.codeword == word
 
 
-def test_symbols_past_int64_keep_the_row_loop(monkeypatch, matmul_calls, gf2):
+def test_symbols_past_int64_keep_the_row_loop(monkeypatch, array_calls, gf2):
     # a tower above 2^63 could not expand into int64 arrays, so its maps
     # build no array and take the row loop at any batch size; the view is a
     # degree-one GF(2) view that claims a wider big field
@@ -371,10 +374,10 @@ def test_symbols_past_int64_keep_the_row_loop(monkeypatch, matmul_calls, gf2):
         encoder = linalg.RowMap(gf2, gen, split=(tower,))
         inverse = linalg.RowMap(gf2, tuple(zip(*gen)), join=(tower,))
         assert (encoder.array is None) == (inverse.array is None) == (not arrays)
-        matmul_calls.clear()
+        array_calls.clear()
         assert encoder([(1,), (0,)]) == [(1, 0, 1), (0, 0, 0)]
         assert inverse([(1, 0, 1), (0, 1, 1)]) == [(0,), (1,)]
-        assert len(matmul_calls) == arrays
+        assert array_calls == [("packed", (2, 1)), ("packed", (2, 3))][:arrays]
 
 
 class TestSerialization:
@@ -445,7 +448,7 @@ def packed_fold(inverse, rd):
 
 @pytest.mark.parametrize("kernel", ["as-built", "row-loop", "array"])
 def test_symbol_maps_match_the_tower_expansion(
-    monkeypatch, matmul_calls, mpc_uuv8, mixed_spec, cc_small, gf4, kernel
+    monkeypatch, array_calls, mpc_uuv8, mixed_spec, cc_small, gf4, kernel
 ):
     """encode_columns and fold_message_columns against the expansion through
     TowerView, on degree-one towers (MPC levels, a CC over one field),
@@ -488,4 +491,5 @@ def test_symbol_maps_match_the_tower_expansion(
             rd = RowDecodeResult(estimates, None, None, failed, None, row_code.distance(), 0)
             assert fold_message_columns(inverse, rd) == packed_fold(inverse, rd)
     if kernel != "as-built":
-        assert bool(matmul_calls) == (kernel == "array")
+        expect = {array_kernel(generator.field) for generator, *_ in cases} if kernel == "array" else set()
+        assert {name for name, _ in array_calls} == expect

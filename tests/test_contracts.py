@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gccodec as g
-from gccodec import concat, gmd, mpc, specio
+from gccodec import concat, gmd, linalg, mpc, specio
 from gccodec.cli import main
 from gccodec.experiment import construction
 
@@ -37,6 +37,46 @@ def test_malformed_word_is_codec_error(request, case):
     fixture, call = MALFORMED[case]
     with pytest.raises((g.InvalidParams, g.LengthMismatch)):
         call(request.getfixturevalue(fixture))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_symbols_that_equal_elements_are_rejected_before_any_map(
+    monkeypatch, tmp_path, capsys, bad, inner_523, cc_small, mixed_spec
+):
+    """True and 1.0 equal the element 1 by value, and a RowMap's table and
+    array kernels read them so (see linalg.RowMap), so every public entry
+    point rejects them with InvalidParams (CLI exit 2) before a map runs."""
+
+    row, rows = linalg.RowMap.row, linalg.RowMap.__call__
+
+    def checked(x):
+        assert not any(isinstance(e, (bool, float)) for e in x), f"a RowMap saw the row {x}"
+        return x
+
+    monkeypatch.setattr(linalg.RowMap, "row", lambda m, x: row(m, checked(x)))
+    monkeypatch.setattr(linalg.RowMap, "__call__", lambda m, xs: rows(m, [checked(x) for x in xs]))
+    cc_word = [[0] * 5 for _ in range(3)]
+    gcc_word = [[0] * 7 for _ in range(4)]
+    cc_word[1][2] = gcc_word[3][0] = bad
+    calls = [
+        lambda: inner_523.encode((0, bad)),
+        lambda: inner_523.decode((0, 0, bad, 0, 0)),
+        lambda: g.cc_encode(cc_small, [(bad,)]),
+        lambda: g.gcc_encode(mixed_spec, [(0,), (bad, 0)]),
+        lambda: g.cc_decode(cc_small, cc_word),
+        lambda: g.gcc_decode_basic(mixed_spec, gcc_word),
+        lambda: g.gcc_decode_improved(mixed_spec, gcc_word),
+    ]
+    for call in calls:
+        with pytest.raises(g.InvalidParams):
+            call()
+    path = tmp_path / "cc.json"
+    path.write_text(json.dumps(specio.concat_to_json(cc_small)))
+    word = json.dumps([x for row in cc_word for x in row])
+    assert main(["encode", "--spec", str(path), "--msg", json.dumps([[bad]])]) == 2
+    assert main(["decode", "--spec", str(path), "--word", word]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error:") and repr(bad) in line for line in err)
 
 
 class TestContractViolation:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import numpy as np
 
 import gccodec as g
 from gccodec import galois, linalg, specio
+from conftest import array_kernel
 
 
 def naive_digits(value, p, m):
@@ -37,20 +39,33 @@ def naive_mul(p, modulus, m, a, b):
     return acc
 
 
-def has_factor(p, modulus):
-    """Exhaustive check for a monic factor of degree 1..deg/2 over GF(p)."""
-    import itertools
-
-    from gccodec.galois import poly_divmod, poly_trim
-
-    f = g.make_field(p, 1)
-    poly = poly_trim(list(modulus))
+def has_factor(f, modulus):
+    """Exhaustive check for a monic factor of degree 1..deg/2 over the field
+    f: trial division by every candidate."""
+    poly = galois.poly_trim(list(modulus))
     deg = len(poly) - 1
     for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            if not poly_divmod(f, poly, list(tail) + [1])[1]:
+        for tail in itertools.product(range(f.q), repeat=d):
+            if not galois.poly_divmod(f, poly, list(tail) + [1])[1]:
                 return True
     return False
+
+
+@pytest.mark.parametrize("p,m,top", [(2, 1, 6), (3, 1, 6), (2, 2, 3)], ids=["GF(2)", "GF(3)", "GF(4)"])
+def test_rabin_test_agrees_with_trial_division(p, m, top):
+    """_poly_is_irreducible (Rabin's test) against trial division on every
+    monic polynomial up to degree top; degree 0 is a unit, not irreducible."""
+    f = g.make_field(p, m)
+    counts = [0] * (top + 1)
+    for deg in range(top + 1):
+        for tail in itertools.product(range(f.q), repeat=deg):
+            poly = list(tail) + [1]
+            irreducible = galois._poly_is_irreducible(f, poly)
+            assert irreducible == (deg > 0 and not has_factor(f, poly)), poly
+            counts[deg] += irreducible
+    # Gauss's count of monic irreducibles of degree n: (1/n) sum_{d|n} mu(d) q^(n/d)
+    q = f.q
+    assert counts[1:4] == [q, (q * q - q) // 2, (q**3 - q) // 3]
 
 
 class TestMakeField:
@@ -61,11 +76,11 @@ class TestMakeField:
     def test_gf8_modulus_accepted(self):
         f = g.make_field(2, 3, (1, 1, 0, 1))
         assert f.q == 8
-        assert not has_factor(2, (1, 1, 0, 1))
+        assert not has_factor(g.make_field(2, 1), (1, 1, 0, 1))
 
     def test_reducible_modulus_rejected(self):
         # x^2 + 1 = (x + 1)^2 over GF(2)
-        assert has_factor(2, (1, 0, 1))
+        assert has_factor(g.make_field(2, 1), (1, 0, 1))
         with pytest.raises(g.ReducibleModulus):
             g.make_field(2, 2, (1, 0, 1))
 
@@ -88,7 +103,7 @@ class TestMakeField:
                 digits = naive_digits(smaller, p, m + 1)
                 if digits[m] != 1:
                     continue
-                assert has_factor(p, digits)
+                assert has_factor(g.make_field(p, 1), digits)
 
 
 class TestConstructor:
@@ -383,9 +398,10 @@ class TestMatmul:
             assert out.shape == (m, n)
             assert out.tolist() == [list(linalg.vec_mat(f, row, b)) for row in a]
 
-    def test_row_map_paths_agree(self, name, monkeypatch, matmul_calls):
+    def test_row_map_paths_agree(self, name, monkeypatch, array_calls):
         # one map without a table, pinned to the row loop and then to the
-        # array product (where matmul is vectorised) by ARRAY_MIN_PRODUCTS
+        # array product (where matmul is vectorised: packed tables in
+        # characteristic 2 up to 2^8 elements) by ARRAY_MIN_PRODUCTS
         f = MATMUL_FIELDS[name]()
         rng = random.Random(f.q)
         b = random_matrix(f, rng, 5, 4)
@@ -394,12 +410,50 @@ class TestMatmul:
         assert rowmap.table is None and (rowmap.array is None) == (not f.vectorised(5))
         rows = random_matrix(f, rng, 6, 5)
         expect = [linalg.vec_mat(f, row, b) for row in rows]
+        kernel = array_kernel(f)
         for threshold, arrays in ((1 << 62, 0), (0, 2 * f.vectorised(5))):
             monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", threshold)
-            matmul_calls.clear()
+            array_calls.clear()
             assert rowmap(rows) == expect
             assert rowmap.row(rows[1]) == expect[1]
-            assert len(matmul_calls) == arrays
+            assert array_calls == [(kernel, (6, 5)), (kernel, (1, 5))][:arrays]
+
+
+# the fields above whose RowMaps take packed tables: characteristic 2, at
+# most 2^8 elements
+PACKED_FIELDS = ["GF(2)", "GF(4)", "GF(8)", "GF(16)-nonprimitive", "GF(16)/GF(4)", "GF(256)/GF(16)"]
+
+
+def test_packed_fields_are_the_small_binary_ones():
+    fields = {name: make() for name, make in MATMUL_FIELDS.items()}
+    assert sorted(PACKED_FIELDS) == sorted(n for n, f in fields.items() if f.p == 2 and f.q <= 256)
+    assert all(linalg.RowMap(f, [[1]]).packed == (n in PACKED_FIELDS) for n, f in fields.items())
+
+
+@pytest.mark.parametrize("name", PACKED_FIELDS)
+@pytest.mark.parametrize("rows", [1, 64])
+def test_packed_product_matches_matmul(name, rows):
+    """RowMap's packed tables against Field.matmul on (rows, K) @ (K, N):
+    K = 1 and 5, N = 1, one word of elements (64/m), one more, and 64; row
+    and column 0 of every block are zero; then maps that split symbols and
+    join digits through a tower (degree two up to 16 elements, degree one
+    over GF(256)/GF(16)), N past one word."""
+    f = MATMUL_FIELDS[name]()
+    m = f.q.bit_length() - 1
+    rng = random.Random(f.q * rows)
+    for k in (1, 5):
+        for n in sorted({1, 64 // m, 64 // m + 1, 64}):
+            rowmap = linalg.RowMap(f, random_matrix(f, rng, k, n))
+            x = np.array(random_matrix(f, rng, rows, k), dtype=np.int64)
+            assert rowmap._packed_product(x).tolist() == f.matmul(x, rowmap.array).tolist()
+    tower = g.TowerView(g.extend_field(f, 2) if f.q <= 16 else f, f)
+    n = 2 * (64 // m + 1)
+    for split, join, k in (((tower,) * 3, (), 3 * tower.s), ((), (tower,) * (n // tower.s), 7)):
+        rowmap = linalg.RowMap(f, random_matrix(f, rng, k, n), split=split, join=join)
+        domains = [t.big.q for t in split] or [f.q] * k
+        x = np.array([[rng.randrange(q) for q in domains] for _ in range(rows)], dtype=np.int64)
+        assert rowmap._packed_product(x).tolist() == rowmap._matmul_product(x).tolist()
+        assert rowmap._packed_product(x).tolist() == [list(rowmap._loop(row)) for row in x.tolist()]
 
 
 ARRAY_FIELDS = {

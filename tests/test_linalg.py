@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import gccodec as g
 from gccodec import linalg
+from conftest import array_kernel
 
 FIELDS = {
     "GF(2)": lambda: g.make_field(2, 1),
@@ -202,7 +203,8 @@ def test_symbol_table_misses_raise_rather_than_yield_digits():
 def test_row_map_batch_size_picks_the_kernel(case):
     """One map without a table gives the same tuples to a batch just below
     ARRAY_MIN_PRODUCTS products, on the row loop, and to one at it, in one
-    Field.matmul."""
+    array product: packed tables in characteristic 2 up to 2^8 elements,
+    Field.matmul elsewhere."""
     f, m, towers, rows = case
     with mock.patch.object(linalg, "TABLE_CAP", 0):
         rowmap = linalg.RowMap(f, m, **towers)
@@ -211,11 +213,16 @@ def test_row_map_batch_size_picks_the_kernel(case):
     large = -(-linalg.ARRAY_MIN_PRODUCTS // products)
     batch = [rows[i % len(rows)] for i in range(large)]
     expect = [checked_product(f, m, towers, row) for row in batch]
-    with mock.patch.object(g.Field, "matmul", autospec=True, side_effect=g.Field.matmul) as spy:
+    packed = linalg.RowMap._packed_product
+    with (
+        mock.patch.object(g.Field, "matmul", autospec=True, side_effect=g.Field.matmul) as matmul,
+        mock.patch.object(linalg.RowMap, "_packed_product", autospec=True, side_effect=packed) as tables,
+    ):
         assert rowmap(batch[:small]) == expect[:small]
-        assert spy.call_count == 0
+        assert matmul.call_count == tables.call_count == 0
         assert rowmap(batch) == expect
-        assert spy.call_count == 1
+        kernel = tables if array_kernel(f) == "packed" else matmul
+        assert kernel.call_count == 1 and matmul.call_count + tables.call_count == 1
 
 
 def test_benchmark_maps_are_tabled(mpc_uuv8, cc_two_cols):
