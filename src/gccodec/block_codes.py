@@ -40,6 +40,10 @@ def wt_punctured(v, erasures) -> int:
 
 
 def check_erasures(erasures, n) -> frozenset:
+    """erasures as a frozenset of indices in [0, n); anything else raises
+    ErasureIndexError."""
+    if isinstance(erasures, (frozenset, set, tuple, list)) and not erasures:
+        return frozenset()
     try:
         out = frozenset(operator.index(i) for i in erasures)
     except TypeError:
@@ -237,6 +241,11 @@ class ReedSolomonDecoder:
     u_i sigma(x_i) at every point) and Forney's formula gives their values:
     O(n (n - k)) field operations.  Both products are RowMaps built once per
     code.  The output is re-checked for zero syndrome and 2*wt_E + |E| < d.
+    An all-zero Forney syndrome means no errors past the erasures (the
+    usual case of a GMD trial, whose unreliable rows are all erased): then
+    sigma = 1 without a Berlekamp-Massey pass, there is no root search,
+    and only the erased symbols are corrected.  The codeword is the word
+    with the error taken off at the located positions alone.
 
     decode_batch runs the same steps for a list of words on arrays, and
     asks the two maps for all four products (syndromes, root search,
@@ -374,8 +383,10 @@ class ReedSolomonDecoder:
         w = sum(1 for i in locs if error[i] and i not in erasures)
         if tuple(check) != synd or 2 * w + ne >= d:
             return FAILURE
-        codeword = tuple(f.sub(a, e) for a, e in zip(word, error))
-        return DecodeOutcome(codeword, tuple(error), w)
+        codeword = list(word)
+        for i in locs:
+            codeword[i] = f.sub(codeword[i], error[i])
+        return DecodeOutcome(tuple(codeword), tuple(error), w)
 
     def _solve_arrays(self, received, erasure_sets, synd) -> list:
         """_solve for the rows of the (B, n) array received at once: row b
@@ -479,7 +490,10 @@ def _times_linear(f, poly, x):
 
 
 def _berlekamp_massey(f, seq):
-    """Shortest LFSR generating seq: connection polynomial C (C[0] = 1), length L."""
+    """Shortest LFSR generating seq: connection polynomial C (C[0] = 1),
+    length L; ([1], 0) at once for an all-zero seq."""
+    if not any(seq):
+        return [1], 0
     conn, prev = [1], [1]
     L, shift, last = 0, 1, 1
     for k in range(len(seq)):

@@ -18,10 +18,11 @@ rows erased, because those rows are already counted as unreliable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import gmd, linalg
-from .block_codes import LinearCode, check_erasures, ee_decode, ee_decode_many, wt
+from .block_codes import LinearCode, check_erasures, ee_decode, ee_decode_many
 from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch
 from .galois import TowerView
 from .oracle import oracle_radius
@@ -133,7 +134,8 @@ def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None)
             out = oracle_radius(code, row, radius)
             calls += 1
         if out.ok:
-            apparent = wt(out.error)
+            # out.weight counts the error outside the erasures
+            apparent = out.weight + sum(1 for i in erasures if out.error[i])
             score = 2 * out.weight + len(erasures)
             if radius is not None:
                 score = 2 * apparent if 2 * apparent < d else d
@@ -159,17 +161,46 @@ def check_pattern(pattern, m, n):
     return [check_erasures(x, n) for x in pattern]
 
 
+def check_shape(matrix, m: int, n: int) -> list:
+    """matrix as a list of m tuples of length n, its entries unread: a
+    non-sequence matrix or row raises InvalidParams, another shape
+    LengthMismatch."""
+    try:
+        rows = list(map(tuple, matrix))
+    except TypeError:
+        raise InvalidParams(f"expected {m} rows of {n} entries, got {matrix!r}") from None
+    if len(rows) != m or set(map(len, rows)) - {n}:
+        raise LengthMismatch(f"expected {m} rows of {n} entries")
+    return rows
+
+
 def check_matrix(field, received, m: int, n: int) -> list:
-    """received as m rows of n elements of field; a non-sequence word or row
-    raises InvalidParams, a wrong shape LengthMismatch."""
+    """received as a list of m rows, each a tuple of n elements of field; a
+    non-sequence word or row raises InvalidParams, a wrong shape
+    LengthMismatch.
+
+    A word of plain ints is checked in one pass: its rows as tuples, their
+    lengths, the set of its symbol types and one min and max against
+    [0, q).  Any other word goes row by row through Field.vector, which
+    converts numpy integers and names the first bad row or symbol.
+    """
     try:
         rows = list(received)
     except TypeError:
         raise InvalidParams(f"expected a sequence of {m} rows, got {received!r}") from None
     if len(rows) != m:
         raise LengthMismatch(f"expected {m} rows, got {len(rows)}")
+    tuples = []
+    try:
+        tuples.extend(map(tuple, rows))
+    except TypeError:
+        pass  # the loop below names the row; extend kept the rows before it
+    if len(tuples) == m and set(map(len, tuples)) <= {n}:
+        symbols = list(itertools.chain.from_iterable(tuples))
+        if not symbols or (set(map(type, symbols)) == {int} and min(symbols) >= 0 and max(symbols) < field.q):
+            return tuples
     out = []
-    for row in rows:
+    for row in tuples + rows[len(tuples) :]:  # a row iterator reads only once
         row = field.vector(row)
         if len(row) != n:
             raise LengthMismatch(f"rows must have length {n}")
@@ -276,12 +307,16 @@ def correctable_cc(error_matrix, pattern, cc: ConcatCode) -> bool:
     """Guarantee predicate: sum of capped per-row loads below d_a*d_b.
 
     Per row the load is min(2*wt_X(E_j) + |X_j|, 2*d_b); any pattern whose
-    total is below d_a*d_b is provably corrected.
+    total is below d_a*d_b is provably corrected.  The error matrix must
+    have M rows of N entries (see check_shape).
     """
     d_a, d_b = cc.outer.distance(), cc.inner.distance()
-    erasure_sets = check_pattern(pattern, len(error_matrix), cc.inner.n)
+    rows = check_shape(error_matrix, cc.m, cc.inner.n)
+    erasure_sets = check_pattern(pattern, cc.m, cc.inner.n)
     total = 0
-    for row, x in zip(error_matrix, erasure_sets):
-        load = 2 * sum(1 for i, v in enumerate(row) if v != 0 and i not in x) + len(x)
-        total += min(load, 2 * d_b)
+    for row, x in zip(rows, erasure_sets):
+        errors = len(row) - row.count(0)
+        if x:
+            errors -= sum(1 for i in x if row[i] != 0)
+        total += min(2 * errors + len(x), 2 * d_b)
     return total < d_a * d_b

@@ -40,12 +40,13 @@ import operator
 from dataclasses import dataclass
 
 from . import gmd, linalg
-from .block_codes import LinearCode, generic_code, wt
+from .block_codes import LinearCode, generic_code
 from .concat import (
     DecodeOptions,
     RowDecodeResult,
     check_matrix,
     check_messages,
+    check_shape,
     decode_column,
     decode_rows,
     encode_columns,
@@ -161,9 +162,11 @@ def gcc_encode(spec: GccSpec, msgs) -> tuple:
 
 
 def correctable_gcc(error_matrix, spec: GccSpec) -> bool:
-    """Guarantee predicate: sum of min(wt(E_j), d_1) strictly below d*/2."""
+    """Guarantee predicate: sum of min(wt(E_j), d_1) strictly below d*/2,
+    for an error matrix of m rows of n entries (see check_shape)."""
     d1 = spec.subcodes[0].distance()
-    total = sum(min(wt(row), d1) for row in error_matrix)
+    n = spec.n
+    total = sum(min(n - row.count(0), d1) for row in check_shape(error_matrix, spec.m, n))
     return 2 * total < designed_distance(spec)
 
 

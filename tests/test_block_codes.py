@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gccodec as g
 from gccodec import linalg, specio
-from gccodec.block_codes import DecodeOutcome, ReedSolomonDecoder, ee_decode_many
+from gccodec.block_codes import DecodeOutcome, ReedSolomonDecoder, _berlekamp_massey, ee_decode_many
 from gccodec.concat import decode_rows
 from conftest import GEN_HAMMING_7_4_3, array_kernel
 
@@ -404,6 +404,41 @@ def test_rs_inverse_is_the_eliminations(params, sizes):
     for n, k in sizes:
         code = g.rs_code(f, n, k)
         assert code.inverse.matrix == linalg.right_inverse(f, code.generator)
+
+
+class TestErasureOnlySolve:
+    """A zero Forney syndrome means no errors past the erasures: the solve
+    skips Berlekamp-Massey and corrects only the erased symbols."""
+
+    @pytest.mark.parametrize("params", [(2, 3), (3, 2), (7, 1), (2, 4, 2)], ids=str)
+    def test_berlekamp_massey_of_zeros(self, params):
+        f = _field(params)
+        for length in range(31):
+            assert _berlekamp_massey(f, [0] * length) == ([1], 0)
+
+    @pytest.mark.parametrize(
+        "q_params,n,k",
+        [((2, 4, 2), 64, 40), ((2, 3), 7, 5), ((3, 2), 9, 4), ((7, 1), 7, 3)],
+        ids=["RS(64,40)/GF(256)", "RS(7,5)/GF(8)", "RS(9,4)/GF(9)", "RS(7,3)/GF(7)"],
+    )
+    def test_erasures_alone_are_corrected(self, q_params, n, k):
+        field = _field(q_params)
+        code = g.rs_code(field, n, k)
+        d = n - k + 1
+        rng = random.Random(n * k)
+        for size in range(1, d):
+            for _ in range(4):
+                sent = code.encode(tuple(rng.randrange(field.q) for _ in range(k)))
+                erasures = frozenset(rng.sample(range(n), size))
+                word = list(sent)
+                for i in erasures:
+                    word[i] = field.add(word[i], rng.randrange(1, field.q))
+                out = code.decode(tuple(word), erasures)
+                assert out.codeword == sent
+                assert out.error == tuple(field.sub(a, b) for a, b in zip(word, sent))
+                assert out.weight == 0
+                if n <= 9:
+                    assert out == g.oracle_sigma(code, word, erasures)
 
 
 class TestBatchDecode:
