@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gmd, linalg
-from .block_codes import LinearCode, check_erasures, ee_decode, ee_decode_many
+from .block_codes import LinearCode, check_erasures, ee_decode, ee_decode_rows
 from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch
 from .galois import TowerView
 from .oracle import oracle_radius
@@ -107,8 +107,10 @@ class RowDecodeResult:
 
 def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None) -> RowDecodeResult:
     """Decode each row with the inner code's EE decoder: in one
-    ee_decode_many call when the decoder decodes batches, else one
-    ee_decode call per row.
+    ee_decode_rows call when the decoder decodes batches, else one
+    ee_decode call per row.  The rows are tuples of length n and the
+    erasure sets frozensets that check_erasures returned (check_matrix and
+    check_pattern give both), so the batch path checks neither again.
 
     radius, when given, must exceed the half-distance radius; rows the
     regular decoder rejects are retried with the unique-in-ball reference
@@ -124,7 +126,7 @@ def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None)
         if any(erasure_sets):
             raise InvalidParams("extended-radius decoding supports errors-only input")
     if hasattr(code.decoder, "decode_batch"):
-        outs = ee_decode_many(code, rows, erasure_sets)
+        outs = ee_decode_rows(code, rows, erasure_sets)
     else:
         outs = [ee_decode(code, row, erasures) for row, erasures in zip(rows, erasure_sets)]
     estimates, residuals, weights, failed, apparents = [], [], [], [], []

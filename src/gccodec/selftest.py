@@ -12,7 +12,7 @@ import random
 import numpy as np
 
 from . import linalg
-from .block_codes import generic_code, rs_code
+from .block_codes import _ERASURE_MAPS, generic_code, rs_code
 from .channel import RawStream
 from .concat import DecodeOptions
 from .errors import DecodeFailure, InvalidParams
@@ -281,6 +281,32 @@ def _check_packed_products(rng):
             _require(rowmap._packed_product(x[:0]).shape == (0, len(join) or n), f"{what} of no rows")
 
 
+def _check_erasure_only_solves(rng):
+    # the RS decoder's erasure-only solve from per-set maps against its full
+    # solve, and against the oracle where it can enumerate: words in error
+    # on the erasures alone (some erased symbols received right) and words
+    # with an error past them, which the re-check hands to the full solve
+    for f, n, k in ((make_field(2, 3), 7, 3), (make_field(3, 2), 9, 4), (extend_field(make_field(2, 4), 2), 64, 40)):
+        code = rs_code(f, n, k)
+        dec = code.decoder
+        for size in range(1, n - k + 1):
+            for past in (0, 0, 1):
+                sent = code.encode(tuple(rng.randrange(f.q) for _ in range(k)))
+                erasures = frozenset(rng.sample(range(n), size))
+                word = list(sent)
+                for i in erasures:
+                    word[i] = rng.randrange(f.q)
+                for i in rng.sample(sorted(set(range(n)) - erasures), past):
+                    word[i] = f.add(word[i], rng.randrange(1, f.q))
+                word = tuple(word)
+                got = dec(word, erasures)
+                what = f"{code!r}: {word} with erasures {sorted(erasures)}"
+                _require(got == dec._solve(word, erasures, dec._syndromes.row(word)), f"{what} against the full solve")
+                _require(f.q**k > 4096 or got == oracle_sigma(code, word, erasures), f"{what} against the oracle")
+                _require(past or (got.codeword == sent and got.weight == 0), f"{what} not corrected")
+        _require(len(dec._erasure_maps) <= _ERASURE_MAPS, f"{code!r} keeps {len(dec._erasure_maps)} maps")
+
+
 CHECKS = [
     ("field-axioms", _check_field_axioms),
     ("tower-roundtrip", _check_tower_roundtrip),
@@ -292,6 +318,7 @@ CHECKS = [
     ("nsc-prefixes-mds", _check_nsc_prefixes),
     ("channel-stream", _check_channel_stream),
     ("packed-products", _check_packed_products),
+    ("erasure-only-solves", _check_erasure_only_solves),
 ]
 
 

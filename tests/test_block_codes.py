@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gccodec as g
-from gccodec import linalg, specio
+from gccodec import block_codes, linalg, specio
 from gccodec.block_codes import DecodeOutcome, ReedSolomonDecoder, _berlekamp_massey, ee_decode_many
 from gccodec.concat import decode_rows
 from conftest import GEN_HAMMING_7_4_3, array_kernel
@@ -439,6 +439,144 @@ class TestErasureOnlySolve:
                 assert out.weight == 0
                 if n <= 9:
                     assert out == g.oracle_sigma(code, word, erasures)
+
+
+ERASURE_MAP_CODES = {
+    "RS(7,3)/GF(7)": ((7, 1), 7, 3),
+    "RS(7,3)/GF(8)": ((2, 3), 7, 3),
+    "RS(9,4)/GF(9)": ((3, 2), 9, 4),
+    "RS(15,3)/GF(16)": ((2, 4), 15, 3),
+    "RS(64,40)/GF(256)": ((2, 4, 2), 64, 40),
+}
+
+
+def spy_on_full_solve(monkeypatch, dec):
+    """The erasure sets of the calls that reach dec._solve, in order."""
+    seen = []
+    solve = dec._solve
+    monkeypatch.setattr(dec, "_solve", lambda word, x, synd: seen.append(x) or solve(word, x, synd))
+    return seen
+
+
+def full_solve(dec, word, erasures):
+    """What the decoder returned before the erasure-only solve: _solve on
+    every word with fewer than d erasures."""
+    return ReedSolomonDecoder._solve(dec, word, erasures, dec._syndromes.row(word))
+
+
+def erased_word(code, rng, erasures):
+    """(sent codeword, received word) with random symbols at the erasures,
+    some of which may equal the sent ones."""
+    f = code.field
+    sent = code.encode(tuple(rng.randrange(f.q) for _ in range(code.k)))
+    word = list(sent)
+    for i in erasures:
+        word[i] = rng.randrange(f.q)
+    return sent, tuple(word)
+
+
+class TestErasureMaps:
+    """The erasure-only solve from a per-set map W_X against the full solve
+    and the oracle.  Where the map is wrong the re-check hands the word to
+    the full solve, which still decodes it, so a spy on _solve checks the
+    path too: exactly the words whose decode has no error past X (with X
+    nonempty and a nonzero syndrome) must not reach it."""
+
+    @pytest.mark.parametrize("name", sorted(ERASURE_MAP_CODES))
+    def test_equals_the_full_solve_and_the_oracle(self, monkeypatch, name):
+        q_params, n, k = ERASURE_MAP_CODES[name]
+        field = _field(q_params)
+        code = g.rs_code(field, n, k)
+        dec, d = code.decoder, n - k + 1
+        seen = spy_on_full_solve(monkeypatch, dec)
+        rng = random.Random(n * k + field.q)
+        kinds = {"erasures": 0, "errors": 0, "zero syndrome": 0}
+        for size in range(d):
+            for kind in ("erasures", "errors", "codeword") * 3:
+                erasures = frozenset(rng.sample(range(n), size))
+                sent, word = erased_word(code, rng, erasures)
+                if kind == "errors":  # 1 to t_X + 1 errors past the erasures
+                    kept = [i for i in range(n) if i not in erasures]
+                    word = list(word)
+                    for i in rng.sample(kept, min(len(kept), rng.randint(1, (d - 1 - size) // 2 + 1))):
+                        word[i] = field.add(word[i], rng.randrange(1, field.q))
+                    word = tuple(word)
+                elif kind == "codeword":
+                    word = sent
+                seen.clear()
+                out = dec(word, erasures)
+                assert out == full_solve(dec, word, erasures)
+                if field.q**k <= 4096:
+                    assert out == g.oracle_sigma(code, word, erasures)
+                nonzero = any(dec._syndromes.row(word))
+                fast = bool(erasures) and nonzero and out.ok and out.weight == 0
+                assert seen == ([] if fast else [erasures])
+                if fast and kind == "erasures":
+                    assert out.codeword == sent
+                    kinds["erasures"] += any(word[i] == sent[i] for i in erasures)
+                kinds["errors"] += kind == "errors" and bool(erasures) and bool(seen)
+                kinds["zero syndrome"] += bool(erasures) and not nonzero
+        # the draws reach each case: an erased symbol received correctly,
+        # an error past a nonempty X, a nonempty X with a zero syndrome
+        assert all(kinds.values()), kinds
+
+    def test_sets_lists_and_tuples_share_one_map(self, monkeypatch):
+        code = g.rs_code(g.make_field(2, 4), 15, 3)
+        dec = code.decoder
+        seen = spy_on_full_solve(monkeypatch, dec)
+        rng = random.Random(3)
+        erasures = frozenset({1, 4, 6, 9, 13})
+        _, word = erased_word(code, rng, erasures)
+        while not any(dec._syndromes.row(word)):
+            _, word = erased_word(code, rng, erasures)
+        want = full_solve(dec, word, erasures)
+        for form in (frozenset, set, list, tuple, lambda x: sorted(x, reverse=True)):
+            assert dec(word, form(erasures)) == want
+        assert want.ok and not seen
+        assert list(dec._erasure_maps) == [erasures]
+
+    def test_the_cache_keeps_the_last_sets(self, monkeypatch):
+        code = g.rs_code(_field((2, 4, 2)), 64, 40)
+        dec = code.decoder
+        seen = spy_on_full_solve(monkeypatch, dec)
+        rng = random.Random(5)
+        bound = block_codes._ERASURE_MAPS
+
+        def decode(x):
+            sent, word = erased_word(code, rng, x)
+            i = min(x)
+            word = word[:i] + (code.field.add(sent[i], 1),) + word[i + 1 :]  # a nonzero syndrome
+            out = dec(word, x)
+            assert out == full_solve(dec, word, x) and out.codeword == sent
+
+        sets = []
+        while len(sets) < 3 * bound:
+            x = frozenset(rng.sample(range(64), rng.randint(1, 24)))
+            if x not in sets:
+                sets.append(x)
+        for _ in range(2):
+            for x in sets:
+                decode(x)
+                assert list(dec._erasure_maps)[-1] == x
+                assert len(dec._erasure_maps) <= bound
+        assert list(dec._erasure_maps) == sets[-bound:]
+        # a set in use moves to the back, and the least recently used goes
+        decode(sets[-bound])
+        assert list(dec._erasure_maps) == sets[1 - bound :] + [sets[-bound]]
+        decode(frozenset(range(10)))
+        assert list(dec._erasure_maps) == sets[2 - bound :] + [sets[-bound], frozenset(range(10))]
+        assert not seen
+
+    def test_nothing_is_built_without_an_erasure_only_solve(self):
+        code = g.rs_code(_field((2, 4, 2)), 64, 40)
+        dec = code.decoder
+        assert dec._erasure_maps == {}
+        sent = code.encode(tuple(range(40)))
+        word = (sent[0] ^ 1,) + sent[1:]
+        assert dec(word, frozenset()).codeword == sent  # no erasures
+        assert dec(sent, frozenset({0, 5})).codeword == sent  # a zero syndrome
+        assert dec(word, frozenset(range(25))) == block_codes.FAILURE  # |X| >= d
+        assert dec._erasure_maps == {}
 
 
 class TestBatchDecode:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gccodec as g
-from gccodec.block_codes import check_erasures, ee_decode, wt
+from gccodec.block_codes import check_erasures, ee_decode, ee_decode_many, wt
 from gccodec.concat import check_matrix, decode_rows
 from gccodec.errors import ErasureIndexError, InvalidParams, LengthMismatch
 
@@ -38,11 +38,17 @@ def reference_check_matrix(field, received, m, n):
 
 
 def reference_check_erasures(erasures, n):
-    """The index-by-index check, with no shortcut for an empty set."""
+    """The index-by-index check, with no shortcut for an empty set; a bool
+    is not an index."""
+    out = set()
     try:
-        out = frozenset(operator.index(i) for i in erasures)
+        for i in erasures:
+            if isinstance(i, bool):
+                raise TypeError
+            out.add(operator.index(i))
     except TypeError:
         raise ErasureIndexError(f"erasures must be a collection of integers, got {erasures!r}") from None
+    out = frozenset(out)
     for i in out:
         if not 0 <= i < n:
             raise ErasureIndexError(f"erasure index {i} out of range for length {n}")
@@ -226,6 +232,55 @@ class TestRegionPredicatesCheckTheShape:
     def test_well_shaped_rows_of_any_sequence_type(self, cc_two_cols, mpc_uuv8):
         assert g.correctable_cc([[0] * 7, np.zeros(7, dtype=np.int64), (0,) * 7, [0] * 7], None, cc_two_cols)
         assert g.correctable_gcc([np.zeros(2, dtype=np.uint8)] * 7, mpc_uuv8)
+
+
+# erasure sets that no public entry point may take, for rows of length 7;
+# True and False would otherwise read as positions 1 and 0
+BAD_ERASURES = [[7], [-1], [2, 9], [1.5], ["1"], [None], [True], [True, False], [False, 3], [np.bool_(True)]]
+ENTRY_POINTS = ["ee_decode", "LinearCode.decode", "ee_decode_many", "cc_decode", "correctable_cc", "gmd_decode"]
+
+
+def entry_points(gf8, cc):
+    """Each public entry point that takes an erasure set, as a call of one
+    set for rows of length 7 (RS(7,3)/GF(8), and the Hamming rows of cc)."""
+    rs = g.rs_code(gf8, 7, 3)
+    word = rs.encode((1, 2, 3))
+    received = g.cc_encode(cc, [(1, 2), (3, 0)])
+    rel = g.ReliabilityVector((1,) * 7, 1)
+    zeros = [(0,) * 7] * 4
+    return {
+        "ee_decode": lambda x: ee_decode(rs, word, x),
+        "LinearCode.decode": lambda x: rs.decode(word, x),
+        "ee_decode_many": lambda x: ee_decode_many(rs, [word, word], [(), x]),
+        "cc_decode": lambda x: g.cc_decode(cc, received, [(), x, (), ()]),
+        "correctable_cc": lambda x: g.correctable_cc(zeros, [(), (), x, ()], cc),
+        "gmd_decode": lambda x: g.gmd_decode(
+            rs, word, rel, skip_zero_trial=True, chain=g.ErasureChain((frozenset(), x))
+        ),
+    }
+
+
+class TestEveryEntryPointChecksErasures:
+    """Callers inside the library hand on the sets they checked, but every
+    public entry point checks what it is handed."""
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_bad_indices_raise(self, gf8, cc_two_cols, name):
+        call = entry_points(gf8, cc_two_cols)[name]
+        for bad in BAD_ERASURES:
+            for form in (list, tuple, frozenset):
+                with pytest.raises(ErasureIndexError):
+                    call(form(bad))
+        call([1, 2])  # a good set goes through
+
+    def test_bool_indices_are_not_positions(self, gf8):
+        code = g.rs_code(gf8, 7, 3)
+        word = code.encode((1, 2, 3))
+        assert ee_decode(code, word, [1, 0]).ok
+        with pytest.raises(ErasureIndexError, match="must be a collection of integers"):
+            ee_decode(code, word, [True, False])
+        with pytest.raises(ErasureIndexError):
+            check_erasures({True}, 5)
 
 
 class TestCountingRules:

@@ -661,6 +661,21 @@ def test_selftest_catches_a_flipped_packed_table_entry(monkeypatch, capsys):
     assert "VIOLATION packed-products" in capsys.readouterr().out
 
 
+def test_selftest_catches_an_erasure_only_solve_past_its_recheck(monkeypatch, capsys):
+    # a word the re-check refuses comes back as if it were the codeword
+    from gccodec.block_codes import DecodeOutcome, ReedSolomonDecoder
+
+    only = ReedSolomonDecoder._erasures_only
+
+    def unchecked(dec, word, erasures, synd):
+        out = only(dec, word, erasures, synd)
+        return out if out is not None else DecodeOutcome(tuple(word), (0,) * dec.n, 0)
+
+    monkeypatch.setattr(ReedSolomonDecoder, "_erasures_only", unchecked)
+    assert main(["selftest"]) == 3
+    assert "VIOLATION erasure-only-solves" in capsys.readouterr().out
+
+
 def test_selftest_checks_survive_optimize_flag():
     """Under python -O a broken Field.mul must still fail the selftest."""
     script = (
