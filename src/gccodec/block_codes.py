@@ -10,9 +10,11 @@ outside it raises ContractViolation instead of passing it on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -277,14 +279,24 @@ class ReedSolomonDecoder:
     theirs, so the outer columns of a word, which run the same erasure
     chain, share it.  Nothing is built with the code.
 
-    decode_batch runs the same steps for a list of words on arrays, and
-    asks the two maps for all four products (syndromes, root search,
-    Forney's Omega and Lambda' at every point, re-check) through
+    decode_arrays runs the same steps for a list of words on arrays, and
+    asks the two maps for three products (syndromes; the root search with
+    Forney's Omega and Lambda' at every point; re-check) through
     RowMap.product, whose kernel the field picks: packed tables in
-    characteristic 2 up to 2^8 elements, Field.matmul elsewhere.
-    Berlekamp-Massey runs masked, every row with its own length, L and
-    shift, and a batch without erasures skips the erasure locator and the
-    two products with it, since there Gamma = 1, T = S and Lambda = sigma.
+    characteristic 2 up to 2^8 elements, Field.matmul elsewhere.  The
+    other products take their factors in log form (Field.log_array).
+    Berlekamp-Massey reads the first 2 t_X Forney syndromes of row b,
+    2 t_X = d - 1 - |X| rounded down to even: 2L syndromes fix a length-L
+    register (Massey 1969), so a decode with 2w + |X| < d is found from
+    them, and the closing re-check reads every syndrome, so nothing else
+    passes.  It runs with no per-step mask: the history of Forney
+    syndromes is zero past a row's 2 t_X steps, where the discrepancy is
+    then zero and leaves the row as it is.  (The scalar solve reads all
+    d - 1 - |X|: a word that the odd last one shows undecodable then
+    fails at 2L + |X| >= d, before the root search.)  A batch without
+    erasures skips the erasure locator and the two products with it,
+    since there Gamma = 1, T = S and Lambda = sigma.  decode_batch and
+    concat.decode_rows read its arrays.
     """
 
     def __init__(self, field, points, k: int):
@@ -313,9 +325,6 @@ class ReedSolomonDecoder:
         # characteristic 2, as one digit mod p in a prime field, not digit
         # by digit in an odd-characteristic extension (see BATCH_MIN_ROWS)
         self._batched = f.vectorised(self.n) and (f.p == 2 or f.base is None)
-        if self._batched:
-            self._points_array = np.array(pts, dtype=np.int64)
-            self._u_array = np.array(self._u, dtype=np.int64)
 
     def __call__(self, word, erasures) -> DecodeOutcome:
         if len(erasures) >= self.d:
@@ -328,7 +337,23 @@ class ReedSolomonDecoder:
         return self._solve(word, erasures, synd)
 
     def decode_batch(self, words, erasure_sets) -> list:
-        """[self(word, erasures) for each pair].
+        """[self(word, erasures) for each pair]: the outcomes of
+        decode_arrays where it decodes on arrays, else word by word."""
+        arrays = self.decode_arrays(words, erasure_sets)
+        if arrays is None:
+            return list(map(self, words, erasure_sets))
+        codewords, errors, weights, ok = (a.tolist() for a in arrays)
+        return [
+            DecodeOutcome(tuple(c), tuple(e), w) if good else FAILURE
+            for c, e, w, good in zip(codewords, errors, weights, ok)
+        ]
+
+    def decode_arrays(self, words, erasure_sets):
+        """The decodes of decode_batch as arrays (codewords, errors,
+        weights, ok): row b is word b's codeword and error, (B, n), its
+        weight and whether it decoded, (B,); a failed row has the word as
+        its codeword, a zero error and weight 0.  None where decode_batch
+        decodes word by word.
 
         From linalg.BATCH_MIN_ROWS words on, where the syndrome map has an
         array kernel (matmul is vectorised for n) and the field is not an
@@ -339,26 +364,24 @@ class ReedSolomonDecoder:
         """
         n, d = self.n, self.d
         if len(words) < linalg.BATCH_MIN_ROWS or not self._batched:
-            return list(map(self, words, erasure_sets))
+            return None
         received = np.array(words, dtype=np.int64).reshape(-1, n)
         synd = self._syndromes.product(received)
-        out = [FAILURE] * len(words)
-        solve = []
-        for b, (word, erasures, nonzero) in enumerate(zip(words, erasure_sets, synd.any(axis=1).tolist())):
-            if len(erasures) >= d:
-                continue
-            if nonzero:
-                solve.append(b)
-            else:
-                out[b] = DecodeOutcome(tuple(word), (0,) * n, 0)
+        sizes = np.fromiter(map(len, erasure_sets), dtype=np.int64, count=len(words))
+        ok = sizes < d
+        solve = np.flatnonzero(ok & synd.any(axis=1))
+        codewords, errors = received.copy(), np.zeros_like(received)
+        weights = np.zeros(len(words), dtype=np.int64)
         if len(solve) < linalg.BATCH_MIN_ROWS:
-            for b in solve:
-                out[b] = self._solve(words[b], erasure_sets[b], tuple(synd[b].tolist()))
-            return out
-        solved = self._solve_arrays(received[solve], [erasure_sets[b] for b in solve], synd[solve])
-        for b, outcome in zip(solve, solved):
-            out[b] = outcome
-        return out
+            for b in solve.tolist():
+                out = self._solve(words[b], erasure_sets[b], tuple(synd[b].tolist()))
+                ok[b] = out.ok
+                if out.ok:
+                    codewords[b], errors[b], weights[b] = out.codeword, out.error, out.weight
+        else:
+            solved = self._solve_arrays(received[solve], [erasure_sets[b] for b in solve], synd[solve])
+            codewords[solve], errors[solve], weights[solve], ok[solve] = solved
+        return codewords, errors, weights, ok
 
     def _erasures_only(self, word, erasures, synd):
         """The decode of word if its error lies on the erasures X alone,
@@ -454,98 +477,128 @@ class ReedSolomonDecoder:
             codeword[i] = f.sub(codeword[i], error[i])
         return DecodeOutcome(tuple(codeword), tuple(error), w)
 
-    def _solve_arrays(self, received, erasure_sets, synd) -> list:
+    @functools.cached_property
+    def _constants(self):
+        """_solve_arrays' constants, built on its first call: factors in log
+        form, and the gathers of its Hankel products (into S_0 .. S_{d-2}
+        then d zeros), of the history of Forney syndromes (into d - 1
+        zeros then T_0 .. T_{d-2}) and of Gamma * sigma (into sigma then
+        zeros)."""
+        f, r = self.field, self.d - 1
+        log = f.log_array
+        zero, one = log(np.array([0, 1], dtype=np.int64)).tolist()
+        degrees = np.arange(r)
+        hankel = degrees[:, None] + np.arange(r + 1)
+        conv = np.arange(r + 1)[:, None] - np.arange(r + 1)  # m - j, or r past sigma
+        return SimpleNamespace(
+            zero=zero,
+            one=one,
+            neg_points=log(f.neg_array(np.array(self.points, dtype=np.int64))),
+            u=log(np.array(self._u, dtype=np.int64)),
+            derivative=log(np.arange(1, r + 1) % f.p)[:, None],
+            degrees=degrees,
+            hankel=hankel,
+            omega=hankel[:, :r] + 1,
+            history=r + degrees[:, None] - np.arange(r + 1),
+            convolution=np.where((conv >= 0) & (conv < r), conv, r),
+        )
+
+    def _solve_arrays(self, received, erasure_sets, synd):
         """_solve for the rows of the (B, n) array received at once: row b
-        of the (B, n - k) array synd is the nonzero syndrome of received[b],
-        which has fewer than d erasures.  Every step is the scalar one on a
-        whole array; a row that a scalar step fails stays masked to its end."""
-        f = self.field
-        mul, add = f.mul_array, f.add_array
+        of the (B, d - 1) array synd is the nonzero syndrome of received[b],
+        which has fewer than d erasures.  Returns decode_arrays' four
+        arrays for these rows.  Every step is the scalar one on a whole
+        array; polynomials are (coefficients, B) arrays, and each factor of
+        many products is put in log form once (see Field.log_array).  A row
+        that a step fails is dropped at the end."""
+        f, c = self.field, self._constants
+        log, mul, dot = f.log_array, f.mul_logs, f.dot_logs
         n, d = self.n, self.d
         r = d - 1
         batch = len(received)
         ne = np.fromiter(map(len, erasure_sets), dtype=np.int64, count=batch)
         erased = np.zeros((batch, n), dtype=bool)
-        erased[np.repeat(np.arange(batch), ne), list(itertools.chain.from_iterable(erasure_sets))] = True
+        erasures = ne.any()
+        synd_logs = log(synd.T)
 
         # erasure locator Gamma, one linear factor per step, and the Forney
         # syndromes T_l = sum_j gamma_j S_{l+j} by a Hankel gather of S
-        # (T_l is read only for l < d - 1 - |E|); without erasures Gamma = 1
-        # and T = S
-        erasures = ne.any()
-        hankel = np.arange(r)[:, None] + np.arange(d)
-        forney = synd
+        # (then d zeros); without erasures Gamma = 1 and T = S
+        forney = synd.T
         if erasures:
-            gamma = np.zeros((batch, d), dtype=np.int64)
-            gamma[:, 0] = 1
+            erased[np.repeat(np.arange(batch), ne), list(itertools.chain.from_iterable(erasure_sets))] = True
+            gamma = np.zeros((d, batch), dtype=np.int64)
+            gamma[0] = 1
             order = np.argsort(~erased, axis=1, kind="stable")  # erased positions first
             for j in range(int(ne.max())):
-                new = mul(f.neg_array(self._points_array[order[:, j]])[:, None], gamma)
-                new[:, 1:] = add(new[:, 1:], gamma[:, :-1])
-                gamma = np.where((j < ne)[:, None], new, gamma)
-            padded = np.concatenate([synd, np.zeros((batch, d), dtype=np.int64)], axis=1)
-            forney = f.sum_array(mul(gamma[:, None, :], padded[:, hankel]), 2)
+                new = mul(c.neg_points[order[:, j]], log(gamma))
+                new[1:] = f.add_array(new[1:], gamma[:-1])
+                gamma = np.where(j < ne, new, gamma)
+            gamma_logs = log(gamma)
+            padded = np.concatenate([synd_logs, np.full((d, batch), c.zero)])
+            forney = dot(gamma_logs, padded[c.hankel], 1)
 
-        # Berlekamp-Massey, row b over T_0 .. T_{d-2-|E_b|}.  deg C <= L
-        # <= d - 1, and `shifted` holds z^shift B, so d coefficients hold
-        # both; history[:, k : k + d] reversed is T_k, ..., T_0 and zeros
-        length = r - ne
-        conn = np.zeros((batch, d), dtype=np.int64)
-        conn[:, 0] = 1
-        shifted = _times_z(conn)
-        last_inv, L = np.ones(batch, dtype=np.int64), np.zeros(batch, dtype=np.int64)
-        history = np.concatenate([np.zeros((batch, r), dtype=np.int64), forney], axis=1)
-        for k in range(int(length.max())):
-            active = k < length
-            delta = f.sum_array(mul(conn, history[:, k : k + d][:, ::-1]), 1)
-            change = active & (delta != 0)
-            grow = change & (2 * L <= k)
-            new = add(conn, mul(f.neg_array(mul(delta, last_inv))[:, None], shifted))
-            base = np.where(grow[:, None], conn, shifted)
-            shifted = np.where(active[:, None], _times_z(base), shifted)
-            last_inv = np.where(grow, f.inv_array(delta), last_inv)
-            L = np.where(grow, k + 1 - L, L)
-            conn = np.where(change[:, None], new, conn)
-        ok = 2 * L + ne < d
-
-        # sigma = z^L C(1/z), padded to d - 1, times the transposed matrix
-        # gives u_i sigma(x_i); its roots away from the erasures must number L
-        back = L[:, None] - np.arange(r)
-        sigma = np.take_along_axis(conn, np.maximum(back, 0), axis=1) * (back >= 0)
-        roots = (self._roots.product(sigma) == 0) & ~erased
-        ok &= roots.sum(axis=1) == L
-        locs = (erased | roots) & ok[:, None]
-
-        # Forney: sigma is then monic with those L roots, so Lambda = Gamma *
-        # sigma; Omega by a Hankel gather of Lambda, and Omega and Lambda' at
-        # every point in one product
-        lam = np.concatenate([sigma, np.zeros((batch, d), dtype=np.int64)], axis=1)
+        # Berlekamp-Massey, row b over T_0 .. T_{2t_b - 1}, 2t_b = d - 1 -
+        # |E_b| rounded down to even (see the class docstring).  history[k]
+        # is T_k, ..., T_{k-d+1} in log form (0 before T_0) and all 0 from
+        # step 2t_b on, where the discrepancy is then 0 and C stays as it
+        # is, so no step needs a mask.  deg C <= L <= d - 1.  Window k of
+        # `shifted` (its rows steps - k to steps - k + d) holds z^shift B
+        # in log form; window k + 1 starts one row before it, so it reads
+        # z times what step k leaves in window k.  `twice` is 2L and
+        # `inverse` 1 / (the last nonzero discrepancy), in log form.
+        lengths = (r - ne) & ~1
+        steps = int(lengths.max())
+        padded = np.concatenate([np.zeros((r, batch), dtype=np.int64), forney])
+        history = padded[c.history[:steps]]
         if erasures:
-            conv = np.arange(d)[:, None] - np.arange(d)  # m - j, or r past sigma
-            conv = np.where((conv >= 0) & (conv < r), conv, r)
-            lam[:, :d] = f.sum_array(mul(gamma[:, None, :], lam[:, conv]), 2)
-        omega = f.sum_array(mul(lam[:, hankel[:, :r] + 1], synd[:, None, :]), 2)
-        dlam = mul(np.arange(1, d) % f.p, lam[:, 1:d])
-        values = self._roots.product(np.concatenate([omega, dlam]))
-        num, den = values[:batch], values[batch:]
-        error = np.where(locs, mul(num, f.inv_array(mul(den, self._u_array))), 0)
+            history *= c.degrees[:steps, None, None] < lengths
+        history = log(history)
+        conn = np.zeros((d, batch), dtype=np.int64)
+        conn[0] = 1
+        shifted = np.full((steps + d, batch), c.zero)
+        shifted[steps + 1] = c.one
+        inverse, twice = np.full(batch, c.one), np.zeros(batch, dtype=np.int64)
+        for k in range(steps):
+            window = shifted[steps - k : steps - k + d]
+            conn_logs = log(conn)
+            delta = dot(conn_logs, history[k], 0)
+            coef = log(mul(log(delta), inverse))
+            conn = f.add_array(conn, f.neg_array(mul(coef, window)))
+            grow = np.logical_and(delta, twice <= k)
+            np.copyto(window, conn_logs, where=grow)
+            np.copyto(inverse, log(f.inv_array(delta)), where=grow)
+            np.copyto(twice, 2 * k + 2 - twice, where=grow)
+        L = twice >> 1
+        ok = twice + ne < d
+
+        # sigma = z^L C(1/z), padded to d - 1 (a negative degree wraps to a
+        # coefficient that the mask drops); Lambda = Gamma * sigma; Omega by
+        # a Hankel gather of Lambda.  One product with the transposed matrix
+        # gives u_i sigma(x_i), u_i Omega(x_i) and u_i Lambda'(x_i) at every
+        # point.  The roots of sigma away from the erasures must number L;
+        # sigma is then monic with those L roots, and Forney's formula gives
+        # the error values
+        back = L - c.degrees[:, None]
+        sigma = np.where(back >= 0, conn[back, np.arange(batch)], 0)
+        lam = np.concatenate([sigma, np.zeros((d, batch), dtype=np.int64)])
+        if erasures:
+            lam[:d] = dot(gamma_logs, log(lam)[c.convolution], 1)
+        lam_logs = log(lam)
+        omega = dot(lam_logs[c.omega], synd_logs, 1)
+        dlam = mul(c.derivative, lam_logs[1:d])
+        values = self._roots.product(np.concatenate([sigma, omega, dlam], axis=1).T)
+        roots = (values[:batch] == 0) & ~erased
+        ok &= roots.sum(axis=1) == L
+        den = log(f.inv_array(mul(log(values[2 * batch :]), c.u)))
+        error = np.where((erased | roots) & ok[:, None], mul(log(values[batch : 2 * batch]), den), 0)
 
         # re-check, as in _solve
         ok &= (self._syndromes.product(error) == synd).all(axis=1)
+        error[~ok] = 0
         weight = ((error != 0) & ~erased).sum(axis=1)
         ok &= 2 * weight + ne < d
-        codewords = add(received, f.neg_array(error))
-        return [
-            DecodeOutcome(tuple(c), tuple(e), w) if good else FAILURE
-            for c, e, w, good in zip(codewords.tolist(), error.tolist(), weight.tolist(), ok.tolist())
-        ]
-
-
-def _times_z(polys):
-    """The rows of polys, little endian, times z (the top coefficient drops)."""
-    out = np.zeros_like(polys)
-    out[:, 1:] = polys[:, :-1]
-    return out
+        return f.add_array(received, f.neg_array(error)), error, weight, ok
 
 
 def _times_linear(f, poly, x):

@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gmd, linalg
 from .block_codes import LinearCode, check_erasures, ee_decode, ee_decode_rows
 from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch
@@ -106,11 +108,14 @@ class RowDecodeResult:
 
 
 def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None) -> RowDecodeResult:
-    """Decode each row with the inner code's EE decoder: in one
-    ee_decode_rows call when the decoder decodes batches, else one
-    ee_decode call per row.  The rows are tuples of length n and the
-    erasure sets frozensets that check_erasures returned (check_matrix and
-    check_pattern give both), so the batch path checks neither again.
+    """Decode each row with the inner code's EE decoder: read straight from
+    the arrays of its decode_arrays when it decodes the batch on arrays
+    (ReedSolomonDecoder from linalg.BATCH_MIN_ROWS rows), else in one
+    ee_decode_rows call when it decodes batches, else one ee_decode call
+    per row.  The rows are tuples of length n and the erasure sets
+    frozensets that check_erasures returned (check_matrix and check_pattern
+    give both), so the batch paths check neither again; every decoded row
+    is still held to the distance bound.
 
     radius, when given, must exceed the half-distance radius; rows the
     regular decoder rejects are retried with the unique-in-ball reference
@@ -125,6 +130,10 @@ def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None)
             raise InvalidParams(f"extended radius {radius} must exceed {t}")
         if any(erasure_sets):
             raise InvalidParams("extended-radius decoding supports errors-only input")
+    arrays = getattr(code.decoder, "decode_arrays", None)
+    solved = arrays(rows, erasure_sets) if arrays and radius is None else None
+    if solved is not None:
+        return _rows_from_arrays(code, solved, erasure_sets)
     if hasattr(code.decoder, "decode_batch"):
         outs = ee_decode_rows(code, rows, erasure_sets)
     else:
@@ -153,6 +162,30 @@ def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None)
             failed.append(True)
             apparents.append(None)
     return RowDecodeResult(estimates, residuals, weights, failed, apparents, d, calls)
+
+
+def _rows_from_arrays(code: LinearCode, solved, erasure_sets) -> RowDecodeResult:
+    """decode_rows' result from the arrays (codewords, errors, weights, ok)
+    of a decoder's decode_arrays, once every decoded row is checked against
+    2*wt_E + |E| < d: a decoder that breaks the bound is a
+    ContractViolation."""
+    codewords, errors, weights, ok = solved
+    d = code.distance()
+    sizes = np.fromiter(map(len, erasure_sets), dtype=np.int64, count=len(erasure_sets))
+    scores = 2 * weights + sizes
+    if (ok & (scores >= d)).any():
+        raise ContractViolation(f"decoder for {code!r} returned a codeword outside the distance bound")
+    good = ok.tolist()
+    apparents = (errors != 0).sum(axis=1).tolist()
+    return RowDecodeResult(
+        list(map(tuple, codewords.tolist())),
+        list(map(tuple, errors.tolist())),
+        ((d - scores) * ok).tolist(),
+        [not g for g in good],
+        [a if g else None for a, g in zip(apparents, good)],
+        d,
+        len(good),
+    )
 
 
 def check_pattern(pattern, m, n):

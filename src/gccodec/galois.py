@@ -393,9 +393,9 @@ class Field:
         numpy arrays of element encodings; returns an (M, N) array.
 
         Prime fields reduce numpy's integer product mod p.  Fields with
-        exp/log tables take the products with mul_array (at most
-        _MATMUL_BLOCK at a time) and sum them over K with sum_array.
-        Elsewhere (see vectorised) it raises InvalidParams.
+        exp/log tables take the sums of products with dot_logs (at most
+        _MATMUL_BLOCK products at a time).  Elsewhere (see vectorised) it
+        raises InvalidParams.
         """
         m, k = a.shape
         n = b.shape[1]
@@ -404,8 +404,9 @@ class Field:
         if self.base is None:
             return (a @ b) % self.p
         step = max(1, _MATMUL_BLOCK // max(1, m * n))
+        la, lb = self.log_array(a), self.log_array(b)
         parts = (
-            self.sum_array(self.mul_array(a[:, lo : lo + step, None], b[None, lo : lo + step]), 1)
+            self.dot_logs(la[:, lo : lo + step, None], lb[None, lo : lo + step], 1)
             for lo in range(0, max(k, 1), step)
         )
         return functools.reduce(self.add_array, parts)
@@ -419,10 +420,33 @@ class Field:
 
     def mul_array(self, a, b):
         """Elementwise products a * b."""
+        return self.mul_logs(self.log_array(a), self.log_array(b))
+
+    # Products of operands in log form: log_array(a) is the array of the
+    # logarithms of a where the field has exp/log tables (log 0 = 2(q-1),
+    # whose sums read 0 through the zero tail of exp), and a itself in a
+    # prime field.  A factor of many products is converted once, and each
+    # product is then one addition and one gather.
+
+    def log_array(self, a):
+        """a in log form."""
         if self.base is None:
-            return a * b % self.p
-        log = self._log_array
-        return self._exp_array[log[a] + log[b]]
+            return a
+        return self._log_array[a]
+
+    def mul_logs(self, la, lb):
+        """Elementwise products of la and lb, both in log form, as elements."""
+        if self.base is None:
+            return la * lb % self.p
+        return self._exp_array[la + lb]
+
+    def dot_logs(self, la, lb, axis):
+        """The sums along axis (a nonnegative axis number) of the products
+        mul_logs(la, lb); in a prime field, vectorised must hold for the
+        length of that axis."""
+        if self.base is None:
+            return (la * lb).sum(axis=axis) % self.p
+        return self.sum_array(self._exp_array[la + lb], axis)
 
     def inv_array(self, a):
         """Elementwise inverses, with 0 for 0."""

@@ -33,16 +33,19 @@ SKIP_CARRY = "carried"
 
 @dataclass(frozen=True)
 class ReliabilityVector:
-    """Per-coordinate scaled weights w_i/denominator in [0, 1]."""
+    """Per-coordinate scaled weights w_i/denominator in [0, 1]: the weights
+    and the denominator are ints (bool, float and numpy scalars are
+    refused), so the Forney test is exact integer arithmetic."""
 
     weights: tuple
     denominator: int
 
     def __post_init__(self):
-        if self.denominator <= 0:
-            raise InvalidParams("denominator must be positive")
-        if any(not 0 <= w <= self.denominator for w in self.weights):
-            raise InvalidParams("weights must lie in [0, denominator]")
+        dnm = self.denominator
+        if type(dnm) is not int or dnm <= 0:
+            raise InvalidParams(f"denominator must be a positive int, got {dnm!r}")
+        if any(type(w) is not int or not 0 <= w <= dnm for w in self.weights):
+            raise InvalidParams("weights must be ints in [0, denominator]")
 
     @property
     def n(self) -> int:
@@ -162,8 +165,9 @@ def gmd_decode(
 
     A caller may supply an explicit chain (its first set must be empty); the
     trial at index 0 is the no-erasure trial and is suppressed when
-    skip_zero_trial is set.  start gives the first chain index to try, used
-    to carry a successful trial index over to the next decode.
+    skip_zero_trial is set.  start gives the first chain index to try, an
+    int in [0, len(chain)), used to carry a successful trial index over to
+    the next decode.
     """
     if mode not in (MODE_UPTO, MODE_BEYOND):
         raise InvalidParams(f"unknown mode {mode!r}")
@@ -176,6 +180,8 @@ def gmd_decode(
     sets = chain.sets
     if sets[0]:
         raise InvalidParams("chain must begin with the empty set")
+    if type(start) is not int or not 0 <= start < len(sets):
+        raise InvalidParams(f"start must be a chain index in [0, {len(sets)}), got {start!r}")
     d = code.distance()
 
     skips = []

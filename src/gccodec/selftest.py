@@ -307,6 +307,76 @@ def _check_erasure_only_solves(rng):
         _require(len(dec._erasure_maps) <= _ERASURE_MAPS, f"{code!r} keeps {len(dec._erasure_maps)} maps")
 
 
+def odd_syndrome_word(code, rng, erasures):
+    """A received word of the RS code whose first 2t_X Forney syndromes are
+    those of an error of weight t_X past the erasures X, while the last one,
+    T_{2t_X} (d - 1 - |X| must be odd), shows weight t_X + 1 there.
+
+    v_i = 1 / (w_i prod_{j in P, j != i}(x_i - x_j)), w_i = u_i Gamma(x_i),
+    on 2t_X + 1 points P past X has T_l(v) = sum_i v_i w_i x_i^l = 0 for
+    l < 2t_X and T_{2t_X}(v) = 1 (the leading coefficients of the
+    interpolants of z^l on P).  The word carries v on t_X + 1 points of P
+    and random symbols on X, so Berlekamp-Massey over 2t_X syndromes finds
+    the other t_X points of P; only the closing re-check refuses them."""
+    f, dec, n, d = code.field, code.decoder, code.n, code.distance()
+    t = (d - 1 - len(erasures)) // 2
+    pts = dec.points
+    support = rng.sample(sorted(set(range(n)) - erasures), 2 * t + 1)
+    word = list(code.encode([rng.randrange(f.q) for _ in range(code.k)]))
+    for i in support[: t + 1]:
+        w = dec._u[i]
+        for j in itertools.chain(erasures, support):
+            if j != i:
+                w = f.mul(w, f.sub(pts[i], pts[j]))
+        word[i] = f.add(word[i], f.inv(w))
+    for i in erasures:
+        word[i] = rng.randrange(f.q)
+    return tuple(word)
+
+
+def solve_batch_words(code, rng):
+    """(words, erasure sets, indices of the odd_syndrome_word words) of the
+    RS code: for every |X| from 0 to d - 1 (both parities of d - 1 - |X|),
+    words with random symbols on X and 0 .. t_X + 2 errors past it, and
+    where d - 1 - |X| is odd and t_X >= 1, two odd_syndrome_word words."""
+    f, n, d = code.field, code.n, code.distance()
+    words, erasure_sets, odd = [], [], []
+    for size in range(d):
+        erasures = frozenset(rng.sample(range(n), size))
+        t = (d - 1 - size) // 2
+        for errors in range(t + 3):
+            word = list(code.encode([rng.randrange(f.q) for _ in range(code.k)]))
+            for i in erasures:
+                word[i] = rng.randrange(f.q)
+            for i in rng.sample(sorted(set(range(n)) - erasures), min(errors, n - size)):
+                word[i] = f.add(word[i], rng.randrange(1, f.q))
+            words.append(tuple(word))
+            erasure_sets.append(erasures)
+        if (d - 1 - size) % 2 and t:
+            for _ in range(2):
+                odd.append(len(words))
+                words.append(odd_syndrome_word(code, rng, erasures))
+                erasure_sets.append(erasures)
+    return words, erasure_sets, odd
+
+
+def _check_batch_solves(rng):
+    # the RS decoder's array solve against its scalar decoder, over GF(16)
+    # (the benchmark's inner code) and GF(31): solve_batch_words, whose
+    # odd-syndrome words only a re-check of every syndrome refuses
+    for f, n, k in ((make_field(2, 4), 15, 8), (make_field(31, 1), 31, 15)):
+        code = rs_code(f, n, k)
+        dec, d = code.decoder, code.distance()
+        words, erasure_sets, odd = solve_batch_words(code, rng)
+        batch = dec.decode_batch(words, erasure_sets)
+        for b, (word, erasures, got) in enumerate(zip(words, erasure_sets, batch)):
+            what = f"{code!r}: {word} with erasures {sorted(erasures)}"
+            _require(got == dec(word, erasures), f"{what} against the scalar decoder")
+            _require(not got.ok or code.holds(got.codeword), f"{what} decodes to a non-codeword")
+            _require(not got.ok or 2 * got.weight + len(erasures) < d, f"{what} decodes outside the bound")
+            _require(b not in odd or not got.ok, f"{what} decodes past its last Forney syndrome")
+
+
 CHECKS = [
     ("field-axioms", _check_field_axioms),
     ("tower-roundtrip", _check_tower_roundtrip),
@@ -319,6 +389,7 @@ CHECKS = [
     ("channel-stream", _check_channel_stream),
     ("packed-products", _check_packed_products),
     ("erasure-only-solves", _check_erasure_only_solves),
+    ("batch-solves", _check_batch_solves),
 ]
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ import gccodec as g
 from gccodec import block_codes, linalg, specio
 from gccodec.block_codes import DecodeOutcome, ReedSolomonDecoder, _berlekamp_massey, ee_decode_many
 from gccodec.concat import decode_rows
+from gccodec.selftest import odd_syndrome_word, solve_batch_words
 from conftest import GEN_HAMMING_7_4_3, array_kernel
 
 
@@ -142,6 +144,31 @@ class TestSigmaContract:
                 ee_decode_many(code, [(0, 0, 0), (1, 1, 0)], [(), ()])
             with pytest.raises(g.ContractViolation):
                 ee_decode_many(code, [(1, 0, 0)], [{1}])
+
+    def test_decoder_breaching_bound_is_caught_in_its_arrays(self, gf2):
+        # decode_rows reads a decoder's decode_arrays and holds every decoded
+        # row to the bound there: (0, 0, 0) is 2 errors from (1, 1, 0), and
+        # 1 error plus 1 erasure from (1, 0, 0) with {1} erased
+        class Breaching:
+            def __init__(self, ok):
+                self.ok = ok
+
+            def decode_arrays(self, words, erasure_sets):
+                errors = np.array(words, dtype=np.int64)
+                weights = np.array([g.wt_punctured(w, x) for w, x in zip(words, erasure_sets)])
+                return errors ^ errors * self.ok, errors * self.ok, weights * self.ok, np.full(len(words), self.ok)
+
+        code = g.LinearCode(gf2, [[1, 1, 1]], d=3).attach(Breaching(True))
+        rd = decode_rows(code, [(0, 0, 0), (1, 0, 0)], [frozenset()] * 2)
+        assert rd.weights == [3, 1] and rd.apparents == [0, 1] and rd.estimates == [(0, 0, 0)] * 2
+        with pytest.raises(g.ContractViolation):
+            decode_rows(code, [(0, 0, 0), (1, 1, 0)], [frozenset()] * 2)
+        with pytest.raises(g.ContractViolation):
+            decode_rows(code, [(1, 0, 0)], [frozenset({1})])
+        # a failed row is not held to the bound
+        code.attach(Breaching(False))
+        rd = decode_rows(code, [(1, 1, 0)], [frozenset()])
+        assert rd.failed == [True] and rd.estimates == [(1, 1, 0)] and rd.weights == [0]
 
     def test_no_decoder(self, gf2):
         code = g.LinearCode(gf2, [[1, 1, 1]], d=3)
@@ -645,6 +672,62 @@ class TestBatchDecode:
         assert code.decoder.decode_batch(words, erasure_sets) == [
             code.decoder(w, x) for w, x in zip(words, erasure_sets)
         ]
+
+
+LARGE_CODES = {
+    "RS(15,8)/GF(16)": ((2, 4), 15, 8),
+    "RS(64,40)/GF(256)": ((2, 4, 2), 64, 40),
+    "RS(31,15)/GF(31)": ((31, 1), 31, 15),
+}
+
+
+class TestBatchOnLargeCodes:
+    """decode_batch against the scalar decoder beyond the hypothesis test's
+    range, on the benchmark's inner code, its outer code and a prime field."""
+
+    @pytest.mark.parametrize("name", sorted(LARGE_CODES))
+    def test_batch_equals_scalar(self, monkeypatch, name):
+        params, n, k = LARGE_CODES[name]
+        code = g.rs_code(_field(params), n, k)
+        dec = code.decoder
+        solved = []
+        solve = ReedSolomonDecoder._solve_arrays
+        monkeypatch.setattr(
+            ReedSolomonDecoder, "_solve_arrays", lambda self, w, x, s: solved.append(len(w)) or solve(self, w, x, s)
+        )
+        words, erasure_sets, odd = solve_batch_words(code, random.Random(n))
+        assert len(words) > linalg.BATCH_MIN_ROWS and odd
+        batch = dec.decode_batch(words, erasure_sets)
+        assert solved and solved[0] > linalg.BATCH_MIN_ROWS  # the array solve ran
+        assert batch == [dec(w, x) for w, x in zip(words, erasure_sets)]
+        # every decode is a codeword within the bound, and the odd-syndrome
+        # words fail
+        for out, erasures in zip(batch, erasure_sets):
+            assert not out.ok or (code.holds(out.codeword) and 2 * out.weight + len(erasures) < code.distance())
+        assert not any(batch[i].ok for i in odd)
+        # the same rows through decode_rows, read from decode_arrays
+        twin = per_row_twin(code)
+        assert decode_rows(code, words, erasure_sets) == decode_rows(twin, words, erasure_sets)
+
+    @pytest.mark.parametrize("name", sorted(LARGE_CODES))
+    def test_odd_syndrome_words_fool_a_short_recheck(self, name):
+        # the words are built as promised: the decode the first 2t_X
+        # syndromes point to is t_X errors away and misses only the last
+        params, n, k = LARGE_CODES[name]
+        code = g.rs_code(_field(params), n, k)
+        f, d, rng = code.field, code.distance(), random.Random(k)
+        for size in range(d % 2, d - 2, 2):
+            erasures = frozenset(rng.sample(range(n), size))
+            word = odd_syndrome_word(code, rng, erasures)
+            synd = code.decoder._syndromes.row(word)
+            gamma = [1]
+            for i in erasures:
+                gamma = block_codes._times_linear(f, gamma, code.decoder.points[i])
+            forney = [f.dot(gamma, synd[l:]) for l in range(d - 1 - size)]
+            conn, L = _berlekamp_massey(f, forney[:-1])
+            assert 2 * L + size < d  # the short sequence looks decodable
+            assert _berlekamp_massey(f, forney)[1] > L  # the whole one does not
+            assert code.decoder(word, erasures) == block_codes.FAILURE
 
 
 class TestMinDistance:

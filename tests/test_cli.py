@@ -676,6 +676,35 @@ def test_selftest_catches_an_erasure_only_solve_past_its_recheck(monkeypatch, ca
     assert "VIOLATION erasure-only-solves" in capsys.readouterr().out
 
 
+def test_selftest_catches_an_array_recheck_that_skips_the_last_syndrome(monkeypatch, capsys):
+    # the array solve's re-check reads the syndrome map once; a map whose
+    # last column always agrees makes it pass what only that syndrome refuses
+    from gccodec.block_codes import ReedSolomonDecoder
+
+    solve = ReedSolomonDecoder._solve_arrays
+
+    def short_recheck(dec, received, erasure_sets, synd):
+        full = dec._syndromes
+
+        class LastAgrees:
+            def product(self, x):
+                out = full.product(x)
+                out[:, -1] = synd[:, -1]
+                return out
+
+        dec._syndromes = LastAgrees()
+        try:
+            return solve(dec, received, erasure_sets, synd)
+        finally:
+            dec._syndromes = full
+
+    monkeypatch.setattr(ReedSolomonDecoder, "_solve_arrays", short_recheck)
+    assert main(["selftest"]) == 3
+    out = capsys.readouterr().out
+    assert "VIOLATION batch-solves" in out
+    assert out.count("VIOLATION") == 1
+
+
 def test_selftest_checks_survive_optimize_flag():
     """Under python -O a broken Field.mul must still fail the selftest."""
     script = (

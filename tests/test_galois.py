@@ -486,6 +486,14 @@ def test_elementwise_array_kernels(name):
         for line in np.moveaxis(grid, axis, 0).tolist():
             expect = [f.add(x, y) for x, y in zip(expect, line)]
         assert f.sum_array(grid, axis).tolist() == expect
+    # products of operands in log form, and their sums along either axis
+    la, lb = f.log_array(a), f.log_array(b)
+    assert f.mul_logs(la, lb).tolist() == [f.mul(x, y) for x, y in pairs]
+    rows, cols = np.resize(a, (8, 50)), np.resize(b, (8, 50))
+    for axis in (0, 1):
+        got = f.dot_logs(f.log_array(rows), f.log_array(cols), axis).tolist()
+        lines = zip(np.moveaxis(rows, axis, 0).T.tolist(), np.moveaxis(cols, axis, 0).T.tolist())
+        assert got == [f.dot(x, y) for x, y in lines]
 
 
 @pytest.mark.parametrize("name", ["GF(7)", "GF(9)", "GF(256)/GF(16)"])

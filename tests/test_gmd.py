@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import gccodec as g
@@ -38,6 +39,24 @@ class TestErasureChain:
             rel((5,), 4)
         with pytest.raises(g.InvalidParams):
             rel((0,), 0)
+
+    @pytest.mark.parametrize("weight", [0.5, 1.0, True, False, np.int64(1)], ids=repr)
+    def test_weights_must_be_ints(self, weight):
+        # a float, a bool or a numpy scalar inside [0, denominator] is not
+        # an exact scaled integer
+        with pytest.raises(g.InvalidParams):
+            rel((weight,) * 7, 1)
+        with pytest.raises(g.InvalidParams):
+            rel((1, 0, weight), 1)
+
+    @pytest.mark.parametrize("denom", [True, 1.0, 2.5, np.int64(2), -1], ids=repr)
+    def test_denominator_must_be_a_positive_int(self, denom):
+        with pytest.raises(g.InvalidParams):
+            rel((1,) * 7, denom)
+
+    def test_int_weights_still_construct(self):
+        assert rel((0, 1, 4), 4).classes() == (0, 1, 4)
+        assert rel((), 3).n == 0
 
 
 class TestViable:
@@ -194,6 +213,19 @@ class TestGmdDecode:
         )
         assert out.codeword == word
         assert out.trials == 1
+
+    @pytest.mark.parametrize("start", [-3, -1, 3, 99, True, 1.0], ids=repr)
+    def test_start_outside_the_chain_is_refused(self, gf2, inner_523, start):
+        # chain_with_failure_class gives 3 sets here; -3 used to run as 0
+        # and 99 to skip every trial and fail without a word
+        word = inner_523.encode((0, 1))
+        r = rel((0, 3, 3, 3, 3), 3)
+        chain = chain_with_failure_class(r)
+        assert len(chain) == 3
+        with pytest.raises(g.InvalidParams):
+            g.gmd_decode(inner_523, word, r, skip_zero_trial=True, chain=chain, start=start)
+        for ok_start in range(len(chain)):
+            assert g.gmd_decode(inner_523, word, r, skip_zero_trial=True, chain=chain, start=ok_start).trials <= 2
 
     def test_start_carry_over(self, gf2, inner_523):
         word = inner_523.encode((0, 1))
