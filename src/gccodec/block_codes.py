@@ -49,18 +49,24 @@ def wt_punctured(v, erasures) -> int:
 
 def check_erasures(erasures, n) -> frozenset:
     """erasures as a frozenset of indices in [0, n); anything else raises
-    ErasureIndexError, a bool index too (True is not read as 1)."""
-    if isinstance(erasures, (frozenset, set, tuple, list)) and not erasures:
+    ErasureIndexError, a bool index too (True is not read as 1).  Every
+    entry is read as an index before any is range-checked, and the error
+    names the first index out of range in the caller's iteration order."""
+    known = isinstance(erasures, (frozenset, set, tuple, list))
+    if known and not erasures:
         return frozenset()
     try:
-        out = frozenset(map(_index, erasures))
+        entries = erasures if known else tuple(erasures)  # an iterator reads once
+        out = frozenset(map(_index, entries))
     except TypeError:
         raise ErasureIndexError(
             f"erasures must be a collection of integers, got {erasures!r}"
         ) from None
     for i in out:
         if not 0 <= i < n:
-            raise ErasureIndexError(f"erasure index {i} out of range for length {n}")
+            for bad in map(_index, entries):  # the first in the caller's order
+                if not 0 <= bad < n:
+                    raise ErasureIndexError(f"erasure index {bad} out of range for length {n}")
     return out
 
 
@@ -279,6 +285,13 @@ class ReedSolomonDecoder:
     theirs, so the outer columns of a word, which run the same erasure
     chain, share it.  Nothing is built with the code.
 
+    keep_syndromes takes a concatenated word's k outer columns and
+    computes their syndromes in one product; every call on one of those
+    words then reads its kept syndrome instead of a product of its own, so
+    the GMD trials of all k columns share one.  The kept syndromes are
+    keyed by the word itself and replaced by the next batch, so a call
+    never reads another word's.
+
     decode_arrays runs the same steps for a list of words on arrays, and
     asks the two maps for three products (syndromes; the root search with
     Forney's Omega and Lambda' at every point; re-check) through
@@ -321,6 +334,10 @@ class ReedSolomonDecoder:
         self._syndromes = linalg.RowMap(f, ux)
         self._roots = linalg.RowMap(f, zip(*ux))
         self._erasure_maps = {}  # erasure set -> (locs, W_X), least recently used first
+        self._kept = {}  # word -> syndrome, of the words keep_syndromes was last given
+        # one word's syndrome costs no more on its own where the syndrome
+        # map runs no array kernel for it (a table, or the row loop)
+        self._keeps = self._syndromes.takes_arrays(1)
         # batches solve on arrays where sums are cheap there: by XOR in
         # characteristic 2, as one digit mod p in a prime field, not digit
         # by digit in an odd-characteristic extension (see BATCH_MIN_ROWS)
@@ -329,12 +346,25 @@ class ReedSolomonDecoder:
     def __call__(self, word, erasures) -> DecodeOutcome:
         if len(erasures) >= self.d:
             return FAILURE
-        synd = self._syndromes.row(word)
+        synd = self._kept.get(tuple(word)) if self._kept else None
+        if synd is None:
+            synd = self._syndromes.row(word)
         if erasures and any(synd):
             out = self._erasures_only(word, erasures, synd)
             if out is not None:
                 return out
         return self._solve(word, erasures, synd)
+
+    def keep_syndromes(self, words):
+        """Compute the syndromes of words, tuples of n elements, in one
+        product, and keep them for the calls that decode these words, in
+        place of those kept before: a concatenated word's k outer columns
+        then share one product across all their GMD trials.  Where the
+        syndrome map runs no array kernel for one word (a table, or the row
+        loop; decided when the decoder is built), nothing is kept."""
+        if self._keeps:
+            x = np.array(words, dtype=np.int64).reshape(len(words), self.n)
+            self._kept = dict(zip(words, map(tuple, self._syndromes.product(x).tolist())))
 
     def decode_batch(self, words, erasure_sets) -> list:
         """[self(word, erasures) for each pair]: the outcomes of

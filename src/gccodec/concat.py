@@ -5,7 +5,9 @@ re-encodes it with the inner code, one linalg.RowMap call for all rows; a
 second map folds row estimates back into outer symbols.  Decoding runs the
 inner decoder on every row, turns the apparent error-and-erasure load of
 each row into a reliability weight, and recovers each of the k message
-columns with the multi-trial driver from the gmd module.
+columns with the multi-trial driver from the gmd module.  The k columns
+move as one batch between those steps (see cc_decode); their trials run
+one column at a time.
 
 Row weights follow the error-and-erasure scheme: with per-row erasure set X
 and apparent error e, the raw score is 2*wt_X(e) + |X| on success and the
@@ -18,8 +20,9 @@ rows erased, because those rows are already counted as unreliable.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,9 +36,23 @@ from .report import DecodeReport
 
 @dataclass
 class DecodeOptions:
+    """How cc_decode and the multistage decoders run: the GMD mode, whether
+    a column's accepted trial index carries over to the next column, and
+    the extended inner radius (None: the half-distance one).  Anything else
+    (another mode, a carry_over that is not a bool, a radius that is not an
+    int, or is a bool) raises InvalidParams here, once per run."""
+
     mode: str = gmd.MODE_UPTO
     carry_over: bool = False
     radius: int | None = None
+
+    def __post_init__(self):
+        if self.mode not in (gmd.MODE_UPTO, gmd.MODE_BEYOND):
+            raise InvalidParams(f"unknown mode {self.mode!r}")
+        if type(self.carry_over) is not bool:
+            raise InvalidParams(f"carry_over must be a bool, got {self.carry_over!r}")
+        if self.radius is not None and (not isinstance(self.radius, int) or isinstance(self.radius, bool)):
+            raise InvalidParams(f"radius must be an int or None, got {self.radius!r}")
 
 
 class ConcatCode:
@@ -94,9 +111,12 @@ def encode_columns(generator: linalg.RowMap, words) -> tuple:
     return tuple(generator(list(zip(*words))))
 
 
-@dataclass
+@dataclass(eq=False)
 class RowDecodeResult:
-    """Per-row inner decoding results and the derived reliability weights."""
+    """Per-row inner decoding results and the derived reliability weights.
+
+    Two results are equal when every list and count is, whichever class
+    holds them (see _ArrayRows)."""
 
     estimates: list
     residuals: list
@@ -105,6 +125,35 @@ class RowDecodeResult:
     apparents: list
     denominator: int
     invocations: int
+    arrays = None  # (codewords, errors, ok) of decode_arrays, which _ArrayRows keeps
+
+    def __eq__(self, other):
+        if not isinstance(other, RowDecodeResult):
+            return NotImplemented
+        return all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self))
+
+
+class _ArrayRows(RowDecodeResult):
+    """A RowDecodeResult read from a decoder's decode_arrays: it keeps the
+    arrays (codewords, errors, ok) and builds estimates and residuals, its
+    rows as tuples, on first read.  fold_message_columns reads the codeword
+    array, so only callers that read the rows themselves (gcc's improved
+    decoder, mpc's flagged rows) build them.  (The lazy rows live in this
+    class alone: on RowDecodeResult, a class attribute of the same name
+    would slow every read of the plain lists.)"""
+
+    def __init__(self, arrays, weights, failed, apparents, denominator, invocations):
+        self.arrays = arrays
+        self.weights, self.failed, self.apparents = weights, failed, apparents
+        self.denominator, self.invocations = denominator, invocations
+
+    @functools.cached_property
+    def estimates(self) -> list:
+        return list(map(tuple, self.arrays[0].tolist()))
+
+    @functools.cached_property
+    def residuals(self) -> list:
+        return list(map(tuple, self.arrays[1].tolist()))
 
 
 def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None) -> RowDecodeResult:
@@ -166,8 +215,8 @@ def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None)
 
 def _rows_from_arrays(code: LinearCode, solved, erasure_sets) -> RowDecodeResult:
     """decode_rows' result from the arrays (codewords, errors, weights, ok)
-    of a decoder's decode_arrays, once every decoded row is checked against
-    2*wt_E + |E| < d: a decoder that breaks the bound is a
+    of a decoder's decode_arrays, which it keeps, once every decoded row is
+    checked against 2*wt_E + |E| < d: a decoder that breaks the bound is a
     ContractViolation."""
     codewords, errors, weights, ok = solved
     d = code.distance()
@@ -177,9 +226,8 @@ def _rows_from_arrays(code: LinearCode, solved, erasure_sets) -> RowDecodeResult
         raise ContractViolation(f"decoder for {code!r} returned a codeword outside the distance bound")
     good = ok.tolist()
     apparents = (errors != 0).sum(axis=1).tolist()
-    return RowDecodeResult(
-        list(map(tuple, codewords.tolist())),
-        list(map(tuple, errors.tolist())),
+    return _ArrayRows(
+        (codewords, errors, ok),
         ((d - scores) * ok).tolist(),
         [not g for g in good],
         [a if g else None for a, g in zip(apparents, good)],
@@ -246,7 +294,15 @@ def check_matrix(field, received, m: int, n: int) -> list:
 def fold_message_columns(inverse: linalg.RowMap, rd: RowDecodeResult) -> list:
     """Outer-symbol columns from row estimates, the inverse of encode_columns:
     row j of the columns is estimate j through inverse (a right inverse, or
-    the columns of one that a GCC level reads); a failed row gives zeros."""
+    the columns of one that a GCC level reads); a failed row gives zeros.
+
+    One inverse call for all rows.  A result that keeps decode_arrays'
+    arrays, when inverse runs its array kernel on that many rows, is
+    folded from the codeword array, its failed rows zeroed there, and its
+    row tuples are never built."""
+    if rd.arrays is not None and inverse.takes_arrays(len(rd.failed)):
+        codewords, _, ok = rd.arrays
+        return list(map(tuple, inverse.product(codewords * ok[:, None]).T.tolist()))
     messages = inverse([(0,) * inverse.k if bad else est for est, bad in zip(rd.estimates, rd.failed)])
     return list(zip(*messages))
 
@@ -257,9 +313,10 @@ def decode_column(
     """One GMD column step, shared by cc_decode and multistage decoding.
 
     Decodes outer column i (0-based) along chain from index start, records
-    its trial count, and its codeword and message or i + 1 as a failed
-    level; more trials than bound (None: unchecked) is a ContractViolation.
-    Returns the GmdReport.
+    its trial count, and its codeword or i + 1 as a failed level; more
+    trials than bound (None: unchecked) is a ContractViolation.  The
+    message is the caller's to record: cc_decode takes all k in one
+    product, a GCC level its own.  Returns the GmdReport.
     """
     g = gmd.gmd_decode(outer, column, rel, mode=mode, skip_zero_trial=True, chain=chain, start=start)
     report.gmd_trials[i] = g.trials
@@ -267,7 +324,6 @@ def decode_column(
         raise ContractViolation(f"{g.trials} trials exceed the class bound {bound}")
     if g.ok:
         report.columns[i] = g.codeword
-        report.messages[i] = outer.inverse.row(g.codeword)
     else:
         report.failed_levels.append(i + 1)
     return g
@@ -301,6 +357,12 @@ def trial_bound_cc(cc: ConcatCode, erasure_mode: bool = False) -> int:
 def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | None = None):
     """Decode a received M x N matrix; returns (outer codewords, report).
 
+    The k message columns move as one batch around their GMD trials, which
+    run one column at a time: the fold gives all k columns in one product,
+    their syndromes are one product (the outer decoder's keep_syndromes,
+    where it has one) that every trial of every column reads, and the k
+    messages are one outer.inverse call after the column loop.
+
     Raises DecodeFailure (with the report attached) when any message column
     exhausts its trials; remaining columns are still attempted so the report
     is complete.
@@ -317,6 +379,9 @@ def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | N
     else:
         chain = extended_trial_chain(rd, options.radius)
     columns_in = fold_message_columns(cc.inverse, rd)
+    keep_syndromes = getattr(cc.outer.decoder, "keep_syndromes", None)
+    if keep_syndromes:
+        keep_syndromes(columns_in)
 
     k = cc.k
     report = DecodeReport(
@@ -331,8 +396,12 @@ def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | N
         elif options.carry_over:
             start = g.accepted_index
     if not report.failed_levels:
+        report.messages = cc.outer.inverse(report.columns)
         report.codeword = encode_columns(cc.encoder, report.columns)
         return report.columns, report
+    # each decoded column's message, None for a failed one
+    decoded = [column for column in report.columns if column is not None]
+    report.messages = list(map(dict(zip(decoded, cc.outer.inverse(decoded))).get, report.columns))
     raise DecodeFailure(
         f"columns {report.failed_levels} exhausted all trials", report=report
     )

@@ -211,6 +211,7 @@ def _multistage(spec: GccSpec, received, options: DecodeOptions | None, row_pass
         g = decode_column(report, i, outer, column, rel, chain, options.mode, 0, bound)
         if not g.ok:
             raise DecodeFailure(f"level {level} exhausted all trials", report=report, level=level)
+        report.messages[i] = outer.inverse.row(g.codeword)
         contrib = encode_columns(spec.level_encoders[i], (g.codeword,))
         residual = [tuple(map(f.sub, row, crow)) for row, crow in zip(residual, contrib)]
         prev = rd, {j for j, e in enumerate(g.error) if e != 0 and not rd.failed[j]}

@@ -111,6 +111,11 @@ class RowMap:
             symbols = [range(tower.big.q) for tower in self.split] or [range(f.q)] * self.k
             self.table = {x: self._loop(x) for x in itertools.product(*symbols)}
 
+    def takes_arrays(self, rows: int) -> bool:
+        """Whether a call on that many rows runs the array kernel `product`
+        (row() asks the same of one row inline: it runs per symbol)."""
+        return self.table is None and self.array is not None and rows * self.k * self.n >= ARRAY_MIN_PRODUCTS
+
     def row(self, x) -> tuple:
         """x . matrix for one row x."""
         if self.table is not None:
@@ -126,7 +131,7 @@ class RowMap:
         """[row . matrix for row in rows], as tuples, rows a sequence."""
         if self.table is not None:
             return list(map(self.row, rows))
-        if self.array is None or len(rows) * self.k * self.n < ARRAY_MIN_PRODUCTS:
+        if not self.takes_arrays(len(rows)):
             return list(map(self._loop, rows))
         x = np.array(rows, dtype=np.int64).reshape(len(rows), len(self.split) or self.k)
         return list(map(tuple, self.product(x).tolist()))
@@ -173,9 +178,11 @@ class RowMap:
         step = max(1, _PACKED_BLOCK // max(1, tables.shape[1] * len(offsets)))
         if len(x) > step:
             return np.concatenate([self._packed_product(x[lo : lo + step]) for lo in range(0, len(x), step)])
-        slices = x.T.take(columns, axis=0) >> shifts & 15
+        slices = x.T if columns is None else x.T.take(columns, axis=0) >> shifts & 15
         packed = np.bitwise_xor.reduce(tables.take(slices + offsets, axis=0), axis=0)
-        return (packed.take(word, axis=1) >> shift & mask).view(np.int64)
+        if word is not None:
+            packed = packed.take(word, axis=1)
+        return (packed >> shift & mask).view(np.int64)
 
     @functools.cached_property
     def _packed(self):
@@ -183,7 +190,10 @@ class RowMap:
         _packed_product, built on its first call: row offsets[t] + v of
         tables is the packed image of the value v at bits shifts[t] of input
         symbol columns[t]; output symbol j is word[j] >> shift[j] & mask[j]
-        of the XOR of those rows."""
+        of the XOR of those rows.  columns is None where the slices are the
+        input symbols themselves (unsplit, at most 4 bits), and word None
+        where the output is one word, which the shifts and masks read as
+        it is."""
         f, m = self.field, self.field.q.bit_length() - 1
         ins = [t.s for t in self.split] or [1] * self.k
         outs = [t.s for t in self.join] or [1] * self.n
@@ -225,10 +235,10 @@ class RowMap:
         masks = [(1 << s * m) - 1 for s in outs]
         return (
             tables.reshape(16 * len(slots), words),
-            np.array(columns, dtype=np.int64),
+            None if not self.split and m <= 4 else np.array(columns, dtype=np.int64),
             np.array(shifts, dtype=np.int64)[:, None],
             16 * np.arange(len(slots))[:, None],
-            np.array(word, dtype=np.int64),
+            None if words == 1 else np.array(word, dtype=np.int64),
             np.array(shift, dtype=np.uint64),
             np.array(masks, dtype=np.uint64),
         )

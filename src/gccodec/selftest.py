@@ -11,14 +11,25 @@ import random
 
 import numpy as np
 
-from . import linalg
-from .block_codes import _ERASURE_MAPS, generic_code, rs_code
+from . import gmd, linalg
+from .block_codes import _ERASURE_MAPS, LinearCode, ReedSolomonDecoder, generic_code, rs_code
 from .channel import RawStream
-from .concat import DecodeOptions
+from .concat import (
+    ConcatCode,
+    DecodeOptions,
+    cc_decode,
+    cc_encode,
+    check_matrix,
+    check_pattern,
+    decode_rows,
+    extended_trial_chain,
+    fold_message_columns,
+)
 from .errors import DecodeFailure, InvalidParams
 from .galois import TowerView, extend_field, make_field
 from .mpc import decode_uuv, mpc_decode, mpc_encode, mpc_spec
 from .oracle import oracle_sigma
+from .report import DecodeReport
 
 
 def _require(cond, msg):
@@ -377,6 +388,114 @@ def _check_batch_solves(rng):
             _require(b not in odd or not got.ok, f"{what} decodes past its last Forney syndrome")
 
 
+def fresh_twin(code):
+    """code with a decoder that shares no state with code's: an RS code
+    gets a new ReedSolomonDecoder on the same points, so no syndrome that
+    cc_decode kept reaches it."""
+    dec = code.decoder
+    if isinstance(dec, ReedSolomonDecoder):
+        dec = ReedSolomonDecoder(dec.field, dec.points, code.k)
+    return LinearCode(code.field, code.generator, d=code.distance(), _inverse=code.inverse.matrix).attach(dec)
+
+
+def fold_row_by_row(inverse, rd) -> list:
+    """fold_message_columns from the row tuples, one row product each."""
+    zero = (0,) * inverse.k
+    return list(zip(*(inverse.row(zero if bad else est) for est, bad in zip(rd.estimates, rd.failed))))
+
+
+def column_by_column(cc, outer, received, pattern=None, options=None):
+    """cc_decode(cc, received, pattern, options), each column on its own:
+    the rows' tuples folded one row at a time, every GMD trial syndroming
+    its column afresh on outer (cc.outer's fresh_twin), one row product per
+    message, and the codeword encoded from the messages."""
+    options = options or DecodeOptions()
+    rows = check_matrix(cc.inner.field, received, cc.m, cc.inner.n)
+    erasure_sets = check_pattern(pattern, cc.m, cc.inner.n)
+    rd = decode_rows(cc.inner, rows, erasure_sets, options.radius)
+    rel = gmd.ReliabilityVector(tuple(rd.weights), rd.denominator)
+    if options.radius is None:
+        chain = gmd.chain_with_failure_class(rel)
+    else:
+        chain = extended_trial_chain(rd, options.radius)
+    k = cc.k
+    report = DecodeReport(
+        columns=[None] * k, messages=[None] * k, inner_invocations=[rd.invocations], gmd_trials=[0] * k
+    )
+    start = 0
+    for i, column in enumerate(fold_row_by_row(cc.inverse, rd)):
+        g = gmd.gmd_decode(outer, column, rel, options.mode, skip_zero_trial=True, chain=chain, start=start)
+        report.gmd_trials[i] = g.trials
+        if g.ok:
+            report.columns[i], report.messages[i] = g.codeword, outer.inverse.row(g.codeword)
+            start = g.accepted_index if options.carry_over else 0
+        else:
+            report.failed_levels.append(i + 1)
+            start = 0
+    if report.failed_levels:
+        raise DecodeFailure(f"columns {report.failed_levels} exhausted all trials", report=report)
+    report.codeword = cc_encode(cc, report.messages)
+    return report.columns, report
+
+
+def decode_outcome(decode, *args) -> tuple:
+    """("ok", columns, report as JSON) of a decode, or ("failure", message,
+    report as JSON) of the DecodeFailure it raised."""
+    try:
+        columns, report = decode(*args)
+    except DecodeFailure as exc:
+        return "failure", str(exc), exc.report.to_json()
+    return "ok", columns, report.to_json()
+
+
+def noisy_concat_words(cc, rng, count):
+    """count (received word, erasure pattern) pairs of cc: random symbol
+    errors at a per-word rate from 0.05 to 0.45, so that some rows fail
+    and some columns exhaust their trials, and every other word with up to
+    two erased symbols in some rows."""
+    f = cc.inner.field
+    out = []
+    for w in range(count):
+        msgs = [tuple(rng.randrange(cc.outer.field.q) for _ in range(cc.outer.k)) for _ in range(cc.k)]
+        rate = rng.choice((0.05, 0.1, 0.2, 0.3, 0.45))
+        word = [
+            [f.add(x, rng.randrange(1, f.q)) if rng.random() < rate else x for x in row]
+            for row in cc_encode(cc, msgs)
+        ]
+        pattern = None
+        if w % 2:
+            pattern = [
+                frozenset(rng.sample(range(cc.inner.n), rng.randrange(3))) if rng.random() < 0.3 else frozenset()
+                for _ in word
+            ]
+        out.append((tuple(map(tuple, word)), pattern))
+    return out
+
+
+def _check_column_batch(rng):
+    # cc_decode, which moves a word's k columns as one batch (the array
+    # fold, one syndrome product for every trial, one message product),
+    # against column_by_column on RS(64,40)/GF(256) over RS(15,8)/GF(16),
+    # words in a row so that a syndrome kept from the word before shows;
+    # and the array fold of rows that failed against the row-by-row fold
+    gf16 = make_field(2, 4)
+    cc = ConcatCode(rs_code(extend_field(gf16, 2), 64, 40), rs_code(gf16, 15, 8))
+    twin = fresh_twin(cc.outer)
+    failed = 0
+    for received, pattern in noisy_concat_words(cc, rng, 6):
+        for mode in (gmd.MODE_UPTO, gmd.MODE_BEYOND):
+            for carry in (False, True):
+                options = DecodeOptions(mode, carry)
+                got = decode_outcome(cc_decode, cc, received, pattern, options)
+                want = decode_outcome(column_by_column, cc, twin, received, pattern, options)
+                _require(got == want, f"{mode} mode, carry-over {carry}: cc_decode differs column by column")
+        rd = decode_rows(cc.inner, list(received), check_pattern(pattern, cc.m, cc.inner.n))
+        columns = fold_message_columns(cc.inverse, rd)
+        _require(columns == fold_row_by_row(cc.inverse, rd), "the array fold differs row by row")
+        failed += sum(rd.failed)
+    _require(failed, "no row failed")
+
+
 CHECKS = [
     ("field-axioms", _check_field_axioms),
     ("tower-roundtrip", _check_tower_roundtrip),
@@ -390,6 +509,7 @@ CHECKS = [
     ("packed-products", _check_packed_products),
     ("erasure-only-solves", _check_erasure_only_solves),
     ("batch-solves", _check_batch_solves),
+    ("column-batch", _check_column_batch),
 ]
 
 

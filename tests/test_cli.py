@@ -705,6 +705,26 @@ def test_selftest_catches_an_array_recheck_that_skips_the_last_syndrome(monkeypa
     assert out.count("VIOLATION") == 1
 
 
+def test_selftest_catches_a_stale_kept_syndrome(monkeypatch, capsys):
+    # the syndromes kept for a word's outer columns are those of the word
+    # decoded before it, column for column
+    from gccodec.block_codes import ReedSolomonDecoder
+
+    keep = ReedSolomonDecoder.keep_syndromes
+
+    def stale(dec, words):
+        before = list(dec._kept.values())
+        keep(dec, words)
+        if len(before) == len(words):
+            dec._kept = dict(zip(words, before))
+
+    monkeypatch.setattr(ReedSolomonDecoder, "keep_syndromes", stale)
+    assert main(["selftest"]) == 3
+    out = capsys.readouterr().out
+    assert "VIOLATION column-batch" in out
+    assert out.count("VIOLATION") == 1
+
+
 def test_selftest_checks_survive_optimize_flag():
     """Under python -O a broken Field.mul must still fail the selftest."""
     script = (

@@ -8,11 +8,13 @@ import gccodec as g
 from gccodec import linalg, specio
 from gccodec.concat import (
     RowDecodeResult,
+    check_pattern,
     decode_rows,
     encode_columns,
     extended_trial_chain,
     fold_message_columns,
 )
+from gccodec.selftest import column_by_column, decode_outcome, fresh_twin, noisy_concat_words
 
 from conftest import array_kernel, corrupt, error_matrix
 
@@ -320,6 +322,97 @@ class TestExtendedRadius:
                 g.cc_encode(cc_rep5, [(0, 0)]),
                 options=g.DecodeOptions(radius=1),
             )
+
+
+@pytest.fixture(scope="module")
+def cc_rs256():
+    """RS(64,40)/GF(256) over RS(15,8)/GF(16), the benchmark's construction."""
+    gf16 = g.make_field(2, 4)
+    return g.ConcatCode(g.rs_code(g.extend_field(gf16, 2), 64, 40), g.rs_code(gf16, 15, 8))
+
+
+class TestColumnBatch:
+    """cc_decode moves a word's k columns as one batch: folded from the row
+    solve's arrays, syndromed in one product that every GMD trial reads,
+    their messages in one product.  Its reports equal column_by_column's,
+    which decodes each column on its own, on words decoded in a row, so
+    that a syndrome kept from another word would show."""
+
+    @pytest.mark.parametrize("carry", [False, True], ids=["plain", "carry-over"])
+    @pytest.mark.parametrize("mode", ["upto", "beyond"])
+    @pytest.mark.parametrize("name", ["cc_rs256", "cc_small", "cc_two_cols"])
+    def test_reports_equal_column_by_column(self, request, name, mode, carry):
+        cc = request.getfixturevalue(name)
+        twin = fresh_twin(cc.outer)
+        options = g.DecodeOptions(mode, carry)
+        seen, failed_rows = set(), 0
+        for received, pattern in noisy_concat_words(cc, random.Random(len(name)), 24):
+            got = decode_outcome(g.cc_decode, cc, received, pattern, options)
+            assert got == decode_outcome(column_by_column, cc, twin, received, pattern, options)
+            seen.add(got[0])
+            failed_rows += sum(decode_rows(cc.inner, list(received), check_pattern(pattern, cc.m, cc.inner.n)).failed)
+        # cc_small's one column rarely exhausts its trials
+        assert failed_rows and "ok" in seen and (name == "cc_small" or "failure" in seen)
+
+    @pytest.mark.parametrize("mode", ["upto", "beyond"])
+    def test_extended_radius_equals_column_by_column(self, cc_small, mode):
+        twin = fresh_twin(cc_small.outer)
+        options = g.DecodeOptions(mode, radius=2)
+        for received, _ in noisy_concat_words(cc_small, random.Random(2), 24):
+            got = decode_outcome(g.cc_decode, cc_small, received, None, options)
+            assert got == decode_outcome(column_by_column, cc_small, twin, received, None, options)
+
+    def test_one_syndrome_and_one_message_product_per_word(self, monkeypatch, cc_rs256):
+        outer = cc_rs256.outer
+        calls = {"syndromes": [], "messages": []}
+        for name, rowmap in (("syndromes", outer.decoder._syndromes), ("messages", outer.inverse)):
+            product = rowmap.product
+            monkeypatch.setattr(rowmap, "product", lambda x, c=calls[name], p=product: c.append(len(x)) or p(x))
+        trials = 0
+        for received, pattern in noisy_concat_words(cc_rs256, random.Random(3), 12):
+            calls["syndromes"].clear()
+            calls["messages"].clear()
+            report = decode_outcome(g.cc_decode, cc_rs256, received, pattern)[2]
+            decoded = sum(c is not None for c in report["columns"])
+            assert calls["syndromes"] == [cc_rs256.k]
+            assert calls["messages"] == ([decoded] if decoded else [])
+            trials += sum(report["gmd_trials"])
+        assert trials > 12  # the trials read the kept syndromes
+
+    def test_array_fold_zeroes_failed_rows(self, cc_rs256):
+        failed = 0
+        for received, pattern in noisy_concat_words(cc_rs256, random.Random(4), 8):
+            rd = decode_rows(cc_rs256.inner, list(received), check_pattern(pattern, cc_rs256.m, 15))
+            assert rd.arrays is not None
+            columns = fold_message_columns(cc_rs256.inverse, rd)
+            assert "estimates" not in vars(rd)  # the fold built no row tuples
+            assert columns == packed_fold(cc_rs256.inverse, rd)
+            failed += sum(rd.failed)
+        assert failed
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"mode": "fast"},
+        {"mode": None},
+        {"carry_over": "yes"},
+        {"carry_over": 1},
+        {"carry_over": None},
+        {"radius": 4.5},
+        {"radius": True},
+        {"radius": "3"},
+    ],
+    ids=lambda options: "-".join(f"{k}={v!r}" for k, v in options.items()),
+)
+def test_decode_options_are_checked(options):
+    with pytest.raises(g.InvalidParams):
+        g.DecodeOptions(**options)
+
+
+def test_valid_decode_options_construct():
+    assert g.DecodeOptions() == g.DecodeOptions("upto", False, None)
+    assert g.DecodeOptions("beyond", True, 3).radius == 3
 
 
 @pytest.mark.parametrize("array", [False, True], ids=["row-loop", "array"])

@@ -238,3 +238,32 @@ def test_benchmark_maps_are_tabled(mpc_uuv8, cc_two_cols):
     maps += [cc_two_cols.encoder, cc_two_cols.inverse, inner._encoder, inner.inverse]
     maps += [outer._encoder, outer.inverse, outer.decoder._syndromes, outer.decoder._roots]
     assert all(m.table is not None for m in maps)
+
+
+@pytest.mark.parametrize(
+    "field,k,n,split,join,slices,unpack",
+    [
+        ((2, 4), 15, 7, 0, 0, False, False),  # the RS(15,8) syndrome map: 28 bits out
+        ((2, 1), 16, 64, 0, 0, False, False),  # 64 one-bit symbols fill one word
+        ((2, 1), 16, 65, 0, 0, False, True),
+        ((2, 4), 15, 8, 0, 4, False, False),  # the cc-rs256 fold: 4 joined symbols, 32 bits
+        ((2, 4), 8, 15, 4, 0, True, False),  # the cc-rs256 encoder: split inputs
+        ((2, 8), 64, 24, 0, 0, True, True),  # 8-bit inputs: two slices each
+    ],
+    ids=["gf16-syndromes", "gf2-one-word", "gf2-two-words", "gf16-join", "gf16-split", "gf256"],
+)
+def test_packed_products_skip_the_steps_that_do_nothing(field, k, n, split, join, slices, unpack):
+    """_packed drops the slice step where the slices are the input symbols
+    (unsplit, at most 4 bits) and the unpack's gather where the output is
+    one 64-bit word; the products stay those of matmul and the row loop."""
+    f = g.make_field(*field)
+    tower = g.TowerView(g.extend_field(f, 2), f)
+    towers = {"split": (tower,) * split, "join": (tower,) * join}
+    rng = np.random.default_rng(k * n)
+    rowmap = linalg.RowMap(f, rng.integers(0, f.q, (k, n)).tolist(), **towers)
+    _, columns, _, _, word, _, _ = rowmap._packed
+    assert (columns is not None, word is not None) == (slices, unpack)
+    x = rng.integers(0, tower.big.q if split else f.q, (9, len(rowmap.split) or k))
+    packed = rowmap._packed_product(x).tolist()
+    assert packed == rowmap._matmul_product(x).tolist()
+    assert packed == [list(rowmap._loop(row)) for row in x.tolist()]
