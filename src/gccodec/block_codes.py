@@ -3,9 +3,13 @@
 The decoding contract used everywhere in this package: given a received word
 r and an erasure set E, a decoder must return the codeword c with
 2*wt_E(r - c) + |E| < d when one exists (it is then unique) and report
-failure otherwise.  ee_decode and ee_decode_many re-check every decoded
-codeword against the bound (_bounded), so a decoder that returns one
-outside it raises ContractViolation instead of passing it on.
+failure otherwise.  A decoder is a callable (word, erasures) ->
+DecodeOutcome; it may also have a decode_arrays(words, erasure_sets)
+method that decodes a batch on arrays, or returns None where it declines.
+ee_decode re-checks every decoded codeword against the bound, and
+concat.decode_rows every row that decode_arrays decoded, so a decoder
+that returns one outside it raises ContractViolation instead of passing
+it on.
 """
 
 from __future__ import annotations
@@ -35,6 +39,31 @@ ENUMERATION_CAP = 1 << 20
 # (seed 5) the last 4 sets build 1.30 maps per word, an unbounded cache 1.28
 # and the last set alone 3.28.
 _ERASURE_MAPS = 4
+
+# Fewest words that ReedSolomonDecoder.decode_arrays solves together on arrays
+# rather than one by one (words with a zero syndrome or with d or more
+# erasures need no solve).  Measured as linalg.ARRAY_MIN_PRODUCTS is, with the
+# array solve of 2 t_X unmasked Berlekamp-Massey steps on log-form factors:
+# solving B words that all carry errors, array solve against scalar solve,
+# errors only / with erasures: RS(15,8)/GF(16) 0.10 / 0.09 and 0.13 / 0.11 ms
+# at B = 4, 0.10 / 0.17 and 0.14 / 0.21 ms at 8, 0.10 / 0.27 and 0.14 / 0.32
+# ms at 12; RS(64,40)/GF(256) 0.28 / 0.36 and 0.32 / 0.43 ms at 4, 0.31 / 0.70
+# and 0.41 / 0.83 ms at 8, 0.34 / 1.15 and 0.44 / 1.29 ms at 12.  So
+# characteristic 2 crosses between 4 and 8 words.  Prime fields sum one digit
+# mod p and cross near 12: RS(7,3)/GF(7) 0.14 / 0.10 and 0.13 / 0.11 ms at 8,
+# 0.14 / 0.18 and 0.13 / 0.16 ms at 12; RS(31,15)/GF(31) 0.53 / 0.36 and 0.59
+# / 0.43 ms at 8, 0.57 / 0.53 and 0.62 / 0.62 ms at 12, 0.61 / 0.79 and 0.68 /
+# 0.86 ms at 16.  At 12 words characteristic 2 gains 2.3-3.4x and prime fields
+# lose at most ~1.1x; at 8 they would lose ~1.5x for a 1.5-2.2x gain.
+# Odd-characteristic extensions sum digit by digit, and ReedSolomonDecoder
+# solves them one by one at any size: the array solve won only with two digits
+# and many words (RS(9,3)/GF(9) 2.05-2.36 / 2.35-3.24 ms at 48 words,
+# 12.4-12.8 / 18.9-20.7 ms at 256; RS(25,15)/GF(25) even within noise from 48
+# words on) and lost with more digits at every size (RS(26,12)/GF(27)
+# 14.9-18.2 / 9.8-13.4 ms at 64, 71.9-75.1 / 49.2-58.7 ms at 256;
+# RS(80,60)/GF(81) 62.2 / 20.6-22.6 ms at 64), measured before the unmasked
+# solve, so no one crossover by words serves them.
+BATCH_MIN_ROWS = 12
 
 
 def wt(v) -> int:
@@ -203,43 +232,15 @@ class LinearCode:
 
 
 def ee_decode(code: LinearCode, word, erasures=()) -> DecodeOutcome:
-    """Run the code's error-and-erasure decoder and enforce the distance bound."""
-    word, erasures = _checked(code, word, erasures)
-    return _bounded(code, code.decoder(word, erasures), erasures)
-
-
-def ee_decode_many(code: LinearCode, words, erasure_sets) -> list:
-    """[ee_decode(code, word, erasures) for each pair], in one decode_batch
-    call when the decoder has one (a plain callable decodes row by row)."""
-    if len(words) != len(erasure_sets):
-        raise LengthMismatch(f"{len(words)} words but {len(erasure_sets)} erasure sets")
-    checked = [_checked(code, word, erasures) for word, erasures in zip(words, erasure_sets)]
-    return ee_decode_rows(code, [w for w, _ in checked], [x for _, x in checked])
-
-
-def ee_decode_rows(code: LinearCode, rows, erasure_sets) -> list:
-    """ee_decode_many for rows a caller has checked: code has a decoder,
-    the rows are tuples of length n and the sets are what check_erasures
-    returned.  Nothing is checked again; every decoded row is still held
-    to the distance bound."""
-    batch = getattr(code.decoder, "decode_batch", None)
-    outs = batch(rows, erasure_sets) if batch else list(map(code.decoder, rows, erasure_sets))
-    return [_bounded(code, out, erasures) for out, erasures in zip(outs, erasure_sets)]
-
-
-def _checked(code: LinearCode, word, erasures):
-    """(word as a tuple, erasures as a frozenset), once code has a decoder
-    and both fit length n."""
+    """Run the code's error-and-erasure decoder on word (n symbols) and
+    enforce the distance bound: a decoder that returns a codeword outside
+    2*wt_E + |E| < d is a ContractViolation."""
     if code.decoder is None:
         raise NoDecoder(f"{code!r} has no attached decoder")
     if len(word) != code.n:
         raise LengthMismatch(f"word length {len(word)} != n={code.n}")
-    return tuple(word), check_erasures(erasures, code.n)
-
-
-def _bounded(code: LinearCode, out: DecodeOutcome, erasures) -> DecodeOutcome:
-    """out, once a decoded codeword is checked against 2*wt_E + |E| < d: a
-    decoder that breaks the bound is a ContractViolation."""
+    erasures = check_erasures(erasures, code.n)
+    out = code.decoder(tuple(word), erasures)
     if out.ok and 2 * out.weight + len(erasures) >= code.distance():
         raise ContractViolation(f"decoder for {code!r} returned a codeword outside the distance bound")
     return out
@@ -308,8 +309,8 @@ class ReedSolomonDecoder:
     d - 1 - |X|: a word that the odd last one shows undecodable then
     fails at 2L + |X| >= d, before the root search.)  A batch without
     erasures skips the erasure locator and the two products with it,
-    since there Gamma = 1, T = S and Lambda = sigma.  decode_batch and
-    concat.decode_rows read its arrays.
+    since there Gamma = 1, T = S and Lambda = sigma.  concat.decode_rows
+    reads its arrays, and decodes row by row where it returns None.
     """
 
     def __init__(self, field, points, k: int):
@@ -366,34 +367,21 @@ class ReedSolomonDecoder:
             x = np.array(words, dtype=np.int64).reshape(len(words), self.n)
             self._kept = dict(zip(words, map(tuple, self._syndromes.product(x).tolist())))
 
-    def decode_batch(self, words, erasure_sets) -> list:
-        """[self(word, erasures) for each pair]: the outcomes of
-        decode_arrays where it decodes on arrays, else word by word."""
-        arrays = self.decode_arrays(words, erasure_sets)
-        if arrays is None:
-            return list(map(self, words, erasure_sets))
-        codewords, errors, weights, ok = (a.tolist() for a in arrays)
-        return [
-            DecodeOutcome(tuple(c), tuple(e), w) if good else FAILURE
-            for c, e, w, good in zip(codewords, errors, weights, ok)
-        ]
-
     def decode_arrays(self, words, erasure_sets):
-        """The decodes of decode_batch as arrays (codewords, errors,
-        weights, ok): row b is word b's codeword and error, (B, n), its
-        weight and whether it decoded, (B,); a failed row has the word as
-        its codeword, a zero error and weight 0.  None where decode_batch
-        decodes word by word.
+        """[self(word, erasures) for each pair] as arrays (codewords,
+        errors, weights, ok): row b is word b's codeword and error, (B, n),
+        its weight and whether it decoded, (B,); a failed row has the word
+        as its codeword, a zero error and weight 0.  None, for the caller
+        to decode word by word, below BATCH_MIN_ROWS words, where the
+        syndrome map has no array kernel (matmul is not vectorised for n)
+        or in an odd-characteristic extension.
 
-        From linalg.BATCH_MIN_ROWS words on, where the syndrome map has an
-        array kernel (matmul is vectorised for n) and the field is not an
-        odd-characteristic extension, the syndromes are one product, and
-        when that many words have a nonzero syndrome and fewer than d
-        erasures they are solved together on arrays; otherwise each goes
-        through the scalar solve.
+        Otherwise the syndromes are one product, and when BATCH_MIN_ROWS
+        words have a nonzero syndrome and fewer than d erasures they are
+        solved together on arrays; else each goes through the scalar solve.
         """
         n, d = self.n, self.d
-        if len(words) < linalg.BATCH_MIN_ROWS or not self._batched:
+        if len(words) < BATCH_MIN_ROWS or not self._batched:
             return None
         received = np.array(words, dtype=np.int64).reshape(-1, n)
         synd = self._syndromes.product(received)
@@ -402,7 +390,7 @@ class ReedSolomonDecoder:
         solve = np.flatnonzero(ok & synd.any(axis=1))
         codewords, errors = received.copy(), np.zeros_like(received)
         weights = np.zeros(len(words), dtype=np.int64)
-        if len(solve) < linalg.BATCH_MIN_ROWS:
+        if len(solve) < BATCH_MIN_ROWS:
             for b in solve.tolist():
                 out = self._solve(words[b], erasure_sets[b], tuple(synd[b].tolist()))
                 ok[b] = out.ok

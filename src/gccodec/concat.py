@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gmd, linalg
-from .block_codes import LinearCode, check_erasures, ee_decode, ee_decode_rows
+from .block_codes import LinearCode, check_erasures, ee_decode
 from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch
 from .galois import TowerView
 from .oracle import oracle_radius
@@ -136,11 +136,14 @@ class RowDecodeResult:
 class _ArrayRows(RowDecodeResult):
     """A RowDecodeResult read from a decoder's decode_arrays: it keeps the
     arrays (codewords, errors, ok) and builds estimates and residuals, its
-    rows as tuples, on first read.  fold_message_columns reads the codeword
-    array, so only callers that read the rows themselves (gcc's improved
-    decoder, mpc's flagged rows) build them.  (The lazy rows live in this
-    class alone: on RowDecodeResult, a class attribute of the same name
-    would slow every read of the plain lists.)"""
+    rows as tuples, on first read.  Only a ConcatCode whose inner code is
+    RS, with at least block_codes.BATCH_MIN_ROWS rows over a field that
+    decode_arrays takes, gets one (gcc_spec builds GCC subcodes with
+    generic_code, whose decoder has no decode_arrays); cc_decode's fold
+    reads the codeword array, so the row tuples are built only where a
+    caller reads them, such as the selftest.
+    (The lazy rows live in this class alone: on RowDecodeResult, a class
+    attribute of the same name would slow every read of the plain lists.)"""
 
     def __init__(self, arrays, weights, failed, apparents, denominator, invocations):
         self.arrays = arrays
@@ -157,20 +160,21 @@ class _ArrayRows(RowDecodeResult):
 
 
 def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None) -> RowDecodeResult:
-    """Decode each row with the inner code's EE decoder: read straight from
-    the arrays of its decode_arrays when it decodes the batch on arrays
-    (ReedSolomonDecoder from linalg.BATCH_MIN_ROWS rows), else in one
-    ee_decode_rows call when it decodes batches, else one ee_decode call
-    per row.  The rows are tuples of length n and the erasure sets
-    frozensets that check_erasures returned (check_matrix and check_pattern
-    give both), so the batch paths check neither again; every decoded row
-    is still held to the distance bound.
+    """Decode each row with the inner code's EE decoder, by one of two
+    paths: read straight from the arrays of its decode_arrays when it has
+    one and returns arrays (ReedSolomonDecoder from
+    block_codes.BATCH_MIN_ROWS rows), else one ee_decode call per row.
+    The rows are tuples of length n and the erasure sets frozensets that
+    check_erasures returned (check_matrix and check_pattern give both), so
+    the array path checks neither again; every decoded row is held to the
+    distance bound on either path.
 
-    radius, when given, must exceed the half-distance radius; rows the
-    regular decoder rejects are retried with the unique-in-ball reference
-    decoder, so the result never loses a row the plain decoder handles.
-    Rows that decode with apparent weight above the half-distance radius get
-    reliability weight zero without being marked as failures.
+    radius, when given, must exceed the half-distance radius; every row
+    then takes the ee_decode path, and rows the regular decoder rejects are
+    retried with the unique-in-ball reference decoder, so the result never
+    loses a row the plain decoder handles.  Rows that decode with apparent
+    weight above the half-distance radius get reliability weight zero
+    without being marked as failures.
     """
     d = code.distance()
     t = (d - 1) // 2
@@ -183,10 +187,7 @@ def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None)
     solved = arrays(rows, erasure_sets) if arrays and radius is None else None
     if solved is not None:
         return _rows_from_arrays(code, solved, erasure_sets)
-    if hasattr(code.decoder, "decode_batch"):
-        outs = ee_decode_rows(code, rows, erasure_sets)
-    else:
-        outs = [ee_decode(code, row, erasures) for row, erasures in zip(rows, erasure_sets)]
+    outs = [ee_decode(code, row, erasures) for row, erasures in zip(rows, erasure_sets)]
     estimates, residuals, weights, failed, apparents = [], [], [], [], []
     calls = len(outs)
     for row, erasures, out in zip(rows, erasure_sets, outs):
@@ -237,9 +238,16 @@ def _rows_from_arrays(code: LinearCode, solved, erasure_sets) -> RowDecodeResult
 
 
 def check_pattern(pattern, m, n):
+    """pattern as m erasure sets that check_erasures returned (None: no
+    erasures); a non-sequence pattern raises InvalidParams, another count
+    of rows LengthMismatch."""
     if pattern is None:
         return [frozenset()] * m
-    if len(pattern) != m:
+    try:
+        got = len(pattern)
+    except TypeError:
+        raise InvalidParams(f"expected an erasure pattern of {m} rows, got {pattern!r}") from None
+    if got != m:
         raise LengthMismatch(f"erasure pattern must have {m} rows")
     return [check_erasures(x, n) for x in pattern]
 

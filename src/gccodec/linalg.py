@@ -32,32 +32,6 @@ from .errors import InvalidParams
 # 20.8 / 20.4 us), so one threshold serves every kernel.
 ARRAY_MIN_PRODUCTS = 128
 
-# Fewest words that ReedSolomonDecoder.decode_arrays solves together on
-# arrays rather than one by one (words with a zero syndrome or with d or
-# more erasures need no solve).  Measured the same way, with the array
-# solve of 2 t_X unmasked Berlekamp-Massey steps on log-form factors:
-# solving B words that all carry errors, array solve against scalar solve,
-# errors only / with erasures: RS(15,8)/GF(16) 0.10 / 0.09 and 0.13 / 0.11
-# ms at B = 4, 0.10 / 0.17 and 0.14 / 0.21 ms at 8, 0.10 / 0.27 and 0.14 /
-# 0.32 ms at 12; RS(64,40)/GF(256) 0.28 / 0.36 and 0.32 / 0.43 ms at 4,
-# 0.31 / 0.70 and 0.41 / 0.83 ms at 8, 0.34 / 1.15 and 0.44 / 1.29 ms at
-# 12.  So characteristic 2 crosses between 4 and 8 words.  Prime fields
-# sum one digit mod p and cross near 12: RS(7,3)/GF(7) 0.14 / 0.10 and
-# 0.13 / 0.11 ms at 8, 0.14 / 0.18 and 0.13 / 0.16 ms at 12;
-# RS(31,15)/GF(31) 0.53 / 0.36 and 0.59 / 0.43 ms at 8, 0.57 / 0.53 and
-# 0.62 / 0.62 ms at 12, 0.61 / 0.79 and 0.68 / 0.86 ms at 16.  At 12 words
-# characteristic 2 gains 2.3-3.4x and prime fields lose at most ~1.1x; at
-# 8 they would lose ~1.5x for a 1.5-2.2x gain.  Odd-characteristic
-# extensions sum digit by digit, and ReedSolomonDecoder solves them one by
-# one at any size: the array solve won only with two digits and many words
-# (RS(9,3)/GF(9) 2.05-2.36 / 2.35-3.24 ms at 48 words, 12.4-12.8 /
-# 18.9-20.7 ms at 256; RS(25,15)/GF(25) even within noise from 48 words
-# on) and lost with more digits at every size (RS(26,12)/GF(27) 14.9-18.2
-# / 9.8-13.4 ms at 64, 71.9-75.1 / 49.2-58.7 ms at 256; RS(80,60)/GF(81)
-# 62.2 / 20.6-22.6 ms at 64), measured before the unmasked solve, so no
-# one crossover by words serves them.
-BATCH_MIN_ROWS = 12
-
 # Most entries of a precomputed lookup table: the q^K images of a RowMap's
 # domain, and the q^n decodes of an ExhaustiveDecoder's errors-only table.
 # Measured the same way: a RowMap.row lookup takes 0.13-0.18 us against

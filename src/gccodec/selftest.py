@@ -371,21 +371,28 @@ def solve_batch_words(code, rng):
     return words, erasure_sets, odd
 
 
+def per_row_twin(code):
+    """code with its decoder attached as a plain callable, which has no
+    decode_arrays, so decode_rows sends every row through ee_decode."""
+    twin = LinearCode(code.field, code.generator, d=code.distance(), _inverse=code.inverse.matrix)
+    return twin.attach(code.decoder.__call__)
+
+
 def _check_batch_solves(rng):
-    # the RS decoder's array solve against its scalar decoder, over GF(16)
-    # (the benchmark's inner code) and GF(31): solve_batch_words, whose
-    # odd-syndrome words only a re-check of every syndrome refuses
+    # the RS decoder's array solve, read through decode_rows, against its
+    # scalar decoder row by row, over GF(16) (the benchmark's inner code)
+    # and GF(31): solve_batch_words, whose odd-syndrome words only a
+    # re-check of every syndrome refuses.  decode_rows holds every decoded
+    # row to the bound.
     for f, n, k in ((make_field(2, 4), 15, 8), (make_field(31, 1), 31, 15)):
         code = rs_code(f, n, k)
-        dec, d = code.decoder, code.distance()
         words, erasure_sets, odd = solve_batch_words(code, rng)
-        batch = dec.decode_batch(words, erasure_sets)
-        for b, (word, erasures, got) in enumerate(zip(words, erasure_sets, batch)):
-            what = f"{code!r}: {word} with erasures {sorted(erasures)}"
-            _require(got == dec(word, erasures), f"{what} against the scalar decoder")
-            _require(not got.ok or code.holds(got.codeword), f"{what} decodes to a non-codeword")
-            _require(not got.ok or 2 * got.weight + len(erasures) < d, f"{what} decodes outside the bound")
-            _require(b not in odd or not got.ok, f"{what} decodes past its last Forney syndrome")
+        rd = decode_rows(code, words, erasure_sets)
+        _require(rd.arrays is not None, f"{code!r}: the rows were not solved on arrays")
+        _require(rd == decode_rows(per_row_twin(code), words, erasure_sets), f"{code!r}: differs row by row")
+        for est, bad in zip(rd.estimates, rd.failed):
+            _require(bad or code.holds(est), f"{code!r}: {est} is not a codeword")
+        _require(all(rd.failed[b] for b in odd), f"{code!r}: a word decodes past its last Forney syndrome")
 
 
 def fresh_twin(code):

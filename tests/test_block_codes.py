@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import gccodec as g
 from gccodec import block_codes, linalg, specio
-from gccodec.block_codes import DecodeOutcome, ReedSolomonDecoder, _berlekamp_massey, ee_decode_many
+from gccodec.block_codes import BATCH_MIN_ROWS, DecodeOutcome, ReedSolomonDecoder, _berlekamp_massey
 from gccodec.concat import decode_rows
-from gccodec.selftest import odd_syndrome_word, solve_batch_words
+from gccodec.selftest import odd_syndrome_word, per_row_twin, solve_batch_words
 from conftest import GEN_HAMMING_7_4_3, array_kernel
 
 
@@ -128,22 +128,15 @@ class TestSigmaContract:
             code.decode((1, 1, 0))
 
     def test_decoder_breaching_bound_is_caught_in_a_batch(self, gf2):
-        # a plain callable decodes row by row, a decode_batch method in one
-        # call; both outcomes meet the same bound check
-        class Breaching:
-            def __call__(self, word, erasures):
-                return DecodeOutcome((0, 0, 0), word, g.wt(word))
-
-            def decode_batch(self, words, erasure_sets):
-                return list(map(self, words, erasure_sets))
-
-        for decoder in (Breaching(), Breaching().__call__):
-            code = g.LinearCode(gf2, [[1, 1, 1]], d=3).attach(decoder)
-            assert ee_decode_many(code, [(0, 0, 0), (1, 0, 0)], [(), ()])[1].weight == 1
-            with pytest.raises(g.ContractViolation):
-                ee_decode_many(code, [(0, 0, 0), (1, 1, 0)], [(), ()])
-            with pytest.raises(g.ContractViolation):
-                ee_decode_many(code, [(1, 0, 0)], [{1}])
+        # a plain callable has no decode_arrays, so decode_rows sends each
+        # row through ee_decode, which holds it to the bound
+        code = g.LinearCode(gf2, [[1, 1, 1]], d=3)
+        code.attach(lambda word, erasures: DecodeOutcome((0, 0, 0), word, g.wt(word)))
+        assert decode_rows(code, [(0, 0, 0), (1, 0, 0)], [frozenset()] * 2).weights == [3, 1]
+        with pytest.raises(g.ContractViolation):
+            decode_rows(code, [(0, 0, 0), (1, 1, 0)], [frozenset()] * 2)
+        with pytest.raises(g.ContractViolation):
+            decode_rows(code, [(1, 0, 0)], [frozenset({1})])
 
     def test_decoder_breaching_bound_is_caught_in_its_arrays(self, gf2):
         # decode_rows reads a decoder's decode_arrays and holds every decoded
@@ -175,18 +168,7 @@ class TestSigmaContract:
         with pytest.raises(g.NoDecoder):
             code.decode((1, 1, 1))
         with pytest.raises(g.NoDecoder):
-            ee_decode_many(code, [(1, 1, 1)], [()])
-
-    def test_batch_entry_point_checks_every_row(self, gf8):
-        code = g.rs_code(gf8, 7, 3)
-        words = [(0,) * 7] * 20
-        with pytest.raises(g.LengthMismatch):
-            ee_decode_many(code, words[:-1] + [(0,) * 6], [()] * 20)
-        with pytest.raises(g.ErasureIndexError):
-            ee_decode_many(code, words, [()] * 19 + [{7}])
-        with pytest.raises(g.LengthMismatch):
-            ee_decode_many(code, words, [()] * 19)
-        assert ee_decode_many(code, [], []) == []
+            decode_rows(code, [(1, 1, 1)], [frozenset()])
 
     @pytest.mark.parametrize("p,m,bad", [(7, 1, 8), (2, 3, 300), (2, 3, -1)])
     def test_symbols_are_validated(self, p, m, bad):
@@ -406,13 +388,6 @@ def random_batch(code, rng, size, beyond=2):
     return words, erasure_sets
 
 
-def per_row_twin(code):
-    """code with its decoder attached as a plain callable, which has no
-    decode_batch, so every row goes through ee_decode on its own."""
-    twin = g.LinearCode(code.field, code.generator, d=code.distance())
-    return twin.attach(code.decoder.__call__)
-
-
 @pytest.mark.parametrize(
     "params,sizes",
     [
@@ -607,7 +582,8 @@ class TestErasureMaps:
 
 
 class TestBatchDecode:
-    """ReedSolomonDecoder.decode_batch against the scalar decoder and the oracle."""
+    """ReedSolomonDecoder.decode_arrays, read through decode_rows, against
+    the scalar decoder row by row and the oracle."""
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -615,20 +591,25 @@ class TestBatchDecode:
         field = BATCH_FIELDS[data.draw(st.sampled_from(sorted(BATCH_FIELDS)))]()
         n = data.draw(st.integers(1, min(field.q, 12)))
         k = data.draw(st.integers(1, max(k for k in range(1, n + 1) if field.q**k <= 1024 or k == 1)))
-        size = data.draw(st.sampled_from([1, 7, linalg.BATCH_MIN_ROWS - 1, linalg.BATCH_MIN_ROWS, 32, 48, 64]))
+        size = data.draw(st.sampled_from([1, 7, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, 32, 48, 64]))
         code = g.rs_code(field, n, k)
         rng = random.Random(data.draw(st.integers(0, 1 << 32)))
         words, erasure_sets = random_batch(code, rng, size)
-        batch = code.decoder.decode_batch(words, erasure_sets)
-        assert batch == [code.decoder(w, x) for w, x in zip(words, erasure_sets)]
-        assert batch == [g.oracle_sigma(code, w, x) for w, x in zip(words, erasure_sets)]
-        # decode_rows: the same RowDecodeResult through the batch and the per-row path
+        scalar = [code.decoder(w, x) for w, x in zip(words, erasure_sets)]
+        assert scalar == [g.oracle_sigma(code, w, x) for w, x in zip(words, erasure_sets)]
+        # decode_rows: the same RowDecodeResult from decode_arrays and row by row
         twin = per_row_twin(code)
         assert decode_rows(code, words, erasure_sets) == decode_rows(twin, words, erasure_sets)
+        # the extended radius takes the per-row path for every decoder; it
+        # keeps each row the plain decode (from decode_arrays) takes, and
+        # retries each row it fails once more
         t = (n - k) // 2
         if t + 1 < n:
             errors_only = [frozenset()] * size
-            assert decode_rows(code, words, errors_only, t + 1) == decode_rows(twin, words, errors_only, t + 1)
+            plain, wide = decode_rows(code, words, errors_only), decode_rows(code, words, errors_only, t + 1)
+            assert wide.arrays is None and wide.invocations == size + sum(plain.failed)
+            for row in zip(plain.estimates, plain.residuals, plain.failed, wide.estimates, wide.residuals):
+                assert row[2] or row[:2] == row[3:]
 
     @pytest.mark.parametrize(
         "make,n,k",
@@ -647,7 +628,8 @@ class TestBatchDecode:
             ReedSolomonDecoder, "_solve_arrays", lambda self, w, x, s: solved.append(len(w)) or solve(self, w, x, s)
         )
         code = g.rs_code(make(), n, k)
-        f, rng, edge = code.field, random.Random(n), linalg.BATCH_MIN_ROWS
+        twin = per_row_twin(code)
+        f, rng, edge = code.field, random.Random(n), BATCH_MIN_ROWS
         batched = f.p == 2 or f.base is None
         for size, nonzero, calls in [(edge - 1, edge - 1, []), (40, edge - 1, []), (40, edge, [edge]), (40, 40, [40])]:
             # rows below `nonzero` carry one error, erased on every other row
@@ -660,18 +642,19 @@ class TestBatchDecode:
                 words.append(tuple(word))
                 erasure_sets.append(frozenset({pos}) if i < nonzero and i % 2 else frozenset())
             solved.clear()
-            batch = code.decoder.decode_batch(words, erasure_sets)
-            assert batch == [code.decoder(w, x) for w, x in zip(words, erasure_sets)]
-            assert all(out.ok for out in batch)
+            rd = decode_rows(code, words, erasure_sets)
             assert solved == (calls if batched else [])
+            # decode_arrays declines below the edge and in odd-characteristic extensions
+            assert (rd.arrays is None) == (size < edge or not batched)
+            assert rd == decode_rows(twin, words, erasure_sets)
+            assert not any(rd.failed)
 
     def test_fields_above_the_tables_stay_scalar(self, monkeypatch):
         monkeypatch.setattr(ReedSolomonDecoder, "_solve_arrays", None)
         code = g.rs_code(g.make_field(2, 17), 12, 6)
         words, erasure_sets = random_batch(code, random.Random(17), 40)
-        assert code.decoder.decode_batch(words, erasure_sets) == [
-            code.decoder(w, x) for w, x in zip(words, erasure_sets)
-        ]
+        assert code.decoder.decode_arrays(words, erasure_sets) is None
+        assert decode_rows(code, words, erasure_sets) == decode_rows(per_row_twin(code), words, erasure_sets)
 
 
 LARGE_CODES = {
@@ -682,32 +665,29 @@ LARGE_CODES = {
 
 
 class TestBatchOnLargeCodes:
-    """decode_batch against the scalar decoder beyond the hypothesis test's
-    range, on the benchmark's inner code, its outer code and a prime field."""
+    """decode_arrays, read through decode_rows, against the scalar decoder
+    beyond the hypothesis test's range, on the benchmark's inner code, its
+    outer code and a prime field."""
 
     @pytest.mark.parametrize("name", sorted(LARGE_CODES))
     def test_batch_equals_scalar(self, monkeypatch, name):
         params, n, k = LARGE_CODES[name]
         code = g.rs_code(_field(params), n, k)
-        dec = code.decoder
         solved = []
         solve = ReedSolomonDecoder._solve_arrays
         monkeypatch.setattr(
             ReedSolomonDecoder, "_solve_arrays", lambda self, w, x, s: solved.append(len(w)) or solve(self, w, x, s)
         )
         words, erasure_sets, odd = solve_batch_words(code, random.Random(n))
-        assert len(words) > linalg.BATCH_MIN_ROWS and odd
-        batch = dec.decode_batch(words, erasure_sets)
-        assert solved and solved[0] > linalg.BATCH_MIN_ROWS  # the array solve ran
-        assert batch == [dec(w, x) for w, x in zip(words, erasure_sets)]
-        # every decode is a codeword within the bound, and the odd-syndrome
-        # words fail
-        for out, erasures in zip(batch, erasure_sets):
-            assert not out.ok or (code.holds(out.codeword) and 2 * out.weight + len(erasures) < code.distance())
-        assert not any(batch[i].ok for i in odd)
-        # the same rows through decode_rows, read from decode_arrays
-        twin = per_row_twin(code)
-        assert decode_rows(code, words, erasure_sets) == decode_rows(twin, words, erasure_sets)
+        assert len(words) > BATCH_MIN_ROWS and odd
+        rd = decode_rows(code, words, erasure_sets)
+        assert solved and solved[0] > BATCH_MIN_ROWS  # the array solve ran
+        assert rd == decode_rows(per_row_twin(code), words, erasure_sets)
+        # every decode is a codeword within the bound (a positive weight),
+        # and the odd-syndrome words fail
+        for est, weight, bad in zip(rd.estimates, rd.weights, rd.failed):
+            assert bad or (code.holds(est) and weight > 0)
+        assert all(rd.failed[i] for i in odd)
 
     @pytest.mark.parametrize("name", sorted(LARGE_CODES))
     def test_odd_syndrome_words_fool_a_short_recheck(self, name):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gccodec as g
-from gccodec.block_codes import check_erasures, ee_decode, ee_decode_many, wt
+from gccodec.block_codes import check_erasures, ee_decode, wt
 from gccodec.concat import check_matrix, decode_rows
 from gccodec.errors import ErasureIndexError, InvalidParams, LengthMismatch
 
@@ -209,12 +209,24 @@ class TestRegionPredicatesCheckTheShape:
             (None, None, InvalidParams),
             ([(0,) * 7] * 3 + [None], None, InvalidParams),
             ([(0,) * 7] * 4, [frozenset()], LengthMismatch),
+            ([(0,) * 7] * 4, 5, InvalidParams),
         ],
-        ids=["string", "one-row", "five-rows", "long-row", "short-row", "int", "None", "None-row", "short-pattern"],
+        ids=[
+            "string", "one-row", "five-rows", "long-row", "short-row", "int", "None", "None-row", "short-pattern",
+            "int-pattern",
+        ],
     )
     def test_correctable_cc(self, cc_two_cols, errors, pattern, error):
         with pytest.raises(error):
             g.correctable_cc(errors, pattern, cc_two_cols)
+
+    @pytest.mark.parametrize(
+        "make_pattern", [lambda: 5, lambda: (frozenset() for _ in range(4))], ids=["int", "generator"]
+    )
+    def test_cc_decode_pattern(self, cc_two_cols, make_pattern):
+        received = g.cc_encode(cc_two_cols, [(1, 2), (3, 0)])
+        with pytest.raises(InvalidParams):
+            g.cc_decode(cc_two_cols, received, make_pattern())
 
     @pytest.mark.parametrize(
         "errors,error",
@@ -240,7 +252,7 @@ class TestRegionPredicatesCheckTheShape:
 # erasure sets that no public entry point may take, for rows of length 7;
 # True and False would otherwise read as positions 1 and 0
 BAD_ERASURES = [[7], [-1], [2, 9], [1.5], ["1"], [None], [True], [True, False], [False, 3], [np.bool_(True)]]
-ENTRY_POINTS = ["ee_decode", "LinearCode.decode", "ee_decode_many", "cc_decode", "correctable_cc", "gmd_decode"]
+ENTRY_POINTS = ["ee_decode", "LinearCode.decode", "cc_decode", "correctable_cc", "gmd_decode"]
 
 
 def entry_points(gf8, cc):
@@ -254,7 +266,6 @@ def entry_points(gf8, cc):
     return {
         "ee_decode": lambda x: ee_decode(rs, word, x),
         "LinearCode.decode": lambda x: rs.decode(word, x),
-        "ee_decode_many": lambda x: ee_decode_many(rs, [word, word], [(), x]),
         "cc_decode": lambda x: g.cc_decode(cc, received, [(), x, (), ()]),
         "correctable_cc": lambda x: g.correctable_cc(zeros, [(), (), x, ()], cc),
         "gmd_decode": lambda x: g.gmd_decode(

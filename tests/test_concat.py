@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 import gccodec as g
-from gccodec import linalg, specio
+from gccodec import block_codes, linalg, specio
 from gccodec.concat import (
     RowDecodeResult,
     check_pattern,
@@ -425,7 +425,7 @@ def test_custom_basis_encode_and_decode(monkeypatch, array_calls, gf4, array):
     monkeypatch.setattr(linalg, "TABLE_CAP", 0)
     monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", 0 if array else 1 << 62)
     # the 15 rows decode one by one, so every array product is a symbol map's
-    monkeypatch.setattr(linalg, "BATCH_MIN_ROWS", 16)
+    monkeypatch.setattr(block_codes, "BATCH_MIN_ROWS", 16)
     gf16 = g.extend_field(gf4, 2)
     cc = g.ConcatCode(g.rs_code(gf16, 15, 5), g.rs_code(gf4, 4, 2))
     assert cc.encoder.table is None and cc.inverse.table is None
