@@ -15,7 +15,6 @@ it on.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -33,6 +32,7 @@ from .errors import (
 )
 
 ENUMERATION_CAP = 1 << 20
+_INT = frozenset({int})
 
 # Erasure sets whose erasure-only map a ReedSolomonDecoder keeps.  A word's
 # outer columns run the same chain of sets: over 300 cc-rs256-gf16 words
@@ -41,28 +41,27 @@ ENUMERATION_CAP = 1 << 20
 _ERASURE_MAPS = 4
 
 # Fewest words that ReedSolomonDecoder.decode_arrays solves together on arrays
-# rather than one by one (words with a zero syndrome or with d or more
-# erasures need no solve).  Measured as linalg.ARRAY_MIN_PRODUCTS is, with the
-# array solve of 2 t_X unmasked Berlekamp-Massey steps on log-form factors:
-# solving B words that all carry errors, array solve against scalar solve,
-# errors only / with erasures: RS(15,8)/GF(16) 0.10 / 0.09 and 0.13 / 0.11 ms
-# at B = 4, 0.10 / 0.17 and 0.14 / 0.21 ms at 8, 0.10 / 0.27 and 0.14 / 0.32
-# ms at 12; RS(64,40)/GF(256) 0.28 / 0.36 and 0.32 / 0.43 ms at 4, 0.31 / 0.70
-# and 0.41 / 0.83 ms at 8, 0.34 / 1.15 and 0.44 / 1.29 ms at 12.  So
-# characteristic 2 crosses between 4 and 8 words.  Prime fields sum one digit
-# mod p and cross near 12: RS(7,3)/GF(7) 0.14 / 0.10 and 0.13 / 0.11 ms at 8,
-# 0.14 / 0.18 and 0.13 / 0.16 ms at 12; RS(31,15)/GF(31) 0.53 / 0.36 and 0.59
-# / 0.43 ms at 8, 0.57 / 0.53 and 0.62 / 0.62 ms at 12, 0.61 / 0.79 and 0.68 /
-# 0.86 ms at 16.  At 12 words characteristic 2 gains 2.3-3.4x and prime fields
-# lose at most ~1.1x; at 8 they would lose ~1.5x for a 1.5-2.2x gain.
-# Odd-characteristic extensions sum digit by digit, and ReedSolomonDecoder
-# solves them one by one at any size: the array solve won only with two digits
-# and many words (RS(9,3)/GF(9) 2.05-2.36 / 2.35-3.24 ms at 48 words,
-# 12.4-12.8 / 18.9-20.7 ms at 256; RS(25,15)/GF(25) even within noise from 48
-# words on) and lost with more digits at every size (RS(26,12)/GF(27)
-# 14.9-18.2 / 9.8-13.4 ms at 64, 71.9-75.1 / 49.2-58.7 ms at 256;
-# RS(80,60)/GF(81) 62.2 / 20.6-22.6 ms at 64), measured before the unmasked
-# solve, so no one crossover by words serves them.
+# rather than one by one (words with a zero syndrome need no solve, and words
+# with erasures always take the scalar solve).  Measured as
+# linalg.ARRAY_MIN_PRODUCTS is, with the array solve of 2t unmasked
+# Berlekamp-Massey steps on log-form factors, before its steps dropped their
+# inverse: solving B words that all carry errors and no erasures, array solve
+# / scalar solve: RS(15,8)/GF(16) 0.10 / 0.09 ms at B = 4, 0.10 / 0.17 ms at
+# 8, 0.10 / 0.27 ms at 12; RS(64,40)/GF(256) 0.28 / 0.36 ms at 4, 0.31 / 0.70
+# ms at 8, 0.34 / 1.15 ms at 12.  So characteristic 2 crosses between 4 and 8
+# words.  Prime fields sum one digit mod p and cross near 12: RS(7,3)/GF(7)
+# 0.14 / 0.10 ms at 8, 0.14 / 0.18 ms at 12; RS(31,15)/GF(31) 0.53 / 0.36 ms
+# at 8, 0.57 / 0.53 ms at 12, 0.61 / 0.79 ms at 16.  At 12 words
+# characteristic 2 gains 2.7-3.4x and prime fields lose at most ~1.1x; at 8
+# they would lose ~1.5x for a 1.7-2.3x gain.  Odd-characteristic extensions
+# sum digit by digit, and ReedSolomonDecoder solves them one by one at any
+# size: the array solve won only with two digits and many words
+# (RS(9,3)/GF(9) 2.05-2.36 / 2.35-3.24 ms at 48 words, 12.4-12.8 / 18.9-20.7
+# ms at 256; RS(25,15)/GF(25) even within noise from 48 words on) and lost
+# with more digits at every size (RS(26,12)/GF(27) 14.9-18.2 / 9.8-13.4 ms at
+# 64, 71.9-75.1 / 49.2-58.7 ms at 256; RS(80,60)/GF(81) 62.2 / 20.6-22.6 ms
+# at 64), measured before the unmasked solve, with erasures among the words,
+# so no one crossover by words serves them.
 BATCH_MIN_ROWS = 12
 
 
@@ -227,20 +226,29 @@ class LinearCode:
         return self
 
     def decode(self, word, erasures=()) -> DecodeOutcome:
-        """ee_decode after checking that word is a sequence of field elements."""
-        return ee_decode(self, self.field.vector(word), erasures)
+        return ee_decode(self, word, erasures)
 
 
 def ee_decode(code: LinearCode, word, erasures=()) -> DecodeOutcome:
-    """Run the code's error-and-erasure decoder on word (n symbols) and
-    enforce the distance bound: a decoder that returns a codeword outside
-    2*wt_E + |E| < d is a ContractViolation."""
+    """Run the code's error-and-erasure decoder on word (n field elements)
+    and enforce the distance bound: a decoder that returns a codeword
+    outside 2*wt_E + |E| < d is a ContractViolation.
+
+    A tuple or list of plain ints is checked in one pass, as
+    concat.check_matrix checks a word: its symbol types and one min and
+    max against [0, q).  Any other word goes through Field.vector, which
+    converts numpy integers and names the first bad symbol."""
     if code.decoder is None:
         raise NoDecoder(f"{code!r} has no attached decoder")
+    f = code.field
+    if type(word) is not tuple:
+        word = tuple(word) if isinstance(word, list) else f.vector(word)
+    if not (word and _INT.issuperset(map(type, word)) and min(word) >= 0 and max(word) < f.q):
+        word = f.vector(word)
     if len(word) != code.n:
         raise LengthMismatch(f"word length {len(word)} != n={code.n}")
     erasures = check_erasures(erasures, code.n)
-    out = code.decoder(tuple(word), erasures)
+    out = code.decoder(word, erasures)
     if out.ok and 2 * out.weight + len(erasures) >= code.distance():
         raise ContractViolation(f"decoder for {code!r} returned a codeword outside the distance bound")
     return out
@@ -293,24 +301,22 @@ class ReedSolomonDecoder:
     keyed by the word itself and replaced by the next batch, so a call
     never reads another word's.
 
-    decode_arrays runs the same steps for a list of words on arrays, and
-    asks the two maps for three products (syndromes; the root search with
-    Forney's Omega and Lambda' at every point; re-check) through
-    RowMap.product, whose kernel the field picks: packed tables in
-    characteristic 2 up to 2^8 elements, Field.matmul elsewhere.  The
-    other products take their factors in log form (Field.log_array).
-    Berlekamp-Massey reads the first 2 t_X Forney syndromes of row b,
-    2 t_X = d - 1 - |X| rounded down to even: 2L syndromes fix a length-L
-    register (Massey 1969), so a decode with 2w + |X| < d is found from
+    decode_arrays solves the words without erasures together on arrays,
+    by the errors-only steps (Gamma = 1, so T = S and Lambda = sigma), and
+    sends each word with erasures to the scalar solve.  It asks the two
+    maps for three products (syndromes; the root search with Forney's
+    Omega and sigma' at every point; re-check) through RowMap.product,
+    whose kernel the field picks: packed tables in characteristic 2 up to
+    2^8 elements, Field.matmul elsewhere.  The other products take their
+    factors in log form (Field.log_array).  Berlekamp-Massey reads the
+    first 2t syndromes, 2t = d - 1 rounded down to even: 2L syndromes fix a
+    length-L register (Massey 1969), so a decode with 2w < d is found from
     them, and the closing re-check reads every syndrome, so nothing else
-    passes.  It runs with no per-step mask: the history of Forney
-    syndromes is zero past a row's 2 t_X steps, where the discrepancy is
-    then zero and leaves the row as it is.  (The scalar solve reads all
-    d - 1 - |X|: a word that the odd last one shows undecodable then
-    fails at 2L + |X| >= d, before the root search.)  A batch without
-    erasures skips the erasure locator and the two products with it,
-    since there Gamma = 1, T = S and Lambda = sigma.  concat.decode_rows
-    reads its arrays, and decodes row by row where it returns None.
+    passes.  (The scalar solve reads all d - 1: a word that the odd last
+    one shows undecodable then fails at 2L >= d, before the root search.)
+    Its steps take no inverse (Sarwate and Shanbhag 2001), which scales
+    sigma but not its roots or Forney's ratio.  concat.decode_rows reads
+    its arrays, and decodes row by row where it returns None.
     """
 
     def __init__(self, field, points, k: int):
@@ -376,9 +382,11 @@ class ReedSolomonDecoder:
         syndrome map has no array kernel (matmul is not vectorised for n)
         or in an odd-characteristic extension.
 
-        Otherwise the syndromes are one product, and when BATCH_MIN_ROWS
-        words have a nonzero syndrome and fewer than d erasures they are
-        solved together on arrays; else each goes through the scalar solve.
+        Otherwise the syndromes are one product.  When BATCH_MIN_ROWS
+        words without erasures have a nonzero syndrome, they are solved
+        together on arrays (_solve_arrays); every other word with a
+        nonzero syndrome and fewer than d erasures goes through the scalar
+        solve.
         """
         n, d = self.n, self.d
         if len(words) < BATCH_MIN_ROWS or not self._batched:
@@ -390,15 +398,16 @@ class ReedSolomonDecoder:
         solve = np.flatnonzero(ok & synd.any(axis=1))
         codewords, errors = received.copy(), np.zeros_like(received)
         weights = np.zeros(len(words), dtype=np.int64)
-        if len(solve) < BATCH_MIN_ROWS:
-            for b in solve.tolist():
-                out = self._solve(words[b], erasure_sets[b], tuple(synd[b].tolist()))
-                ok[b] = out.ok
-                if out.ok:
-                    codewords[b], errors[b], weights[b] = out.codeword, out.error, out.weight
-        else:
-            solved = self._solve_arrays(received[solve], [erasure_sets[b] for b in solve], synd[solve])
-            codewords[solve], errors[solve], weights[solve], ok[solve] = solved
+        clean = solve[sizes[solve] == 0]
+        if len(clean) >= BATCH_MIN_ROWS:
+            solved = self._solve_arrays(received[clean], synd[clean])
+            codewords[clean], errors[clean], weights[clean], ok[clean] = solved
+            solve = solve[sizes[solve] > 0]
+        for b in solve.tolist():
+            out = self._solve(words[b], erasure_sets[b], tuple(synd[b].tolist()))
+            ok[b] = out.ok
+            if out.ok:
+                codewords[b], errors[b], weights[b] = out.codeword, out.error, out.weight
         return codewords, errors, weights, ok
 
     def _erasures_only(self, word, erasures, synd):
@@ -498,124 +507,88 @@ class ReedSolomonDecoder:
     @functools.cached_property
     def _constants(self):
         """_solve_arrays' constants, built on its first call: factors in log
-        form, and the gathers of its Hankel products (into S_0 .. S_{d-2}
-        then d zeros), of the history of Forney syndromes (into d - 1
-        zeros then T_0 .. T_{d-2}) and of Gamma * sigma (into sigma then
+        form, and the gathers of the syndrome history (into d - 1 zeros
+        then S_0 .. S_{d-2}) and of Omega's Hankel product (into sigma then
         zeros)."""
         f, r = self.field, self.d - 1
         log = f.log_array
         zero, one = log(np.array([0, 1], dtype=np.int64)).tolist()
         degrees = np.arange(r)
-        hankel = degrees[:, None] + np.arange(r + 1)
-        conv = np.arange(r + 1)[:, None] - np.arange(r + 1)  # m - j, or r past sigma
         return SimpleNamespace(
             zero=zero,
             one=one,
-            neg_points=log(f.neg_array(np.array(self.points, dtype=np.int64))),
             u=log(np.array(self._u, dtype=np.int64)),
             derivative=log(np.arange(1, r + 1) % f.p)[:, None],
             degrees=degrees,
-            hankel=hankel,
-            omega=hankel[:, :r] + 1,
+            omega=degrees[:, None] + degrees + 1,
             history=r + degrees[:, None] - np.arange(r + 1),
-            convolution=np.where((conv >= 0) & (conv < r), conv, r),
         )
 
-    def _solve_arrays(self, received, erasure_sets, synd):
-        """_solve for the rows of the (B, n) array received at once: row b
-        of the (B, d - 1) array synd is the nonzero syndrome of received[b],
-        which has fewer than d erasures.  Returns decode_arrays' four
+    def _solve_arrays(self, received, synd):
+        """_solve for the rows of the (B, n) array received at once, none
+        of them with erasures: row b of the (B, d - 1) array synd is the
+        nonzero syndrome of received[b].  Returns decode_arrays' four
         arrays for these rows.  Every step is the scalar one on a whole
         array; polynomials are (coefficients, B) arrays, and each factor of
         many products is put in log form once (see Field.log_array).  A row
         that a step fails is dropped at the end."""
         f, c = self.field, self._constants
         log, mul, dot = f.log_array, f.mul_logs, f.dot_logs
-        n, d = self.n, self.d
-        r = d - 1
+        d, r = self.d, self.d - 1
         batch = len(received)
-        ne = np.fromiter(map(len, erasure_sets), dtype=np.int64, count=batch)
-        erased = np.zeros((batch, n), dtype=bool)
-        erasures = ne.any()
         synd_logs = log(synd.T)
 
-        # erasure locator Gamma, one linear factor per step, and the Forney
-        # syndromes T_l = sum_j gamma_j S_{l+j} by a Hankel gather of S
-        # (then d zeros); without erasures Gamma = 1 and T = S
-        forney = synd.T
-        if erasures:
-            erased[np.repeat(np.arange(batch), ne), list(itertools.chain.from_iterable(erasure_sets))] = True
-            gamma = np.zeros((d, batch), dtype=np.int64)
-            gamma[0] = 1
-            order = np.argsort(~erased, axis=1, kind="stable")  # erased positions first
-            for j in range(int(ne.max())):
-                new = mul(c.neg_points[order[:, j]], log(gamma))
-                new[1:] = f.add_array(new[1:], gamma[:-1])
-                gamma = np.where(j < ne, new, gamma)
-            gamma_logs = log(gamma)
-            padded = np.concatenate([synd_logs, np.full((d, batch), c.zero)])
-            forney = dot(gamma_logs, padded[c.hankel], 1)
-
-        # Berlekamp-Massey, row b over T_0 .. T_{2t_b - 1}, 2t_b = d - 1 -
-        # |E_b| rounded down to even (see the class docstring).  history[k]
-        # is T_k, ..., T_{k-d+1} in log form (0 before T_0) and all 0 from
-        # step 2t_b on, where the discrepancy is then 0 and C stays as it
-        # is, so no step needs a mask.  deg C <= L <= d - 1.  Window k of
-        # `shifted` (its rows steps - k to steps - k + d) holds z^shift B
-        # in log form; window k + 1 starts one row before it, so it reads
-        # z times what step k leaves in window k.  `twice` is 2L and
-        # `inverse` 1 / (the last nonzero discrepancy), in log form.
-        lengths = (r - ne) & ~1
-        steps = int(lengths.max())
-        padded = np.concatenate([np.zeros((r, batch), dtype=np.int64), forney])
-        history = padded[c.history[:steps]]
-        if erasures:
-            history *= c.degrees[:steps, None, None] < lengths
-        history = log(history)
+        # Berlekamp-Massey over S_0 .. S_{2t-1}, 2t = d - 1 rounded down to
+        # even (see the class docstring), without inverses (Sarwate and
+        # Shanbhag 2001): each step sets C to last * C - delta * z^shift B,
+        # last the discrepancy when B was set, which scales C but not its
+        # roots or Forney's ratio.  history[k] is S_k, ..., S_{k-d+1} in log
+        # form (0 before S_0).  deg C <= L <= d - 1.  Window k of `shifted`
+        # (its rows steps - k to steps - k + d) holds z^shift B in log
+        # form; window k + 1 starts one row before it, so it reads z times
+        # what step k leaves in window k.  `twice` is 2L.
+        steps = r & ~1
+        history = np.concatenate([np.full((r, batch), c.zero), synd_logs])[c.history[:steps]]
         conn = np.zeros((d, batch), dtype=np.int64)
         conn[0] = 1
         shifted = np.full((steps + d, batch), c.zero)
         shifted[steps + 1] = c.one
-        inverse, twice = np.full(batch, c.one), np.zeros(batch, dtype=np.int64)
+        last, twice = np.full(batch, c.one), np.zeros(batch, dtype=np.int64)
         for k in range(steps):
             window = shifted[steps - k : steps - k + d]
             conn_logs = log(conn)
             delta = dot(conn_logs, history[k], 0)
-            coef = log(mul(log(delta), inverse))
-            conn = f.add_array(conn, f.neg_array(mul(coef, window)))
+            delta_logs = log(delta)
+            conn = f.add_array(mul(last, conn_logs), f.neg_array(mul(delta_logs, window)))
             grow = np.logical_and(delta, twice <= k)
             np.copyto(window, conn_logs, where=grow)
-            np.copyto(inverse, log(f.inv_array(delta)), where=grow)
+            np.copyto(last, delta_logs, where=grow)
             np.copyto(twice, 2 * k + 2 - twice, where=grow)
         L = twice >> 1
-        ok = twice + ne < d
+        ok = twice < d
 
         # sigma = z^L C(1/z), padded to d - 1 (a negative degree wraps to a
-        # coefficient that the mask drops); Lambda = Gamma * sigma; Omega by
-        # a Hankel gather of Lambda.  One product with the transposed matrix
-        # gives u_i sigma(x_i), u_i Omega(x_i) and u_i Lambda'(x_i) at every
-        # point.  The roots of sigma away from the erasures must number L;
-        # sigma is then monic with those L roots, and Forney's formula gives
-        # the error values
+        # coefficient that the mask drops), and Omega by a Hankel gather of
+        # sigma.  One product with the transposed matrix gives u_i sigma(x_i),
+        # u_i Omega(x_i) and u_i sigma'(x_i) at every point.  The roots of
+        # sigma must number L; sigma then has those L roots, and Forney's
+        # formula gives the error values
         back = L - c.degrees[:, None]
         sigma = np.where(back >= 0, conn[back, np.arange(batch)], 0)
-        lam = np.concatenate([sigma, np.zeros((d, batch), dtype=np.int64)])
-        if erasures:
-            lam[:d] = dot(gamma_logs, log(lam)[c.convolution], 1)
-        lam_logs = log(lam)
-        omega = dot(lam_logs[c.omega], synd_logs, 1)
-        dlam = mul(c.derivative, lam_logs[1:d])
-        values = self._roots.product(np.concatenate([sigma, omega, dlam], axis=1).T)
-        roots = (values[:batch] == 0) & ~erased
+        sigma_logs = log(np.concatenate([sigma, np.zeros((d, batch), dtype=np.int64)]))
+        omega = dot(sigma_logs[c.omega], synd_logs, 1)
+        dsigma = mul(c.derivative, sigma_logs[1:d])
+        values = self._roots.product(np.concatenate([sigma, omega, dsigma], axis=1).T)
+        roots = values[:batch] == 0
         ok &= roots.sum(axis=1) == L
         den = log(f.inv_array(mul(log(values[2 * batch :]), c.u)))
-        error = np.where((erased | roots) & ok[:, None], mul(log(values[batch : 2 * batch]), den), 0)
+        error = np.where(roots & ok[:, None], mul(log(values[batch : 2 * batch]), den), 0)
 
         # re-check, as in _solve
         ok &= (self._syndromes.product(error) == synd).all(axis=1)
         error[~ok] = 0
-        weight = ((error != 0) & ~erased).sum(axis=1)
-        ok &= 2 * weight + ne < d
+        weight = (error != 0).sum(axis=1)
+        ok &= 2 * weight < d
         return f.add_array(received, f.neg_array(error)), error, weight, ok
 
 

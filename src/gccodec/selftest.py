@@ -12,7 +12,7 @@ import random
 import numpy as np
 
 from . import gmd, linalg
-from .block_codes import _ERASURE_MAPS, LinearCode, ReedSolomonDecoder, generic_code, rs_code
+from .block_codes import _ERASURE_MAPS, BATCH_MIN_ROWS, LinearCode, ReedSolomonDecoder, generic_code, rs_code
 from .channel import RawStream
 from .concat import (
     ConcatCode,
@@ -348,18 +348,19 @@ def odd_syndrome_word(code, rng, erasures):
 def solve_batch_words(code, rng):
     """(words, erasure sets, indices of the odd_syndrome_word words) of the
     RS code: for every |X| from 0 to d - 1 (both parities of d - 1 - |X|),
-    words with random symbols on X and 0 .. t_X + 2 errors past it, and
-    where d - 1 - |X| is odd and t_X >= 1, two odd_syndrome_word words."""
+    words with random symbols on X and 0 .. t_X + 2 errors past it, 2 *
+    BATCH_MIN_ROWS of them without erasures (enough for the array solve),
+    and where d - 1 - |X| is odd and t_X >= 1, two odd_syndrome_word words."""
     f, n, d = code.field, code.n, code.distance()
     words, erasure_sets, odd = [], [], []
     for size in range(d):
         erasures = frozenset(rng.sample(range(n), size))
         t = (d - 1 - size) // 2
-        for errors in range(t + 3):
+        for errors in range(2 * BATCH_MIN_ROWS if size == 0 else t + 3):
             word = list(code.encode([rng.randrange(f.q) for _ in range(code.k)]))
             for i in erasures:
                 word[i] = rng.randrange(f.q)
-            for i in rng.sample(sorted(set(range(n)) - erasures), min(errors, n - size)):
+            for i in rng.sample(sorted(set(range(n)) - erasures), min(errors % (t + 3), n - size)):
                 word[i] = f.add(word[i], rng.randrange(1, f.q))
             words.append(tuple(word))
             erasure_sets.append(erasures)
@@ -382,9 +383,10 @@ def _check_batch_solves(rng):
     # the RS decoder's array solve, read through decode_rows, against its
     # scalar decoder row by row, over GF(16) (the benchmark's inner code)
     # and GF(31): solve_batch_words, whose odd-syndrome words only a
-    # re-check of every syndrome refuses.  decode_rows holds every decoded
-    # row to the bound.
-    for f, n, k in ((make_field(2, 4), 15, 8), (make_field(31, 1), 31, 15)):
+    # re-check of every syndrome refuses (both codes have an odd d - 1, so
+    # some of them have no erasures and take the array solve).
+    # decode_rows holds every decoded row to the bound.
+    for f, n, k in ((make_field(2, 4), 15, 8), (make_field(31, 1), 31, 16)):
         code = rs_code(f, n, k)
         words, erasure_sets, odd = solve_batch_words(code, rng)
         rd = decode_rows(code, words, erasure_sets)

@@ -622,30 +622,46 @@ class TestBatchDecode:
         ],
     )
     def test_crossover_picks_the_path(self, monkeypatch, make, n, k):
-        solved = []
-        solve = ReedSolomonDecoder._solve_arrays
+        # rows with erasures go to _solve one by one; erasure-free rows with
+        # a nonzero syndrome go to one _solve_arrays call from BATCH_MIN_ROWS
+        # of them up, else to _solve as well
+        solved, scalar = [], []
+        solve_arrays, solve = ReedSolomonDecoder._solve_arrays, ReedSolomonDecoder._solve
         monkeypatch.setattr(
-            ReedSolomonDecoder, "_solve_arrays", lambda self, w, x, s: solved.append(len(w)) or solve(self, w, x, s)
+            ReedSolomonDecoder, "_solve_arrays", lambda self, w, s: solved.append(len(w)) or solve_arrays(self, w, s)
+        )
+        monkeypatch.setattr(
+            ReedSolomonDecoder, "_solve", lambda self, w, x, s: scalar.append(bool(x)) or solve(self, w, x, s)
         )
         code = g.rs_code(make(), n, k)
         twin = per_row_twin(code)
         f, rng, edge = code.field, random.Random(n), BATCH_MIN_ROWS
         batched = f.p == 2 or f.base is None
-        for size, nonzero, calls in [(edge - 1, edge - 1, []), (40, edge - 1, []), (40, edge, [edge]), (40, 40, [40])]:
-            # rows below `nonzero` carry one error, erased on every other row
+        cases = [(edge - 1, edge - 1, 0), (40, edge - 1, 6), (40, edge, 6), (40, 20, 20), (40, 34, 6)]
+        for size, clean, erased in cases:
+            # `clean` rows carry one error and `erased` rows one erased error,
+            # in random order; the others are codewords
+            kinds = ["clean"] * clean + ["erased"] * erased + [None] * (size - clean - erased)
+            rng.shuffle(kinds)
             words, erasure_sets = [], []
-            for i in range(size):
+            for kind in kinds:
                 word = list(code.encode([rng.randrange(f.q) for _ in range(k)]))
                 pos = rng.randrange(n)
-                if i < nonzero:
+                if kind:
                     word[pos] = f.add(word[pos], rng.randrange(1, f.q))
                 words.append(tuple(word))
-                erasure_sets.append(frozenset({pos}) if i < nonzero and i % 2 else frozenset())
+                erasure_sets.append(frozenset({pos}) if kind == "erased" else frozenset())
             solved.clear()
+            scalar.clear()
             rd = decode_rows(code, words, erasure_sets)
-            assert solved == (calls if batched else [])
-            # decode_arrays declines below the edge and in odd-characteristic extensions
-            assert (rd.arrays is None) == (size < edge or not batched)
+            # decode_arrays declines below the edge and in odd-characteristic
+            # extensions; the decoder's __call__ then sends every erasure-free
+            # row to _solve and the erasure-only solve takes the erased ones
+            arrays = size >= edge and batched
+            assert (rd.arrays is None) == (not arrays)
+            assert solved == ([clean] if arrays and clean >= edge else [])
+            assert scalar.count(True) == (erased if arrays else 0)
+            assert scalar.count(False) == ((0 if clean >= edge else clean) if arrays else size - erased)
             assert rd == decode_rows(twin, words, erasure_sets)
             assert not any(rd.failed)
 
@@ -661,6 +677,7 @@ LARGE_CODES = {
     "RS(15,8)/GF(16)": ((2, 4), 15, 8),
     "RS(64,40)/GF(256)": ((2, 4, 2), 64, 40),
     "RS(31,15)/GF(31)": ((31, 1), 31, 15),
+    "RS(31,16)/GF(31)": ((31, 1), 31, 16),  # an odd d - 1 in a prime field
 }
 
 
@@ -676,12 +693,17 @@ class TestBatchOnLargeCodes:
         solved = []
         solve = ReedSolomonDecoder._solve_arrays
         monkeypatch.setattr(
-            ReedSolomonDecoder, "_solve_arrays", lambda self, w, x, s: solved.append(len(w)) or solve(self, w, x, s)
+            ReedSolomonDecoder, "_solve_arrays", lambda self, w, s: solved.append(w.tolist()) or solve(self, w, s)
         )
         words, erasure_sets, odd = solve_batch_words(code, random.Random(n))
-        assert len(words) > BATCH_MIN_ROWS and odd
+        clean = [w for w, x in zip(words, erasure_sets) if not x and not code.holds(w)]
+        assert len(clean) >= BATCH_MIN_ROWS and odd
         rd = decode_rows(code, words, erasure_sets)
-        assert solved and solved[0] > BATCH_MIN_ROWS  # the array solve ran
+        # the array solve ran once, on every erasure-free row that needs a
+        # solve, odd-syndrome words among them where d - 1 is odd
+        assert solved == [list(map(list, clean))]
+        clean_odd = [i for i in odd if not erasure_sets[i]]
+        assert bool(clean_odd) == (code.distance() % 2 == 0)
         assert rd == decode_rows(per_row_twin(code), words, erasure_sets)
         # every decode is a codeword within the bound (a positive weight),
         # and the odd-syndrome words fail

@@ -297,6 +297,64 @@ class TestEveryEntryPointChecksErasures:
             check_erasures({True}, 5)
 
 
+def reference_ee_decode(code, word, erasures):
+    """ee_decode after Field.vector has checked every symbol in turn."""
+    return ee_decode(code, code.field.vector(word), erasures)
+
+
+def symbol_codes(gf2, gf8):
+    return {"RS(7,3)/GF(8)": g.rs_code(gf8, 7, 3), "Hamming": g.generic_code(gf2, GEN_HAMMING_7_4_3)}
+
+
+class TestEveryEntryPointChecksSymbols:
+    """ee_decode, and gmd_decode through it, refuses a symbol that is not a
+    field element with InvalidParams naming it, and converts numpy
+    integers, as Field.vector does."""
+
+    @pytest.mark.parametrize("code_name", ["RS(7,3)/GF(8)", "Hamming"])
+    @pytest.mark.parametrize("kind", ["tuple", "list", "array", "iterator", "short", "int", "None"])
+    @pytest.mark.parametrize("symbol", sorted(BAD_SYMBOLS))
+    def test_ee_decode_equals_the_symbol_by_symbol_check(self, gf2, gf8, code_name, kind, symbol):
+        # numpy integers in range are elements and decode as plain ints
+        code = symbol_codes(gf2, gf8)[code_name]
+        sent = code.encode((1,) * code.k)
+
+        def build():
+            return ROW_KINDS[kind]([BAD_SYMBOLS[symbol](code.field.q)] + list(sent[1:]))
+
+        got = outcome(ee_decode, code, build(), ())
+        assert got == outcome(reference_ee_decode, code, build(), ())
+        assert got[0] in ("ok", InvalidParams, LengthMismatch)
+
+    @pytest.mark.parametrize(
+        "code_name,symbol,erasures",
+        [
+            ("RS(64,40)/GF(256)", 259, ()),
+            ("RS(7,3)/GF(8)", 8, ()),
+            ("Hamming", 2, ()),
+            ("Hamming", 2, (1,)),
+            ("Hamming", True, ()),
+            ("Hamming", 1.0, (1,)),
+            ("RS(7,3)/GF(8)", True, ()),
+            ("RS(7,3)/GF(8)", 1.0, ()),
+        ],
+        ids=[
+            "RS64-259", "RS7-8", "Hamming-2", "Hamming-2-erased", "Hamming-True", "Hamming-float-erased", "RS7-True",
+            "RS7-float",
+        ],
+    )
+    def test_a_symbol_outside_the_field_raises(self, gf2, gf8, code_name, symbol, erasures):
+        codes = symbol_codes(gf2, gf8)
+        codes["RS(64,40)/GF(256)"] = g.rs_code(g.extend_field(g.make_field(2, 4), 2), 64, 40)
+        code = codes[code_name]
+        word = (symbol,) + code.encode((1,) * code.k)[1:]
+        rel = g.ReliabilityVector((1,) * code.n, 1)
+        with pytest.raises(InvalidParams, match=re.escape(f"{symbol!r} is not an element")):
+            ee_decode(code, word, erasures)
+        with pytest.raises(InvalidParams, match=re.escape(f"{symbol!r} is not an element")):
+            g.gmd_decode(code, word, rel)
+
+
 class TestCountingRules:
     @pytest.mark.parametrize("fixture", ["cc_small", "cc_two_cols"])
     def test_correctable_cc_counts_as_the_definition(self, request, fixture):

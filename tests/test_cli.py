@@ -683,7 +683,7 @@ def test_selftest_catches_an_array_recheck_that_skips_the_last_syndrome(monkeypa
 
     solve = ReedSolomonDecoder._solve_arrays
 
-    def short_recheck(dec, received, erasure_sets, synd):
+    def short_recheck(dec, received, synd):
         full = dec._syndromes
 
         class LastAgrees:
@@ -694,7 +694,7 @@ def test_selftest_catches_an_array_recheck_that_skips_the_last_syndrome(monkeypa
 
         dec._syndromes = LastAgrees()
         try:
-            return solve(dec, received, erasure_sets, synd)
+            return solve(dec, received, synd)
         finally:
             dec._syndromes = full
 
