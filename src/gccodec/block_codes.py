@@ -15,6 +15,7 @@ it on.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -39,6 +40,15 @@ _INT = frozenset({int})
 # (seed 5) the last 4 sets build 1.30 maps per word, an unbounded cache 1.28
 # and the last set alone 3.28.
 _ERASURE_MAPS = 4
+
+# Most entries that a SyndromeDecoder keeps in the tables of its non-empty
+# erasure sets together (the most recently built is kept at any size).
+# cc-hamming-erasures draws its rows' sets from the 28 of the Hamming
+# [7,4,3] code with 1 or 2 erasures, 9 entries each (t_X = 0 gives one
+# error, and T's table has 8), 252 in all; the [16,5,8] subcode of the
+# RM(1,4) chain holds up to 576 errors per set of one erasure, so ~110 of
+# those sets fit.
+_ERASED_ENTRIES = 1 << 16
 
 # Fewest words that ReedSolomonDecoder.decode_arrays solves together on arrays
 # rather than one by one (words with a zero syndrome need no solve, and words
@@ -230,16 +240,26 @@ class LinearCode:
 
 
 def ee_decode(code: LinearCode, word, erasures=()) -> DecodeOutcome:
-    """Run the code's error-and-erasure decoder on word (n field elements)
-    and enforce the distance bound: a decoder that returns a codeword
-    outside 2*wt_E + |E| < d is a ContractViolation.
-
-    A tuple or list of plain ints is checked in one pass, as
-    concat.check_matrix checks a word: its symbol types and one min and
-    max against [0, q).  Any other word goes through Field.vector, which
-    converts numpy integers and names the first bad symbol."""
+    """Run the code's error-and-erasure decoder on word (n field elements,
+    see check_word) and enforce the distance bound: a decoder that returns
+    a codeword outside 2*wt_E + |E| < d is a ContractViolation."""
     if code.decoder is None:
         raise NoDecoder(f"{code!r} has no attached decoder")
+    word = check_word(code, word)
+    erasures = check_erasures(erasures, code.n)
+    out = code.decoder(word, erasures)
+    if out.ok and 2 * out.weight + len(erasures) >= code.distance():
+        raise ContractViolation(f"decoder for {code!r} returned a codeword outside the distance bound")
+    return out
+
+
+def check_word(code: LinearCode, word) -> tuple:
+    """word as a tuple of n elements of the code's field.  A tuple or list
+    of plain ints is checked in one pass, as concat.check_matrix checks a
+    word: its symbol types and one min and max against [0, q).  Any other
+    word goes through Field.vector, which converts numpy integers and
+    names the first bad symbol (InvalidParams); a wrong length raises
+    LengthMismatch."""
     f = code.field
     if type(word) is not tuple:
         word = tuple(word) if isinstance(word, list) else f.vector(word)
@@ -247,11 +267,7 @@ def ee_decode(code: LinearCode, word, erasures=()) -> DecodeOutcome:
         word = f.vector(word)
     if len(word) != code.n:
         raise LengthMismatch(f"word length {len(word)} != n={code.n}")
-    erasures = check_erasures(erasures, code.n)
-    out = code.decoder(word, erasures)
-    if out.ok and 2 * out.weight + len(erasures) >= code.distance():
-        raise ContractViolation(f"decoder for {code!r} returned a codeword outside the distance bound")
-    return out
+    return word
 
 
 def min_distance(code: LinearCode) -> int:
@@ -670,12 +686,171 @@ def _lagrange_inverse(f, points, powers):
     return tuple(rows)
 
 
+# ---------------------------------------------------------------------------
+# Generic codes
+
+
+class SyndromeDecoder:
+    """Syndrome error-and-erasure decoding with coset leaders (MacWilliams
+    and Sloane, ch. 1), the erasures projected out as in Forney 1966.
+
+    H is a parity-check matrix, from one reduced elimination of the
+    generator (linalg.parity_check).  For an erasure set X with |X| < d,
+    one reduced elimination of [H | I] that takes its pivots on X first
+    gives the invertible T for which T H is the identity on X in its first
+    |X| rows and zero on X below them, since the columns of H on X are
+    independent (any d - 1 of them are).  For a word with syndrome s, the
+    entries of T s below |X| are the projected syndrome, which the error
+    off X alone makes, and the first |X| then give the erased values.  X's
+    table maps the projected syndrome of each error e off X of weight at
+    most t_X = (d - 1 - |X|) // 2, in weight order, to e with the part of
+    the erased values that e makes already taken off, so the error is that
+    entry plus the first |X| entries of T s at X.  Two errors with one
+    projected syndrome would differ, erased part and all, by a codeword of
+    weight below d: the declared distance is overstated, and the build
+    raises ContractViolation, as it does where H's columns on X are
+    dependent.
+
+    A decode is one syndrome product, T s (for X non-empty) and one
+    lookup; a miss is FAILURE, so the codeword returned is the unique one
+    with 2*wt_X + |X| < d, at a cost independent of q^k.  A set's table is
+    built on its first decode: the error-free set's is kept with the
+    decoder, the others least recently used first within _ERASED_ENTRIES
+    entries.  Where q^n is at most linalg.TABLE_CAP, the errors-only
+    decodes of every word are one more table, built from the error-free
+    one, and such a decode is one lookup.
+    """
+
+    def __init__(self, field, generator, d: int):
+        self.field = field
+        self.n = len(generator[0])
+        self.d = d
+        self.check = linalg.parity_check(field, generator)
+        self._syndromes = linalg.RowMap(field, [tuple(h[c] for h in self.check) for c in range(self.n)])
+        self._tables = {}  # non-empty erasure set -> its table, least recently used first
+        self._entries = 0  # entries of the tables in _tables
+
+    def __call__(self, word, erasures) -> DecodeOutcome:
+        if not erasures:
+            tables = self._clean
+            if tables.words is not None:
+                return tables.words[tuple(word)]
+        elif len(erasures) < self.d:
+            tables = self._table(frozenset(erasures))
+        else:
+            return FAILURE
+        return self._decode(word, tables)
+
+    def _decode(self, word, tables) -> DecodeOutcome:
+        f, locs = self.field, tables.locs
+        synd = self._syndromes.row(word)
+        if locs:
+            synd = tables.project.row(synd)
+        hit = tables.patterns.get(synd[len(locs) :] if locs else synd)
+        if hit is None:
+            return FAILURE
+        error, weight = hit
+        if locs:
+            error = list(error)
+            for x, value in zip(locs, synd):
+                error[x] = f.add(error[x], value)
+            error = tuple(error)
+        return DecodeOutcome(tuple(map(f.sub, word, error)), error, weight)
+
+    def _table(self, erasures):
+        """The table of a non-empty erasure set, built on first use and
+        kept least recently used first within _ERASED_ENTRIES entries."""
+        kept = self._tables
+        tables = kept.pop(erasures, None)
+        if tables is None:
+            tables = self._build(erasures)
+            self._entries += tables.entries
+            while kept and self._entries > _ERASED_ENTRIES:
+                self._entries -= kept.pop(next(iter(kept))).entries  # the least recently used
+        kept[erasures] = tables
+        return tables
+
+    @functools.cached_property
+    def _clean(self):
+        return self._build(frozenset())
+
+    def _build(self, erasures):
+        """The tables of an erasure set: locs, its sorted indices; project,
+        T as a RowMap (None for the empty set); patterns, from projected
+        syndromes to (error, weight off X); words, for the empty set where
+        q^n <= linalg.TABLE_CAP, from every word to its decode, else None;
+        and entries, the size of patterns and of T's table."""
+        f, n, check = self.field, self.n, self.check
+        locs = sorted(erasures)
+        off = [c for c in range(n) if c not in erasures]
+        project = None
+        if locs:
+            r = len(check)
+            aug = [list(h) + [int(i == j) for j in range(r)] for i, h in enumerate(check)]
+            rows, pivots = linalg.eliminate(f, aug, order=locs + off)
+            if pivots[: len(locs)] != locs:
+                raise ContractViolation(f"a codeword lies on the {len(locs)} erasures: d={self.d} is overstated")
+            check = [row[:n] for row in rows]
+            project = linalg.RowMap(f, [tuple(row[n + i] for row in rows) for i in range(r)])
+        columns = [[h[c] for h in check] for c in off]
+        radius = (self.d - 1 - len(locs)) // 2
+        patterns = {}
+        # the errors of one weight as (next index into off, (position,
+        # value) pairs, T H e)
+        layer = [(0, (), [0] * len(check))]
+        for w in range(radius + 1):
+            for _, pattern, synd in layer:
+                key = tuple(synd[len(locs) :])
+                if key in patterns:
+                    raise ContractViolation(f"two errors of weight <= {w} share a syndrome: d={self.d} is overstated")
+                error = [0] * n
+                for c, value in pattern:
+                    error[c] = value
+                for x, value in zip(locs, synd):
+                    error[x] = f.neg(value)
+                patterns[key] = tuple(error), w
+            if w < radius:
+                layer = [
+                    (i + 1, pattern + ((off[i], value),), _plus(f, synd, value, columns[i]))
+                    for start, pattern, synd in layer
+                    for i in range(start, len(off))
+                    for value in range(1, f.q)
+                ]
+        tables = SimpleNamespace(locs=locs, project=project, patterns=patterns, words=None)
+        if not locs and self._syndromes.table is not None:  # q^n <= linalg.TABLE_CAP
+            tables.words = {w: self._decode(w, tables) for w in self._syndromes.table}
+        tables.entries = len(patterns) + (len(project.table or ()) if project else 0)
+        return tables
+
+
+def _plus(f, v, c, w) -> list:
+    """v + c * w, a new list."""
+    out = list(v)
+    f.axpy(out, c, w)
+    return out
+
+
+def error_patterns(field, n: int, d: int) -> int:
+    """Errors of weight at most (d - 1) // 2 in n symbols over the field,
+    the entries of a SyndromeDecoder's error-free table."""
+    radius = (d - 1) // 2
+    return sum(math.comb(n, w) * (field.q - 1) ** w for w in range(radius + 1))
+
+
 def generic_code(field, generator, d=None) -> LinearCode:
-    """A generic linear code; small codes get an exhaustive EE decoder."""
+    """A generic linear code, its distance d computed by enumeration when
+    not given (where q^k <= ENUMERATION_CAP).  It decodes by syndrome
+    (SyndromeDecoder) when d is known and it has at most ENUMERATION_CAP
+    error patterns (error_patterns); otherwise, when q^k <=
+    ENUMERATION_CAP, by oracle.ExhaustiveDecoder's codeword scan; else it
+    has no decoder."""
     code = LinearCode(field, generator, d=d)
-    if d is None and code.num_codewords() <= ENUMERATION_CAP:
-        code.distance()
-    if code.num_codewords() <= ENUMERATION_CAP:
+    enumerable = code.num_codewords() <= ENUMERATION_CAP
+    if d is None and enumerable:
+        d = code.distance()
+    if d is not None and error_patterns(field, code.n, d) <= ENUMERATION_CAP:
+        code.attach(SyndromeDecoder(field, code.generator, d))
+    elif enumerable:
         from .oracle import ExhaustiveDecoder
 
         code.attach(ExhaustiveDecoder(code))

@@ -33,13 +33,15 @@ from .errors import InvalidParams
 ARRAY_MIN_PRODUCTS = 128
 
 # Most entries of a precomputed lookup table: the q^K images of a RowMap's
-# domain, and the q^n decodes of an ExhaustiveDecoder's errors-only table.
-# Measured the same way: a RowMap.row lookup takes 0.13-0.18 us against
-# 1.4-3.8 us through vec_mat on GF(8) maps from 1 x 2 to 3 x 7, and filling
-# 512 entries takes 1.4-2.1 ms (GF(8) 3 x 7, GF(2) 9 x 7), what ~1000
-# lookups save.  Every small map of the benchmark's constructions fits: at
-# most 64 inputs on (u | u+v) over GF(8), 256 on the Hamming [7,4] and
-# RS(4,2)/GF(4) codes.
+# domain, and the q^n errors-only decodes of a block_codes.SyndromeDecoder's
+# word table.  Measured the same way: a RowMap.row lookup takes 0.13-0.18
+# us against 1.4-3.8 us through vec_mat on GF(8) maps from 1 x 2 to 3 x 7,
+# and filling 512 entries takes 1.4-2.1 ms (GF(8) 3 x 7, GF(2) 9 x 7), what
+# ~1000 lookups save.  Every small map of the benchmark's constructions
+# fits: at most 64 inputs on (u | u+v) over GF(8), 256 on the Hamming [7,4]
+# and RS(4,2)/GF(4) codes; a Hamming [7,4,3] word table (128 words) takes
+# 0.7-1.5 ms to fill and turns a 3.6-5.3 us syndrome decode into a ~0.5 us
+# lookup.
 TABLE_CAP = 512
 
 _PACKED_BLOCK = 1 << 16  # most table words RowMap._packed_product gathers at once
@@ -231,15 +233,17 @@ def vec_mat(f, v, m):
     return tuple(out)
 
 
-def _eliminate(f, m, reduced):
+def eliminate(f, m, reduced=True, order=None):
     """(rows, pivot columns) of m brought to row echelon form, reduced
-    (zeros above each pivot too) when asked."""
+    (zeros above each pivot too) when asked.  Pivots are sought column by
+    column in `order` (every column in turn by default); columns it leaves
+    out are carried along and never pivot."""
     rows = [list(r) for r in m]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(ncols) if order is None else order:
         if r == nrows:
             break
         pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
@@ -259,7 +263,7 @@ def _eliminate(f, m, reduced):
 
 def rank(f, m):
     """Rank of m, by forward elimination."""
-    return len(_eliminate(f, m, reduced=False)[1])
+    return len(eliminate(f, m, reduced=False)[1])
 
 
 def right_inverse(f, m):
@@ -273,10 +277,27 @@ def right_inverse(f, m):
     """
     k, n = len(m), len(m[0])
     aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
-    rows, pivots = _eliminate(f, aug, reduced=True)
+    rows, pivots = eliminate(f, aug)
     if pivots[-1] >= n:
         raise InvalidParams("matrix does not have full row rank")
     out = [(0,) * k] * n
     for c, row in zip(pivots, rows):
         out[c] = tuple(row[n:])
+    return tuple(out)
+
+
+def parity_check(f, m):
+    """(N - K) x N matrix H with m . H^T = 0 whose rows are independent, m
+    a full-rank K x N matrix: one reduced elimination of m, and row j of H
+    holds 1 at the non-pivot column j and minus column j of the reduced m
+    at the pivots.  H has no rows where K = N."""
+    n = len(m[0])
+    rows, pivots = eliminate(f, m)
+    out = []
+    for j in sorted(set(range(n)) - set(pivots)):
+        h = [0] * n
+        h[j] = 1
+        for c, row in zip(pivots, rows):
+            h[c] = f.neg(row[j])
+        out.append(tuple(h))
     return tuple(out)

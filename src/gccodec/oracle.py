@@ -1,19 +1,20 @@
 """Brute-force reference decoders.
 
-These enumerate every codeword and serve two roles: ground truth in the
-test suite, and the working decoder for small generic codes (the nested
-subcodes of a layered construction are tiny at the scales this package
-targets).  oracle_sigma additionally checks the uniqueness of the
-bound-satisfying codeword during the scan (ContractViolation).
+These enumerate every codeword and are the ground truth of the test suite
+and the selftest: generic codes decode by syndrome
+(block_codes.SyndromeDecoder), RS codes by their algebraic decoder, and
+both are checked against oracle_sigma.  ExhaustiveDecoder, oracle_sigma's
+scan, is the decoder of a low-rate generic code only, one with too many
+error patterns inside its radius for a syndrome table but few enough
+codewords to enumerate.  oracle_sigma additionally checks the uniqueness
+of the bound-satisfying codeword during the scan (ContractViolation).
+Every oracle checks its word as ee_decode does (block_codes.check_word).
 """
 
 from __future__ import annotations
 
-import itertools
-
-from . import linalg
-from .block_codes import ENUMERATION_CAP, FAILURE, DecodeOutcome, LinearCode, check_erasures
-from .errors import ContractViolation, InvalidParams, LengthMismatch, TooLargeToEnumerate
+from .block_codes import ENUMERATION_CAP, FAILURE, DecodeOutcome, LinearCode, check_erasures, check_word
+from .errors import ContractViolation, InvalidParams, TooLargeToEnumerate
 
 
 def _enumerable(code: LinearCode):
@@ -22,12 +23,9 @@ def _enumerable(code: LinearCode):
 
 
 def _word(code: LinearCode, word) -> tuple:
-    """word as a tuple, once code is enumerable and word has length n."""
+    """word as a tuple of n field elements, once code is enumerable."""
     _enumerable(code)
-    word = tuple(word)
-    if len(word) != code.n:
-        raise LengthMismatch(f"word length {len(word)} != n={code.n}")
-    return word
+    return check_word(code, word)
 
 
 def _scan(code: LinearCode, word, keep):
@@ -89,27 +87,13 @@ def oracle_radius(code: LinearCode, word, radius: int) -> DecodeOutcome:
 
 
 class ExhaustiveDecoder:
-    """EE decoder backed by oracle_sigma, with a cached errors-only table.
-
-    For codes with at most linalg.TABLE_CAP possible received words the full
-    errors-only decode map is materialized once, which makes per-row decoding
-    in the layered decoders a dictionary lookup.
-    """
+    """EE decoder that scans every codeword (oracle_sigma): generic_code
+    attaches it to a code whose error patterns inside its radius exceed
+    block_codes.ENUMERATION_CAP while its codewords do not."""
 
     def __init__(self, code: LinearCode):
         _enumerable(code)
         self.code = code
-        self._table = None
-
-    def _build_table(self):
-        code = self.code
-        words = itertools.product(range(code.field.q), repeat=code.n)
-        self._table = {w: oracle_sigma(code, w) for w in words}
 
     def __call__(self, word, erasures) -> DecodeOutcome:
-        if not erasures:
-            if self._table is None and self.code.field.q**self.code.n <= linalg.TABLE_CAP:
-                self._build_table()
-            if self._table is not None:
-                return self._table[tuple(word)]
         return oracle_sigma(self.code, word, erasures)

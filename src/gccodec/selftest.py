@@ -12,7 +12,15 @@ import random
 import numpy as np
 
 from . import gmd, linalg
-from .block_codes import _ERASURE_MAPS, BATCH_MIN_ROWS, LinearCode, ReedSolomonDecoder, generic_code, rs_code
+from .block_codes import (
+    _ERASURE_MAPS,
+    BATCH_MIN_ROWS,
+    LinearCode,
+    ReedSolomonDecoder,
+    SyndromeDecoder,
+    generic_code,
+    rs_code,
+)
 from .channel import RawStream
 from .concat import (
     ConcatCode,
@@ -172,6 +180,31 @@ def _check_rs_against_oracle(rng):
             fast = code.decode(word, erasures)
             slow = oracle_sigma(code, word, erasures)
             _require(fast.codeword == slow.codeword, f"{code!r}: {word} with erasures {set(erasures)}")
+
+
+def _check_generic_against_oracle(rng):
+    # the syndrome decoder against the codeword scan: Hamming [7,4,3] over
+    # GF(2), whose erasure sets decode by word table, and [7,2,5] over GF(3)
+    # and the [6,3,4] hexacode over GF(4), which decode by syndrome table;
+    # words up to d - 1 symbols from a codeword, erasure sets of every size
+    # up to d
+    hamming = [[1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]]
+    cases = [
+        (make_field(2, 1), hamming),
+        (make_field(3, 1), [[1, 0, 2, 1, 0, 2, 2], [2, 1, 0, 1, 1, 1, 0]]),
+        (make_field(2, 2), [[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 2, 3], [0, 0, 1, 1, 3, 2]]),
+    ]
+    for f, generator in cases:
+        code = generic_code(f, generator)
+        n, d = code.n, code.distance()
+        _require(isinstance(code.decoder, SyndromeDecoder), f"{code!r} has no syndrome decoder")
+        for _ in range(100):
+            word = list(code.encode([rng.randrange(f.q) for _ in range(code.k)]))
+            for i in rng.sample(range(n), rng.randrange(d)):
+                word[i] = rng.randrange(f.q)
+            erasures = frozenset(rng.sample(range(n), rng.randrange(d + 1)))
+            got = code.decode(word, erasures)
+            _require(got == oracle_sigma(code, word, erasures), f"{code!r}: {word} with erasures {sorted(erasures)}")
 
 
 def _check_nested_erasure_consistency(rng):
@@ -511,6 +544,7 @@ CHECKS = [
     ("elimination", _check_elimination),
     ("row-maps", _check_row_maps),
     ("rs-vs-oracle", _check_rs_against_oracle),
+    ("generic-vs-oracle", _check_generic_against_oracle),
     ("nested-erasure-consistency", _check_nested_erasure_consistency),
     ("uuv-vs-generic", _check_uuv_matches_generic),
     ("nsc-prefixes-mds", _check_nsc_prefixes),

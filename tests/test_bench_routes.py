@@ -9,9 +9,10 @@ solve."""
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
-from gccodec import block_codes, concat, experiment
+from gccodec import block_codes, concat, experiment, oracle
 from gccodec.block_codes import ReedSolomonDecoder
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -102,3 +103,72 @@ def test_rs_rows_take_the_errors_only_array_solve(monkeypatch):
     assert len(calls) == WORDS
     for call in calls:
         assert call["rows"] and call["arrays"] == [call["rows"]] and call["scalar"] == 0
+
+
+def generic_traffic(name, monkeypatch):
+    """Counts of the generic decoders' work over WORDS seeded words of the
+    workload, decoded after word 0: codeword scans (oracle_sigma, directly
+    or through ExhaustiveDecoder), SyndromeDecoder calls with and without
+    erasures, the erased calls with |X| < d and those of them whose decode
+    is their set's kept table's, the errors-only decodes outside a table build (word-table
+    misses), and the erasure set of every table build, word 0's included."""
+    syndrome = block_codes.SyndromeDecoder
+    counts, builds, building = Counter(), [], []
+    call, decode, build = syndrome.__call__, syndrome._decode, syndrome._build
+
+    def spy_call(self, word, erasures):
+        counts["erased" if erasures else "clean"] += 1
+        if erasures and len(erasures) < self.d:
+            counts["bounded"] += 1
+            out = call(self, word, erasures)
+            counts["served"] += out == decode(self, word, self._tables[erasures])
+            return out
+        return call(self, word, erasures)
+
+    def spy_decode(self, word, tables):
+        counts["misses"] += not building and not tables.locs
+        return decode(self, word, tables)
+
+    def spy_build(self, erasures):
+        builds.append((id(self), erasures))
+        building.append(erasures)
+        try:
+            return build(self, erasures)
+        finally:
+            building.pop()
+
+    def spy_scan(*args):
+        counts["scans"] += 1
+        return sigma(*args)
+
+    sigma = oracle.oracle_sigma
+    monkeypatch.setattr(syndrome, "__call__", spy_call)
+    monkeypatch.setattr(syndrome, "_decode", spy_decode)
+    monkeypatch.setattr(syndrome, "_build", spy_build)
+    monkeypatch.setattr(oracle, "oracle_sigma", spy_scan)
+    monkeypatch.setattr(oracle.ExhaustiveDecoder, "__call__", spy_scan)
+    config = workloads.experiment_config(workloads.WORKLOADS[name], seed=1)
+    experiment.run_trial(config, 0)
+    counts.clear()
+    for t in range(1, WORDS + 1):
+        experiment.run_trial(config, t)
+    return counts, builds
+
+
+def test_hamming_erased_rows_read_their_sets_tables(monkeypatch):
+    # an erased row of the Hamming [7,4,3] inner code is a syndrome lookup
+    # in its erasure set's kept table, never a codeword scan; an errors-only
+    # row is a word-table lookup; and no set's table is built twice
+    counts, builds = generic_traffic("cc-hamming-erasures", monkeypatch)
+    assert counts["erased"] and counts["clean"]
+    assert counts["scans"] == counts["misses"] == 0
+    assert counts["served"] == counts["bounded"] > 0
+    assert len(builds) == len(set(builds))
+
+
+def test_mpc_subcodes_decode_by_word_table(monkeypatch):
+    # the (u | u+v) subcodes [2,1,2] and [2,2,1] over GF(8) have 64 words each
+    counts, builds = generic_traffic("mpc-uuv-gf8", monkeypatch)
+    assert counts["clean"] and not counts["erased"]
+    assert counts["scans"] == counts["misses"] == 0
+    assert len(builds) == len(set(builds))

@@ -397,7 +397,7 @@ class TestCountingRules:
             code = g.rs_code(gf8, 7, 3)
         else:
             code = g.generic_code(gf2, GEN_HAMMING_7_4_3)
-            assert type(code.decoder).__name__ == "ExhaustiveDecoder"
+            assert type(code.decoder).__name__ == "SyndromeDecoder"
         f, n, d = code.field, code.n, code.distance()
         rng = random.Random(rows + n)
         erased_errors = 0

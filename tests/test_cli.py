@@ -661,6 +661,27 @@ def test_selftest_catches_a_flipped_packed_table_entry(monkeypatch, capsys):
     assert "VIOLATION packed-products" in capsys.readouterr().out
 
 
+def test_selftest_catches_a_corrupted_syndrome_table_entry(monkeypatch, capsys):
+    # the first weight-one error of each table moves to the next position
+    from gccodec.block_codes import SyndromeDecoder
+
+    build = SyndromeDecoder._build
+
+    def corrupted(dec, erasures):
+        tables = build(dec, erasures)
+        key = next((key for key, (_, weight) in tables.patterns.items() if weight == 1), None)
+        if key is not None:
+            error, weight = tables.patterns[key]
+            tables.patterns[key] = error[-1:] + error[:-1], weight
+            if tables.words is not None:
+                tables.words = {word: dec._decode(word, tables) for word in tables.words}
+        return tables
+
+    monkeypatch.setattr(SyndromeDecoder, "_build", corrupted)
+    assert main(["selftest"]) == 3
+    assert "VIOLATION generic-vs-oracle" in capsys.readouterr().out
+
+
 def test_selftest_catches_an_erasure_only_solve_past_its_recheck(monkeypatch, capsys):
     # a word the re-check refuses comes back as if it were the codeword
     from gccodec.block_codes import DecodeOutcome, ReedSolomonDecoder

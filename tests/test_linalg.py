@@ -67,6 +67,29 @@ def test_elimination_pins_down_rank_and_right_inverse(case):
         assert code.message_of(code.encode(msg)) == msg
 
 
+@given(matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_parity_check_spans_the_dual_and_elimination_follows_its_order(case, rnd):
+    f, m = case
+    n = len(m[0])
+    if linalg.rank(f, m) == len(m):
+        h = linalg.parity_check(f, m)
+        assert len(h) == n - len(m) and (not h or linalg.rank(f, h) == len(h))
+        assert all(f.dot(row, check) == 0 for row in m for check in h)
+    # pivots are sought in the given order: each is the first column of the
+    # order that the columns before it in the order do not span, and the
+    # reduced rows are the identity on the pivots
+    order = rnd.sample(range(n), n)
+    rows, pivots = linalg.eliminate(f, m, order=order)
+    before = [linalg.rank(f, [[row[j] for j in order[:i]] for row in m]) for i in range(n + 1)]
+    assert pivots == [c for i, c in enumerate(order) if before[i + 1] > before[i]]
+    assert [[row[c] for c in pivots] for row in rows[: len(pivots)]] == [
+        [int(i == j) for j in range(len(pivots))] for i in range(len(pivots))
+    ]
+    assert not any(map(any, rows[len(pivots) :]))
+    assert linalg.rank(f, rows + m) == len(pivots)
+
+
 ROW_MAP_FIELDS = {**FIELDS, "GF(4)": lambda: g.make_field(2, 2)}
 
 

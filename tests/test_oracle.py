@@ -4,6 +4,7 @@ import random
 import pytest
 
 import gccodec as g
+from conftest import GEN_HAMMING_7_4_3
 
 
 class TestOracleSigma:
@@ -109,3 +110,25 @@ class TestExhaustiveDecoder:
             word = tuple(rng.randrange(2) for _ in range(5))
             erasures = frozenset(rng.sample(range(5), rng.randrange(0, 4)))
             assert dec(word, erasures).codeword == g.oracle_sigma(inner_523, word, erasures).codeword
+
+
+@pytest.mark.parametrize(
+    "oracle,symbol",
+    [
+        (g.oracle_sigma, 2),
+        (g.oracle_sigma, 1.0),
+        (lambda code, word: g.oracle_sigma(code, word, {1}), 2),
+        (lambda code, word: g.oracle_radius(code, word, 1), 2),
+        (lambda code, word: g.oracle_radius(code, word, 1), 1.0),
+        (g.oracle_nearest, 9),
+        (g.oracle_nearest, True),
+    ],
+    ids=["sigma-2", "sigma-float", "sigma-erased-2", "radius-2", "radius-float", "nearest-9", "nearest-True"],
+)
+def test_a_symbol_outside_the_field_is_rejected(gf2, oracle, symbol):
+    # the scans used to compare it as it was: 2 read as a mismatch and gave
+    # the zero codeword, 1.0 came back in the error, 9 had a "nearest"
+    # codeword; they now check the word as ee_decode does
+    code = g.generic_code(gf2, GEN_HAMMING_7_4_3)
+    with pytest.raises(g.InvalidParams, match=f"{symbol!r} is not an element"):
+        oracle(code, (symbol, 0, 0, 0, 0, 0, 0))
