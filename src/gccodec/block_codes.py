@@ -168,18 +168,12 @@ class LinearCode:
     # -- encoding -------------------------------------------------------------
 
     def encode(self, msg) -> tuple:
-        msg = self.field.vector(msg)
-        if len(msg) != self.k:
-            raise LengthMismatch(f"message length {len(msg)} != k={self.k}")
-        return self._encoder.row(msg)
+        return self._encoder.row(check_symbols(self.field, msg, self.k, "message"))
 
     def encode_all(self, msgs) -> list:
-        """The codewords of msgs, as one product with the generator."""
-        msgs = [self.field.vector(msg) for msg in msgs]
-        for msg in msgs:
-            if len(msg) != self.k:
-                raise LengthMismatch(f"message length {len(msg)} != k={self.k}")
-        return self._encoder(msgs)
+        """The codewords of msgs, as one product with the generator; each
+        message is checked as check_symbols checks it."""
+        return self._encoder([check_symbols(self.field, msg, self.k, "message") for msg in msgs])
 
     def message_of(self, codeword) -> tuple:
         word = self.field.vector(codeword)
@@ -241,11 +235,11 @@ class LinearCode:
 
 def ee_decode(code: LinearCode, word, erasures=()) -> DecodeOutcome:
     """Run the code's error-and-erasure decoder on word (n field elements,
-    see check_word) and enforce the distance bound: a decoder that returns
-    a codeword outside 2*wt_E + |E| < d is a ContractViolation."""
+    see check_symbols) and enforce the distance bound: a decoder that
+    returns a codeword outside 2*wt_E + |E| < d is a ContractViolation."""
     if code.decoder is None:
         raise NoDecoder(f"{code!r} has no attached decoder")
-    word = check_word(code, word)
+    word = check_symbols(code.field, word, code.n)
     erasures = check_erasures(erasures, code.n)
     out = code.decoder(word, erasures)
     if out.ok and 2 * out.weight + len(erasures) >= code.distance():
@@ -253,21 +247,20 @@ def ee_decode(code: LinearCode, word, erasures=()) -> DecodeOutcome:
     return out
 
 
-def check_word(code: LinearCode, word) -> tuple:
-    """word as a tuple of n elements of the code's field.  A tuple or list
-    of plain ints is checked in one pass, as concat.check_matrix checks a
-    word: its symbol types and one min and max against [0, q).  Any other
-    word goes through Field.vector, which converts numpy integers and
-    names the first bad symbol (InvalidParams); a wrong length raises
-    LengthMismatch."""
-    f = code.field
-    if type(word) is not tuple:
-        word = tuple(word) if isinstance(word, list) else f.vector(word)
-    if not (word and _INT.issuperset(map(type, word)) and min(word) >= 0 and max(word) < f.q):
-        word = f.vector(word)
-    if len(word) != code.n:
-        raise LengthMismatch(f"word length {len(word)} != n={code.n}")
-    return word
+def check_symbols(f, values, length: int, what: str = "word") -> tuple:
+    """values as a tuple of `length` elements of f.  A tuple or list of
+    plain ints is checked in one pass, as concat.check_matrix checks a
+    word: its symbol types and one min and max against [0, q).  Anything
+    else goes through Field.vector, which converts numpy integers and names
+    the first bad symbol (InvalidParams); a wrong length raises
+    LengthMismatch, naming what the values are."""
+    if type(values) is not tuple:
+        values = tuple(values) if isinstance(values, list) else f.vector(values)
+    if not (values and _INT.issuperset(map(type, values)) and min(values) >= 0 and max(values) < f.q):
+        values = f.vector(values)
+    if len(values) != length:
+        raise LengthMismatch(f"{what} length {len(values)} != {length}")
+    return values
 
 
 def min_distance(code: LinearCode) -> int:

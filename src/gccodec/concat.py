@@ -107,7 +107,13 @@ def cc_encode(cc: ConcatCode, msgs) -> tuple:
 def encode_columns(generator: linalg.RowMap, words) -> tuple:
     """M x N matrix from outer words of a common length M: row j is symbol j
     of every word through the generator map; with a GCC level's generator
-    rows alone, the level's contribution to the codeword."""
+    rows alone, the level's contribution to the codeword.
+
+    When the generator runs its array kernel on M rows, the words go in
+    as one array, read by columns (fold_message_columns in reverse), and
+    their row tuples are never built."""
+    if words and generator.takes_arrays(len(words[0])):
+        return tuple(map(tuple, generator.product(np.array(words, dtype=np.int64).T).tolist()))
     return tuple(generator(list(zip(*words))))
 
 

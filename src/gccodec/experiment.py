@@ -14,6 +14,7 @@ on the record it returns.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field as dfield
 from typing import Callable, NamedTuple
 
@@ -159,18 +160,18 @@ def construction(spec) -> Construction:
 
 def run_trial(config: ExperimentConfig, trial: int) -> dict:
     c = construction(config.spec)
-    stream = trial_stream(config.channel, trial)
+    stream = trial_stream(config.channel, trial)  # which checks the trial index
     # a lower bound on what the trial reads: one output per two message
     # symbols, one per channel symbol
     stream.reserve((sum(a.k for a in c.outers) + 1) // 2 + c.m * c.n)
-    msgs = [tuple(stream.integers(0, a.field.q) for _ in range(a.k)) for a in c.outers]
+    msgs = [tuple(stream.integers_many(0, a.field.q, a.k)) for a in c.outers]
     word = c.encode(msgs)
     received, pattern, errors = apply_channel(word, c.field, config.channel, rng=stream)
-    weight = sum(1 for row in errors for x in row if x != 0)
-    erased = sum(len(x) for x in pattern)
+    weight = sum(len(row) - row.count(0) for row in errors)
+    erased = sum(map(len, pattern))
     inside = c.region(errors, pattern)
     record = {
-        "trial": trial,
+        "trial": operator.index(trial),
         "weight": weight,
         "erased": erased,
         "in_region": inside,

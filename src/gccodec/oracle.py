@@ -8,12 +8,12 @@ scan, is the decoder of a low-rate generic code only, one with too many
 error patterns inside its radius for a syndrome table but few enough
 codewords to enumerate.  oracle_sigma additionally checks the uniqueness
 of the bound-satisfying codeword during the scan (ContractViolation).
-Every oracle checks its word as ee_decode does (block_codes.check_word).
+Every oracle checks its word as ee_decode does (block_codes.check_symbols).
 """
 
 from __future__ import annotations
 
-from .block_codes import ENUMERATION_CAP, FAILURE, DecodeOutcome, LinearCode, check_erasures, check_word
+from .block_codes import ENUMERATION_CAP, FAILURE, DecodeOutcome, LinearCode, check_erasures, check_symbols
 from .errors import ContractViolation, InvalidParams, TooLargeToEnumerate
 
 
@@ -25,7 +25,7 @@ def _enumerable(code: LinearCode):
 def _word(code: LinearCode, word) -> tuple:
     """word as a tuple of n field elements, once code is enumerable."""
     _enumerable(code)
-    return check_word(code, word)
+    return check_symbols(code.field, word, code.n)
 
 
 def _scan(code: LinearCode, word, keep):

@@ -21,7 +21,7 @@ from .block_codes import (
     generic_code,
     rs_code,
 )
-from .channel import RawStream
+from .channel import ChannelModel, RawStream, apply_channel, trial_rng
 from .concat import (
     ConcatCode,
     DecodeOptions,
@@ -276,7 +276,8 @@ def _check_channel_stream(rng):
     # the channel's block reader against numpy's scalar Generator.random()
     # and Generator.integers() calls, over every integers() branch: 32-bit
     # Lemire, a plain 32-bit half and 64-bit Lemire; 3 * 2^30 and 3 * 2^61
-    # reject about a quarter of their draws
+    # reject about a quarter of their draws.  Then its batches: message
+    # draws and one long channel word
     highs = (2, 3, 8, 9, 256, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**61, 2**62)
     for seed in (0, 1, 2**32 + 5):
         numpy_rng = np.random.Generator(np.random.PCG64(seed))
@@ -292,6 +293,42 @@ def _check_channel_stream(rng):
         stream.release()
         end = stream.bit_generator.state == numpy_rng.bit_generator.state
         _require(end, f"seed {seed}: the bit generator's end state differs from numpy's")
+    # integers_many against the same scalar calls: batches of either parity,
+    # after a buffered half and without one
+    for seed, hi in enumerate(highs):
+        numpy_rng = np.random.Generator(np.random.PCG64(seed))
+        stream = RawStream.borrow(np.random.Generator(np.random.PCG64(seed)))
+        for count in (3, 40, 1, 161):
+            got = stream.integers_many(1, hi, count)
+            want = [int(numpy_rng.integers(1, hi)) for _ in range(count)]
+            _require(got == want, f"seed {seed}: integers_many(1, {hi}, {count}) differs from numpy's draws")
+        stream.release()
+        end = stream.bit_generator.state == numpy_rng.bit_generator.state
+        _require(end, f"seed {seed}: after integers_many the end state differs from numpy's")
+    # a 64 x 15 word over GF(16) through apply_channel, against the channel
+    # read by scalar calls: error values shift it past the reserved block
+    f, channel = make_field(2, 4), ChannelModel(error_rate=0.3, erasure_rate=0.1, seed=7)
+    word = tuple(tuple((7 * i + j) % f.q for j in range(15)) for i in range(64))
+    stream, numpy_rng = RawStream.borrow(trial_rng(channel)), trial_rng(channel)
+    stream.reserve(64 * 15)
+    erase, flip = channel.erasure_rate, channel.erasure_rate + channel.error_rate
+    received, pattern, errors = [], [], []
+    for row in word:
+        out, erased, errs = [], set(), []
+        for j, sym in enumerate(row):
+            u = numpy_rng.random()
+            errs.append(int(numpy_rng.integers(1, f.q)) if erase <= u < flip else 0)
+            out.append(0 if u < erase else f.add(sym, errs[-1]))
+            if u < erase:
+                erased.add(j)
+        received.append(tuple(out))
+        pattern.append(frozenset(erased))
+        errors.append(tuple(errs))
+    got = apply_channel(word, f, channel, rng=stream)
+    expect = (tuple(received), tuple(pattern), tuple(errors))
+    _require(got == expect, "a 64 x 15 word through apply_channel differs from numpy's draws")
+    end = stream.bit_generator.state == numpy_rng.bit_generator.state
+    _require(end, "after apply_channel the end state differs from numpy's")
 
 
 def _check_packed_products(rng):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,43 @@ class TestEncode:
             code.message_of(word)
         with pytest.raises(g.InvalidParams):
             code.contains(word)
+
+
+class TestMessageChecks:
+    """encode and encode_all check each message in one pass and fall back
+    to Field.vector, which names a bad symbol."""
+
+    @pytest.mark.parametrize("bad", [8, -1, True, 1.5, "1", None], ids=repr)
+    def test_a_bad_symbol_is_named(self, gf8, bad):
+        code = g.rs_code(gf8, 7, 3)
+        for encode in (code.encode, lambda msg: code.encode_all([(1, 2, 3), msg])):
+            for msg in ((1, bad, 3), [bad, 2, 3]):
+                with pytest.raises(g.InvalidParams, match=re.escape(repr(bad))):
+                    encode(msg)
+
+    def test_other_integer_sequences_read_as_their_tuples(self, gf8):
+        code = g.rs_code(gf8, 7, 3)
+        plain = code.encode((1, 2, 3))
+        for msg in ([1, 2, 3], np.array([1, 2, 3]), (np.int64(1), 2, 3), range(1, 4)):
+            assert code.encode(msg) == plain
+            assert code.encode_all([msg, (1, 2, 3)]) == [plain, plain]
+
+    @pytest.mark.parametrize("msg", [(1, 2), (), (1, 2, 3, 4), 5], ids=repr)
+    def test_wrong_lengths_and_non_sequences(self, gf8, msg):
+        code = g.rs_code(gf8, 7, 3)
+        error = g.InvalidParams if msg == 5 else g.LengthMismatch
+        for encode in (code.encode, lambda m: code.encode_all([(1, 2, 3), m])):
+            with pytest.raises(error):
+                encode(msg)
+
+    def test_plain_messages_take_no_symbol_calls(self, monkeypatch):
+        f = g.extend_field(g.make_field(2, 4), 2)
+        code = g.rs_code(f, 64, 40)
+        msgs = [tuple(range(i, i + 40)) for i in range(4)]
+        expect = code.encode_all(msgs)
+        monkeypatch.setattr(f, "validate", lambda a: pytest.fail(f"validate({a!r})"))
+        assert code.encode_all(msgs) == expect
+        assert code.encode(msgs[0]) == expect[0]
 
 
 class TestWtPunctured:

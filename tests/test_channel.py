@@ -185,6 +185,35 @@ class TestRawStream:
         stream.release()
         assert [(w["has_uint32"], w["uinteger"]) for w in spy.writes] == [(0, stream._half)]
 
+    @pytest.mark.parametrize("half", [False, True], ids=["no-half", "half"])
+    @pytest.mark.parametrize("hi", HIGHS)
+    def test_batch_draws_match_numpy(self, hi, half):
+        # integers_many against numpy's scalar calls: counts of either
+        # parity, an empty batch, and random() between batches; 3 * 2^30
+        # rejects inside nearly every batch, so the rejection loop runs too
+        mine, theirs = _generators(hi % 1000 + 29, half)
+        stream = RawStream.borrow(mine)
+        for step, count in enumerate((0, 1, 2, 3, 40, 41, 7, 160, 1)):
+            lo = (0, 1, hi // 3)[step % 3]
+            assert stream.integers_many(lo, hi, count) == [int(theirs.integers(lo, hi)) for _ in range(count)]
+            assert stream.random() == theirs.random()
+        stream.release()
+        assert mine.bit_generator.state == theirs.bit_generator.state
+        assert mine.integers(0, 7, size=5).tolist() == theirs.integers(0, 7, size=5).tolist()
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 40])
+    def test_a_batch_reads_only_its_own_outputs(self, count):
+        # from a fresh stream and after a reserve that covers more
+        channel = g.ChannelModel(0.1, seed=6)
+        for extra in (0, 9):
+            stream, rng = trial_stream(channel), g.trial_rng(channel)
+            stream.reserve((count + 1) // 2 + extra)
+            assert stream.integers_many(0, 256, count) == rng.integers(0, 256, size=count).tolist()
+            state = rng.bit_generator.state
+            assert (stream._has, stream._half) == (state["has_uint32"], state["uinteger"])
+            assert stream._block[::-1] == rng.bit_generator.random_raw(extra).tolist()
+            assert stream.bit_generator.state["state"] == rng.bit_generator.state["state"]
+
 
 class TestChannelStream:
     """apply_channel against the per-draw reference loop, bit for bit."""
@@ -227,6 +256,25 @@ class TestChannelStream:
             assert g.apply_channel(word, f, channel, rng=stream) == expect
             assert stream._block == []  # nothing was read ahead
 
+    @pytest.mark.parametrize("half", [False, True], ids=["no-half", "half"])
+    @pytest.mark.parametrize("rates", [(0.3, 0.1), (1.0, 0.0), (0.5, 0.5)], ids=str)
+    def test_long_words_match_reference_loop(self, fields, rates, half):
+        # 64 x 15 words on a stream whose caller reserved one output per
+        # symbol: error values shift the symbols past the reserved block,
+        # so the channel scans again and fetches the rest
+        gf16 = next(f for f in fields if f.q == 16)
+        for f in (gf16, *(f for f in fields if f.q > 1 << 32)):
+            seed = f.q % 991 + 2 * int(half)
+            channel = g.ChannelModel(error_rate=rates[0], erasure_rate=rates[1], seed=seed)
+            word = tuple(tuple((5 * i + 11 * j) % f.q for j in range(15)) for i in range(64))
+            mine, theirs = _generators(seed, half)
+            stream = RawStream.borrow(mine)
+            stream.reserve(64 * 15)
+            assert g.apply_channel(word, f, channel, rng=stream) == reference_channel(word, f, channel, theirs)
+            assert stream._block == []
+            assert mine.bit_generator.state == theirs.bit_generator.state, f.q
+            assert mine.integers(0, 3, size=4).tolist() == theirs.integers(0, 3, size=4).tolist()
+
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 1 / 3, 0.5, 0.9999, 1.0, 2.0**-60])
     def test_thresholds_match_random(self, rate):
         # raw outputs around the threshold classify as random() < rate does
@@ -235,6 +283,59 @@ class TestChannelStream:
         bound = _below(rate)
         for raw in range(max(0, bound - 4100), min(2**64, bound + 4100), 7):
             assert (raw < bound) == ((raw >> 11) * 2.0**-53 < rate)
+
+    @pytest.mark.parametrize("rates", [(0.3, 0.1), (1.0, 0.0), (0.0, 1.0)], ids=str)
+    def test_ragged_rows_match_reference_loop(self, fields, rates):
+        channel = g.ChannelModel(error_rate=rates[0], erasure_rate=rates[1], seed=13)
+        for f in fields:
+            word = tuple(tuple((3 * i + j) % f.q for j in range(n)) for i, n in enumerate((4, 0, 9, 1, 6)))
+            got = g.apply_channel(word, f, channel, rng=g.trial_rng(channel))
+            assert got == reference_channel(word, f, channel, g.trial_rng(channel)), f.q
+
+
+class TestChannelArguments:
+    """Malformed trial indices, words and generators end in CodecErrors."""
+
+    @pytest.mark.parametrize("entry", ["trial_stream", "trial_rng", "run_trial", "apply_channel"])
+    @pytest.mark.parametrize("trial", [-1, 1.5, True, "2", None], ids=repr)
+    def test_malformed_trial_indices_are_config_errors(self, cc_small, gf2, trial, entry):
+        channel = g.ChannelModel(0.1, seed=3)
+        config = g.ExperimentConfig(spec=cc_small, channel=channel, trials=1)
+        calls = {
+            "trial_stream": lambda: trial_stream(channel, trial),
+            "trial_rng": lambda: g.trial_rng(channel, trial),
+            "run_trial": lambda: g.experiment.run_trial(config, trial),
+            "apply_channel": lambda: g.apply_channel((1, 0, 1), gf2, channel, trial=trial),
+        }
+        with pytest.raises(g.ConfigError, match="trial index"):
+            calls[entry]()
+
+    def test_integer_trial_types_are_accepted(self, cc_small):
+        config = g.ExperimentConfig(spec=cc_small, channel=g.ChannelModel(0.1, seed=3), trials=1)
+        record = g.experiment.run_trial(config, np.int64(2))
+        assert type(record["trial"]) is int
+        assert record == g.experiment.run_trial(config, 2)
+
+    def test_integer_numpy_words_read_as_their_tuples(self, gf8):
+        channel = g.ChannelModel(error_rate=0.5, erasure_rate=0.2, seed=9)
+        matrix = ((1, 2), (3, 4), (5, 6))
+        for dtype in (np.int64, np.uint8):
+            assert g.apply_channel(np.array(matrix, dtype=dtype), gf8, channel) == g.apply_channel(matrix, gf8, channel)
+            got = g.apply_channel(np.array(matrix[0], dtype=dtype), gf8, channel)
+            assert got == g.apply_channel(matrix[0], gf8, channel)
+        flat = g.apply_channel((np.int64(1), 2, 3), gf8, channel)
+        assert flat == g.apply_channel((1, 2, 3), gf8, channel)
+        assert isinstance(flat[1], frozenset)
+
+    @pytest.mark.parametrize("word", [np.array([[0.5, 1.0]]), np.array([True, False]), np.array(["1"])], ids=repr)
+    def test_non_integer_arrays_are_refused(self, gf8, word):
+        with pytest.raises(g.InvalidParams):
+            g.apply_channel(word, gf8, g.ChannelModel(0.1, seed=1))
+
+    @pytest.mark.parametrize("rng", [5, "7", np.random.PCG64(1), np.random.default_rng(1).bit_generator.state], ids=repr)
+    def test_other_generators_are_refused(self, gf8, rng):
+        with pytest.raises(g.InvalidParams, match="rng"):
+            g.apply_channel(((1, 2),), gf8, g.ChannelModel(0.1, seed=1), rng=rng)
 
 
 # sha256 over the JSON lines of run_trial's records, recorded with numpy's

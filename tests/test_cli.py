@@ -645,6 +645,27 @@ def test_selftest_catches_a_drifted_channel_stream(monkeypatch, capsys):
     assert "VIOLATION channel-stream" in capsys.readouterr().out
 
 
+def test_selftest_catches_a_batch_draw_that_reads_halves_high_first(monkeypatch, capsys):
+    # a batch of 32-bit Lemire draws that takes each output's high half
+    # first no longer matches numpy's scalar calls
+    from gccodec.channel import RawStream
+
+    def high_first(stream, lo, hi, count):
+        draws = []
+        for _ in range(count):
+            if stream._has:
+                stream._has, half = 0, stream._half
+            else:
+                raw = stream._next()
+                stream._has, stream._half, half = 1, raw & 0xFFFFFFFF, raw >> 32
+            draws.append(lo + (half * (hi - lo) >> 32))
+        return draws
+
+    monkeypatch.setattr(RawStream, "integers_many", high_first)
+    assert main(["selftest"]) == 3
+    assert "VIOLATION channel-stream" in capsys.readouterr().out
+
+
 def test_selftest_catches_a_flipped_packed_table_entry(monkeypatch, capsys):
     # one bit of the image of the value 1 in the first slice's table
     from gccodec import linalg

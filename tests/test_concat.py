@@ -539,6 +539,20 @@ def packed_fold(inverse, rd):
     return columns
 
 
+def test_encode_columns_hands_the_array_kernel_one_array(monkeypatch):
+    # RS(64,40)/GF(256) over RS(15,8)/GF(16): the (64, 4) input is built from
+    # the outer words, not from 64 row tuples
+    gf16 = g.make_field(2, 4)
+    cc = g.ConcatCode(g.rs_code(g.extend_field(gf16, 2), 64, 40), g.rs_code(gf16, 15, 8))
+    assert cc.encoder.takes_arrays(cc.m)
+    rng = random.Random(31)
+    words = cc.outer.encode_all([[rng.randrange(256) for _ in range(40)] for _ in range(cc.k)])
+    expect = expanded_encode(cc.encoder, words)
+    monkeypatch.setattr(linalg.RowMap, "__call__", lambda rowmap, rows: pytest.fail("row tuples built"))
+    assert encode_columns(cc.encoder, words) == expect
+    assert encode_columns(cc.encoder, tuple(map(list, words))) == expect
+
+
 @pytest.mark.parametrize("kernel", ["as-built", "row-loop", "array"])
 def test_symbol_maps_match_the_tower_expansion(
     monkeypatch, array_calls, mpc_uuv8, mixed_spec, cc_small, gf4, kernel
