@@ -6,10 +6,25 @@ r and an erasure set E, a decoder must return the codeword c with
 failure otherwise.  A decoder is a callable (word, erasures) ->
 DecodeOutcome; it may also have a decode_arrays(words, erasure_sets)
 method that decodes a batch on arrays, or returns None where it declines.
-ee_decode re-checks every decoded codeword against the bound, and
-concat.decode_rows every row that decode_arrays decoded, so a decoder
-that returns one outside it raises ContractViolation instead of passing
-it on.
+
+bounded_decode is the one bounded step: the attached decoder, then the
+distance bound, so a decoder that returns a codeword outside it raises
+ContractViolation instead of passing it on.  It reads its word and
+erasure set as given; ee_decode, the public entry point, checks both
+(check_symbols, check_erasures) and then takes it, and the callers inside
+the library that hold checked or self-built values take it directly:
+concat.decode_rows row by row, and each trial of gmd.gmd_decode.
+concat.decode_rows holds every row that decode_arrays decoded to the same
+bound.
+
+attach_decoder is the one rule that picks a code's decoder: a
+SyndromeDecoder where the code's error patterns (error_patterns) fit the
+table budget, else the code's structured decoder, else the codeword scan.
+An RS code (rs_code) decodes by table up to linalg.TABLE_CAP patterns,
+such as RS(4,2)/GF(4) (13) and RS(7,5)/GF(8) (50), and by
+ReedSolomonDecoder above it, such as RS(7,1)/GF(8) (13,084) and
+RS(15,8)/GF(16); a generic code has no structured decoder, so it decodes
+by table up to ENUMERATION_CAP patterns.
 """
 
 from __future__ import annotations
@@ -237,10 +252,17 @@ def ee_decode(code: LinearCode, word, erasures=()) -> DecodeOutcome:
     """Run the code's error-and-erasure decoder on word (n field elements,
     see check_symbols) and enforce the distance bound: a decoder that
     returns a codeword outside 2*wt_E + |E| < d is a ContractViolation."""
+    return bounded_decode(code, check_symbols(code.field, word, code.n), check_erasures(erasures, code.n))
+
+
+def bounded_decode(code: LinearCode, word: tuple, erasures: frozenset) -> DecodeOutcome:
+    """ee_decode on a word and an erasure set that are not read again:
+    word a tuple of n elements of the code's field and erasures a
+    frozenset of indices in [0, n), as check_symbols and check_erasures
+    return them.  The decoder's codeword is still held to 2*wt_E + |E| < d
+    (ContractViolation)."""
     if code.decoder is None:
         raise NoDecoder(f"{code!r} has no attached decoder")
-    word = check_symbols(code.field, word, code.n)
-    erasures = check_erasures(erasures, code.n)
     out = code.decoder(word, erasures)
     if out.ok and 2 * out.weight + len(erasures) >= code.distance():
         raise ContractViolation(f"decoder for {code!r} returned a codeword outside the distance bound")
@@ -632,7 +654,9 @@ def _berlekamp_massey(f, seq):
 
 
 def rs_code(field, n: int, k: int) -> LinearCode:
-    """An [n, k, n-k+1] Reed-Solomon code with an algebraic EE decoder.
+    """An [n, k, n-k+1] Reed-Solomon code, decoded by syndrome table where
+    its error patterns fit linalg.TABLE_CAP, else by ReedSolomonDecoder
+    (attach_decoder).
 
     Evaluation points are the first n field elements in integer encoding
     order, so serialized specs are portable.
@@ -640,12 +664,19 @@ def rs_code(field, n: int, k: int) -> LinearCode:
     if not 1 <= k <= n or n > field.q:
         raise InvalidParams(f"need 1 <= k <= n <= q, got n={n}, k={k}, q={field.q}")
     points = tuple(range(n))
-    gen = [(1,) * n]  # row i holds x^i at every point
-    for _ in range(k - 1):
-        gen.append(tuple(field.mul(a, x) for a, x in zip(gen[-1], points)))
+    gen = rs_generator(field, n, k)
     inverse = _lagrange_inverse(field, points[:k], list(zip(*gen))) + ((0,) * k,) * (n - k)
     code = LinearCode(field, gen, d=n - k + 1, _inverse=inverse)
-    return code.attach(ReedSolomonDecoder(field, points, k))
+    return attach_decoder(code, lambda: ReedSolomonDecoder(field, points, k))
+
+
+def rs_generator(field, n: int, k: int) -> tuple:
+    """The generator matrix of rs_code(field, n, k): row i holds x^i at
+    the points x = 0, 1, ..., n - 1 (0^0 = 1)."""
+    gen = [(1,) * n]
+    for _ in range(k - 1):
+        gen.append(tuple(field.mul(a, x) for a, x in zip(gen[-1], range(n))))
+    return tuple(gen)
 
 
 def _lagrange_inverse(f, points, powers):
@@ -832,18 +863,46 @@ def error_patterns(field, n: int, d: int) -> int:
 
 def generic_code(field, generator, d=None) -> LinearCode:
     """A generic linear code, its distance d computed by enumeration when
-    not given (where q^k <= ENUMERATION_CAP).  It decodes by syndrome
-    (SyndromeDecoder) when d is known and it has at most ENUMERATION_CAP
-    error patterns (error_patterns); otherwise, when q^k <=
-    ENUMERATION_CAP, by oracle.ExhaustiveDecoder's codeword scan; else it
-    has no decoder."""
+    not given (where q^k <= ENUMERATION_CAP), with attach_decoder's
+    decoder: by syndrome where d is known and it has at most
+    ENUMERATION_CAP error patterns, else by codeword scan where q^k <=
+    ENUMERATION_CAP, else none."""
     code = LinearCode(field, generator, d=d)
-    enumerable = code.num_codewords() <= ENUMERATION_CAP
-    if d is None and enumerable:
-        d = code.distance()
-    if d is not None and error_patterns(field, code.n, d) <= ENUMERATION_CAP:
-        code.attach(SyndromeDecoder(field, code.generator, d))
-    elif enumerable:
+    if d is None and code.num_codewords() <= ENUMERATION_CAP:
+        code.distance()  # by enumeration, kept as the code's distance
+    return attach_decoder(code)
+
+
+def attach_decoder(code: LinearCode, structured=None) -> LinearCode:
+    """Attach code's decoder by the one rule of rs_code and generic_code:
+    a SyndromeDecoder where the distance is known and the error patterns
+    (error_patterns) number at most the table budget; else structured(),
+    the code's own decoder, where it has one; else the codeword scan
+    (oracle.ExhaustiveDecoder) where q^k <= ENUMERATION_CAP; else none.
+
+    The budget is linalg.TABLE_CAP beside a structured decoder and
+    ENUMERATION_CAP without one.  The table decodes faster at every size,
+    but its build grows with the count.  Measured over two runs on 300
+    seeded words per code (0-1 erasures, errors inside the radius), both
+    decoders returning equal DecodeOutcomes; build of the table and its
+    first decode, then us per decode by table / by ReedSolomonDecoder:
+    RS(4,2)/GF(4) (13 patterns, and its 256-word table) 6.6-15 ms, 1.4-1.6
+    / 4.1-4.6 us; RS(7,5)/GF(8) (50) 1.3-1.8 ms, 5.1-5.8 / 6.6-7.7 us;
+    RS(15,13)/GF(16) (226) 5.4-6.2 ms, 8.3-9.3 / 9.5-10.2 us;
+    RS(23,21)/GF(23) (507) 15 ms, 12.1-12.6 / 13.4-14.1 us;
+    RS(31,29)/GF(32) (962) 22-30 ms, 15.9-16.0 / 17.3-17.6 us;
+    RS(7,1)/GF(8) (13,084) 0.40-0.52 s and 7.3 MB, 7.3-12.0 / 24.5-37.0
+    us; RS(15,11)/GF(16) (23,851) 0.71-0.74 s and 14 MB.  The build is
+    paid before the first decode of a run (and a smaller one for each new
+    erasure set), so TABLE_CAP keeps it near 15 ms and 0.2 MB."""
+    d = code.declared_distance()
+    if d is not None:
+        budget = linalg.TABLE_CAP if structured else ENUMERATION_CAP
+        if error_patterns(code.field, code.n, d) <= budget:
+            return code.attach(SyndromeDecoder(code.field, code.generator, d))
+    if structured:
+        return code.attach(structured())
+    if code.num_codewords() <= ENUMERATION_CAP:
         from .oracle import ExhaustiveDecoder
 
         code.attach(ExhaustiveDecoder(code))

@@ -27,7 +27,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gmd, linalg
-from .block_codes import LinearCode, check_erasures, ee_decode
+from .block_codes import LinearCode, check_erasures
+
+# decode_rows' rows come checked (check_matrix, check_pattern), so each takes
+# the bounded step without a re-check, under the name perfbench wraps to count
+# inner decodes
+from .block_codes import bounded_decode as ee_decode
 from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch
 from .galois import TowerView
 from .oracle import oracle_radius
@@ -142,10 +147,12 @@ class RowDecodeResult:
 class _ArrayRows(RowDecodeResult):
     """A RowDecodeResult read from a decoder's decode_arrays: it keeps the
     arrays (codewords, errors, ok) and builds estimates and residuals, its
-    rows as tuples, on first read.  Only a ConcatCode whose inner code is
-    RS, with at least block_codes.BATCH_MIN_ROWS rows over a field that
-    decode_arrays takes, gets one (gcc_spec builds GCC subcodes with
-    generic_code, whose decoder has no decode_arrays); cc_decode's fold
+    rows as tuples, on first read.  Only a ConcatCode whose inner code
+    decodes by ReedSolomonDecoder (an RS code past the table budget of
+    block_codes.attach_decoder), with at least block_codes.BATCH_MIN_ROWS
+    rows over a field that decode_arrays takes, gets one (gcc_spec builds
+    GCC subcodes with generic_code, whose decoder has no decode_arrays,
+    and an RS code's SyndromeDecoder has none either); cc_decode's fold
     reads the codeword array, so the row tuples are built only where a
     caller reads them, such as the selftest.
     (The lazy rows live in this class alone: on RowDecodeResult, a class
@@ -169,11 +176,12 @@ def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None)
     """Decode each row with the inner code's EE decoder, by one of two
     paths: read straight from the arrays of its decode_arrays when it has
     one and returns arrays (ReedSolomonDecoder from
-    block_codes.BATCH_MIN_ROWS rows), else one ee_decode call per row.
-    The rows are tuples of length n and the erasure sets frozensets that
-    check_erasures returned (check_matrix and check_pattern give both), so
-    the array path checks neither again; every decoded row is held to the
-    distance bound on either path.
+    block_codes.BATCH_MIN_ROWS rows), else one ee_decode call per row,
+    which here is block_codes.bounded_decode, the decoder and the distance
+    bound without the checks.  The rows are tuples of length n and the
+    erasure sets frozensets that check_erasures returned (check_matrix and
+    check_pattern give both), so neither path checks them again; every
+    decoded row is held to the distance bound on either path.
 
     radius, when given, must exceed the half-distance radius; every row
     then takes the ee_decode path, and rows the regular decoder rejects are

@@ -43,6 +43,14 @@ class ExperimentConfig:
         if self.threads not in (None, 1):
             raise ConfigError(f"trials run serially; threads must be 1, got {self.threads!r}")
 
+    def built(self) -> "Construction":
+        """construction(self.spec), built on the first call and again only
+        when spec has been replaced."""
+        kept = self.__dict__.get("_built")
+        if kept is None or kept[0] is not self.spec:
+            kept = self._built = (self.spec, construction(self.spec))
+        return kept[1]
+
 
 @dataclass
 class ExperimentStats:
@@ -159,7 +167,7 @@ def construction(spec) -> Construction:
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> dict:
-    c = construction(config.spec)
+    c = config.built()
     stream = trial_stream(config.channel, trial)  # which checks the trial index
     # a lower bound on what the trial reads: one output per two message
     # symbols, one per channel symbol
@@ -193,7 +201,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentStats:
-    if config.channel.erasure_rate > 0 and not construction(config.spec).erasures:
+    if config.channel.erasure_rate > 0 and not config.built().erasures:
         raise ConfigError(ERRORS_ONLY)
     records = [run_trial(config, t) for t in range(config.trials)]
 

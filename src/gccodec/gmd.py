@@ -17,9 +17,14 @@ rules at most floor((d+1)/2) trials ever run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .block_codes import LinearCode, ee_decode
+from .block_codes import LinearCode, check_erasures, check_symbols
+
+# gmd_decode checks its word and chain once, on entry, so each trial takes the
+# bounded step without a re-check, under the name perfbench wraps to count
+# outer decodes
+from .block_codes import bounded_decode as ee_decode
 from .errors import ContractViolation, InvalidParams, LengthMismatch
 
 MODE_UPTO = "upto"
@@ -58,9 +63,15 @@ class ReliabilityVector:
 
 @dataclass(frozen=True)
 class ErasureChain:
-    """Nested erasure sets; sets[0] is empty and sets[-1] covers everything."""
+    """Nested erasure sets; sets[0] is empty and sets[-1] covers everything.
+
+    built_over is n where erasure_chain or chain_with_failure_class built
+    the chain from n weights, so its sets are frozensets of indices in
+    [0, n) already, and None for a chain built any other way, whose sets
+    gmd_decode checks."""
 
     sets: tuple
+    built_over: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.sets)
@@ -70,7 +81,9 @@ def _chain(weights, classes) -> ErasureChain:
     sets = [frozenset()]
     for a in classes:
         sets.append(frozenset(i for i, w in enumerate(weights) if w <= a))
-    return ErasureChain(tuple(sets))
+    chain = ErasureChain(tuple(sets))
+    object.__setattr__(chain, "built_over", len(weights))
+    return chain
 
 
 def erasure_chain(rel: ReliabilityVector) -> ErasureChain:
@@ -168,16 +181,25 @@ def gmd_decode(
     skip_zero_trial is set.  start gives the first chain index to try, an
     int in [0, len(chain)), used to carry a successful trial index over to
     the next decode.
+
+    The word is checked once, on entry, as ee_decode checks it
+    (check_symbols), and so is every set of a chain that erasure_chain or
+    chain_with_failure_class did not build over n weights
+    (check_erasures); each trial then runs the decoder through
+    block_codes.bounded_decode, which holds its codeword to the distance
+    bound.
     """
     if mode not in (MODE_UPTO, MODE_BEYOND):
         raise InvalidParams(f"unknown mode {mode!r}")
-    word = tuple(word)
-    if len(word) != rel.n:
+    word = check_symbols(code.field, word, rel.n)
+    if rel.n != code.n:
         raise LengthMismatch("word and reliability vector lengths differ")
     derived = chain is None
     if derived:
         chain = erasure_chain(rel)
     sets = chain.sets
+    if chain.built_over != code.n:
+        sets = tuple(check_erasures(x, code.n) for x in sets)
     if sets[0]:
         raise InvalidParams("chain must begin with the empty set")
     if type(start) is not int or not 0 <= start < len(sets):

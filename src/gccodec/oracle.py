@@ -2,8 +2,9 @@
 
 These enumerate every codeword and are the ground truth of the test suite
 and the selftest: generic codes decode by syndrome
-(block_codes.SyndromeDecoder), RS codes by their algebraic decoder, and
-both are checked against oracle_sigma.  ExhaustiveDecoder, oracle_sigma's
+(block_codes.SyndromeDecoder), RS codes by the same table or, above its
+budget, by their algebraic decoder, and all are checked against
+oracle_sigma.  ExhaustiveDecoder, oracle_sigma's
 scan, is the decoder of a low-rate generic code only, one with too many
 error patterns inside its radius for a syndrome table but few enough
 codewords to enumerate.  oracle_sigma additionally checks the uniqueness

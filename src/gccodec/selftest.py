@@ -170,10 +170,12 @@ def _check_row_maps(rng):
 
 
 def _check_rs_against_oracle(rng):
-    # GF(8) and the odd-characteristic GF(9)
+    # GF(8) and the odd-characteristic GF(9); both codes have more error
+    # patterns than the table budget, so ReedSolomonDecoder decodes them
     for (p, m), n, k, words in (((2, 3), 7, 3, 150), ((3, 2), 9, 4, 40)):
         f = make_field(p, m)
         code = rs_code(f, n, k)
+        _require(isinstance(code.decoder, ReedSolomonDecoder), f"{code!r} does not decode by ReedSolomonDecoder")
         for _ in range(words):
             word = tuple(rng.randrange(f.q) for _ in range(n))
             erasures = frozenset(rng.sample(range(n), rng.randrange(0, n - k + 1)))
@@ -370,6 +372,7 @@ def _check_erasure_only_solves(rng):
     for f, n, k in ((make_field(2, 3), 7, 3), (make_field(3, 2), 9, 4), (extend_field(make_field(2, 4), 2), 64, 40)):
         code = rs_code(f, n, k)
         dec = code.decoder
+        _require(isinstance(dec, ReedSolomonDecoder), f"{code!r} does not decode by ReedSolomonDecoder")
         for size in range(1, n - k + 1):
             for past in (0, 0, 1):
                 sent = code.encode(tuple(rng.randrange(f.q) for _ in range(k)))
@@ -468,12 +471,15 @@ def _check_batch_solves(rng):
 
 
 def fresh_twin(code):
-    """code with a decoder that shares no state with code's: an RS code
-    gets a new ReedSolomonDecoder on the same points, so no syndrome that
-    cc_decode kept reaches it."""
+    """code with a new decoder of the same kind, which shares no state with
+    code's: a ReedSolomonDecoder on the same points, so no syndrome that
+    cc_decode kept reaches it, or a SyndromeDecoder that builds its own
+    tables (rs_code attaches either, see block_codes.attach_decoder)."""
     dec = code.decoder
     if isinstance(dec, ReedSolomonDecoder):
         dec = ReedSolomonDecoder(dec.field, dec.points, code.k)
+    elif isinstance(dec, SyndromeDecoder):
+        dec = SyndromeDecoder(dec.field, code.generator, dec.d)
     return LinearCode(code.field, code.generator, d=code.distance(), _inverse=code.inverse.matrix).attach(dec)
 
 

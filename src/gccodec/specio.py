@@ -7,7 +7,9 @@ integers in [0, q) (base-p digit packing, little-endian coefficients).
 
 Codes: {"kind": "rs" | "generic", "field": ..., "n": ..., "k": ...,
 "generator": [[...]] (generic only), "d": int | null}; "rs" marks a code whose
-decoder is a ReedSolomonDecoder.  Only this module knows the kinds.
+generator is rs_code's (block_codes.rs_generator), whichever decoder it has,
+unless it declares a distance other than n - k + 1.  Only this module knows
+the kinds.
 
 Constructions: concatenated {"outer": code, "inner": code, "s": int};
 generalized {"outers": [code...], "s": [int...], "inner_generator": [[...]],
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 import operator
 
-from .block_codes import LinearCode, ReedSolomonDecoder, generic_code, rs_code
+from .block_codes import LinearCode, generic_code, rs_code, rs_generator
 from .channel import ChannelModel
 from .concat import ConcatCode, DecodeOptions
 from .errors import ConfigError
@@ -61,14 +63,9 @@ def field_from_json(d: dict) -> Field:
 
 
 def code_to_json(code: LinearCode) -> dict:
-    rs = isinstance(code.decoder, ReedSolomonDecoder)
-    out = {
-        "kind": "rs" if rs else "generic",
-        "field": field_to_json(code.field),
-        "n": code.n,
-        "k": code.k,
-        "d": code.declared_distance(),
-    }
+    f, n, k, d = code.field, code.n, code.k, code.declared_distance()
+    rs = d in (None, n - k + 1) and n <= f.q and code.generator == rs_generator(f, n, k)
+    out = {"kind": "rs" if rs else "generic", "field": field_to_json(f), "n": n, "k": k, "d": d}
     if not rs:
         out["generator"] = [list(row) for row in code.generator]
     return out

@@ -1,7 +1,13 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 import gccodec as g
 from gccodec import linalg
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # generator matrices frozen after a seeded search; distances are re-verified
 # exhaustively at construction time by min_distance
@@ -142,6 +148,17 @@ def rm_chain(gf2, gf8):
     spec = g.gcc_spec(outers, (4, 3, 1), RM3_CHAIN, gf2)
     assert [sub.distance() for sub in spec.subcodes] == [4, 2, 1]
     return spec
+
+
+def load_perfbench(name):
+    """The module perfbench/<name>.py (perfbench is not a package), loaded
+    once."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+        module = sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[key]
 
 
 def array_kernel(f) -> str:

@@ -1,33 +1,25 @@
 """The routes the benchmark's spans see: perfbench/tracing.py wraps
-concat.decode_rows and concat.ee_decode where concat looks them up, so the
-inner rows of a word must reach the decoder through those names.  A
-Hamming inner code has no decode_arrays, so each row is one
-concat.ee_decode call; the 64 RS(15,8)/GF(16) rows of cc-rs256-gf16 are
-one decode_arrays solve inside decode_rows, and since they carry no
-erasures, its rows with a nonzero syndrome are one errors-only array
-solve."""
+concat.decode_rows and concat.ee_decode where concat looks them up, and
+gmd.ee_decode where gmd does, so the inner rows and the outer GMD trials
+of a word must reach the decoder through those names (both are the
+unchecked bounded step, block_codes.bounded_decode).  A Hamming inner code
+has no decode_arrays, so each row is one concat.ee_decode call; the 64
+RS(15,8)/GF(16) rows of cc-rs256-gf16 are one decode_arrays solve inside
+decode_rows, and since they carry no erasures, its rows with a nonzero
+syndrome are one errors-only array solve."""
 
-import importlib.util
-import sys
 from collections import Counter
-from pathlib import Path
 
-from gccodec import block_codes, concat, experiment, oracle
+import pytest
+
+from gccodec import block_codes, concat, experiment, gmd, oracle
 from gccodec.block_codes import ReedSolomonDecoder
+from conftest import load_perfbench
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORDS = 3
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracing = _load("tracing")
-workloads = _load("workloads")
+tracing = load_perfbench("tracing")
+workloads = load_perfbench("workloads")
 
 
 def traced_spans(name):
@@ -41,7 +33,8 @@ def traced_spans(name):
             experiment.run_trial(config, t)
     finally:
         tracer.patches.undo()
-    assert concat.ee_decode is block_codes.ee_decode
+    # the wraps are undone: both names are the bounded step again
+    assert concat.ee_decode is gmd.ee_decode is block_codes.bounded_decode
     return tracer.spans, tracer.observed, config.spec
 
 
@@ -57,6 +50,33 @@ def test_hamming_rows_decode_one_ee_decode_each():
     assert len(calls) == cc.m * WORDS == observed["concat.rows"]
     for i in rows:
         assert sum(spans[j][tracing.PARENT] == i for j in calls) == cc.m
+
+
+@pytest.mark.parametrize("name", ["mpc-uuv-gf8", "cc-hamming-erasures", "cc-rs256-gf16"])
+def test_every_gmd_trial_is_one_gmd_ee_decode(name):
+    # each trial of gmd_decode runs the bounded step through gmd.ee_decode,
+    # inside the gmd.gmd_decode span that counts it
+    spans, observed, _ = traced_spans(name)
+    calls = named(spans, "gmd.gmd_decode")
+    trials = named(spans, "gmd.ee_decode")
+    assert calls and len(trials) == observed["gmd.trials"]
+    assert all(spans[j][tracing.PARENT] in calls for j in trials)
+
+
+def test_outer_rs_codes_take_the_decoder_rule():
+    # block_codes.attach_decoder: the outer RS codes of the two small
+    # workloads fit linalg.TABLE_CAP's error patterns and decode by
+    # syndrome table; RS(7,1)/GF(8) and both codes of cc-rs256-gf16 keep
+    # ReedSolomonDecoder, its batch paths and kept syndromes
+    def decoders(name):
+        spec = workloads.experiment_config(workloads.WORKLOADS[name], seed=1).spec
+        codes = spec.outers if name == "mpc-uuv-gf8" else (spec.outer, spec.inner)
+        return [type(code.decoder) for code in codes]
+
+    syndrome = block_codes.SyndromeDecoder
+    assert decoders("mpc-uuv-gf8") == [syndrome, ReedSolomonDecoder]
+    assert decoders("cc-hamming-erasures") == [syndrome, syndrome]
+    assert decoders("cc-rs256-gf16") == [ReedSolomonDecoder, ReedSolomonDecoder]
 
 
 def test_rs_rows_decode_in_one_array_solve():
@@ -105,18 +125,24 @@ def test_rs_rows_take_the_errors_only_array_solve(monkeypatch):
         assert call["rows"] and call["arrays"] == [call["rows"]] and call["scalar"] == 0
 
 
-def generic_traffic(name, monkeypatch):
+def generic_traffic(name, monkeypatch, codes):
     """Counts of the generic decoders' work over WORDS seeded words of the
     workload, decoded after word 0: codeword scans (oracle_sigma, directly
-    or through ExhaustiveDecoder), SyndromeDecoder calls with and without
-    erasures, the erased calls with |X| < d and those of them whose decode
-    is their set's kept table's, the errors-only decodes outside a table build (word-table
-    misses), and the erasure set of every table build, word 0's included."""
+    or through ExhaustiveDecoder), calls of the SyndromeDecoders of
+    codes(spec) with and without erasures, the erased calls with |X| < d
+    and those of them whose decode is their set's kept table's, the
+    errors-only decodes outside a table build (word-table misses), and the
+    erasure set of every table build, word 0's included.  (The outer RS
+    codes of both small workloads decode by syndrome table too.)"""
     syndrome = block_codes.SyndromeDecoder
     counts, builds, building = Counter(), [], []
     call, decode, build = syndrome.__call__, syndrome._decode, syndrome._build
+    config = workloads.experiment_config(workloads.WORKLOADS[name], seed=1)
+    counted = [code.decoder for code in codes(config.spec)]
 
     def spy_call(self, word, erasures):
+        if self not in counted:
+            return call(self, word, erasures)
         counts["erased" if erasures else "clean"] += 1
         if erasures and len(erasures) < self.d:
             counts["bounded"] += 1
@@ -126,11 +152,12 @@ def generic_traffic(name, monkeypatch):
         return call(self, word, erasures)
 
     def spy_decode(self, word, tables):
-        counts["misses"] += not building and not tables.locs
+        counts["misses"] += self in counted and not building and not tables.locs
         return decode(self, word, tables)
 
     def spy_build(self, erasures):
-        builds.append((id(self), erasures))
+        if self in counted:
+            builds.append((id(self), erasures))
         building.append(erasures)
         try:
             return build(self, erasures)
@@ -147,7 +174,6 @@ def generic_traffic(name, monkeypatch):
     monkeypatch.setattr(syndrome, "_build", spy_build)
     monkeypatch.setattr(oracle, "oracle_sigma", spy_scan)
     monkeypatch.setattr(oracle.ExhaustiveDecoder, "__call__", spy_scan)
-    config = workloads.experiment_config(workloads.WORKLOADS[name], seed=1)
     experiment.run_trial(config, 0)
     counts.clear()
     for t in range(1, WORDS + 1):
@@ -159,7 +185,7 @@ def test_hamming_erased_rows_read_their_sets_tables(monkeypatch):
     # an erased row of the Hamming [7,4,3] inner code is a syndrome lookup
     # in its erasure set's kept table, never a codeword scan; an errors-only
     # row is a word-table lookup; and no set's table is built twice
-    counts, builds = generic_traffic("cc-hamming-erasures", monkeypatch)
+    counts, builds = generic_traffic("cc-hamming-erasures", monkeypatch, lambda cc: [cc.inner])
     assert counts["erased"] and counts["clean"]
     assert counts["scans"] == counts["misses"] == 0
     assert counts["served"] == counts["bounded"] > 0
@@ -168,7 +194,7 @@ def test_hamming_erased_rows_read_their_sets_tables(monkeypatch):
 
 def test_mpc_subcodes_decode_by_word_table(monkeypatch):
     # the (u | u+v) subcodes [2,1,2] and [2,2,1] over GF(8) have 64 words each
-    counts, builds = generic_traffic("mpc-uuv-gf8", monkeypatch)
+    counts, builds = generic_traffic("mpc-uuv-gf8", monkeypatch, lambda spec: spec.subcodes)
     assert counts["clean"] and not counts["erased"]
     assert counts["scans"] == counts["misses"] == 0
     assert len(builds) == len(set(builds))

@@ -167,7 +167,8 @@ class TestSigmaContract:
 
     def test_decoder_breaching_bound_is_caught_in_a_batch(self, gf2):
         # a plain callable has no decode_arrays, so decode_rows sends each
-        # row through ee_decode, which holds it to the bound
+        # row through concat.ee_decode, the unchecked bounded step
+        # (block_codes.bounded_decode), which still holds it to the bound
         code = g.LinearCode(gf2, [[1, 1, 1]], d=3)
         code.attach(lambda word, erasures: DecodeOutcome((0, 0, 0), word, g.wt(word)))
         assert decode_rows(code, [(0, 0, 0), (1, 0, 0)], [frozenset()] * 2).weights == [3, 1]
@@ -816,3 +817,17 @@ class TestSerialization:
         code2 = specio.code_from_json(d)
         assert code2.generator == inner_523.generator
         assert code2.distance() == 3
+
+    def test_an_rs_code_is_rs_whatever_decodes_it(self, gf4, gf8):
+        # the kind follows the generator: RS(4,2)/GF(4) decodes by syndrome
+        # table and RS(7,1)/GF(8) by ReedSolomonDecoder, and both are "rs";
+        # so is a generic code with the RS generator, unless it declares
+        # another distance, which an "rs" spec could not hold
+        for code in (g.rs_code(gf4, 4, 2), g.rs_code(gf8, 7, 1), g.generic_code(gf8, g.rs_code(gf8, 7, 5).generator)):
+            d = specio.code_to_json(code)
+            assert d["kind"] == "rs" and "generator" not in d
+            assert specio.code_from_json(d).generator == code.generator
+        overstated = g.generic_code(gf8, g.rs_code(gf8, 7, 5).generator, d=4)
+        assert specio.code_to_json(overstated)["kind"] == "generic"
+        other = g.generic_code(gf8, [[1, 2, 3, 4, 5, 6, 7]])
+        assert specio.code_to_json(other)["kind"] == "generic"

@@ -8,6 +8,7 @@ import pytest
 
 import gccodec as g
 from gccodec.channel import RawStream, trial_stream
+from conftest import load_perfbench
 
 # 3 * 2^30 and 3 * 2^61 reject about a quarter of their Lemire draws
 HIGHS = (2, 3, 8, 9, 256, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 2**33 - 1, 3 * 2**61, 2**62)
@@ -374,6 +375,27 @@ def test_run_trial_records_are_pinned(request, name, rates, mode, trials):
     for t in range(trials):
         digest.update(json.dumps(g.experiment.run_trial(config, t), sort_keys=True).encode())
     assert digest.hexdigest() == STREAM_DIGESTS[name]
+
+
+# the same digest over the first words of each benchmark workload
+# (perfbench/workloads.py, benchmark seed 1): the words the benchmark
+# times decode as they did when these were recorded
+WORKLOAD_DIGESTS = {
+    "mpc-uuv-gf8": (300, "21efab44b944284f2ff774e0b96b5d6fe5d4045865616f7aaf1ecd159a6f68c1"),
+    "cc-hamming-erasures": (300, "9ddfb09eb57ea40c4b7fd5aba48370f3db3c76aa4c62cbdef0efdd21f5de6201"),
+    "cc-rs256-gf16": (100, "5414a961fa1c1ffc228a17ba45e9edb1792bae4f97762314e8581f33618b28c3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_benchmark_workload_records_are_pinned(name):
+    workloads = load_perfbench("workloads")
+    config = workloads.experiment_config(workloads.WORKLOADS[name], seed=1)
+    words, expect = WORKLOAD_DIGESTS[name]
+    digest = hashlib.sha256()
+    for t in range(words):
+        digest.update(json.dumps(g.experiment.run_trial(config, t), sort_keys=True).encode())
+    assert digest.hexdigest() == expect
 
 
 class TestRunExperiment:

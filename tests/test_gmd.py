@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gccodec as g
+from gccodec.block_codes import DecodeOutcome
 from gccodec.gmd import MODE_BEYOND, MODE_UPTO, chain_with_failure_class
 
 
@@ -244,3 +245,53 @@ class TestGmdDecode:
         assert again.codeword == word
         assert again.trials == 1
         assert any(reason == "carried" for _, reason in again.skips) or out.accepted_index == 1
+
+
+class TestTrialsTakeTheBoundedStep:
+    """Each trial runs the decoder through block_codes.bounded_decode,
+    which skips the symbol and erasure checks (gmd_decode makes them once,
+    on entry) but still holds the codeword to 2*wt_X + |X| < d."""
+
+    def breaching(self, gf2):
+        # every word decodes to (0, 0, 0): outside the bound from (1, 1, 0),
+        # and from (1, 0, 0) with {1} erased (one error, one erasure)
+        code = g.LinearCode(gf2, [[1, 1, 1]], d=3)
+        return code.attach(lambda word, erasures: DecodeOutcome((0, 0, 0), word, g.wt_punctured(word, erasures)))
+
+    def test_a_trial_outside_the_bound_raises(self, gf2):
+        code = self.breaching(gf2)
+        r = rel((1, 1, 1), 1)
+        assert g.gmd_decode(code, (1, 0, 0), r).codeword == (0, 0, 0)
+        with pytest.raises(g.ContractViolation):
+            g.gmd_decode(code, (1, 1, 0), r)  # the derived chain
+        chain = g.ErasureChain((frozenset(), frozenset({1})))
+        with pytest.raises(g.ContractViolation):
+            g.gmd_decode(code, (1, 0, 0), r, skip_zero_trial=True, chain=chain)  # a caller's chain
+
+    def test_a_column_trial_outside_the_bound_raises(self, gf2, gf4, inner_523):
+        # through cc_decode: its columns run gmd_decode on the library's chain
+        cc = g.ConcatCode(g.rs_code(gf4, 3, 1), inner_523)
+        received = g.cc_encode(cc, [(1,)])
+        cc.outer.attach(lambda word, erasures: DecodeOutcome((0, 0, 0), word, 2))
+        with pytest.raises(g.ContractViolation):
+            g.cc_decode(cc, received)
+
+    def test_a_caller_chain_is_checked_on_entry(self, gf2, inner_523):
+        word = inner_523.encode((0, 1))
+        r = rel((0, 3, 3, 3, 3), 3)
+        # index 5 is past n = 5 in a set whose trial would never run
+        chain = g.ErasureChain((frozenset(), frozenset({0}), frozenset({0, 5})))
+        with pytest.raises(g.ErasureIndexError):
+            g.gmd_decode(inner_523, word, r, skip_zero_trial=True, chain=chain)
+        # a list is read as the set it holds
+        chain = g.ErasureChain((frozenset(), [0, 0]))
+        assert g.gmd_decode(inner_523, word, r, skip_zero_trial=True, chain=chain).codeword == word
+
+    def test_a_library_chain_over_other_weights_is_checked(self, gf2, inner_523):
+        # chain_with_failure_class over 6 weights holds index 5, past n = 5
+        word = inner_523.encode((0, 1))
+        chain = chain_with_failure_class(rel((3, 3, 3, 3, 3, 0), 3))
+        assert chain.built_over == 6
+        with pytest.raises(g.ErasureIndexError):
+            g.gmd_decode(inner_523, word, rel((3,) * 5, 3), skip_zero_trial=True, chain=chain)
+        assert chain_with_failure_class(rel((3,) * 5, 3)).built_over == 5

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import gccodec as g
 from gccodec import linalg
+from gccodec.block_codes import ReedSolomonDecoder
 from conftest import array_kernel
 
 FIELDS = {
@@ -248,19 +249,25 @@ def test_row_map_batch_size_picks_the_kernel(case):
         assert kernel.call_count == 1 and matmul.call_count + tables.call_count == 1
 
 
-def test_benchmark_maps_are_tabled(mpc_uuv8, cc_two_cols):
+def test_benchmark_maps_are_tabled(gf8, mpc_uuv8, cc_two_cols):
     """The small maps the (u | u+v) over GF(8) and the Hamming-inner
     constructions apply to every word are lookup tables: the symbol maps,
-    the subcodes' encoders and inverses, and the RS(7,5) root search;
-    every map of RS(4,2)/GF(4) over Hamming [7,4,3]."""
+    the subcodes' encoders and inverses, and the erasure projections of
+    the RS(7,5) syndrome table; every map of RS(4,2)/GF(4) over Hamming
+    [7,4,3], the outer's word table included.  Both RS codes decode by
+    syndrome table (block_codes.attach_decoder); ReedSolomonDecoder's
+    root search on RS(7,5), attached explicitly, is a table too."""
     maps = [mpc_uuv8.encoder, *mpc_uuv8.level_encoders, *mpc_uuv8.level_inverses]
     for sub in mpc_uuv8.subcodes:
         maps += [sub._encoder, sub.inverse]
-    maps.append(mpc_uuv8.outers[0].decoder._roots)
+    rs75 = mpc_uuv8.outers[0].decoder
+    maps += [rs75._table(frozenset({i})).project for i in range(7)]
+    maps.append(ReedSolomonDecoder(gf8, range(7), 5)._roots)
     outer, inner = cc_two_cols.outer, cc_two_cols.inner
     maps += [cc_two_cols.encoder, cc_two_cols.inverse, inner._encoder, inner.inverse]
-    maps += [outer._encoder, outer.inverse, outer.decoder._syndromes, outer.decoder._roots]
+    maps += [outer._encoder, outer.inverse, outer.decoder._syndromes, outer.decoder._table(frozenset({0})).project]
     assert all(m.table is not None for m in maps)
+    assert outer.decoder._clean.words is not None
 
 
 @pytest.mark.parametrize(

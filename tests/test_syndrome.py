@@ -204,3 +204,85 @@ def test_the_rm14_chain_decodes_inside_half_its_distance():
         received = corrupt(spec.field, word, rng.sample(range(spec.m * spec.n), errors), rng)
         assert g.gcc_decode_improved(spec, received).codeword == word
         assert g.gcc_decode_basic(spec, received).codeword == word
+
+
+# every field of at most 32 elements, as (p, m)
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4), (17, 1)]
+SMALL_FIELDS += [(19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1), (2, 5)]
+
+
+def largest_tabled_rs():
+    """(field, n, k) of the RS code over a field of at most 32 elements
+    with the most error patterns that rs_code still decodes by table."""
+    best = None
+    for p, m in SMALL_FIELDS:
+        f = g.make_field(p, m)
+        for n in range(1, f.q + 1):
+            for k in range(1, n + 1):
+                count = block_codes.error_patterns(f, n, n - k + 1)
+                if count <= linalg.TABLE_CAP and (best is None or count > best[0]):
+                    best = count, f, n, k
+    return best[1:]
+
+
+def rs_twins(f, n, k):
+    """rs_code(f, n, k), which must decode by table, and its
+    ReedSolomonDecoder on the same points."""
+    code = g.rs_code(f, n, k)
+    assert isinstance(code.decoder, SyndromeDecoder)
+    return code, block_codes.ReedSolomonDecoder(f, range(n), k)
+
+
+class TestRsCodesByTable:
+    """rs_code attaches a SyndromeDecoder where its error patterns fit
+    linalg.TABLE_CAP (block_codes.attach_decoder); it must return the
+    DecodeOutcome that ReedSolomonDecoder returns on the same code."""
+
+    def test_the_budget_picks_the_decoder(self, gf4, gf8):
+        gf16 = g.make_field(2, 4)
+        for f in (gf4, gf8, gf16):
+            for n in range(1, f.q + 1):
+                for k in range(1, n + 1):
+                    tabled = block_codes.error_patterns(f, n, n - k + 1) <= linalg.TABLE_CAP
+                    decoder = g.rs_code(f, n, k).decoder
+                    assert isinstance(decoder, SyndromeDecoder if tabled else block_codes.ReedSolomonDecoder)
+        # the benchmark's RS codes: the outers of cc-hamming-erasures and
+        # mpc-uuv-gf8 by table, RS(7,1)/GF(8) and the cc-rs256-gf16 codes not
+        assert [block_codes.error_patterns(f, n, n - k + 1) for f, n, k in ((gf4, 4, 2), (gf8, 7, 5), (gf8, 7, 1))] == [
+            13,
+            50,
+            13084,
+        ]
+        assert isinstance(g.rs_code(gf8, 7, 1).decoder, block_codes.ReedSolomonDecoder)
+        assert isinstance(g.rs_code(g.extend_field(gf16, 2), 64, 40).decoder, block_codes.ReedSolomonDecoder)
+
+    def test_rs_4_2_every_word_and_erasure_set(self, gf4):
+        code, rs = rs_twins(gf4, 4, 2)
+        sets = [x for x in every_set(4) if len(x) < 3]
+        for word in itertools.product(range(4), repeat=4):
+            for erasures in sets:
+                assert code.decode(word, erasures) == rs(word, erasures), (word, set(erasures))
+
+    @pytest.mark.parametrize("which", ["RS(7,5)/GF(8)", "largest"])
+    def test_seeded_words(self, gf8, which):
+        f, n, k = (gf8, 7, 5) if which == "RS(7,5)/GF(8)" else largest_tabled_rs()
+        code, rs = rs_twins(f, n, k)
+        d = n - k + 1
+        rng = random.Random(n * k)
+        outcomes = set()
+        for _ in range(600):
+            word = list(code.encode(tuple(rng.randrange(f.q) for _ in range(k))))
+            erasures = frozenset(rng.sample(range(n), rng.randrange(d + 1)))
+            for i in erasures:
+                word[i] = rng.randrange(f.q)
+            for i in rng.sample(sorted(set(range(n)) - erasures), min(rng.randrange(d), n - len(erasures))):
+                word[i] = f.add(word[i], rng.randrange(1, f.q))
+            out = code.decode(word, erasures)
+            assert out == rs(tuple(word), erasures), (word, set(erasures))
+            outcomes.add(out.ok)
+        assert outcomes == {True, False}
+
+    def test_the_largest_tabled_code(self):
+        f, n, k = largest_tabled_rs()
+        assert (f.q, n, k) == (31, 17, 14)  # d = 4: 1 + 17 * 30 patterns
+        assert block_codes.error_patterns(f, n, n - k + 1) == 511
