@@ -38,7 +38,7 @@ from .errors import (
     UnknownDistance,
 )
 from .experiment import ExperimentConfig, ExperimentStats, run_experiment, run_trial
-from .galois import Field, FieldElement, TowerView, extend_field, field_arith, make_field
+from .galois import Field, TowerView, extend_field, make_field
 from .gcc import (
     GccSpec,
     correctable_gcc,

@@ -74,19 +74,8 @@ _ERASED_ENTRIES = 1 << 16
 # / scalar solve: RS(15,8)/GF(16) 0.10 / 0.09 ms at B = 4, 0.10 / 0.17 ms at
 # 8, 0.10 / 0.27 ms at 12; RS(64,40)/GF(256) 0.28 / 0.36 ms at 4, 0.31 / 0.70
 # ms at 8, 0.34 / 1.15 ms at 12.  So characteristic 2 crosses between 4 and 8
-# words.  Prime fields sum one digit mod p and cross near 12: RS(7,3)/GF(7)
-# 0.14 / 0.10 ms at 8, 0.14 / 0.18 ms at 12; RS(31,15)/GF(31) 0.53 / 0.36 ms
-# at 8, 0.57 / 0.53 ms at 12, 0.61 / 0.79 ms at 16.  At 12 words
-# characteristic 2 gains 2.7-3.4x and prime fields lose at most ~1.1x; at 8
-# they would lose ~1.5x for a 1.7-2.3x gain.  Odd-characteristic extensions
-# sum digit by digit, and ReedSolomonDecoder solves them one by one at any
-# size: the array solve won only with two digits and many words
-# (RS(9,3)/GF(9) 2.05-2.36 / 2.35-3.24 ms at 48 words, 12.4-12.8 / 18.9-20.7
-# ms at 256; RS(25,15)/GF(25) even within noise from 48 words on) and lost
-# with more digits at every size (RS(26,12)/GF(27) 14.9-18.2 / 9.8-13.4 ms at
-# 64, 71.9-75.1 / 49.2-58.7 ms at 256; RS(80,60)/GF(81) 62.2 / 20.6-22.6 ms
-# at 64), measured before the unmasked solve, with erasures among the words,
-# so no one crossover by words serves them.
+# words, and at 12 it gains 2.7-3.4x.  12 is kept from when prime fields,
+# which crossed near 12 words, solved on arrays too.
 BATCH_MIN_ROWS = 12
 
 
@@ -336,10 +325,11 @@ class ReedSolomonDecoder:
     by the errors-only steps (Gamma = 1, so T = S and Lambda = sigma), and
     sends each word with erasures to the scalar solve.  It asks the two
     maps for three products (syndromes; the root search with Forney's
-    Omega and sigma' at every point; re-check) through RowMap.product,
-    whose kernel the field picks: packed tables in characteristic 2 up to
-    2^8 elements, Field.matmul elsewhere.  The other products take their
-    factors in log form (Field.log_array).  Berlekamp-Massey reads the
+    Omega and sigma' at every point; re-check) through RowMap.product, the
+    packed tables, so it runs where the syndrome map has them (`array`:
+    characteristic 2 up to 2^8 elements) and declines elsewhere.  The other
+    products take their factors in log form (Field.log_array), and its
+    sums are XORs.  Berlekamp-Massey reads the
     first 2t syndromes, 2t = d - 1 rounded down to even: 2L syndromes fix a
     length-L register (Massey 1969), so a decode with 2w < d is found from
     them, and the closing re-check reads every syndrome, so nothing else
@@ -376,10 +366,7 @@ class ReedSolomonDecoder:
         # one word's syndrome costs no more on its own where the syndrome
         # map runs no array kernel for it (a table, or the row loop)
         self._keeps = self._syndromes.takes_arrays(1)
-        # batches solve on arrays where sums are cheap there: by XOR in
-        # characteristic 2, as one digit mod p in a prime field, not digit
-        # by digit in an odd-characteristic extension (see BATCH_MIN_ROWS)
-        self._batched = f.vectorised(self.n) and (f.p == 2 or f.base is None)
+        self._batched = self._syndromes.array is not None
 
     def __call__(self, word, erasures) -> DecodeOutcome:
         if len(erasures) >= self.d:
@@ -409,9 +396,8 @@ class ReedSolomonDecoder:
         errors, weights, ok): row b is word b's codeword and error, (B, n),
         its weight and whether it decoded, (B,); a failed row has the word
         as its codeword, a zero error and weight 0.  None, for the caller
-        to decode word by word, below BATCH_MIN_ROWS words, where the
-        syndrome map has no array kernel (matmul is not vectorised for n)
-        or in an odd-characteristic extension.
+        to decode word by word, below BATCH_MIN_ROWS words or where the
+        syndrome map has no array kernel (see RowMap.array).
 
         Otherwise the syndromes are one product.  When BATCH_MIN_ROWS
         words without erasures have a nonzero syndrome, they are solved
@@ -561,7 +547,8 @@ class ReedSolomonDecoder:
         nonzero syndrome of received[b].  Returns decode_arrays' four
         arrays for these rows.  Every step is the scalar one on a whole
         array; polynomials are (coefficients, B) arrays, and each factor of
-        many products is put in log form once (see Field.log_array).  A row
+        many products is put in log form once (see Field.log_array).  The
+        field has characteristic 2, so a sum or difference is an XOR.  A row
         that a step fails is dropped at the end."""
         f, c = self.field, self._constants
         log, mul, dot = f.log_array, f.mul_logs, f.dot_logs
@@ -590,7 +577,7 @@ class ReedSolomonDecoder:
             conn_logs = log(conn)
             delta = dot(conn_logs, history[k], 0)
             delta_logs = log(delta)
-            conn = f.add_array(mul(last, conn_logs), f.neg_array(mul(delta_logs, window)))
+            conn = mul(last, conn_logs) ^ mul(delta_logs, window)
             grow = np.logical_and(delta, twice <= k)
             np.copyto(window, conn_logs, where=grow)
             np.copyto(last, delta_logs, where=grow)
@@ -620,7 +607,7 @@ class ReedSolomonDecoder:
         error[~ok] = 0
         weight = (error != 0).sum(axis=1)
         ok &= 2 * weight < d
-        return f.add_array(received, f.neg_array(error)), error, weight, ok
+        return received ^ error, error, weight, ok
 
 
 def _times_linear(f, poly, x):

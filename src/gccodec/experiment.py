@@ -38,8 +38,11 @@ class ExperimentConfig:
     threads: int | None = None  # trials run serially: only None and 1 are accepted
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trial count must be >= 1")
+        # read as specio reads its integers: any integer type but bool
+        trials = self.trials
+        if isinstance(trials, bool) or not hasattr(trials, "__index__") or operator.index(trials) < 1:
+            raise ConfigError(f"trial count must be an integer >= 1, got {trials!r}")
+        self.trials = operator.index(trials)
         if self.threads not in (None, 1):
             raise ConfigError(f"trials run serially; threads must be 1, got {self.threads!r}")
 

@@ -5,8 +5,7 @@ or extend_field (GF(q^s) as a degree-s extension of an existing handle, the
 layered view needed when outer-code symbols must expand into inner-code
 symbols).  Elements travel as plain integers in [0, q): for a prime field the
 residue itself, otherwise the little-endian base-q' digit packing of the
-coefficient vector in the polynomial basis.  FieldElement wraps an integer
-for operator syntax; the decoding machinery works on raw integers for speed.
+coefficient vector in the polynomial basis.
 
 Extension fields with q <= 2^16 build, when their handle is first made and
 in O(q), exp/log tables of a primitive element: products, inverses and
@@ -15,16 +14,14 @@ Zech logarithms (characteristic 2 adds by XOR, prime fields reduce mod p).
 Larger fields fall back to polynomial arithmetic on the digit vectors.  The
 vector kernels axpy (out += c * v, in place) and dot run whole rows on the
 tables; the linear algebra and the Reed-Solomon decoder are written on
-them.  matmul multiplies whole integer numpy arrays, on numpy copies of the
-same tables; TowerView.expand/pack split and join whole columns of symbols
-around it for RowMap's matmul kernel (RowMaps over characteristic 2 up to
-2^8 elements take packed tables instead).  None of this changes any
-observable value.
+them.  In characteristic 2 such a handle, and GF(2)'s, also keeps numpy
+copies of the tables for the array kernels, whose sums are XORs: RowMap's
+packed tables are built with them, and the Reed-Solomon array solve runs
+on them.  None of this changes any observable value.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 
 import numpy as np
@@ -32,7 +29,6 @@ import numpy as np
 from .errors import FieldMismatch, InvalidParams, NotPrime, ReducibleModulus
 
 _LOG_LIMIT = 1 << 16  # largest q with exp/log tables
-_MATMUL_BLOCK = 1 << 16  # most products matmul gathers at once
 
 
 def _is_prime(n: int) -> bool:
@@ -199,13 +195,6 @@ class Field:
         self.modulus = tuple(modulus)
         self.q = (p if base is None else base.q) ** degree
         self._log = False  # the exp/log tables, where _cached builds them
-        # place values p^i of the base-p digits of an encoding, for the
-        # array kernels (one digit in a prime field)
-        if self.vectorised(1):
-            places = [1]
-            while places[-1] * p < self.q:
-                places.append(places[-1] * p)
-            self._digit_powers = np.array(places, dtype=np.int64)
 
     # -- identity ----------------------------------------------------------
 
@@ -260,9 +249,6 @@ class Field:
         for d in reversed(digits):
             acc = acc * radix + d
         return acc
-
-    def element(self, value):
-        return FieldElement(self, self.validate(value))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -381,104 +367,40 @@ class Field:
             acc = add(acc, mul(a, b))
         return acc
 
-    def vectorised(self, k: int) -> bool:
-        """Whether matmul runs for inner dimension k: fields with exp/log
-        tables, and prime fields where k*(p-1)^2 fits int64."""
-        if self.base is None:
-            return k * (self.p - 1) ** 2 < 1 << 63
-        return self.q <= _LOG_LIMIT
-
-    def matmul(self, a, b):
-        """The product a @ b over the field, a (M, K) and b (K, N) integer
-        numpy arrays of element encodings; returns an (M, N) array.
-
-        Prime fields reduce numpy's integer product mod p.  Fields with
-        exp/log tables take the sums of products with dot_logs (at most
-        _MATMUL_BLOCK products at a time).  Elsewhere (see vectorised) it
-        raises InvalidParams.
-        """
-        m, k = a.shape
-        n = b.shape[1]
-        if not self.vectorised(k):
-            raise InvalidParams(f"{self} has no array product for inner dimension {k}")
-        if self.base is None:
-            return (a @ b) % self.p
-        step = max(1, _MATMUL_BLOCK // max(1, m * n))
-        la, lb = self.log_array(a), self.log_array(b)
-        parts = (
-            self.dot_logs(la[:, lo : lo + step, None], lb[None, lo : lo + step], 1)
-            for lo in range(0, max(k, 1), step)
-        )
-        return functools.reduce(self.add_array, parts)
-
-    # -- elementwise array kernels, where vectorised(1) holds -----------------
+    # -- array kernels, in characteristic 2 -----------------------------------
     #
     # Integer numpy arrays of element encodings, broadcast against each
-    # other.  Sums go by XOR in characteristic 2 and digit by digit mod p
-    # otherwise: the base-p digits of an encoding are its coordinates over
-    # GF(p), whatever the tower (a prime field has one digit).
+    # other, on the numpy copies of the exp/log tables that characteristic-2
+    # handles keep (see _build_mul_table).  Sums are XORs (^, and
+    # np.bitwise_xor.reduce along an axis), and negation is the identity.
 
     def mul_array(self, a, b):
         """Elementwise products a * b."""
         return self.mul_logs(self.log_array(a), self.log_array(b))
 
     # Products of operands in log form: log_array(a) is the array of the
-    # logarithms of a where the field has exp/log tables (log 0 = 2(q-1),
-    # whose sums read 0 through the zero tail of exp), and a itself in a
-    # prime field.  A factor of many products is converted once, and each
+    # logarithms of a (log 0 = 2(q-1), whose sums read 0 through the zero
+    # tail of exp).  A factor of many products is converted once, and each
     # product is then one addition and one gather.
 
     def log_array(self, a):
         """a in log form."""
-        if self.base is None:
-            return a
         return self._log_array[a]
 
     def mul_logs(self, la, lb):
         """Elementwise products of la and lb, both in log form, as elements."""
-        if self.base is None:
-            return la * lb % self.p
         return self._exp_array[la + lb]
 
     def dot_logs(self, la, lb, axis):
         """The sums along axis (a nonnegative axis number) of the products
-        mul_logs(la, lb); in a prime field, vectorised must hold for the
-        length of that axis."""
-        if self.base is None:
-            return (la * lb).sum(axis=axis) % self.p
-        return self.sum_array(self._exp_array[la + lb], axis)
+        mul_logs(la, lb)."""
+        return np.bitwise_xor.reduce(self._exp_array[la + lb], axis=axis)
 
     def inv_array(self, a):
         """Elementwise inverses, with 0 for 0."""
-        if self.base is None:
-            return _power(self.mul_array, a, self.p - 2) * (a != 0)
         # log[0] = 2(q-1) sends 0 to a negative index, which wraps into the
         # zero tail of exp
         return self._exp_array[self.q - 1 - self._log_array[a]]
-
-    def _digits(self, a):
-        return a[..., None] // self._digit_powers % self.p
-
-    def _pack(self, digits):
-        return digits % self.p @ self._digit_powers
-
-    def add_array(self, a, b):
-        """Elementwise sums a + b."""
-        if self.p == 2:
-            return a ^ b
-        return self._pack(self._digits(a) + self._digits(b))
-
-    def neg_array(self, a):
-        """Elementwise negatives -a."""
-        if self.p == 2:
-            return a
-        return self._pack(-self._digits(a))
-
-    def sum_array(self, a, axis):
-        """The sum of a along axis (a nonnegative axis number)."""
-        if self.p == 2:
-            return np.bitwise_xor.reduce(a, axis=axis)
-        return self._pack(self._digits(a).sum(axis=axis))
 
     # -- slow paths and tables ----------------------------------------------
 
@@ -513,7 +435,8 @@ class Field:
 
     def _build_mul_table(self):
         """exp/log tables of the first primitive element g in encoding order,
-        the Zech table for odd characteristic, and their numpy copies.
+        and the Zech table for odd characteristic or numpy copies of exp/log
+        for characteristic 2.
 
         The modulus need not be primitive, so x itself may have low order: a
         candidate is primitive when g^((q-1)/r) != 1 for every prime r of
@@ -521,12 +444,13 @@ class Field:
         exp[i] = g^(i mod (q-1)) for i < 2(q-1), so a product of two nonzero
         elements is exp[log a + log b] with no modulo.  log[0] = 2(q-1)
         points into a zero tail of exp, so any index sum with a zero operand
-        reads 0.  The array kernels read the numpy copies.
+        reads 0.  GF(2), whose one nonzero element is g = 1, has only the
+        numpy copies: its scalar arithmetic stays mod 2.
         """
         q1 = self.q - 1
         cofactors = [q1 // r for r in _prime_factors(q1)]
         mul = self._mul_slow
-        g = next(g for g in range(2, self.q) if all(_power(mul, g, e) != 1 for e in cofactors))
+        g = next((g for g in range(2, self.q) if all(_power(mul, g, e) != 1 for e in cofactors)), 1)
         powers = [1]
         for _ in range(q1 - 1):
             powers.append(mul(powers[-1], g))
@@ -535,11 +459,13 @@ class Field:
             log[x] = i
         log[0] = 2 * q1
         self._exp = powers * 2 + [0] * (2 * q1 + 1)
-        if self.p != 2:
+        if self.p == 2:
+            self._log_array = np.array(log, dtype=np.int64)
+            self._exp_array = np.array(self._exp, dtype=np.int64)
+        else:
             self._zech = self._build_add_table(log)
-        self._log_array = np.array(log, dtype=np.int64)
-        self._exp_array = np.array(self._exp, dtype=np.int64)
-        self._log = log  # last: the arithmetic takes the table paths from here
+        if self.base is not None:
+            self._log = log  # last: the arithmetic takes the table paths from here
 
     def _build_add_table(self, log):
         """Zech logarithms for odd characteristic: 1 + g^n = g^zech[n].
@@ -588,11 +514,12 @@ def make_field(p: int, m: int, modulus="auto") -> Field:
 
 def _cached(field: Field) -> Field:
     """The one handle of field's key: field itself the first time, when an
-    extension field with q <= _LOG_LIMIT also builds its tables."""
+    extension field with q <= _LOG_LIMIT, and GF(2), also builds its
+    tables."""
     known = _FIELD_CACHE.get(field.key)
     if known is not None:
         return known
-    if field.base is not None and field.q <= _LOG_LIMIT:
+    if (field.base is not None or field.p == 2) and field.q <= _LOG_LIMIT:
         field._build_mul_table()
     _FIELD_CACHE[field.key] = field
     return field
@@ -626,84 +553,6 @@ def _extension(base: Field, s: int, modulus: tuple) -> Field:
     return base if s == 1 else _cached(Field(base.p, base, s, modulus, _token=_FIELD_TOKEN))
 
 
-class FieldElement:
-    """An element bound to its field; arithmetic requires identical fields."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        self.field = field
-        self.value = field.validate(value)
-
-    def _coerce(self, other):
-        """other's encoding: an element of the same field, or what validate
-        accepts."""
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other.value
-        return self.field.validate(other)
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.div(self.value, v))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    @property
-    def coeffs(self):
-        return tuple(self.field.to_digits(self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.key, self.value))
-
-    def __repr__(self):
-        return f"{self.field}:{self.value}"
-
-
-def field_arith(a: FieldElement, b: FieldElement | None, op: str) -> FieldElement:
-    """Named-op dispatch over FieldElement pairs (b ignored for inv/neg)."""
-    if op == "inv":
-        return a.inverse()
-    if op == "neg":
-        return -a
-    if b is None:
-        raise InvalidParams(f"operation {op!r} needs two operands")
-    table = {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__, "div": a.__truediv__}
-    if op not in table:
-        raise InvalidParams(f"unknown operation {op!r}")
-    return table[op](b)
-
-
 class TowerView:
     """Expansion of GF(q^s) elements into length-s vectors over GF(q).
 
@@ -722,13 +571,8 @@ class TowerView:
             raise FieldMismatch(f"{big} is not built as an extension of {base}")
         self.big = big
         self.base = base
-        self._place_array = np.array([base.q**i for i in range(self.s)], dtype=np.int64)
 
     def to_base_vector(self, e):
-        if isinstance(e, FieldElement):
-            if e.field != self.big:
-                raise FieldMismatch(f"element of {e.field} is not in {self.big}")
-            e = e.value
         e = self.big.validate(e)
         if self.s == 1:  # the degree-one views of MPC specs, on the hot path
             return (e,)
@@ -739,16 +583,6 @@ class TowerView:
             raise InvalidParams(f"expected {self.s} coordinates, got {len(vec)}")
         digits = self.base.vector(vec)
         return digits[0] if self.s == 1 else self.big.from_digits(digits)
-
-    def expand(self, word):
-        """The (M, s) array whose row i is to_base_vector(word[i]), for M
-        elements of the big field (unchecked; big.q must not exceed 2^63)."""
-        return np.asarray(word, dtype=np.int64).reshape(-1, 1) // self._place_array % self.base.q
-
-    def pack(self, coords):
-        """The elements whose base coordinates are the rows of the (M, s)
-        array coords, as an array: the inverse of expand."""
-        return coords @ self._place_array
 
     def lift(self, a: int) -> int:
         """Embed a base-field element into the big field."""

@@ -5,11 +5,10 @@ integer encoding; all arithmetic goes through the field handle, which must
 provide add/sub/mul/inv/neg and the in-place row update axpy(out, c, v)
 (out[j] += c * v[j]) that the row loops run on.  RowMap applies one fixed
 matrix to batches of rows, splitting outer symbols into inner digits or
-joining them back, and picks one of four kernels per call: a lookup table
-of every row's image for small domains; for a batch of enough products,
-packed split tables (one gather, one XOR reduction) in characteristic 2 up
-to 2^8 elements and the field's array product matmul in every other field
-that has one; and the row loop otherwise.
+joining them back, and picks one of three kernels per call: a lookup table
+of every row's image for small domains; for a batch of enough products in
+characteristic 2 up to 2^8 elements, packed split tables (one gather, one
+XOR reduction); and the row loop otherwise, in every field.
 """
 
 import functools
@@ -27,9 +26,7 @@ from .errors import InvalidParams
 # products (loop / packed: GF(8) 1x8x8 6.4 / 8.9 us, 1x12x12 9.6 / 9.2 us;
 # GF(256) 1x8x8 8.9 / 8.9 us, 1x15x7 12.6 / 9.1 us); over GF(2), where the
 # loop runs on plain ints, near 200 (1x12x12 9.2 / 10.2 us, 1x16x16 10.2 /
-# 9.2 us).  Field.matmul crosses a little earlier over GF(3) (1x8x8 3.3 /
-# 3.8 us, 1x15x7 7.9 / 4.1 us) and a little later over GF(9) (1x12x12
-# 20.8 / 20.4 us), so one threshold serves every kernel.
+# 9.2 us).
 ARRAY_MIN_PRODUCTS = 128
 
 # Most entries of a precomputed lookup table: the q^K images of a RowMap's
@@ -44,7 +41,7 @@ ARRAY_MIN_PRODUCTS = 128
 # lookup.
 TABLE_CAP = 512
 
-_PACKED_BLOCK = 1 << 16  # most table words RowMap._packed_product gathers at once
+_PACKED_BLOCK = 1 << 16  # most table words RowMap.product gathers at once
 
 
 class RowMap:
@@ -55,8 +52,8 @@ class RowMap:
     packs into one symbol per tower.  Each call takes the lookup table
     `table`, if one was built (q^K at most TABLE_CAP); else the array
     kernel `product` when len(rows) * K * N reaches ARRAY_MIN_PRODUCTS and
-    `array` holds the matrix (f.matmul is vectorised for K, no tower
-    exceeds 2^63 elements); else the row loop, vec_mat between
+    `array` holds the matrix (f in characteristic 2 with at most 2^8
+    elements, no tower past 2^63); else the row loop, vec_mat between
     to_base_vector and from_base_vector.  All of them give the same tuples
     of ints for rows of elements.
 
@@ -78,11 +75,9 @@ class RowMap:
         ends = itertools.accumulate(t.s for t in self.join)
         self._slices = [(t, end - t.s, end) for t, end in zip(self.join, ends)]
         self.array = self.table = None
-        if f.vectorised(self.k) and all(t.big.q <= 1 << 63 for t in self.split + self.join):
+        # the array kernel runs where sums are XORs of at most 8-bit elements
+        if f.p == 2 and f.q <= 1 << 8 and all(t.big.q <= 1 << 63 for t in self.split + self.join):
             self.array = np.array(self.matrix, dtype=np.int64).reshape(self.k, self.n)
-        # the field picks the array kernel: packed tables where sums are XORs
-        # of at most 8-bit elements, Field.matmul elsewhere
-        self.packed = f.p == 2 and f.q <= 1 << 8
         if f.q**self.k <= TABLE_CAP:
             symbols = [range(tower.big.q) for tower in self.split] or [range(f.q)] * self.k
             self.table = {x: self._loop(x) for x in itertools.product(*symbols)}
@@ -124,26 +119,11 @@ class RowMap:
         return out
 
     def product(self, x):
-        """x . matrix on arrays, where `array` is set: x is a (B, len(split)
-        or K) int64 array of symbols, unchecked, and the (B, len(join) or
-        N) int64 array of their images comes back."""
-        if self.packed:
-            return self._packed_product(x)
-        return self._matmul_product(x)
-
-    def _matmul_product(self, x):
-        """One Field.matmul between TowerView.expand and pack."""
-        if self.split:
-            x = np.concatenate([t.expand(col) for t, col in zip(self.split, x.T)], axis=1)
-        out = self.field.matmul(x, self.array)
-        if self.join:
-            out = np.stack([t.pack(out[:, lo:hi]) for t, lo, hi in self._slices], axis=1)
-        return out
-
-    def _packed_product(self, x):
-        """x . matrix in characteristic 2 by split tables: one gather of the
-        images of every 4-bit slice of x, one XOR reduction, one unpack
-        (Plank, Greenan and Miller, FAST 2013).
+        """x . matrix on arrays, where `array` is set, by split tables: x is
+        a (B, len(split) or K) int64 array of symbols, unchecked, and the
+        (B, len(join) or N) int64 array of their images comes back.  One
+        gather of the images of every 4-bit slice of x, one XOR reduction,
+        one unpack (Plank, Greenan and Miller, FAST 2013).
 
         x . matrix is GF(2)-linear in the bits of x, so each symbol's image
         is the XOR of its 4-bit slices' images.  Those are kept packed, m
@@ -153,7 +133,7 @@ class RowMap:
         tables, columns, shifts, offsets, word, shift, mask = self._packed
         step = max(1, _PACKED_BLOCK // max(1, tables.shape[1] * len(offsets)))
         if len(x) > step:
-            return np.concatenate([self._packed_product(x[lo : lo + step]) for lo in range(0, len(x), step)])
+            return np.concatenate([self.product(x[lo : lo + step]) for lo in range(0, len(x), step)])
         slices = x.T if columns is None else x.T.take(columns, axis=0) >> shifts & 15
         packed = np.bitwise_xor.reduce(tables.take(slices + offsets, axis=0), axis=0)
         if word is not None:
@@ -163,7 +143,7 @@ class RowMap:
     @functools.cached_property
     def _packed(self):
         """(tables, columns, shifts, offsets, word, shift, mask) of
-        _packed_product, built on its first call: row offsets[t] + v of
+        product, built on its first call: row offsets[t] + v of
         tables is the packed image of the value v at bits shifts[t] of input
         symbol columns[t]; output symbol j is word[j] >> shift[j] & mask[j]
         of the XOR of those rows.  columns is None where the slices are the

@@ -49,8 +49,7 @@ def _require(cond, msg):
 def _check_field_axioms(rng):
     # prime fields, exp/log tables in characteristic 2 and 3 (Zech addition),
     # a tower GF(16) over GF(4), GF(1024) beyond 256 elements and GF(2^17)
-    # past the tables; the array product, where the field has one, runs mod
-    # p, by XOR and by base-p digits
+    # past the tables
     gf4 = make_field(2, 2)
     fields = [make_field(2, 3), make_field(3, 2), make_field(5, 1)]
     fields += [extend_field(gf4, 2), make_field(3, 5), make_field(2, 10), make_field(2, 17)]
@@ -77,20 +76,6 @@ def _check_field_axioms(rng):
         for x, y in zip(u, v):
             dot = f.add(dot, f.mul(x, y))
         _require(f.dot(u, v) == dot, f"{f}: dot")
-        # the array product against the scalar loop, zero row and column included
-        a = [[rng.randrange(f.q) for _ in range(4)] for _ in range(3)] + [[0] * 4]
-        b = [[0] + [rng.randrange(f.q) for _ in range(4)] for _ in range(4)]
-        if not f.vectorised(4):  # drawn anyway, so later checks keep their draws
-            continue
-        prod = f.matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)).tolist()
-        for row, out in zip(a, prod):
-            expect = []
-            for j in range(5):
-                acc = 0
-                for x, col in zip(row, b):
-                    acc = f.add(acc, f.mul(x, col[j]))
-                expect.append(acc)
-            _require(out == expect, f"{f}: matmul")
 
 
 def _check_tower_roundtrip(rng):
@@ -140,10 +125,13 @@ def _image(f, m, split, join, row):
 
 def _check_row_maps(rng):
     # every RowMap kernel against dot products: the table (q^K up to the
-    # cap), and past it the row loop and the array product (batches below
+    # cap), and past it the row loop and the packed product (batches below
     # and at ARRAY_MIN_PRODUCTS products); plain maps over GF(2), GF(9) and
     # GF(16)/GF(4), and maps that split symbols or join digits through
-    # towers of degree two and one, GF(4)/GF(2) and GF(16)/GF(4)
+    # towers of degree two and one, GF(4)/GF(2) and GF(16)/GF(4).  GF(9)
+    # has no array kernel and takes the row loop at either size; seen
+    # counts each side's kernels and the fields on the row loop past the
+    # crossover
     seen = set()
     gf4 = make_field(2, 2)
     cases = [(make_field(2, 1), "plain"), (make_field(3, 2), "plain"), (extend_field(gf4, 2), "plain")]
@@ -162,11 +150,13 @@ def _check_row_maps(rng):
                 domains = [t.big.q for t in split] or [f.q] * k
                 rows = [[rng.randrange(q) for q in domains] for _ in range(size)]
                 expect = [_image(f, m, split, join, row) for row in rows]
-                kind = "table" if rowmap.table else "row loop" if size * k * n < least else "array"
+                kind = "table" if rowmap.table else "array" if rowmap.takes_arrays(size) else "row loop"
                 seen.add((side, kind))
+                if kind == "row loop" and size * k * n >= least:
+                    seen.add((f.q, kind))
                 ok = rowmap(rows) == expect and rowmap.row(rows[0]) == expect[0]
                 _require(ok, f"{f}: {side} {kind} products of {m}")
-    _require(len(seen) == 9, f"kernels checked: {sorted(seen)}")
+    _require(len(seen) == 10, f"kernels checked: {sorted(seen, key=str)}")
 
 
 def _check_rs_against_oracle(rng):
@@ -334,12 +324,12 @@ def _check_channel_stream(rng):
 
 
 def _check_packed_products(rng):
-    # RowMap's packed tables against Field.matmul and the row loop over
-    # GF(2), GF(8), GF(16)/GF(4) and GF(256)/GF(16): K = 1, N past one
-    # 64-bit word of elements, zero matrix rows, an empty batch, and maps
-    # that split symbols or join digits (through degree-two towers, and
-    # degree-one ones over GF(256)/GF(16)); each batch holds the zero row
-    # and the first unit row, whose image is matrix row 0
+    # RowMap's packed tables against the row loop over GF(2), GF(8),
+    # GF(16)/GF(4) and GF(256)/GF(16): K = 1, N past one 64-bit word of
+    # elements, zero matrix rows, an empty batch, and maps that split
+    # symbols or join digits (through degree-two towers, and degree-one
+    # ones over GF(256)/GF(16)); each batch holds the zero row and the
+    # first unit row, whose image is matrix row 0
     gf4, gf16 = make_field(2, 2), make_field(2, 4)
     for f in (make_field(2, 1), make_field(2, 3), extend_field(gf4, 2), extend_field(gf16, 2)):
         bits = f.q.bit_length() - 1
@@ -357,11 +347,10 @@ def _check_packed_products(rng):
             rows = [[0] * len(domains), [1] + [0] * (len(domains) - 1)]
             rows += [[rng.randrange(q) for q in domains] for _ in range(rng.randrange(1, 9))]
             x = np.array(rows, dtype=np.int64)
-            packed = rowmap._packed_product(x).tolist()
+            packed = rowmap.product(x).tolist()
             what = f"{f}: {side} {k} x {n} packed products"
-            _require(rowmap.packed and packed == rowmap._matmul_product(x).tolist(), f"{what} against matmul")
             _require(packed == [list(rowmap._loop(row)) for row in rows], f"{what} against the row loop")
-            _require(rowmap._packed_product(x[:0]).shape == (0, len(join) or n), f"{what} of no rows")
+            _require(rowmap.product(x[:0]).shape == (0, len(join) or n), f"{what} of no rows")
 
 
 def _check_erasure_only_solves(rng):
@@ -455,11 +444,11 @@ def per_row_twin(code):
 def _check_batch_solves(rng):
     # the RS decoder's array solve, read through decode_rows, against its
     # scalar decoder row by row, over GF(16) (the benchmark's inner code)
-    # and GF(31): solve_batch_words, whose odd-syndrome words only a
+    # and GF(32): solve_batch_words, whose odd-syndrome words only a
     # re-check of every syndrome refuses (both codes have an odd d - 1, so
     # some of them have no erasures and take the array solve).
     # decode_rows holds every decoded row to the bound.
-    for f, n, k in ((make_field(2, 4), 15, 8), (make_field(31, 1), 31, 16)):
+    for f, n, k in ((make_field(2, 4), 15, 8), (make_field(2, 5), 31, 16)):
         code = rs_code(f, n, k)
         words, erasure_sets, odd = solve_batch_words(code, rng)
         rd = decode_rows(code, words, erasure_sets)

@@ -161,30 +161,25 @@ def load_perfbench(name):
     return sys.modules[key]
 
 
-def array_kernel(f) -> str:
-    """The array kernel of RowMaps over f: packed tables in characteristic 2
-    up to 2^8 elements, Field.matmul elsewhere."""
-    return "packed" if f.p == 2 and f.q <= 256 else "matmul"
+def has_array_kernel(f) -> bool:
+    """Whether RowMaps over f have an array kernel, the packed tables:
+    characteristic 2 up to 2^8 elements (every other field takes the row
+    loop)."""
+    return f.p == 2 and f.q <= 256
 
 
 @pytest.fixture
 def array_calls(monkeypatch):
-    """(kernel, (M, K)) of every array product the test makes, M rows of K
-    digits: the RowMap calls that ran on arrays rather than a table or the
-    row loop, "packed" through RowMap._packed_product and "matmul" through
-    Field.matmul."""
-    calls, matmul, packed = [], g.Field.matmul, linalg.RowMap._packed_product
+    """("packed", (M, K)) of every array product the test makes, M rows of
+    K digits: the RowMap calls that ran on the packed tables
+    (RowMap.product) rather than a table or the row loop."""
+    calls, product = [], linalg.RowMap.product
 
-    def spy_matmul(f, a, b):
-        calls.append(("matmul", a.shape))
-        return matmul(f, a, b)
-
-    def spy_packed(rowmap, x):
+    def spy(rowmap, x):
         calls.append(("packed", (len(x), rowmap.k)))
-        return packed(rowmap, x)
+        return product(rowmap, x)
 
-    monkeypatch.setattr(g.Field, "matmul", spy_matmul)
-    monkeypatch.setattr(linalg.RowMap, "_packed_product", spy_packed)
+    monkeypatch.setattr(linalg.RowMap, "product", spy)
     return calls
 
 

@@ -12,7 +12,7 @@ from gccodec import block_codes, linalg, specio
 from gccodec.block_codes import BATCH_MIN_ROWS, DecodeOutcome, ReedSolomonDecoder, _berlekamp_massey
 from gccodec.concat import decode_rows
 from gccodec.selftest import odd_syndrome_word, per_row_twin, solve_batch_words
-from conftest import GEN_HAMMING_7_4_3, array_kernel
+from conftest import GEN_HAMMING_7_4_3, has_array_kernel
 
 
 def _field(params):
@@ -323,11 +323,11 @@ class TestReedSolomon:
             assert out.codeword == sent
             assert 2 * out.weight + n_erased < d
 
-    @pytest.mark.parametrize("q_params,n,k", [((2, 3), 7, 3), ((3, 2), 9, 4), ((2, 4, 2), 40, 24)])
+    @pytest.mark.parametrize("q_params,n,k", [((2, 3), 7, 3), ((2, 4, 2), 40, 24)])
     def test_array_and_loop_paths_agree(self, monkeypatch, array_calls, q_params, n, k):
         # syndromes and root search as array products (packed tables over
-        # GF(8) and GF(256)/GF(16), Field.matmul over GF(9)), and as the row
-        # loop, pinned per call by ARRAY_MIN_PRODUCTS
+        # GF(8) and GF(256)/GF(16)), and as the row loop, pinned per call by
+        # ARRAY_MIN_PRODUCTS
         field = _field(q_params)
         code = g.rs_code(field, n, k)
         for rowmap in (code.decoder._syndromes, code.decoder._roots):
@@ -338,7 +338,7 @@ class TestReedSolomon:
             array_calls.clear()
             out = code.decode(word, erasures)
             kernels = {kernel for kernel, _ in array_calls}
-            assert kernels == ({array_kernel(field)} if threshold == 0 else set())
+            assert kernels == ({"packed"} if threshold == 0 else set())
             return out
 
         rng = random.Random(n + k)
@@ -655,15 +655,21 @@ class TestBatchDecode:
         [
             (lambda: g.make_field(2, 4), 15, 8),
             (lambda: g.extend_field(g.make_field(2, 4), 2), 64, 40),
+            # the other fields have no array kernel: always scalar
             (lambda: g.make_field(7, 1), 7, 3),
-            (lambda: g.make_field(3, 2), 9, 3),  # an odd-characteristic extension: always scalar
-            (lambda: g.make_field(65537, 1), 20, 9),  # a prime field above 2^16 is vectorised
+            (lambda: g.make_field(3, 2), 9, 3),
+            (lambda: g.make_field(31, 1), 31, 15),
+            (lambda: g.make_field(65537, 1), 20, 9),
+            (lambda: g.make_field(2, 10), 40, 20),
+            (lambda: g.make_field(2, 17), 8, 4),
         ],
     )
     def test_crossover_picks_the_path(self, monkeypatch, make, n, k):
-        # rows with erasures go to _solve one by one; erasure-free rows with
-        # a nonzero syndrome go to one _solve_arrays call from BATCH_MIN_ROWS
-        # of them up, else to _solve as well
+        # in characteristic 2 up to 2^8 elements, rows with erasures go to
+        # _solve one by one; erasure-free rows with a nonzero syndrome go to
+        # one _solve_arrays call from BATCH_MIN_ROWS of them up, else to
+        # _solve as well.  Every other field's syndrome map has no array,
+        # decode_arrays declines, and its syndromes are vec_mat's
         solved, scalar = [], []
         solve_arrays, solve = ReedSolomonDecoder._solve_arrays, ReedSolomonDecoder._solve
         monkeypatch.setattr(
@@ -674,8 +680,9 @@ class TestBatchDecode:
         )
         code = g.rs_code(make(), n, k)
         twin = per_row_twin(code)
-        f, rng, edge = code.field, random.Random(n), BATCH_MIN_ROWS
-        batched = f.p == 2 or f.base is None
+        f, rng, edge, dec = code.field, random.Random(n), BATCH_MIN_ROWS, code.decoder
+        batched = has_array_kernel(f)
+        assert isinstance(dec, ReedSolomonDecoder) and (dec._syndromes.array is not None) == batched
         cases = [(edge - 1, edge - 1, 0), (40, edge - 1, 6), (40, edge, 6), (40, 20, 20), (40, 34, 6)]
         for size, clean, erased in cases:
             # `clean` rows carry one error and `erased` rows one erased error,
@@ -693,9 +700,12 @@ class TestBatchDecode:
             solved.clear()
             scalar.clear()
             rd = decode_rows(code, words, erasure_sets)
-            # decode_arrays declines below the edge and in odd-characteristic
-            # extensions; the decoder's __call__ then sends every erasure-free
+            # decode_arrays declines below the edge and without an array
+            # kernel; the decoder's __call__ then sends every erasure-free
             # row to _solve and the erasure-only solve takes the erased ones
+            if not batched:
+                assert dec.decode_arrays(words, erasure_sets) is None
+                assert dec._syndromes(words) == [linalg.vec_mat(f, w, dec._syndromes.matrix) for w in words]
             arrays = size >= edge and batched
             assert (rd.arrays is None) == (not arrays)
             assert solved == ([clean] if arrays and clean >= edge else [])
@@ -715,17 +725,21 @@ class TestBatchDecode:
 LARGE_CODES = {
     "RS(15,8)/GF(16)": ((2, 4), 15, 8),
     "RS(64,40)/GF(256)": ((2, 4, 2), 64, 40),
+    "RS(31,16)/GF(32)": ((2, 5), 31, 16),  # an odd d - 1
     "RS(31,15)/GF(31)": ((31, 1), 31, 15),
     "RS(31,16)/GF(31)": ((31, 1), 31, 16),  # an odd d - 1 in a prime field
 }
+# the codes whose decoders solve batches on arrays: characteristic 2
+BATCHED_CODES = sorted(name for name, (params, _, _) in LARGE_CODES.items() if params[0] == 2)
 
 
 class TestBatchOnLargeCodes:
     """decode_arrays, read through decode_rows, against the scalar decoder
     beyond the hypothesis test's range, on the benchmark's inner code, its
-    outer code and a prime field."""
+    outer code and RS(31,16)/GF(32); the odd-syndrome words also over a
+    prime field, whose words the scalar solve takes."""
 
-    @pytest.mark.parametrize("name", sorted(LARGE_CODES))
+    @pytest.mark.parametrize("name", BATCHED_CODES)
     def test_batch_equals_scalar(self, monkeypatch, name):
         params, n, k = LARGE_CODES[name]
         code = g.rs_code(_field(params), n, k)

@@ -419,6 +419,18 @@ class TestRunExperiment:
             with pytest.raises(g.ConfigError):
                 g.ExperimentConfig(spec=cc_small, channel=channel, trials=60, threads=threads)
 
+    @pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, "3", None, 0, -1, [3]])
+    def test_malformed_trial_counts_are_rejected(self, cc_small, trials):
+        channel = g.ChannelModel(error_rate=0.15, erasure_rate=0.05, seed=6)
+        with pytest.raises(g.ConfigError):
+            g.ExperimentConfig(spec=cc_small, channel=channel, trials=trials)
+
+    def test_integer_trial_counts_read_as_int(self, cc_small):
+        channel = g.ChannelModel(error_rate=0.15, erasure_rate=0.05, seed=6)
+        config = g.ExperimentConfig(spec=cc_small, channel=channel, trials=np.int64(2))
+        assert type(config.trials) is int and config.trials == 2
+        assert g.run_experiment(config).trials == 2
+
     def test_jsonl_output(self, cc_small, tmp_path):
         out = tmp_path / "run.jsonl"
         config = g.ExperimentConfig(

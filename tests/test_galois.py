@@ -9,7 +9,7 @@ import numpy as np
 
 import gccodec as g
 from gccodec import galois, linalg, specio
-from conftest import array_kernel
+from conftest import has_array_kernel
 
 
 def naive_digits(value, p, m):
@@ -136,9 +136,10 @@ class TestConstructor:
             gf9 = g.make_field(3, 2)
             gf81 = g.extend_field(gf9, 2)
             gf16 = g.make_field(2, 4)
-        assert [f.q for f in built] == [9, 81, 16]
-        assert built[0] is gf9 and built[1] is gf81 and built[2] is gf16
-        assert all(f._log for f in built)
+        # GF(2), made on the way to GF(16), keeps only the array tables
+        assert [f.q for f in built] == [9, 81, 2, 16]
+        assert built[0] is gf9 and built[1] is gf81 and built[2] is gf16.base and built[3] is gf16
+        assert [bool(f._log) for f in built] == [True, True, False, True]
 
 
     @pytest.mark.parametrize(
@@ -355,15 +356,13 @@ class TestBeyondLogTables:
         assert f._log is False
 
 
-MATMUL_FIELDS = {
+ROW_MAP_FIELDS = {
     **KERNEL_FIELDS,
     "GF(2)": lambda: g.make_field(2, 1),
     "GF(3)": lambda: g.make_field(3, 1),
-    "GF(2^17)": lambda: g.make_field(2, 17),  # no tables: no array product
-    "GF(2^32+15)": lambda: g.make_field(4294967311, 1),  # (p-1)^2 overflows int64: none
+    "GF(2^17)": lambda: g.make_field(2, 17),  # no tables
+    "GF(2^32+15)": lambda: g.make_field(4294967311, 1),
 }
-# (M, K, N): a single row, a single inner coordinate, a general block
-MATMUL_SHAPES = [(1, 1, 1), (1, 6, 5), (4, 1, 3), (6, 5, 7)]
 
 
 def random_matrix(f, rng, rows, cols):
@@ -376,47 +375,25 @@ def random_matrix(f, rng, rows, cols):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(MATMUL_FIELDS))
-class TestMatmul:
-    """Field.matmul against linalg.vec_mat, row by row; a field without
-    an array product for the inner dimension raises InvalidParams."""
-
-    @pytest.mark.parametrize("shape", MATMUL_SHAPES, ids=lambda s: "x".join(map(str, s)))
-    def test_against_vec_mat(self, name, shape):
-        f = MATMUL_FIELDS[name]()
-        m, k, n = shape
-        rng = random.Random(f.q + m * k * n)
-        for _ in range(5):
-            a = random_matrix(f, rng, m, k)
-            b = random_matrix(f, rng, k, n)
-            if not f.vectorised(k):
-                # no array product: RowMap keeps these fields on its row loop
-                with pytest.raises(g.InvalidParams):
-                    f.matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-                continue
-            out = f.matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-            assert out.shape == (m, n)
-            assert out.tolist() == [list(linalg.vec_mat(f, row, b)) for row in a]
-
-    def test_row_map_paths_agree(self, name, monkeypatch, array_calls):
-        # one map without a table, pinned to the row loop and then to the
-        # array product (where matmul is vectorised: packed tables in
-        # characteristic 2 up to 2^8 elements) by ARRAY_MIN_PRODUCTS
-        f = MATMUL_FIELDS[name]()
-        rng = random.Random(f.q)
-        b = random_matrix(f, rng, 5, 4)
-        monkeypatch.setattr(linalg, "TABLE_CAP", 0)
-        rowmap = linalg.RowMap(f, b)
-        assert rowmap.table is None and (rowmap.array is None) == (not f.vectorised(5))
-        rows = random_matrix(f, rng, 6, 5)
-        expect = [linalg.vec_mat(f, row, b) for row in rows]
-        kernel = array_kernel(f)
-        for threshold, arrays in ((1 << 62, 0), (0, 2 * f.vectorised(5))):
-            monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", threshold)
-            array_calls.clear()
-            assert rowmap(rows) == expect
-            assert rowmap.row(rows[1]) == expect[1]
-            assert array_calls == [(kernel, (6, 5)), (kernel, (1, 5))][:arrays]
+@pytest.mark.parametrize("name", sorted(ROW_MAP_FIELDS))
+def test_row_map_paths_agree(name, monkeypatch, array_calls):
+    # one map without a table, pinned to the row loop and then to the
+    # packed tables (where the field has them: characteristic 2 up to 2^8
+    # elements) by ARRAY_MIN_PRODUCTS; every other field keeps the row loop
+    f = ROW_MAP_FIELDS[name]()
+    rng = random.Random(f.q)
+    b = random_matrix(f, rng, 5, 4)
+    monkeypatch.setattr(linalg, "TABLE_CAP", 0)
+    rowmap = linalg.RowMap(f, b)
+    assert rowmap.table is None and (rowmap.array is not None) == has_array_kernel(f)
+    rows = random_matrix(f, rng, 6, 5)
+    expect = [linalg.vec_mat(f, row, b) for row in rows]
+    for threshold, arrays in ((1 << 62, 0), (0, 2 * has_array_kernel(f))):
+        monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", threshold)
+        array_calls.clear()
+        assert rowmap(rows) == expect
+        assert rowmap.row(rows[1]) == expect[1]
+        assert array_calls == [("packed", (6, 5)), ("packed", (1, 5))][:arrays]
 
 
 # the fields above whose RowMaps take packed tables: characteristic 2, at
@@ -425,67 +402,55 @@ PACKED_FIELDS = ["GF(2)", "GF(4)", "GF(8)", "GF(16)-nonprimitive", "GF(16)/GF(4)
 
 
 def test_packed_fields_are_the_small_binary_ones():
-    fields = {name: make() for name, make in MATMUL_FIELDS.items()}
-    assert sorted(PACKED_FIELDS) == sorted(n for n, f in fields.items() if f.p == 2 and f.q <= 256)
-    assert all(linalg.RowMap(f, [[1]]).packed == (n in PACKED_FIELDS) for n, f in fields.items())
+    fields = {name: make() for name, make in ROW_MAP_FIELDS.items()}
+    assert sorted(PACKED_FIELDS) == sorted(n for n, f in fields.items() if has_array_kernel(f))
+    assert all((linalg.RowMap(f, [[1]]).array is not None) == (n in PACKED_FIELDS) for n, f in fields.items())
 
 
 @pytest.mark.parametrize("name", PACKED_FIELDS)
 @pytest.mark.parametrize("rows", [1, 64])
-def test_packed_product_matches_matmul(name, rows):
-    """RowMap's packed tables against Field.matmul on (rows, K) @ (K, N):
+def test_packed_product_matches_the_row_loop(name, rows):
+    """RowMap's packed tables against the row loop on (rows, K) @ (K, N):
     K = 1 and 5, N = 1, one word of elements (64/m), one more, and 64; row
     and column 0 of every block are zero; then maps that split symbols and
     join digits through a tower (degree two up to 16 elements, degree one
     over GF(256)/GF(16)), N past one word."""
-    f = MATMUL_FIELDS[name]()
+    f = ROW_MAP_FIELDS[name]()
     m = f.q.bit_length() - 1
     rng = random.Random(f.q * rows)
     for k in (1, 5):
         for n in sorted({1, 64 // m, 64 // m + 1, 64}):
-            rowmap = linalg.RowMap(f, random_matrix(f, rng, k, n))
-            x = np.array(random_matrix(f, rng, rows, k), dtype=np.int64)
-            assert rowmap._packed_product(x).tolist() == f.matmul(x, rowmap.array).tolist()
+            matrix = random_matrix(f, rng, k, n)
+            rowmap = linalg.RowMap(f, matrix)
+            x = random_matrix(f, rng, rows, k)
+            expect = [list(linalg.vec_mat(f, row, matrix)) for row in x]
+            assert rowmap.product(np.array(x, dtype=np.int64)).tolist() == expect
     tower = g.TowerView(g.extend_field(f, 2) if f.q <= 16 else f, f)
     n = 2 * (64 // m + 1)
     for split, join, k in (((tower,) * 3, (), 3 * tower.s), ((), (tower,) * (n // tower.s), 7)):
         rowmap = linalg.RowMap(f, random_matrix(f, rng, k, n), split=split, join=join)
         domains = [t.big.q for t in split] or [f.q] * k
         x = np.array([[rng.randrange(q) for q in domains] for _ in range(rows)], dtype=np.int64)
-        assert rowmap._packed_product(x).tolist() == rowmap._matmul_product(x).tolist()
-        assert rowmap._packed_product(x).tolist() == [list(rowmap._loop(row)) for row in x.tolist()]
+        assert rowmap.product(x).tolist() == [list(rowmap._loop(row)) for row in x.tolist()]
 
 
-ARRAY_FIELDS = {
-    **KERNEL_FIELDS,
-    "GF(2)": lambda: g.make_field(2, 1),
-    "GF(5)": lambda: g.make_field(5, 1),
-    "GF(27)/GF(3)": lambda: g.extend_field(g.make_field(3, 1), 3),
-    "GF(81)/GF(9)": lambda: g.extend_field(g.make_field(3, 2), 2),
-    "GF(65537)": lambda: g.make_field(65537, 1),
-}
+# the characteristic-2 fields with tables, GF(2) included: their handles
+# keep the numpy tables of the array kernels
+ARRAY_FIELDS = {name: ROW_MAP_FIELDS[name] for name in PACKED_FIELDS + ["GF(512)", "GF(1024)"]}
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_FIELDS))
 def test_elementwise_array_kernels(name):
-    """mul/add/neg/inv/sum on arrays against the scalar operations."""
+    """mul/inv on arrays, and products and XOR sums in log form, against
+    the scalar operations."""
     f = ARRAY_FIELDS[name]()
-    assert f.vectorised(1)
     pairs = kernel_pairs(f, count=400)
     a = np.array([x for x, _ in pairs], dtype=np.int64)
     b = np.array([y for _, y in pairs], dtype=np.int64)
     assert f.mul_array(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
-    assert f.add_array(a, b).tolist() == [f.add(x, y) for x, y in pairs]
-    assert f.neg_array(a).tolist() == [f.neg(x) for x in a.tolist()]
     assert f.inv_array(a).tolist() == [f.inv(x) if x else 0 for x in a.tolist()]
-    # broadcasting, and sums along either axis of a 2-d array
+    # broadcasting
     assert f.mul_array(a[:5, None], b[None, :7]).tolist() == [[f.mul(x, y) for y in b[:7].tolist()] for x in a[:5].tolist()]
-    grid = np.resize(np.concatenate([a, b]), (3, 40))
-    for axis in (0, 1):
-        expect = np.zeros(grid.shape[1 - axis], dtype=np.int64).tolist()
-        for line in np.moveaxis(grid, axis, 0).tolist():
-            expect = [f.add(x, y) for x, y in zip(expect, line)]
-        assert f.sum_array(grid, axis).tolist() == expect
     # products of operands in log form, and their sums along either axis
     la, lb = f.log_array(a), f.log_array(b)
     assert f.mul_logs(la, lb).tolist() == [f.mul(x, y) for x, y in pairs]
@@ -494,24 +459,6 @@ def test_elementwise_array_kernels(name):
         got = f.dot_logs(f.log_array(rows), f.log_array(cols), axis).tolist()
         lines = zip(np.moveaxis(rows, axis, 0).T.tolist(), np.moveaxis(cols, axis, 0).T.tolist())
         assert got == [f.dot(x, y) for x, y in lines]
-
-
-@pytest.mark.parametrize("name", ["GF(7)", "GF(9)", "GF(256)/GF(16)"])
-def test_matmul_in_blocks(name):
-    # M * N above the block size: the products are gathered one K slice at a time
-    f = MATMUL_FIELDS[name]()
-    rng = random.Random(5)
-    a = random_matrix(f, rng, 300, 3)
-    b = random_matrix(f, rng, 3, 260)
-    out = f.matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-    assert out.tolist() == [list(linalg.vec_mat(f, row, b)) for row in a]
-
-
-def test_vectorised():
-    assert g.make_field(2, 16).vectorised(1000)
-    assert not g.make_field(2, 17).vectorised(1)
-    assert g.make_field(3, 1).vectorised(1 << 40)
-    assert not g.make_field(4294967311, 1).vectorised(1)
 
 
 class TestVector:
@@ -532,25 +479,21 @@ class TestValidate:
     def test_rejects(self, gf3, bad):
         gf9 = g.extend_field(gf3, 2)
         view = g.TowerView(gf9, gf3)
-        one = gf9.element(1)
-        for check in (gf9.element, gf9.validate, view.to_base_vector, view.lift, one.__add__):
+        for check in (gf9.validate, view.to_base_vector, view.lift):
             with pytest.raises(g.InvalidParams):
                 check(bad)
-        with pytest.raises(g.InvalidParams):
-            g.FieldElement(gf9, bad)
         with pytest.raises(g.InvalidParams):
             gf9.vector([bad])
 
     def test_accepts_numpy_integers(self, gf3):
         gf9 = g.extend_field(gf3, 2)
         view = g.TowerView(gf9, gf3)
-        e = gf9.element(np.int64(5))
-        assert type(e.value) is int and e.value == 5
+        e = gf9.validate(np.int64(5))
+        assert type(e) is int and e == 5
         assert view.to_base_vector(np.int64(5)) == (2, 1)
         assert view.lift(np.int8(2)) == 2 and type(view.lift(np.int8(2))) is int
         assert type(g.TowerView(gf3, gf3).to_base_vector(np.int64(2))[0]) is int
         assert gf9.vector([np.int64(5)]) == (gf9.validate(np.uint16(5)),)
-        assert gf9.element(1) + np.int64(5) == gf9.element(1) + 5
 
     @pytest.mark.parametrize(
         "modulus", [[1, 1.9, 0, 1], ["1", "1", "0", "1"], [3, 1, 0, 1], [True, 1, 0, 1], 5]
@@ -564,33 +507,6 @@ class TestValidate:
     def test_degree_one_modulus(self, modulus):
         with pytest.raises(g.InvalidParams):
             g.make_field(2, 1, modulus)
-
-
-class TestFieldElement:
-    def test_operators(self):
-        f = g.make_field(2, 3)
-        x = f.element(2)
-        assert int(x * x) == 4
-        assert int(x * x * x) == 3
-        assert (x / x) == f.element(1)
-        assert (-x) == x  # characteristic 2
-        assert x.coeffs == (0, 1, 0)
-
-    def test_field_mismatch(self):
-        a = g.make_field(2, 3).element(1)
-        b = g.make_field(3, 1).element(1)
-        with pytest.raises(g.FieldMismatch):
-            a + b
-
-    def test_named_dispatch(self):
-        f = g.make_field(3, 1)
-        a, b = f.element(2), f.element(2)
-        assert int(g.field_arith(a, b, "add")) == 1
-        assert int(g.field_arith(a, b, "mul")) == 1
-        assert int(g.field_arith(a, None, "neg")) == 1
-        assert int(g.field_arith(a, None, "inv")) == 2
-        with pytest.raises(g.InvalidParams):
-            g.field_arith(a, b, "frobnicate")
 
 
 class TestTowerView:
@@ -620,23 +536,6 @@ class TestTowerView:
                         for x, y in zip(view.to_base_vector(a), view.to_base_vector(b))
                     )
                     assert lhs == rhs
-
-    @pytest.mark.parametrize(
-        "tower",
-        [
-            lambda: (g.extend_field(g.make_field(2, 2), 2), g.make_field(2, 2)),
-            lambda: (g.make_field(2, 3), g.make_field(2, 1)),
-            lambda: (g.make_field(3, 1), g.make_field(3, 1)),
-        ],
-        ids=["default", "gf8-over-gf2", "degree-one"],
-    )
-    def test_expand_and_pack_match_the_scalar_maps(self, tower):
-        # "default": GF(16) over GF(4), the view ConcatCode builds by default
-        view = g.TowerView(*tower())
-        word = list(range(view.big.q))
-        coords = view.expand(word)
-        assert coords.tolist() == [list(view.to_base_vector(e)) for e in word]
-        assert view.pack(coords).tolist() == word
 
     def test_mismatched_fields(self, gf2, gf4):
         big = g.extend_field(gf4, 2)

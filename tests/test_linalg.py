@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import gccodec as g
 from gccodec import linalg
 from gccodec.block_codes import ReedSolomonDecoder
-from conftest import array_kernel
+from conftest import has_array_kernel
 
 FIELDS = {
     "GF(2)": lambda: g.make_field(2, 1),
@@ -104,29 +104,30 @@ def row_map_kernels(f, m, towers):
     """[(kernel, RowMap of m, ARRAY_MIN_PRODUCTS that pins it)]: the map as
     built, a lookup table when f.q**len(m) <= TABLE_CAP (the row loop
     otherwise), and the row loop and the array product of the map built
-    without a table.  towers holds RowMap's split or join keyword."""
+    without a table (the row loop again where f has no array kernel).
+    towers holds RowMap's split or join keyword."""
     table = linalg.RowMap(f, m, **towers)
     with mock.patch.object(linalg, "TABLE_CAP", 0):
         bare = linalg.RowMap(f, m, **towers)
     assert (table.table is not None) == (f.q ** len(m) <= linalg.TABLE_CAP)
-    assert bare.table is None and bare.array is not None
+    assert bare.table is None and (bare.array is not None) == has_array_kernel(f)
     return [("table", table, 1 << 62), ("row loop", bare, 1 << 62), ("array", bare, 0)]
 
 
 @st.composite
-def row_maps(draw):
+def row_maps(draw, fields=ROW_MAP_FIELDS, sides=("plain", "split", "join")):
     """(field, K x N matrix, towers, rows), K up to one past the largest
     domain the table cap admits.  towers is {} for a plain map, or the
     split or join keyword of a RowMap: towers of degree one and two over
     the field, their degrees summing to K or N.  A row holds K elements, or
     one symbol per split tower."""
-    f = ROW_MAP_FIELDS[draw(st.sampled_from(sorted(ROW_MAP_FIELDS)))]()
-    top = max(k for k in range(1, 12) if f.q**k <= linalg.TABLE_CAP) + 1
+    f = fields[draw(st.sampled_from(sorted(fields)))]()
+    top = max((k for k in range(1, 12) if f.q**k <= linalg.TABLE_CAP), default=0) + 1
     k = draw(st.integers(1, top))
     n = draw(st.integers(1, 5))
     element = st.integers(0, f.q - 1)
     m = [draw(st.lists(element, min_size=n, max_size=n)) for _ in range(k)]
-    side = draw(st.sampled_from(["plain", "split", "join"]))
+    side = draw(st.sampled_from(sides))
     towers, symbols = {}, [element] * k
     if side != "plain":
         degrees, left = [], k if side == "split" else n
@@ -222,31 +223,39 @@ def test_symbol_table_misses_raise_rather_than_yield_digits():
             join.row(row)
 
 
-@given(row_maps())
+# fields past the table cap for every K, on plain maps (a quadratic tower
+# over GF(2^17) would first search 2^17 reducible moduli x^2 + c)
+LARGE_ROW_MAP_FIELDS = {
+    "GF(31)": lambda: g.make_field(31, 1),
+    "GF(65537)": lambda: g.make_field(65537, 1),
+    "GF(1024)": lambda: g.make_field(2, 10),
+    "GF(2^17)": lambda: g.make_field(2, 17),
+}
+
+
+@given(st.one_of(row_maps(), row_maps(LARGE_ROW_MAP_FIELDS, sides=("plain",))))
 @settings(max_examples=100, deadline=None)
 def test_row_map_batch_size_picks_the_kernel(case):
     """One map without a table gives the same tuples to a batch just below
-    ARRAY_MIN_PRODUCTS products, on the row loop, and to one at it, in one
-    array product: packed tables in characteristic 2 up to 2^8 elements,
-    Field.matmul elsewhere."""
+    ARRAY_MIN_PRODUCTS products, on the row loop, and to one at it: in one
+    packed product in characteristic 2 up to 2^8 elements, and on the row
+    loop in every other field (GF(3), GF(9), GF(31), GF(65537), GF(1024),
+    GF(2^17)), whose maps hold no array."""
     f, m, towers, rows = case
     with mock.patch.object(linalg, "TABLE_CAP", 0):
         rowmap = linalg.RowMap(f, m, **towers)
+    assert (rowmap.array is not None) == has_array_kernel(f)
     products = len(m) * len(m[0])
     small = (linalg.ARRAY_MIN_PRODUCTS - 1) // products
     large = -(-linalg.ARRAY_MIN_PRODUCTS // products)
     batch = [rows[i % len(rows)] for i in range(large)]
     expect = [checked_product(f, m, towers, row) for row in batch]
-    packed = linalg.RowMap._packed_product
-    with (
-        mock.patch.object(g.Field, "matmul", autospec=True, side_effect=g.Field.matmul) as matmul,
-        mock.patch.object(linalg.RowMap, "_packed_product", autospec=True, side_effect=packed) as tables,
-    ):
+    product = linalg.RowMap.product
+    with mock.patch.object(linalg.RowMap, "product", autospec=True, side_effect=product) as tables:
         assert rowmap(batch[:small]) == expect[:small]
-        assert matmul.call_count == tables.call_count == 0
+        assert tables.call_count == 0
         assert rowmap(batch) == expect
-        kernel = tables if array_kernel(f) == "packed" else matmul
-        assert kernel.call_count == 1 and matmul.call_count + tables.call_count == 1
+        assert tables.call_count == has_array_kernel(f)
 
 
 def test_benchmark_maps_are_tabled(gf8, mpc_uuv8, cc_two_cols):
@@ -285,7 +294,7 @@ def test_benchmark_maps_are_tabled(gf8, mpc_uuv8, cc_two_cols):
 def test_packed_products_skip_the_steps_that_do_nothing(field, k, n, split, join, slices, unpack):
     """_packed drops the slice step where the slices are the input symbols
     (unsplit, at most 4 bits) and the unpack's gather where the output is
-    one 64-bit word; the products stay those of matmul and the row loop."""
+    one 64-bit word; the products stay those of the row loop."""
     f = g.make_field(*field)
     tower = g.TowerView(g.extend_field(f, 2), f)
     towers = {"split": (tower,) * split, "join": (tower,) * join}
@@ -294,6 +303,4 @@ def test_packed_products_skip_the_steps_that_do_nothing(field, k, n, split, join
     _, columns, _, _, word, _, _ = rowmap._packed
     assert (columns is not None, word is not None) == (slices, unpack)
     x = rng.integers(0, tower.big.q if split else f.q, (9, len(rowmap.split) or k))
-    packed = rowmap._packed_product(x).tolist()
-    assert packed == rowmap._matmul_product(x).tolist()
-    assert packed == [list(rowmap._loop(row)) for row in x.tolist()]
+    assert rowmap.product(x).tolist() == [list(rowmap._loop(row)) for row in x.tolist()]
