@@ -323,22 +323,24 @@ class TestReedSolomon:
             assert out.codeword == sent
             assert 2 * out.weight + n_erased < d
 
-    @pytest.mark.parametrize("q_params,n,k", [((2, 3), 7, 3), ((2, 4, 2), 40, 24)])
+    @pytest.mark.parametrize("q_params,n,k", [((2, 3), 7, 3), ((3, 2), 9, 4), ((2, 4, 2), 40, 24)])
     def test_array_and_loop_paths_agree(self, monkeypatch, array_calls, q_params, n, k):
         # syndromes and root search as array products (packed tables over
         # GF(8) and GF(256)/GF(16)), and as the row loop, pinned per call by
-        # ARRAY_MIN_PRODUCTS
+        # ARRAY_MIN_PRODUCTS; GF(9) has no array kernel and keeps the row
+        # loop at either threshold
         field = _field(q_params)
         code = g.rs_code(field, n, k)
+        packed = has_array_kernel(field)
         for rowmap in (code.decoder._syndromes, code.decoder._roots):
-            assert rowmap.table is None and rowmap.array is not None
+            assert rowmap.table is None and (rowmap.array is not None) == packed
 
         def decode_at(threshold, word, erasures):
             monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", threshold)
             array_calls.clear()
             out = code.decode(word, erasures)
             kernels = {kernel for kernel, _ in array_calls}
-            assert kernels == ({"packed"} if threshold == 0 else set())
+            assert kernels == ({"packed"} if threshold == 0 and packed else set())
             return out
 
         rng = random.Random(n + k)
@@ -729,20 +731,19 @@ LARGE_CODES = {
     "RS(31,15)/GF(31)": ((31, 1), 31, 15),
     "RS(31,16)/GF(31)": ((31, 1), 31, 16),  # an odd d - 1 in a prime field
 }
-# the codes whose decoders solve batches on arrays: characteristic 2
-BATCHED_CODES = sorted(name for name, (params, _, _) in LARGE_CODES.items() if params[0] == 2)
 
 
 class TestBatchOnLargeCodes:
     """decode_arrays, read through decode_rows, against the scalar decoder
     beyond the hypothesis test's range, on the benchmark's inner code, its
-    outer code and RS(31,16)/GF(32); the odd-syndrome words also over a
-    prime field, whose words the scalar solve takes."""
+    outer code and RS(31,16)/GF(32); and over a prime field, whose decoder
+    has no array kernel and sends every word to the scalar solve."""
 
-    @pytest.mark.parametrize("name", BATCHED_CODES)
+    @pytest.mark.parametrize("name", sorted(LARGE_CODES))
     def test_batch_equals_scalar(self, monkeypatch, name):
         params, n, k = LARGE_CODES[name]
         code = g.rs_code(_field(params), n, k)
+        batched = has_array_kernel(code.field)
         solved = []
         solve = ReedSolomonDecoder._solve_arrays
         monkeypatch.setattr(
@@ -753,8 +754,10 @@ class TestBatchOnLargeCodes:
         assert len(clean) >= BATCH_MIN_ROWS and odd
         rd = decode_rows(code, words, erasure_sets)
         # the array solve ran once, on every erasure-free row that needs a
-        # solve, odd-syndrome words among them where d - 1 is odd
-        assert solved == [list(map(list, clean))]
+        # solve, odd-syndrome words among them where d - 1 is odd; never
+        # over GF(31)
+        assert solved == ([list(map(list, clean))] if batched else [])
+        assert (rd.arrays is None) == (not batched)
         clean_odd = [i for i in odd if not erasure_sets[i]]
         assert bool(clean_odd) == (code.distance() % 2 == 0)
         assert rd == decode_rows(per_row_twin(code), words, erasure_sets)

@@ -396,6 +396,54 @@ def test_row_map_paths_agree(name, monkeypatch, array_calls):
         assert array_calls == [("packed", (6, 5)), ("packed", (1, 5))][:arrays]
 
 
+# (M, K, N): a single row, a single inner coordinate, a general block
+ROW_MAP_SHAPES = [(1, 1, 1), (1, 6, 5), (4, 1, 3), (6, 5, 7)]
+
+
+@pytest.mark.parametrize("name", sorted(ROW_MAP_FIELDS))
+class TestRowMapShapes:
+    """RowMap against linalg.vec_mat, row by row, on (M, K) @ (K, N) blocks
+    of the edge shapes, through every kernel the field has: the table
+    where q^K fits under TABLE_CAP, the row loop, and the packed tables in
+    characteristic 2 up to 2^8 elements."""
+
+    @pytest.mark.parametrize("shape", ROW_MAP_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_against_vec_mat(self, name, shape, monkeypatch, array_calls):
+        f = ROW_MAP_FIELDS[name]()
+        m, k, n = shape
+        rng = random.Random(f.q + m * k * n)
+        packed = has_array_kernel(f)
+        for _ in range(5):
+            a = random_matrix(f, rng, m, k)
+            b = random_matrix(f, rng, k, n)
+            expect = [linalg.vec_mat(f, row, b) for row in a]
+            assert all(len(row) == n for row in expect)
+            assert linalg.RowMap(f, b)(a) == expect
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "TABLE_CAP", 0)
+                rowmap = linalg.RowMap(f, b)
+                assert rowmap.table is None and (rowmap.array is not None) == packed
+                for threshold in (1 << 62, 0):
+                    patch.setattr(linalg, "ARRAY_MIN_PRODUCTS", threshold)
+                    array_calls.clear()
+                    assert rowmap(a) == expect
+                    assert array_calls == ([("packed", (m, k))] if threshold == 0 and packed else [])
+
+
+@pytest.mark.parametrize("name", ["GF(7)", "GF(9)", "GF(256)/GF(16)"])
+def test_row_map_on_large_blocks(name, array_calls):
+    # 300 rows through a 3 x 260 map, past any table: the packed tables
+    # span several 64-bit words of images per slice over GF(256)/GF(16),
+    # and the odd fields run the row loop
+    f = ROW_MAP_FIELDS[name]()
+    rng = random.Random(5)
+    a = random_matrix(f, rng, 300, 3)
+    b = random_matrix(f, rng, 3, 260)
+    rowmap = linalg.RowMap(f, b)
+    assert rowmap(a) == [linalg.vec_mat(f, row, b) for row in a]
+    assert array_calls == ([("packed", (300, 3))] if has_array_kernel(f) else [])
+
+
 # the fields above whose RowMaps take packed tables: characteristic 2, at
 # most 2^8 elements
 PACKED_FIELDS = ["GF(2)", "GF(4)", "GF(8)", "GF(16)-nonprimitive", "GF(16)/GF(4)", "GF(256)/GF(16)"]
@@ -536,6 +584,33 @@ class TestTowerView:
                         for x, y in zip(view.to_base_vector(a), view.to_base_vector(b))
                     )
                     assert lhs == rhs
+
+    @pytest.mark.parametrize(
+        "tower",
+        [
+            lambda: (g.extend_field(g.make_field(2, 2), 2), g.make_field(2, 2)),
+            lambda: (g.make_field(2, 3), g.make_field(2, 1)),
+            lambda: (g.make_field(3, 1), g.make_field(3, 1)),
+        ],
+        ids=["default", "gf8-over-gf2", "degree-one"],
+    )
+    def test_split_and_join_maps_match_the_scalar_maps(self, tower, monkeypatch):
+        # "default": GF(16) over GF(4), the view ConcatCode builds by default.
+        # RowMaps of the identity that split every symbol into its
+        # coordinates, and join coordinates into symbols, on the table, the
+        # row loop and (in characteristic 2) the packed tables
+        view = g.TowerView(*tower())
+        word = list(range(view.big.q))
+        coords = [view.to_base_vector(e) for e in word]
+        assert [view.from_base_vector(c) for c in coords] == word
+        identity = [[int(i == j) for j in range(view.s)] for i in range(view.s)]
+        for cap, threshold in ((linalg.TABLE_CAP, 1 << 62), (0, 1 << 62), (0, 0)):
+            monkeypatch.setattr(linalg, "TABLE_CAP", cap)
+            monkeypatch.setattr(linalg, "ARRAY_MIN_PRODUCTS", threshold)
+            expand = linalg.RowMap(view.base, identity, split=(view,))
+            pack = linalg.RowMap(view.base, identity, join=(view,))
+            assert expand([(e,) for e in word]) == coords
+            assert pack(coords) == [(e,) for e in word]
 
     def test_mismatched_fields(self, gf2, gf4):
         big = g.extend_field(gf4, 2)
