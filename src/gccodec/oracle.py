@@ -3,18 +3,27 @@
 These enumerate every codeword and are the ground truth of the test suite
 and the selftest: generic codes decode by syndrome
 (block_codes.SyndromeDecoder), RS codes by the same table or, above its
-budget, by their algebraic decoder, and all are checked against
-oracle_sigma.  ExhaustiveDecoder, oracle_sigma's
-scan, is the decoder of a low-rate generic code only, one with too many
-error patterns inside its radius for a syndrome table but few enough
-codewords to enumerate.  oracle_sigma additionally checks the uniqueness
+budget, by their algebraic decoder, codes with few codewords by vote
+(block_codes.CodebookDecoder), and all are checked against oracle_sigma.
+ExhaustiveDecoder, oracle_sigma's scan, is the decoder of a low-rate
+generic code only, one with too many error patterns inside its radius for
+a syndrome table and too many codewords for the vote's tables, but few
+enough to enumerate.  oracle_sigma additionally checks the uniqueness
 of the bound-satisfying codeword during the scan (ContractViolation).
 Every oracle checks its word as ee_decode does (block_codes.check_symbols).
 """
 
 from __future__ import annotations
 
-from .block_codes import ENUMERATION_CAP, FAILURE, DecodeOutcome, LinearCode, check_erasures, check_symbols
+from .block_codes import (
+    ENUMERATION_CAP,
+    FAILURE,
+    DecodeOutcome,
+    LinearCode,
+    check_erasures,
+    check_integer,
+    check_symbols,
+)
 from .errors import ContractViolation, InvalidParams, TooLargeToEnumerate
 
 
@@ -75,7 +84,7 @@ def oracle_nearest(code: LinearCode, word):
 
 def oracle_radius(code: LinearCode, word, radius: int) -> DecodeOutcome:
     """Unique codeword within Hamming distance radius; ambiguity is failure."""
-    if radius < 0:
+    if check_integer(radius, "radius") < 0:
         raise InvalidParams("radius must be nonnegative")
     word = _word(code, word)
     hit = None
@@ -90,7 +99,9 @@ def oracle_radius(code: LinearCode, word, radius: int) -> DecodeOutcome:
 class ExhaustiveDecoder:
     """EE decoder that scans every codeword (oracle_sigma): generic_code
     attaches it to a code whose error patterns inside its radius exceed
-    block_codes.ENUMERATION_CAP while its codewords do not."""
+    block_codes.ENUMERATION_CAP and whose vote tables exceed
+    block_codes.VOTE_CAP, while its codewords do not exceed
+    ENUMERATION_CAP."""
 
     def __init__(self, code: LinearCode):
         _enumerable(code)

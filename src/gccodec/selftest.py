@@ -15,6 +15,7 @@ from . import gmd, linalg
 from .block_codes import (
     _ERASURE_MAPS,
     BATCH_MIN_ROWS,
+    CodebookDecoder,
     LinearCode,
     ReedSolomonDecoder,
     SyndromeDecoder,
@@ -161,17 +162,21 @@ def _check_row_maps(rng):
 
 def _check_rs_against_oracle(rng):
     # GF(8) and the odd-characteristic GF(9); both codes have more error
-    # patterns than the table budget, so ReedSolomonDecoder decodes them
-    for (p, m), n, k, words in (((2, 3), 7, 3, 150), ((3, 2), 9, 4, 40)):
+    # patterns than the table budget, so RS(7,3)/GF(8), with few codewords,
+    # decodes by vote and RS(9,4)/GF(9) by ReedSolomonDecoder.  The
+    # attached decoder and a ReedSolomonDecoder on the same points must
+    # both return the oracle's outcome
+    for (p, m), n, k, kind, words in (((2, 3), 7, 3, CodebookDecoder, 150), ((3, 2), 9, 4, ReedSolomonDecoder, 40)):
         f = make_field(p, m)
         code = rs_code(f, n, k)
-        _require(isinstance(code.decoder, ReedSolomonDecoder), f"{code!r} does not decode by ReedSolomonDecoder")
+        _require(isinstance(code.decoder, kind), f"{code!r} does not decode by {kind.__name__}")
+        rs = ReedSolomonDecoder(f, range(n), k)
         for _ in range(words):
             word = tuple(rng.randrange(f.q) for _ in range(n))
             erasures = frozenset(rng.sample(range(n), rng.randrange(0, n - k + 1)))
-            fast = code.decode(word, erasures)
             slow = oracle_sigma(code, word, erasures)
-            _require(fast.codeword == slow.codeword, f"{code!r}: {word} with erasures {set(erasures)}")
+            ok = code.decode(word, erasures) == slow == rs(word, erasures)
+            _require(ok, f"{code!r}: {word} with erasures {set(erasures)}")
 
 
 def _check_generic_against_oracle(rng):
@@ -358,10 +363,10 @@ def _check_erasure_only_solves(rng):
     # solve, and against the oracle where it can enumerate: words in error
     # on the erasures alone (some erased symbols received right) and words
     # with an error past them, which the re-check hands to the full solve
+    # (RS(7,3)/GF(8) decodes by vote, so its ReedSolomonDecoder is built here)
     for f, n, k in ((make_field(2, 3), 7, 3), (make_field(3, 2), 9, 4), (extend_field(make_field(2, 4), 2), 64, 40)):
         code = rs_code(f, n, k)
-        dec = code.decoder
-        _require(isinstance(dec, ReedSolomonDecoder), f"{code!r} does not decode by ReedSolomonDecoder")
+        dec = ReedSolomonDecoder(f, range(n), k)
         for size in range(1, n - k + 1):
             for past in (0, 0, 1):
                 sent = code.encode(tuple(rng.randrange(f.q) for _ in range(k)))
@@ -463,7 +468,8 @@ def fresh_twin(code):
     """code with a new decoder of the same kind, which shares no state with
     code's: a ReedSolomonDecoder on the same points, so no syndrome that
     cc_decode kept reaches it, or a SyndromeDecoder that builds its own
-    tables (rs_code attaches either, see block_codes.attach_decoder)."""
+    tables (rs_code attaches either, see block_codes.attach_decoder).  A
+    CodebookDecoder keeps no state, so the twin shares it."""
     dec = code.decoder
     if isinstance(dec, ReedSolomonDecoder):
         dec = ReedSolomonDecoder(dec.field, dec.points, code.k)

@@ -66,17 +66,50 @@ def test_every_gmd_trial_is_one_gmd_ee_decode(name):
 def test_outer_rs_codes_take_the_decoder_rule():
     # block_codes.attach_decoder: the outer RS codes of the two small
     # workloads fit linalg.TABLE_CAP's error patterns and decode by
-    # syndrome table; RS(7,1)/GF(8) and both codes of cc-rs256-gf16 keep
-    # ReedSolomonDecoder, its batch paths and kept syndromes
+    # syndrome table, except RS(7,1)/GF(8), whose 8 codewords decode by
+    # vote; both codes of cc-rs256-gf16 keep ReedSolomonDecoder, its batch
+    # paths and kept syndromes
     def decoders(name):
         spec = workloads.experiment_config(workloads.WORKLOADS[name], seed=1).spec
         codes = spec.outers if name == "mpc-uuv-gf8" else (spec.outer, spec.inner)
         return [type(code.decoder) for code in codes]
 
     syndrome = block_codes.SyndromeDecoder
-    assert decoders("mpc-uuv-gf8") == [syndrome, ReedSolomonDecoder]
+    assert decoders("mpc-uuv-gf8") == [syndrome, block_codes.CodebookDecoder]
     assert decoders("cc-hamming-erasures") == [syndrome, syndrome]
     assert decoders("cc-rs256-gf16") == [ReedSolomonDecoder, ReedSolomonDecoder]
+
+
+def test_mpc_level_1_trials_are_votes(monkeypatch):
+    # each GMD trial on RS(7,1)/GF(8), the level-1 outer of mpc-uuv-gf8,
+    # is one CodebookDecoder call, every vote is such a trial, and no call
+    # of the workload reaches ReedSolomonDecoder
+    config = workloads.experiment_config(workloads.WORKLOADS["mpc-uuv-gf8"], seed=1)
+    level1 = config.spec.outers[1]
+    counts = Counter()
+    trial, vote, rs = gmd.ee_decode, block_codes.CodebookDecoder.__call__, ReedSolomonDecoder.__call__
+
+    def spy_trial(code, word, erasures):
+        counts["trials"] += code is level1
+        return trial(code, word, erasures)
+
+    def spy_vote(self, word, erasures):
+        counts["votes"] += 1
+        counts["level-1 votes"] += self is level1.decoder
+        return vote(self, word, erasures)
+
+    def spy_rs(self, word, erasures):
+        counts["rs"] += 1
+        return rs(self, word, erasures)
+
+    monkeypatch.setattr(gmd, "ee_decode", spy_trial)
+    monkeypatch.setattr(block_codes.CodebookDecoder, "__call__", spy_vote)
+    monkeypatch.setattr(ReedSolomonDecoder, "__call__", spy_rs)
+    for t in range(1, WORDS + 1):
+        experiment.run_trial(config, t)
+    assert counts["trials"] >= WORDS
+    assert counts["votes"] == counts["level-1 votes"] == counts["trials"]
+    assert counts["rs"] == 0
 
 
 def test_rs_rows_decode_in_one_array_solve():
@@ -133,7 +166,8 @@ def generic_traffic(name, monkeypatch, codes):
     and those of them whose decode is their set's kept table's, the
     errors-only decodes outside a table build (word-table misses), and the
     erasure set of every table build, word 0's included.  (The outer RS
-    codes of both small workloads decode by syndrome table too.)"""
+    codes of both small workloads decode by syndrome table too, except
+    RS(7,1)/GF(8), which decodes by vote.)"""
     syndrome = block_codes.SyndromeDecoder
     counts, builds, building = Counter(), [], []
     call, decode, build = syndrome.__call__, syndrome._decode, syndrome._build

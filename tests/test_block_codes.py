@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import gccodec as g
 from gccodec import block_codes, linalg, specio
-from gccodec.block_codes import BATCH_MIN_ROWS, DecodeOutcome, ReedSolomonDecoder, _berlekamp_massey
+from gccodec.block_codes import BATCH_MIN_ROWS, CodebookDecoder, DecodeOutcome, ReedSolomonDecoder, _berlekamp_massey
 from gccodec.concat import decode_rows
 from gccodec.selftest import odd_syndrome_word, per_row_twin, solve_batch_words
 from conftest import GEN_HAMMING_7_4_3, has_array_kernel
@@ -19,6 +19,16 @@ def _field(params):
     """make_field(p, m), extended by a degree s when params is (p, m, s)."""
     field = g.make_field(*params[:2])
     return g.extend_field(field, params[2]) if len(params) == 3 else field
+
+
+def rs_decoded(field, n, k):
+    """rs_code(field, n, k), decoded by ReedSolomonDecoder where
+    attach_decoder gives it the codeword vote (CodebookDecoder), for the
+    tests whose subject is the RS decoder."""
+    code = g.rs_code(field, n, k)
+    if isinstance(code.decoder, CodebookDecoder):
+        code.attach(ReedSolomonDecoder(field, range(n), k))
+    return code
 
 
 class TestEncode:
@@ -245,7 +255,7 @@ class TestReedSolomon:
             g.rs_code(gf4, 3, 0)
 
     def test_two_errors_corrected(self, gf8):
-        code = g.rs_code(gf8, 7, 3)
+        code = rs_decoded(gf8, 7, 3)
         rng = random.Random(2)
         for _ in range(200):
             msg = tuple(rng.randrange(8) for _ in range(3))
@@ -270,7 +280,7 @@ class TestReedSolomon:
     )
     def test_decoder_equals_oracle(self, q_params, n, k):
         field = _field(q_params)
-        code = g.rs_code(field, n, k)
+        code = rs_decoded(field, n, k)
         rng = random.Random(n * 100 + k)
         for _ in range(250):
             word = tuple(rng.randrange(field.q) for _ in range(n))
@@ -287,7 +297,7 @@ class TestReedSolomon:
     def test_position_zero(self, q_params, n, k, erase):
         # evaluation point 0 is the one a reciprocal locator cannot express
         field = _field(q_params)
-        code = g.rs_code(field, n, k)
+        code = rs_decoded(field, n, k)
         rng = random.Random(n + k)
         for _ in range(20):
             sent = code.encode(tuple(rng.randrange(field.q) for _ in range(k)))
@@ -330,7 +340,7 @@ class TestReedSolomon:
         # ARRAY_MIN_PRODUCTS; GF(9) has no array kernel and keeps the row
         # loop at either threshold
         field = _field(q_params)
-        code = g.rs_code(field, n, k)
+        code = rs_decoded(field, n, k)
         packed = has_array_kernel(field)
         for rowmap in (code.decoder._syndromes, code.decoder._roots):
             assert rowmap.table is None and (rowmap.array is not None) == packed
@@ -361,7 +371,7 @@ class TestReedSolomon:
         # a word makes as many products in the root search as in the
         # syndromes, so the default threshold sends both to the row loop for
         # the small codes and to packed tables for RS(64,40)
-        code = g.rs_code(_field(q_params), n, k)
+        code = rs_decoded(_field(q_params), n, k)
         word = list(code.encode((1,) * k))
         word[3] ^= 1
         array_calls.clear()
@@ -392,7 +402,7 @@ class TestReedSolomon:
     @settings(max_examples=120, deadline=None)
     def test_decoder_equals_oracle_hypothesis(self, data):
         field = g.make_field(2, 3)
-        code = g.rs_code(field, 7, 3)
+        code = rs_decoded(field, 7, 3)
         word = tuple(data.draw(st.integers(0, 7)) for _ in range(7))
         erasures = frozenset(
             data.draw(st.sets(st.integers(0, 6), max_size=6))
@@ -466,7 +476,7 @@ class TestErasureOnlySolve:
     )
     def test_erasures_alone_are_corrected(self, q_params, n, k):
         field = _field(q_params)
-        code = g.rs_code(field, n, k)
+        code = rs_decoded(field, n, k)
         d = n - k + 1
         rng = random.Random(n * k)
         for size in range(1, d):
@@ -529,7 +539,7 @@ class TestErasureMaps:
     def test_equals_the_full_solve_and_the_oracle(self, monkeypatch, name):
         q_params, n, k = ERASURE_MAP_CODES[name]
         field = _field(q_params)
-        code = g.rs_code(field, n, k)
+        code = rs_decoded(field, n, k)
         dec, d = code.decoder, n - k + 1
         seen = spy_on_full_solve(monkeypatch, dec)
         rng = random.Random(n * k + field.q)
@@ -633,7 +643,7 @@ class TestBatchDecode:
         n = data.draw(st.integers(1, min(field.q, 12)))
         k = data.draw(st.integers(1, max(k for k in range(1, n + 1) if field.q**k <= 1024 or k == 1)))
         size = data.draw(st.sampled_from([1, 7, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, 32, 48, 64]))
-        code = g.rs_code(field, n, k)
+        code = rs_decoded(field, n, k)
         rng = random.Random(data.draw(st.integers(0, 1 << 32)))
         words, erasure_sets = random_batch(code, rng, size)
         scalar = [code.decoder(w, x) for w, x in zip(words, erasure_sets)]
@@ -680,7 +690,7 @@ class TestBatchDecode:
         monkeypatch.setattr(
             ReedSolomonDecoder, "_solve", lambda self, w, x, s: scalar.append(bool(x)) or solve(self, w, x, s)
         )
-        code = g.rs_code(make(), n, k)
+        code = rs_decoded(make(), n, k)
         twin = per_row_twin(code)
         f, rng, edge, dec = code.field, random.Random(n), BATCH_MIN_ROWS, code.decoder
         batched = has_array_kernel(f)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gccodec as g
-from gccodec.block_codes import check_erasures, ee_decode, wt
+from gccodec.block_codes import ReedSolomonDecoder, check_erasures, ee_decode, wt
 from gccodec.concat import check_matrix, decode_rows
 from gccodec.errors import ErasureIndexError, InvalidParams, LengthMismatch
 
@@ -394,7 +394,9 @@ class TestCountingRules:
     @pytest.mark.parametrize("code_name", ["rs", "hamming"])
     def test_apparents_are_the_weights_of_the_errors(self, gf2, gf8, rows, code_name):
         if code_name == "rs":
-            code = g.rs_code(gf8, 7, 3)
+            # its ReedSolomonDecoder, whose decode_arrays takes the batch (the
+            # rule gives this code the codeword vote, which has none)
+            code = g.rs_code(gf8, 7, 3).attach(ReedSolomonDecoder(gf8, range(7), 3))
         else:
             code = g.generic_code(gf2, GEN_HAMMING_7_4_3)
             assert type(code.decoder).__name__ == "SyndromeDecoder"
@@ -415,3 +417,35 @@ class TestCountingRules:
             assert rd.apparents == [wt(o.error) if o.ok else None for o in outs]
             erased_errors += sum(1 for o, x in zip(outs, erasure_sets) if o.ok and any(o.error[i] for i in x))
         assert erased_errors
+
+
+class TestIntegerParameters:
+    """rs_code, generic_code's d, repetition_code and oracle_radius read
+    their integers as operator.index does, with bool refused: anything
+    else raises InvalidParams, never a raw TypeError or a coerced value."""
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, 1.5])
+    def test_code_builders_refuse_non_integers(self, gf2, gf8, bad):
+        builds = [
+            lambda: g.rs_code(gf8, 7, bad),
+            lambda: g.rs_code(gf8, bad, 1),
+            lambda: g.generic_code(gf2, [[1, 1, 1]], d=bad),
+            lambda: g.repetition_code(gf2, bad),
+        ]
+        for build in builds:
+            with pytest.raises(InvalidParams, match="must be an integer"):
+                build()
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True])
+    def test_oracle_radius_refuses_non_integers(self, gf2, bad):
+        code = g.repetition_code(gf2, 3)
+        with pytest.raises(InvalidParams, match="radius must be an integer"):
+            g.oracle_radius(code, (0, 1, 0), bad)
+
+    def test_numpy_integers_are_integers(self, gf2, gf8):
+        code = g.rs_code(gf8, np.int64(7), np.uint8(1))
+        assert (code.n, code.k, code.distance()) == (7, 1, 7) and type(code.distance()) is int
+        assert g.generic_code(gf2, [[1, 1, 1]], d=np.int32(3)).distance() == 3
+        assert g.repetition_code(gf2, np.int16(3)).n == 3
+        out = g.oracle_radius(g.repetition_code(gf2, 3), (0, 1, 0), np.int64(1))
+        assert out.codeword == (0, 0, 0) and out.weight == 1

@@ -237,8 +237,12 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             f.div(3, 0)
 
-    def test_large_field_no_tables(self):
-        f = g.make_field(2, 9)  # q = 512 > table limit
+    def test_gf512_products_read_the_log_tables(self):
+        # q = 512 is below galois._LOG_LIMIT, so GF(512) has exp/log tables
+        # and these products read them; TestBeyondLogTables covers the
+        # polynomial path above the limit
+        f = g.make_field(2, 9)
+        assert f._log
         a, b = 273, 401
         assert f.mul(a, b) == naive_mul(2, f.modulus, 9, a, b)
         assert f.mul(a, f.inv(a)) == 1

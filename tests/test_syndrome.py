@@ -239,22 +239,35 @@ class TestRsCodesByTable:
     DecodeOutcome that ReedSolomonDecoder returns on the same code."""
 
     def test_the_budget_picks_the_decoder(self, gf4, gf8):
+        # three ways: by table where the error patterns fit
+        # linalg.TABLE_CAP, else by vote where the vote's counters fit
+        # VOTE_CAP, else by ReedSolomonDecoder; every code over GF(4) fits
+        # the table, and GF(8) and GF(16) take all three
         gf16 = g.make_field(2, 4)
+        vote, rs = block_codes.CodebookDecoder, block_codes.ReedSolomonDecoder
+        seen = {}
         for f in (gf4, gf8, gf16):
+            kinds = seen[f.q] = set()
             for n in range(1, f.q + 1):
                 for k in range(1, n + 1):
                     tabled = block_codes.error_patterns(f, n, n - k + 1) <= linalg.TABLE_CAP
-                    decoder = g.rs_code(f, n, k).decoder
-                    assert isinstance(decoder, SyndromeDecoder if tabled else block_codes.ReedSolomonDecoder)
+                    voted = block_codes.vote_counters(f, n, k) <= block_codes.VOTE_CAP
+                    expected = SyndromeDecoder if tabled else vote if voted else rs
+                    assert type(g.rs_code(f, n, k).decoder) is expected
+                    kinds.add(expected)
+        assert seen == {4: {SyndromeDecoder}, 8: {SyndromeDecoder, vote, rs}, 16: {SyndromeDecoder, vote, rs}}
         # the benchmark's RS codes: the outers of cc-hamming-erasures and
-        # mpc-uuv-gf8 by table, RS(7,1)/GF(8) and the cc-rs256-gf16 codes not
+        # mpc-uuv-gf8 by table, RS(7,1)/GF(8) by vote, and the cc-rs256-gf16
+        # codes by ReedSolomonDecoder
         assert [block_codes.error_patterns(f, n, n - k + 1) for f, n, k in ((gf4, 4, 2), (gf8, 7, 5), (gf8, 7, 1))] == [
             13,
             50,
             13084,
         ]
-        assert isinstance(g.rs_code(gf8, 7, 1).decoder, block_codes.ReedSolomonDecoder)
-        assert isinstance(g.rs_code(g.extend_field(gf16, 2), 64, 40).decoder, block_codes.ReedSolomonDecoder)
+        assert block_codes.vote_counters(gf8, 7, 1) == 448
+        assert isinstance(g.rs_code(gf8, 7, 1).decoder, vote)
+        assert isinstance(g.rs_code(gf16, 15, 8).decoder, rs)
+        assert isinstance(g.rs_code(g.extend_field(gf16, 2), 64, 40).decoder, rs)
 
     def test_rs_4_2_every_word_and_erasure_set(self, gf4):
         code, rs = rs_twins(gf4, 4, 2)
