@@ -156,7 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.set_defaults(func=_cmd_code_info)
 
-    p = sub.add_parser("selftest", help="run the built-in invariant suite")
+    p = sub.add_parser(
+        "selftest",
+        help="check what an install can shift: the field arithmetic, numpy's draws and kernels,"
+        " and one oracle round trip per decoder family",
+    )
     p.set_defaults(func=_cmd_selftest)
     return parser
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gmd, linalg
-from .block_codes import LinearCode, check_erasures
+from .block_codes import LinearCode, check_erasures, check_integer
 
 # decode_rows' rows come checked (check_matrix, check_pattern), so each takes
 # the bounded step without a re-check, under the name perfbench wraps to count
@@ -44,8 +44,9 @@ class DecodeOptions:
     """How cc_decode and the multistage decoders run: the GMD mode, whether
     a column's accepted trial index carries over to the next column, and
     the extended inner radius (None: the half-distance one).  Anything else
-    (another mode, a carry_over that is not a bool, a radius that is not an
-    int, or is a bool) raises InvalidParams here, once per run."""
+    (another mode, a carry_over that is not a bool, a radius that
+    block_codes.check_integer refuses) raises InvalidParams here, once
+    per run; a numpy integer radius is read as an int."""
 
     mode: str = gmd.MODE_UPTO
     carry_over: bool = False
@@ -56,8 +57,8 @@ class DecodeOptions:
             raise InvalidParams(f"unknown mode {self.mode!r}")
         if type(self.carry_over) is not bool:
             raise InvalidParams(f"carry_over must be a bool, got {self.carry_over!r}")
-        if self.radius is not None and (not isinstance(self.radius, int) or isinstance(self.radius, bool)):
-            raise InvalidParams(f"radius must be an int or None, got {self.radius!r}")
+        if self.radius is not None:
+            self.radius = check_integer(self.radius, "radius")
 
 
 class ConcatCode:
@@ -154,7 +155,7 @@ class _ArrayRows(RowDecodeResult):
     GCC subcodes with generic_code, whose decoder has no decode_arrays,
     and an RS code's SyndromeDecoder has none either); cc_decode's fold
     reads the codeword array, so the row tuples are built only where a
-    caller reads them, such as the selftest.
+    caller reads them, such as a comparison of two results.
     (The lazy rows live in this class alone: on RowDecodeResult, a class
     attribute of the same name would slow every read of the plain lists.)"""
 

@@ -36,11 +36,10 @@ The rows to decode in a round go through one decode_rows call.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 from . import gmd, linalg
-from .block_codes import LinearCode, generic_code
+from .block_codes import LinearCode, check_integer, generic_code
 from .concat import (
     DecodeOptions,
     RowDecodeResult,
@@ -101,8 +100,8 @@ def gcc_spec(outers, widths, inner_generator, field, subcode_distances=None) -> 
     if not outers:
         raise InvalidParams("at least one outer code is required")
     try:
-        widths = tuple(operator.index(s) for s in widths)
-    except TypeError:
+        widths = tuple(check_integer(s, "a width") for s in widths)
+    except TypeError:  # widths itself is not iterable
         raise InvalidParams(f"widths must be integers, got {widths!r}") from None
     if len(outers) != len(widths):
         raise InvalidParams("one expansion degree per outer code is required")

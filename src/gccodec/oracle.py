@@ -1,10 +1,11 @@
 """Brute-force reference decoders.
 
-These enumerate every codeword and are the ground truth of the test suite
-and the selftest: generic codes decode by syndrome
-(block_codes.SyndromeDecoder), RS codes by the same table or, above its
-budget, by their algebraic decoder, codes with few codewords by vote
-(block_codes.CodebookDecoder), and all are checked against oracle_sigma.
+These enumerate every codeword and are the ground truth of the test suite,
+and of the selftest's one round trip per decoder family on an installed
+package: generic codes decode by syndrome (block_codes.SyndromeDecoder),
+RS codes by the same table or, above its budget, by their algebraic
+decoder, codes with few codewords by vote (block_codes.CodebookDecoder),
+and all are checked against oracle_sigma.
 ExhaustiveDecoder, oracle_sigma's scan, is the decoder of a low-rate
 generic code only, one with too many error patterns inside its radius for
 a syndrome table and too many codewords for the vote's tables, but few

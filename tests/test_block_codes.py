@@ -11,8 +11,8 @@ import gccodec as g
 from gccodec import block_codes, linalg, specio
 from gccodec.block_codes import BATCH_MIN_ROWS, CodebookDecoder, DecodeOutcome, ReedSolomonDecoder, _berlekamp_massey
 from gccodec.concat import decode_rows
-from gccodec.selftest import odd_syndrome_word, per_row_twin, solve_batch_words
 from conftest import GEN_HAMMING_7_4_3, has_array_kernel
+from twins import odd_syndrome_word, per_row_twin, solve_batch_words
 
 
 def _field(params):

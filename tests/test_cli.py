@@ -624,8 +624,8 @@ def test_malformed_spec_is_a_usage_error(capsys, tmp_path, request, kind, edits)
 
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "ok " in out and "VIOLATION" not in out
+    checks = ["field-axioms", "rs-vs-oracle", "generic-vs-oracle", "channel-stream", "packed-products"]
+    assert capsys.readouterr().out.splitlines() == [f"ok {name}" for name in checks]
 
 
 def test_selftest_catches_a_drifted_channel_stream(monkeypatch, capsys):
@@ -701,70 +701,6 @@ def test_selftest_catches_a_corrupted_syndrome_table_entry(monkeypatch, capsys):
     monkeypatch.setattr(SyndromeDecoder, "_build", corrupted)
     assert main(["selftest"]) == 3
     assert "VIOLATION generic-vs-oracle" in capsys.readouterr().out
-
-
-def test_selftest_catches_an_erasure_only_solve_past_its_recheck(monkeypatch, capsys):
-    # a word the re-check refuses comes back as if it were the codeword
-    from gccodec.block_codes import DecodeOutcome, ReedSolomonDecoder
-
-    only = ReedSolomonDecoder._erasures_only
-
-    def unchecked(dec, word, erasures, synd):
-        out = only(dec, word, erasures, synd)
-        return out if out is not None else DecodeOutcome(tuple(word), (0,) * dec.n, 0)
-
-    monkeypatch.setattr(ReedSolomonDecoder, "_erasures_only", unchecked)
-    assert main(["selftest"]) == 3
-    assert "VIOLATION erasure-only-solves" in capsys.readouterr().out
-
-
-def test_selftest_catches_an_array_recheck_that_skips_the_last_syndrome(monkeypatch, capsys):
-    # the array solve's re-check reads the syndrome map once; a map whose
-    # last column always agrees makes it pass what only that syndrome refuses
-    from gccodec.block_codes import ReedSolomonDecoder
-
-    solve = ReedSolomonDecoder._solve_arrays
-
-    def short_recheck(dec, received, synd):
-        full = dec._syndromes
-
-        class LastAgrees:
-            def product(self, x):
-                out = full.product(x)
-                out[:, -1] = synd[:, -1]
-                return out
-
-        dec._syndromes = LastAgrees()
-        try:
-            return solve(dec, received, synd)
-        finally:
-            dec._syndromes = full
-
-    monkeypatch.setattr(ReedSolomonDecoder, "_solve_arrays", short_recheck)
-    assert main(["selftest"]) == 3
-    out = capsys.readouterr().out
-    assert "VIOLATION batch-solves" in out
-    assert out.count("VIOLATION") == 1
-
-
-def test_selftest_catches_a_stale_kept_syndrome(monkeypatch, capsys):
-    # the syndromes kept for a word's outer columns are those of the word
-    # decoded before it, column for column
-    from gccodec.block_codes import ReedSolomonDecoder
-
-    keep = ReedSolomonDecoder.keep_syndromes
-
-    def stale(dec, words):
-        before = list(dec._kept.values())
-        keep(dec, words)
-        if len(before) == len(words):
-            dec._kept = dict(zip(words, before))
-
-    monkeypatch.setattr(ReedSolomonDecoder, "keep_syndromes", stale)
-    assert main(["selftest"]) == 3
-    out = capsys.readouterr().out
-    assert "VIOLATION column-batch" in out
-    assert out.count("VIOLATION") == 1
 
 
 def test_selftest_checks_survive_optimize_flag():

@@ -2,6 +2,7 @@ import itertools
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import gccodec as g
@@ -14,9 +15,8 @@ from gccodec.concat import (
     extended_trial_chain,
     fold_message_columns,
 )
-from gccodec.selftest import column_by_column, decode_outcome, fresh_twin, noisy_concat_words
-
 from conftest import corrupt, error_matrix, has_array_kernel
+from twins import column_by_column, decode_outcome, fresh_twin, noisy_concat_words
 
 
 class TestEncode:
@@ -412,7 +412,9 @@ def test_decode_options_are_checked(options):
 
 def test_valid_decode_options_construct():
     assert g.DecodeOptions() == g.DecodeOptions("upto", False, None)
-    assert g.DecodeOptions("beyond", True, 3).radius == 3
+    for radius in (3, np.int64(3)):
+        options = g.DecodeOptions("beyond", True, radius)
+        assert options.radius == 3 and type(options.radius) is int
 
 
 @pytest.mark.parametrize("array", [False, True], ids=["row-loop", "array"])

@@ -87,10 +87,13 @@ class TestSpecValidation:
         with pytest.raises(g.InvalidParams):
             g.gcc_spec([g.rs_code(gf4, 3, 1)], (1,), [[1, 1], [0, 1]], gf2)
 
-    def test_widths_must_be_integers(self, gf4, inner_523):
-        # int() would have truncated 2.6 to a valid width of 2
+    def test_widths_must_be_integers(self, gf2, gf4, inner_523):
+        # int() would have truncated 2.6 to a valid width of 2, and True
+        # would have read as a valid width of 1
         with pytest.raises(g.InvalidParams):
             g.gcc_spec([g.rs_code(gf4, 3, 1)], (2.6,), inner_523.generator, inner_523.field)
+        with pytest.raises(g.InvalidParams):
+            g.gcc_spec([g.repetition_code(gf2, 3)], (True,), [[1, 1, 1]], gf2)
 
     def test_outer_lengths_checked(self, gf2):
         a1 = g.repetition_code(gf2, 3)

@@ -359,21 +359,25 @@ class TestSpecializedUuv:
                 assert got == expect
                 assert naive == expect
 
-    def test_matches_generic_wherever_generic_succeeds(self, mpc_uuv8):
+    @pytest.mark.parametrize("binary", [False, True], ids=["gf8", "gf2-repetition"])
+    def test_matches_generic_wherever_generic_succeeds(self, mpc_uuv8, gf2, binary):
+        # mpc_uuv8, or (u | u+v) over GF(2) with [2,1,2] repetition outers
+        spec = g.mpc_spec([g.repetition_code(gf2, 2)] * 2, UUV_MATRIX, gf2) if binary else mpc_uuv8
+        size = 2 * spec.m
         rng = random.Random(5)
         for _ in range(500):
             msgs = [
-                tuple(rng.randrange(8) for _ in range(a.k)) for a in mpc_uuv8.outers
+                tuple(rng.randrange(spec.field.q) for _ in range(a.k)) for a in spec.outers
             ]
-            word = g.mpc_encode(mpc_uuv8, msgs)
+            word = g.mpc_encode(spec, msgs)
             received = corrupt(
-                mpc_uuv8.field, word, rng.sample(range(14), rng.randrange(0, 5)), rng
+                spec.field, word, rng.sample(range(size), rng.randrange(0, 5)), rng
             )
             try:
-                generic = tuple(g.mpc_decode(mpc_uuv8, received).columns)
+                generic = tuple(g.mpc_decode(spec, received).columns)
             except g.DecodeFailure:
                 continue
-            special = g.decode_uuv(mpc_uuv8, received)
+            special = g.decode_uuv(spec, received)
             assert tuple(special) == generic
 
     def test_wrong_matrix_rejected(self, gf2):
