@@ -457,22 +457,25 @@ class TestSpecializedUvw:
 
 
 class TestNscSearch:
-    def test_prefix_codes_are_mds(self):
+    @pytest.mark.parametrize("fixed", [False, True], ids=["random", "uvw-matrix"])
+    def test_prefix_codes_are_mds(self, gf3, fixed):
+        # matrices the search finds over GF(2), GF(3) and GF(5), or UVW_MATRIX
         rng = np.random.Generator(np.random.PCG64(8))
-        found = 0
-        for q, p, m in ((2, 2, 1), (3, 3, 1), (5, 5, 1)):
+        found = [(gf3, UVW_MATRIX)] if fixed else []
+        for q, p, m in () if fixed else ((2, 2, 1), (3, 3, 1), (5, 5, 1)):
             field = g.make_field(p, m)
             for _ in range(8):
                 k = int(rng.integers(1, min(4, q) + 1))
                 n = int(rng.integers(k, min(6, q) + 1))
                 matrix = g.random_nsc_matrix(field, k, n, rng, max_tries=4000)
-                if matrix is None:
-                    continue
-                found += 1
-                for t in range(1, k + 1):
-                    code = g.LinearCode(field, matrix[:t])
-                    assert g.min_distance(code) == n - t + 1
-        assert found >= 10
+                if matrix is not None:
+                    found.append((field, matrix))
+        assert len(found) >= (1 if fixed else 10)
+        for field, matrix in found:
+            n = len(matrix[0])
+            for t in range(1, len(matrix) + 1):
+                code = g.LinearCode(field, matrix[:t])
+                assert g.min_distance(code) == n - t + 1
 
     def test_search_returns_none_when_impossible(self, gf2):
         rng = np.random.Generator(np.random.PCG64(9))
