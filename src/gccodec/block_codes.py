@@ -48,6 +48,8 @@ from .errors import (
     LengthMismatch,
     NoDecoder,
     TooLargeToEnumerate,
+    index,
+    integer,
 )
 
 ENUMERATION_CAP = 1 << 20
@@ -105,33 +107,17 @@ def check_erasures(erasures, n) -> frozenset:
         return frozenset()
     try:
         entries = erasures if known else tuple(erasures)  # an iterator reads once
-        out = frozenset(map(_index, entries))
+        out = frozenset(map(index, entries))
     except TypeError:
         raise ErasureIndexError(
             f"erasures must be a collection of integers, got {erasures!r}"
         ) from None
     for i in out:
         if not 0 <= i < n:
-            for bad in map(_index, entries):  # the first in the caller's order
+            for bad in map(index, entries):  # the first in the caller's order
                 if not 0 <= bad < n:
                     raise ErasureIndexError(f"erasure index {bad} out of range for length {n}")
     return out
-
-
-def _index(i) -> int:
-    """i as an int, as operator.index reads it, except that a bool raises."""
-    if isinstance(i, bool):
-        raise TypeError(f"{i!r} is not an index")
-    return operator.index(i)
-
-
-def check_integer(x, what: str) -> int:
-    """x as an int, as operator.index reads it; a bool, float, str or any
-    other non-integer raises InvalidParams naming what x is."""
-    try:
-        return _index(x)
-    except TypeError:
-        raise InvalidParams(f"{what} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -161,17 +147,13 @@ class LinearCode:
 
     def __init__(self, field, generator, d=None, *, _inverse=None):
         if d is not None:
-            d = check_integer(d, "a declared distance")
-            if d < 1:
-                raise InvalidParams(f"a declared distance must be at least 1, got {d}")
+            d = integer(d, "a declared distance must be an integer >= 1", least=1)
         self.field = field
-        self.generator = tuple(field.vector(row) for row in generator)
+        self.generator = field.matrix(generator)
         self.k = len(self.generator)
         if self.k == 0:
             raise InvalidParams("generator matrix must have at least one row")
         self.n = len(self.generator[0])
-        if any(len(row) != self.n for row in self.generator):
-            raise InvalidParams("generator matrix must be rectangular")
         self._d = d
         self.decoder = None
         self._encoder = linalg.RowMap(field, self.generator)
@@ -666,7 +648,7 @@ def rs_code(field, n: int, k: int) -> LinearCode:
     Evaluation points are the first n field elements in integer encoding
     order, so serialized specs are portable.
     """
-    n, k = check_integer(n, "n"), check_integer(k, "k")
+    n, k = integer(n, "n must be an integer"), integer(k, "k must be an integer")
     if not 1 <= k <= n or n > field.q:
         raise InvalidParams(f"need 1 <= k <= n <= q, got n={n}, k={k}, q={field.q}")
     points = tuple(range(n))
@@ -1000,5 +982,5 @@ def attach_decoder(code: LinearCode, structured=None) -> LinearCode:
 
 
 def repetition_code(field, n: int) -> LinearCode:
-    n = check_integer(n, "n")
+    n = integer(n, "n must be an integer")
     return generic_code(field, [[1] * n], d=n)

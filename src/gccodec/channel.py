@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParams
+from .errors import ConfigError, InvalidParams, integer
 
 _LOW = 0xFFFFFFFF  # the low 32-bit half of an output or a Lemire product
 
@@ -42,12 +41,13 @@ class ChannelModel:
 
     def __post_init__(self):
         """Rates must be int or float and the seed a non-negative integer
-        (operator.index); bool, str and float seeds raise ConfigError
+        (errors.integer); bool, str and float seeds raise ConfigError
         instead of being coerced."""
         for rate in (self.error_rate, self.erasure_rate):
             if isinstance(rate, bool) or not isinstance(rate, (int, float)):
                 raise ConfigError(f"channel rates must be numbers, got {rate!r}")
-        object.__setattr__(self, "seed", _index(self.seed, "the channel seed"))
+        seed = integer(self.seed, "the channel seed must be a non-negative integer", ConfigError, least=0)
+        object.__setattr__(self, "seed", seed)
         if not 0 <= self.error_rate <= 1 or not 0 <= self.erasure_rate <= 1:
             raise ConfigError("rates must lie in [0, 1]")
         if self.error_rate + self.erasure_rate > 1:
@@ -182,27 +182,20 @@ def _below(rate) -> int:
     return math.ceil(rate * 2.0**53) << 11
 
 
-def _index(value, what: str) -> int:
-    """value as a non-negative int (operator.index, so numpy integers
-    pass); bool, float, str and negative values raise ConfigError."""
-    try:
-        index = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        index = None
-    if index is None or index < 0:
-        raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
-    return index
+# the wording of errors.integer's rule for a trial index (at least 0)
+TRIAL_INDEX = "the trial index must be a non-negative integer"
 
 
 def trial_rng(channel: ChannelModel, trial: int = 0) -> np.random.Generator:
-    """PCG64(seed + trial) as a Generator; the trial index follows the
-    seed's rule (ConfigError otherwise)."""
-    return np.random.Generator(np.random.PCG64(channel.seed + _index(trial, "the trial index")))
+    """PCG64(seed + trial) as a Generator: trial_stream's bit generator."""
+    return np.random.Generator(trial_stream(channel, trial).bit_generator)
 
 
 def trial_stream(channel: ChannelModel, trial: int = 0) -> RawStream:
-    """The stream of trial_rng(channel, trial): a fresh PCG64, no half buffered."""
-    return RawStream(np.random.PCG64(channel.seed + _index(trial, "the trial index")))
+    """The stream of PCG64(seed + trial), no half buffered; the trial index
+    is read by errors.integer, at least 0 (ConfigError otherwise)."""
+    trial = integer(trial, TRIAL_INDEX, ConfigError, least=0)
+    return RawStream(np.random.PCG64(channel.seed + trial))
 
 
 def apply_channel(word, field, channel: ChannelModel, rng=None, trial: int = 0):

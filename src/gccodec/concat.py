@@ -27,13 +27,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gmd, linalg
-from .block_codes import LinearCode, check_erasures, check_integer
+from .block_codes import LinearCode, check_erasures
 
 # decode_rows' rows come checked (check_matrix, check_pattern), so each takes
 # the bounded step without a re-check, under the name perfbench wraps to count
 # inner decodes
 from .block_codes import bounded_decode as ee_decode
-from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch
+from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch, integer
 from .galois import TowerView
 from .oracle import oracle_radius
 from .report import DecodeReport
@@ -45,8 +45,8 @@ class DecodeOptions:
     a column's accepted trial index carries over to the next column, and
     the extended inner radius (None: the half-distance one).  Anything else
     (another mode, a carry_over that is not a bool, a radius that
-    block_codes.check_integer refuses) raises InvalidParams here, once
-    per run; a numpy integer radius is read as an int."""
+    errors.integer refuses) raises InvalidParams here, once per run; a
+    numpy integer radius is read as an int."""
 
     mode: str = gmd.MODE_UPTO
     carry_over: bool = False
@@ -58,7 +58,7 @@ class DecodeOptions:
         if type(self.carry_over) is not bool:
             raise InvalidParams(f"carry_over must be a bool, got {self.carry_over!r}")
         if self.radius is not None:
-            self.radius = check_integer(self.radius, "radius")
+            self.radius = integer(self.radius, "radius must be an integer")
 
 
 class ConcatCode:
@@ -210,16 +210,14 @@ def decode_rows(code: LinearCode, rows, erasure_sets, radius: int | None = None)
             out = oracle_radius(code, row, radius)
             calls += 1
         if out.ok:
-            # out.weight counts the error outside the erasures
-            apparent = out.weight + sum(1 for i in erasures if out.error[i])
+            # the score min(2*w + |X|, d), w the error outside the erasures:
+            # only a radius-mode row, which has no erasures, reaches d
             score = 2 * out.weight + len(erasures)
-            if radius is not None:
-                score = 2 * apparent if 2 * apparent < d else d
             estimates.append(out.codeword)
             residuals.append(out.error)
-            weights.append(d - score)
+            weights.append(d - score if score < d else 0)
             failed.append(False)
-            apparents.append(apparent)
+            apparents.append(out.weight + sum(1 for i in erasures if out.error[i]))
         else:
             estimates.append(tuple(row))
             residuals.append((0,) * code.n)

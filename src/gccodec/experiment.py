@@ -14,14 +14,13 @@ on the record it returns.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field as dfield
 from typing import Callable, NamedTuple
 
 from . import concat
-from .channel import ChannelModel, apply_channel, trial_stream
+from .channel import TRIAL_INDEX, ChannelModel, apply_channel, trial_stream
 from .concat import ConcatCode, DecodeOptions, cc_decode, correctable_cc
-from .errors import ConfigError, DecodeFailure
+from .errors import ConfigError, DecodeFailure, integer
 from .gcc import GccSpec, correctable_gcc, designed_distance, gcc_decode_improved, gcc_encode
 from .mpc import MpcSpec, mpc_decode, mpc_designed_distance
 
@@ -38,11 +37,7 @@ class ExperimentConfig:
     threads: int | None = None  # trials run serially: only None and 1 are accepted
 
     def __post_init__(self):
-        # read as specio reads its integers: any integer type but bool
-        trials = self.trials
-        if isinstance(trials, bool) or not hasattr(trials, "__index__") or operator.index(trials) < 1:
-            raise ConfigError(f"trial count must be an integer >= 1, got {trials!r}")
-        self.trials = operator.index(trials)
+        self.trials = integer(self.trials, "trial count must be an integer >= 1", ConfigError, least=1)
         if self.threads not in (None, 1):
             raise ConfigError(f"trials run serially; threads must be 1, got {self.threads!r}")
 
@@ -171,7 +166,8 @@ def construction(spec) -> Construction:
 
 def run_trial(config: ExperimentConfig, trial: int) -> dict:
     c = config.built()
-    stream = trial_stream(config.channel, trial)  # which checks the trial index
+    trial = integer(trial, TRIAL_INDEX, ConfigError, least=0)
+    stream = trial_stream(config.channel, trial)
     # a lower bound on what the trial reads: one output per two message
     # symbols, one per channel symbol
     stream.reserve((sum(a.k for a in c.outers) + 1) // 2 + c.m * c.n)
@@ -182,7 +178,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     erased = sum(map(len, pattern))
     inside = c.region(errors, pattern)
     record = {
-        "trial": operator.index(trial),
+        "trial": trial,
         "weight": weight,
         "erased": erased,
         "in_region": inside,

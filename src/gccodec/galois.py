@@ -26,7 +26,7 @@ import operator
 
 import numpy as np
 
-from .errors import FieldMismatch, InvalidParams, NotPrime, ReducibleModulus
+from .errors import FieldMismatch, InvalidParams, NotPrime, ReducibleModulus, index, integer
 
 _LOG_LIMIT = 1 << 16  # largest q with exp/log tables
 
@@ -221,7 +221,7 @@ class Field:
         InvalidParams rather than being coerced."""
         e = a
         if type(a) is not int and not isinstance(a, bool) and hasattr(a, "__index__"):
-            e = operator.index(a)
+            e = index(a)
         if type(e) is not int or not 0 <= e < self.q:
             raise InvalidParams(f"{a!r} is not an element encoding of {self}")
         return e
@@ -233,6 +233,17 @@ class Field:
             return tuple(map(self.validate, values))
         except TypeError:
             raise InvalidParams(f"expected a sequence of {self} elements, got {values!r}") from None
+
+    def matrix(self, rows) -> tuple:
+        """rows as a tuple of rows of one length, each read by vector; a
+        non-sequence, or rows of different lengths, raise InvalidParams."""
+        try:
+            out = tuple(map(self.vector, rows))
+        except TypeError:
+            raise InvalidParams(f"expected a sequence of rows of {self} elements, got {rows!r}") from None
+        if len(set(map(len, out))) > 1:
+            raise InvalidParams(f"matrix rows must all have one length, got {rows!r}")
+        return out
 
     def to_digits(self, a):
         """Coefficient vector over the base field (little endian)."""
@@ -505,8 +516,10 @@ def make_field(p: int, m: int, modulus="auto") -> Field:
     The modulus is a little-endian coefficient sequence over GF(p), monic of
     degree m, and must be irreducible; "auto" picks the monic irreducible
     with the smallest packed-integer encoding, so serialized field specs are
-    reproducible.
+    reproducible.  p and m are read by errors.integer (numpy integers
+    pass; bool, float and str raise InvalidParams).
     """
+    p = integer(p, "the characteristic p must be an integer")
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return extend_field(_cached(Field(p, None, 1, (0, 1), _token=_FIELD_TOKEN)), m, modulus)
@@ -527,13 +540,13 @@ def _cached(field: Field) -> Field:
 
 def extend_field(base: Field, s: int, modulus="auto") -> Field:
     """GF(q^s) built as a degree-s extension of an existing handle; the
-    modulus is read as in make_field, over base, and s = 1 gives base.
+    modulus is read as in make_field, over base, and s = 1 gives base; s
+    is read by errors.integer, at least 1.
 
     A handle made before is found by (base, s, modulus or "auto") ahead of
     the modulus search and the irreducibility test.
     """
-    if s < 1:
-        raise InvalidParams("extension degree must be >= 1")
+    s = integer(s, "the extension degree must be an integer >= 1", least=1)
     if isinstance(modulus, str) and modulus == "auto":
         key = ("ext", base.key, s, "auto")
         if key not in _FIELD_CACHE:

@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gmd, linalg
-from .block_codes import LinearCode, check_integer, generic_code
+from .block_codes import LinearCode, generic_code
 from .concat import (
     DecodeOptions,
     RowDecodeResult,
@@ -51,7 +51,7 @@ from .concat import (
     encode_columns,
     fold_message_columns,
 )
-from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch, UnknownDistance
+from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch, UnknownDistance, integer
 from .galois import TowerView
 from .report import SKIP_EQ8, SKIP_REUSED, SKIP_T_NO_GAIN, DecodeReport
 
@@ -96,16 +96,15 @@ class GccSpec:
 
 def gcc_spec(outers, widths, inner_generator, field, subcode_distances=None) -> GccSpec:
     """Build a k-level spec; subcode distances are computed exactly unless given."""
-    outers = tuple(outers)
+    try:
+        outers, widths = tuple(outers), tuple(integer(s, "a width must be an integer") for s in widths)
+    except TypeError:  # outers or widths is not a sequence
+        raise InvalidParams(f"outers and widths must be sequences, got {outers!r} and {widths!r}") from None
     if not outers:
         raise InvalidParams("at least one outer code is required")
-    try:
-        widths = tuple(check_integer(s, "a width") for s in widths)
-    except TypeError:  # widths itself is not iterable
-        raise InvalidParams(f"widths must be integers, got {widths!r}") from None
     if len(outers) != len(widths):
-        raise InvalidParams("one expansion degree per outer code is required")
-    gen = tuple(field.vector(row) for row in inner_generator)
+        raise InvalidParams(f"one outer code per level is required, got {len(outers)} for {len(widths)}")
+    gen = field.matrix(inner_generator)
     if sum(widths) != len(gen):
         raise InvalidParams(
             f"inner generator has {len(gen)} rows but the widths sum to {sum(widths)}"

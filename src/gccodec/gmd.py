@@ -49,8 +49,12 @@ class ReliabilityVector:
         dnm = self.denominator
         if type(dnm) is not int or dnm <= 0:
             raise InvalidParams(f"denominator must be a positive int, got {dnm!r}")
-        if any(type(w) is not int or not 0 <= w <= dnm for w in self.weights):
-            raise InvalidParams("weights must be ints in [0, denominator]")
+        try:
+            bad = any(type(w) is not int or not 0 <= w <= dnm for w in self.weights)
+        except TypeError:  # weights is not a sequence
+            bad = True
+        if bad:
+            raise InvalidParams("weights must be a sequence of ints in [0, denominator]")
 
     @property
     def n(self) -> int:

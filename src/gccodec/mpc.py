@@ -31,11 +31,11 @@ from .report import DecodeReport
 
 def is_nsc(field, matrix) -> bool:
     """Every t x t minor drawn from the first t rows is non-singular."""
-    k = len(matrix)
-    n = len(matrix[0]) if k else 0
+    rows = field.matrix(matrix)
+    k = len(rows)
+    n = len(rows[0]) if k else 0
     if k > n:
         raise ShapeError(f"need k <= N, got {k} x {n}")
-    rows = tuple(field.vector(row) for row in matrix)
     for t in range(1, k + 1):
         top = rows[:t]
         for cols in itertools.combinations(range(n), t):
@@ -52,7 +52,7 @@ def is_triangular(field, matrix) -> bool:
     below it.  No column serves two rows, since it would be both zero and
     nonzero in the lower one, so one such column per row is enough.
     """
-    rows = tuple(field.vector(row) for row in matrix)
+    rows = field.matrix(matrix)
     return all(
         any(x != 0 and not any(below) for x, *below in zip(row, *rows[i + 1 :]))
         for i, row in enumerate(rows)
@@ -73,19 +73,12 @@ class MpcSpec(GccSpec):
 
 
 def mpc_spec(outers, matrix, field) -> MpcSpec:
-    """Validate and assemble a matrix-product spec (degree-one levels)."""
-    outers = tuple(outers)
-    matrix = tuple(field.vector(row) for row in matrix)
-    if any(len(row) != len(matrix[0]) for row in matrix):
-        raise InvalidParams("the matrix rows must all have one length")
-    if len(outers) != len(matrix):
-        raise InvalidParams("one outer code per matrix row is required")
-    for a in outers:
-        if a.field != field:
-            raise InvalidParams("outer codes of a matrix-product spec live over the base field")
+    """Validate and assemble a matrix-product spec: gcc_spec with one
+    degree-one level per matrix row, which checks the outer codes."""
+    matrix = field.matrix(matrix)
     nsc = is_nsc(field, matrix)
     triangular = is_triangular(field, matrix)
-    levels = gcc_spec(outers, (1,) * len(outers), matrix, field)
+    levels = gcc_spec(outers, (1,) * len(matrix), matrix, field)
     spec = MpcSpec(**vars(levels), nsc=nsc, triangular=triangular)
     if nsc:
         for i, sub in enumerate(spec.subcodes, start=1):

@@ -22,10 +22,9 @@ from .block_codes import (
     DecodeOutcome,
     LinearCode,
     check_erasures,
-    check_integer,
     check_symbols,
 )
-from .errors import ContractViolation, InvalidParams, TooLargeToEnumerate
+from .errors import ContractViolation, TooLargeToEnumerate, integer
 
 
 def _enumerable(code: LinearCode):
@@ -85,8 +84,7 @@ def oracle_nearest(code: LinearCode, word):
 
 def oracle_radius(code: LinearCode, word, radius: int) -> DecodeOutcome:
     """Unique codeword within Hamming distance radius; ambiguity is failure."""
-    if check_integer(radius, "radius") < 0:
-        raise InvalidParams("radius must be nonnegative")
+    radius = integer(radius, "radius must be an integer >= 0", least=0)
     word = _word(code, word)
     hit = None
     for c, dist in _scan(code, word, range(code.n)):

@@ -27,23 +27,23 @@ an "rs" d other than n - k + 1 or an outer distance below 1 is a ConfigError.
 from __future__ import annotations
 
 import json
-import operator
 
 from .block_codes import LinearCode, generic_code, rs_code, rs_generator
 from .channel import ChannelModel
 from .concat import ConcatCode, DecodeOptions
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .experiment import ExperimentConfig
 from .galois import Field, extend_field, make_field
 from .gcc import GccSpec, gcc_spec
 from .mpc import MpcSpec, mpc_spec
 
-# what a non-integer spec field is reported as
-FIELD_PARAMS = "field parameters p and m"
-CODE_PARAMS = "code parameters n and k"
-WIDTHS = "expansion degrees s"
-DISTANCES = "distances d and subcode_distances"
-RUN_PARAMS = "trials, radius and threads"
+# the rule a spec's integers are read by (errors.integer, ConfigError)
+FIELD_PARAMS = "field parameters p and m must be integers"
+CODE_PARAMS = "code parameters n and k must be integers"
+WIDTHS = "expansion degrees s must be integers"
+DISTANCES = "distances d and subcode_distances must be integers"
+WORD = "word symbols must be integers"
+ERASURES = "erasure indices must be integers"
 
 
 def field_to_json(f: Field) -> dict:
@@ -55,11 +55,11 @@ def field_to_json(f: Field) -> dict:
 
 def field_from_json(d: dict) -> Field:
     m, modulus, base = _entries(d, "a field", "m", modulus="auto", base=None)
-    m = _integer(m, FIELD_PARAMS)
+    m = integer(m, FIELD_PARAMS, ConfigError)
     if base is not None:
         return extend_field(field_from_json(base), m, modulus)
     (p,) = _entries(d, "a field", "p")
-    return make_field(_integer(p, FIELD_PARAMS), m, modulus)
+    return make_field(integer(p, FIELD_PARAMS, ConfigError), m, modulus)
 
 
 def code_to_json(code: LinearCode) -> dict:
@@ -74,10 +74,10 @@ def code_to_json(code: LinearCode) -> dict:
 def code_from_json(d: dict) -> LinearCode:
     field, kind, declared = _entries(d, "a code", "field", kind="generic", d=None)
     field = field_from_json(field)
-    declared = _optional_integer(declared, DISTANCES)
+    declared = None if declared is None else integer(declared, DISTANCES, ConfigError)
     if kind == "rs":
         n, k = _entries(d, "a code", "n", "k")
-        code = rs_code(field, _integer(n, CODE_PARAMS), _integer(k, CODE_PARAMS))
+        code = rs_code(field, integer(n, CODE_PARAMS, ConfigError), integer(k, CODE_PARAMS, ConfigError))
         if declared not in (None, code.distance()):
             raise ConfigError(f"rs code [{code.n},{code.k}] has d={code.distance()}, not {declared}")
         return code
@@ -98,7 +98,7 @@ def concat_to_json(cc: ConcatCode) -> dict:
 def concat_from_json(d: dict) -> ConcatCode:
     outer, inner, s = _entries(d, "a concatenated spec", "outer", "inner", "s")
     cc = ConcatCode(code_from_json(outer), code_from_json(inner))
-    s = _integer(s, WIDTHS)
+    s = integer(s, WIDTHS, ConfigError)
     if cc.tower.s != s:
         raise ConfigError(f"expansion degree mismatch: spec says {s}, fields give {cc.tower.s}")
     return cc
@@ -118,9 +118,9 @@ def gcc_from_json(d: dict) -> GccSpec:
     field, outers, widths, generator, dists = _entries(
         d, "a GCC spec", "field", "outers", "s", "inner_generator", subcode_distances=None
     )
-    widths = [_integer(s, WIDTHS) for s in _sequence(widths, WIDTHS)]
+    widths = [integer(s, WIDTHS, ConfigError) for s in _sequence(widths, WIDTHS)]
     if dists is not None:
-        dists = [_optional_integer(x, DISTANCES) for x in _sequence(dists, DISTANCES)]
+        dists = [x if x is None else integer(x, DISTANCES, ConfigError) for x in _sequence(dists, DISTANCES)]
     generator = _matrix(generator, "inner_generator")
     return gcc_spec(_codes(outers), widths, generator, field_from_json(field), dists)
 
@@ -162,8 +162,10 @@ def load_spec_file(path):
 
 
 def experiment_from_json(d: dict) -> ExperimentConfig:
-    """A simulation config; non-integer counts, non-numeric rates and a
-    non-boolean carry_over raise ConfigError instead of coercing."""
+    """A simulation config; a non-integer count or threads and non-numeric
+    rates raise ConfigError instead of coercing (ExperimentConfig and
+    ChannelModel read their entries), and another mode, a non-boolean
+    carry_over or a non-integer radius InvalidParams (DecodeOptions)."""
     spec, channel, trials, decoder, output, threads = _entries(
         d, "a simulation config", "spec", "channel", "trials", decoder={}, output=None, threads=None
     )
@@ -171,16 +173,14 @@ def experiment_from_json(d: dict) -> ExperimentConfig:
     mode, carry_over, radius = _entries(
         decoder, "decoder", mode="upto", carry_over=False, radius=None
     )
-    if not isinstance(carry_over, bool):
-        raise ConfigError(f"carry_over must be true or false, got {carry_over!r}")
     channel = ChannelModel(*_entries(channel, "channel", "error_rate", erasure_rate=0.0, seed=0))
     return ExperimentConfig(
         spec=spec,
         channel=channel,
-        trials=_integer(trials, RUN_PARAMS),
-        options=DecodeOptions(mode, carry_over, _optional_integer(radius, RUN_PARAMS)),
+        trials=trials,
+        options=DecodeOptions(mode, carry_over, radius),
         output=output,
-        threads=_optional_integer(threads, RUN_PARAMS),
+        threads=None if threads is None else integer(threads, "threads must be an integer", ConfigError),
     )
 
 
@@ -188,11 +188,11 @@ def nsc_check_from_json(d: dict) -> tuple:
     """(field, matrix, outer distances or None) of an NSC-check file."""
     field, rows, dists = _entries(d, "an nsc-check file", "field", "matrix", outer_distances=None)
     field = field_from_json(field)
-    matrix = [field.vector(row) for row in _matrix(rows, "a matrix")]
-    if not matrix or any(len(row) != len(matrix[0]) for row in matrix):
-        raise ConfigError("the matrix must be a non-empty list of rows of one length")
+    matrix = field.matrix(_matrix(rows, "a matrix"))
+    if not matrix:
+        raise ConfigError("the matrix must be a non-empty list of rows")
     if dists is not None:
-        dists = [_integer(x, DISTANCES) for x in _sequence(dists, DISTANCES)]
+        dists = [integer(x, DISTANCES, ConfigError) for x in _sequence(dists, DISTANCES)]
         if len(dists) != len(matrix):
             raise ConfigError(f"outer_distances must have one entry per matrix row: {dists}")
         if min(dists) < 1:
@@ -202,16 +202,6 @@ def nsc_check_from_json(d: dict) -> tuple:
 
 def matrix_to_json(matrix) -> list:
     return [int(x) for row in matrix for x in row]
-
-
-def _integer(x, what):
-    """x as an int; bool, float and str raise ConfigError instead of coercing."""
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ConfigError(f"{what} must be integers, got {x!r}")
 
 
 def _entries(obj, what, *keys, **defaults) -> list:
@@ -224,10 +214,6 @@ def _entries(obj, what, *keys, **defaults) -> list:
         if key not in obj:
             raise ConfigError(f"{what} lacks the entry {key!r}")
     return [obj[key] for key in keys] + [obj.get(key, v) for key, v in defaults.items()]
-
-
-def _optional_integer(x, what):
-    return None if x is None else _integer(x, what)
 
 
 def _sequence(data, what):
@@ -252,13 +238,13 @@ def matrix_from_json(data, m: int, n: int) -> tuple:
         if len(data) != m * n:
             raise ConfigError(f"expected {m * n} symbols, got {len(data)}")
         rows = [data[i * n : (i + 1) * n] for i in range(m)]
-    return tuple(tuple(_integer(x, "word symbols") for x in r) for r in rows)
+    return tuple(tuple(integer(x, WORD, ConfigError) for x in r) for r in rows)
 
 
 def pattern_from_json(data, m: int):
     if len(_sequence(data, "an erasure pattern")) != m:
         raise ConfigError(f"erasure pattern must have {m} rows")
     return tuple(
-        frozenset(_integer(i, "erasure indices") for i in _sequence(row, "an erasure row"))
+        frozenset(integer(i, ERASURES, ConfigError) for i in _sequence(row, "an erasure row"))
         for row in data
     )

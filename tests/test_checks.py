@@ -449,3 +449,28 @@ class TestIntegerParameters:
         assert g.repetition_code(gf2, np.int16(3)).n == 3
         out = g.oracle_radius(g.repetition_code(gf2, 3), (0, 1, 0), np.int64(1))
         assert out.codeword == (0, 0, 0) and out.weight == 1
+
+
+# (id, call on GF(2)): each raised a TypeError or IndexError, or returned a
+# wrong object (GF(2) for a bool degree, True for a ragged matrix)
+MALFORMED_PARAMETERS = [
+    ("make_field-bool-m", lambda gf2: g.make_field(2, True)),
+    ("make_field-float-m", lambda gf2: g.make_field(2, 3.0)),
+    ("make_field-float-p", lambda gf2: g.make_field(2.0, 3)),
+    ("extend_field-bool-s", lambda gf2: g.extend_field(gf2, True)),
+    ("extend_field-str-s", lambda gf2: g.extend_field(gf2, "2")),
+    ("extend_field-float-s", lambda gf2: g.extend_field(gf2, 2.0)),
+    ("is_nsc-ragged", lambda gf2: g.is_nsc(gf2, [[1, 1], [0]])),
+    ("is_triangular-ragged", lambda gf2: g.is_triangular(gf2, [[1], [0, 1]])),
+    ("LinearCode-int-generator", lambda gf2: g.LinearCode(gf2, 5)),
+    ("gcc_spec-int-outers", lambda gf2: g.gcc_spec(5, (1,), [[1, 1]], gf2)),
+    ("mpc_spec-int-outers", lambda gf2: g.mpc_spec(5, [[1, 1]], gf2)),
+    ("mpc_spec-int-matrix", lambda gf2: g.mpc_spec([g.repetition_code(gf2, 2)], 5, gf2)),
+    ("ReliabilityVector-int-weights", lambda gf2: g.ReliabilityVector(5, 1)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in MALFORMED_PARAMETERS], ids=[i for i, _ in MALFORMED_PARAMETERS])
+def test_malformed_integers_and_matrices_are_codec_errors(gf2, call):
+    with pytest.raises(InvalidParams):
+        call(gf2)

@@ -90,6 +90,23 @@ class TestMakeField:
         with pytest.raises(g.NotPrime):
             g.make_field(15, 2)
 
+    @pytest.mark.parametrize("p, m", [(2, True), (2, 3.0), (3, 7.0), (2.0, 3), ("2", 3), (2, "3"), (2, 0)], ids=repr)
+    def test_p_and_m_must_be_integers(self, p, m):
+        # (3, 7.0) names no handle made before, so the float reaches no cache
+        with pytest.raises(g.InvalidParams):
+            g.make_field(p, m)
+
+    @pytest.mark.parametrize("s", [True, False, "2", 2.0, 0, -1, None], ids=repr)
+    def test_extension_degree_must_be_a_positive_integer(self, gf4, s):
+        with pytest.raises(g.InvalidParams):
+            g.extend_field(gf4, s)
+
+    def test_numpy_integers_are_integers(self, gf4):
+        f = g.make_field(np.int64(2), np.uint8(3))
+        assert f is g.make_field(2, 3) and type(f.p) is int
+        assert g.extend_field(gf4, np.int32(2)) is g.extend_field(gf4, 2)
+        assert type(g.make_field(np.int16(7), 1).p) is int
+
     def test_auto_modulus_deterministic(self):
         assert g.make_field(2, 3).modulus == (1, 1, 0, 1)
         assert g.make_field(2, 2).modulus == (1, 1, 1)
