@@ -120,7 +120,7 @@ def gcc_from_json(d: dict) -> GccSpec:
     )
     widths = [integer(s, WIDTHS, ConfigError) for s in _sequence(widths, WIDTHS)]
     if dists is not None:
-        dists = [x if x is None else integer(x, DISTANCES, ConfigError) for x in _sequence(dists, DISTANCES)]
+        dists = [None if x is None else integer(x, DISTANCES, ConfigError) for x in _sequence(dists, DISTANCES)]
     generator = _matrix(generator, "inner_generator")
     return gcc_spec(_codes(outers), widths, generator, field_from_json(field), dists)
 
