@@ -77,7 +77,6 @@ def main():
     ]
     rm = g.gcc_spec(
         [g.rs_code(gf16, 8, 7), g.rs_code(gf8, 8, 5), g.repetition_code(gf2, 8)],
-        (4, 3, 1),
         rm_chain,
         gf2,
     )

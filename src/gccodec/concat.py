@@ -351,21 +351,16 @@ def decode_column(
 
 
 def extended_trial_chain(rd: RowDecodeResult, radius: int) -> gmd.ErasureChain:
-    """Chain that peels rows by apparent weight radius, radius-1, ..., t+1
-    before the zero-weight class proper, then continues by weight classes."""
-    d = rd.denominator
-    t = (d - 1) // 2
-    m = len(rd.weights)
-    cur = frozenset(j for j in range(m) if rd.failed[j])
-    sets = [frozenset(), cur]
-    for v in range(radius, t, -1):
-        cur = cur | frozenset(
-            j for j in range(m) if not rd.failed[j] and rd.apparents[j] == v
-        )
-        sets.append(cur)
-    for a in sorted(set(w for w in rd.weights if w > 0)):
-        sets.append(frozenset(j for j in range(m) if rd.weights[j] <= a))
-    return gmd.ErasureChain(tuple(sets))
+    """keyed_chain erasing the failed rows, then the rows decoded past t by
+    falling apparent weight radius, ..., t+1 (one set each, empty or not),
+    then the rest by weight classes; radius > t, as decode_rows takes it."""
+    t = (rd.denominator - 1) // 2
+    past = radius - t  # keys 1..past order the rows decoded past t
+    keys = [
+        0 if bad else radius + 1 - v if v > t else past + w
+        for bad, v, w in zip(rd.failed, rd.apparents, rd.weights)
+    ]
+    return gmd.keyed_chain(keys, sorted(set(keys) | set(range(past + 1))))
 
 
 def trial_bound_cc(cc: ConcatCode, erasure_mode: bool = False) -> int:
@@ -428,20 +423,22 @@ def cc_decode(cc: ConcatCode, received, pattern=None, options: DecodeOptions | N
     )
 
 
-def correctable_cc(error_matrix, pattern, cc: ConcatCode) -> bool:
-    """Guarantee predicate: sum of capped per-row loads below d_a*d_b.
-
-    Per row the load is min(2*wt_X(E_j) + |X_j|, 2*d_b); any pattern whose
-    total is below d_a*d_b is provably corrected.  The error matrix must
-    have M rows of N entries (see check_shape).
-    """
-    d_a, d_b = cc.outer.distance(), cc.inner.distance()
-    rows = check_shape(error_matrix, cc.m, cc.inner.n)
-    erasure_sets = check_pattern(pattern, cc.m, cc.inner.n)
+def within_region(error_matrix, pattern, m: int, n: int, d_row: int, d_star: int) -> bool:
+    """Guarantee region: the per-row loads min(2*wt_X(E_j) + |X_j|, 2*d_row)
+    sum below d_star, for an error matrix of m rows of n entries (see
+    check_shape) and an erasure pattern (see check_pattern)."""
+    rows = check_shape(error_matrix, m, n)
+    erasure_sets = check_pattern(pattern, m, n)
     total = 0
     for row, x in zip(rows, erasure_sets):
         errors = len(row) - row.count(0)
         if x:
             errors -= sum(1 for i in x if row[i] != 0)
-        total += min(2 * errors + len(x), 2 * d_b)
-    return total < d_a * d_b
+        total += min(2 * errors + len(x), 2 * d_row)
+    return total < d_star
+
+
+def correctable_cc(error_matrix, pattern, cc: ConcatCode) -> bool:
+    """Guarantee predicate: within_region with the inner distance d_b per
+    row and d* = d_a*d_b; any pattern inside it is provably corrected."""
+    return within_region(error_matrix, pattern, cc.m, cc.inner.n, cc.inner.distance(), cc.designed_distance())

@@ -45,13 +45,13 @@ from .concat import (
     RowDecodeResult,
     check_matrix,
     check_messages,
-    check_shape,
     decode_column,
     decode_rows,
     encode_columns,
     fold_message_columns,
+    within_region,
 )
-from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch, UnknownDistance, integer
+from .errors import ContractViolation, DecodeFailure, InvalidParams, LengthMismatch, UnknownDistance
 from .galois import TowerView
 from .report import SKIP_EQ8, SKIP_REUSED, SKIP_T_NO_GAIN, DecodeReport
 
@@ -69,7 +69,6 @@ class GccSpec:
     widths: tuple
     inner_generator: tuple
     subcodes: tuple
-    prefix: tuple
     encoder: linalg.RowMap
     level_encoders: tuple
     level_inverses: tuple
@@ -94,28 +93,26 @@ class GccSpec:
         return f"{type(self).__name__}(k={self.k}, M={self.m}, N={self.n}, q={self.field.q})"
 
 
-def gcc_spec(outers, widths, inner_generator, field, subcode_distances=None) -> GccSpec:
-    """Build a k-level spec; subcode distances are computed exactly unless given."""
+def gcc_spec(outers, inner_generator, field, subcode_distances=None) -> GccSpec:
+    """Build a k-level spec; level i's width is the degree of outer i's field
+    over field, and subcode distances are computed exactly unless given."""
     try:
-        outers, widths = tuple(outers), tuple(integer(s, "a width must be an integer") for s in widths)
-    except TypeError:  # outers or widths is not a sequence
-        raise InvalidParams(f"outers and widths must be sequences, got {outers!r} and {widths!r}") from None
-    if not outers:
-        raise InvalidParams("at least one outer code is required")
-    if len(outers) != len(widths):
-        raise InvalidParams(f"one outer code per level is required, got {len(outers)} for {len(widths)}")
+        codes = tuple(outers)
+    except TypeError:  # outers is not a sequence
+        codes = ()
+    if not codes or not all(isinstance(a, LinearCode) for a in codes):
+        raise InvalidParams(f"outers must be a non-empty sequence of linear codes, got {outers!r}")
+    outers = codes
+    towers = tuple(TowerView(a.field, field) for a in outers)
+    widths = tuple(tower.s for tower in towers)
     gen = field.matrix(inner_generator)
     if sum(widths) != len(gen):
         raise InvalidParams(
-            f"inner generator has {len(gen)} rows but the widths sum to {sum(widths)}"
+            f"inner generator has {len(gen)} rows but the outer degrees sum to {sum(widths)}"
         )
     m = outers[0].n
     if any(a.n != m for a in outers):
         raise LengthMismatch("all outer codes must share the same length")
-    towers = tuple(TowerView(a.field, field) for a in outers)
-    for a, tower, s in zip(outers, towers, widths):
-        if tower.s != s:
-            raise InvalidParams(f"outer field {a.field} does not have degree {s} over {field}")
     prefix = tuple(itertools.accumulate(widths))
     subcodes = []
     declared = (None,) * len(prefix) if subcode_distances is None else tuple(subcode_distances)
@@ -136,7 +133,7 @@ def gcc_spec(outers, widths, inner_generator, field, subcode_distances=None) -> 
         level_inverses.append(linalg.RowMap(field, columns, join=(tower,)))
     encoder = linalg.RowMap(field, gen, split=towers)
     return GccSpec(
-        field, outers, widths, gen, tuple(subcodes), prefix,
+        field, outers, widths, gen, tuple(subcodes),
         encoder, tuple(level_encoders), tuple(level_inverses),
     )
 
@@ -160,12 +157,9 @@ def gcc_encode(spec: GccSpec, msgs) -> tuple:
 
 
 def correctable_gcc(error_matrix, spec: GccSpec) -> bool:
-    """Guarantee predicate: sum of min(wt(E_j), d_1) strictly below d*/2,
-    for an error matrix of m rows of n entries (see check_shape)."""
-    d1 = spec.subcodes[0].distance()
-    n = spec.n
-    total = sum(min(n - row.count(0), d1) for row in check_shape(error_matrix, spec.m, n))
-    return 2 * total < designed_distance(spec)
+    """Guarantee predicate: concat.within_region without erasures, with
+    d(B^(1)) per row and d* the designed distance."""
+    return within_region(error_matrix, None, spec.m, spec.n, spec.subcodes[0].distance(), designed_distance(spec))
 
 
 def _fresh_rows(spec: GccSpec, level: int, residual):

@@ -69,10 +69,9 @@ class ReliabilityVector:
 class ErasureChain:
     """Nested erasure sets; sets[0] is empty and sets[-1] covers everything.
 
-    built_over is n where erasure_chain or chain_with_failure_class built
-    the chain from n weights, so its sets are frozensets of indices in
-    [0, n) already, and None for a chain built any other way, whose sets
-    gmd_decode checks."""
+    built_over is n where keyed_chain built the chain from n keys, so its
+    sets are frozensets of indices in [0, n) already, and None for a chain
+    built any other way, whose sets gmd_decode checks."""
 
     sets: tuple
     built_over: int | None = field(default=None, init=False, repr=False, compare=False)
@@ -81,18 +80,20 @@ class ErasureChain:
         return len(self.sets)
 
 
-def _chain(weights, classes) -> ErasureChain:
+def keyed_chain(keys, classes) -> ErasureChain:
+    """The empty set, then E_a = {i : keys[i] <= a} for each a of the
+    ascending classes; every chain the package builds comes from here."""
     sets = [frozenset()]
     for a in classes:
-        sets.append(frozenset(i for i, w in enumerate(weights) if w <= a))
+        sets.append(frozenset(i for i, key in enumerate(keys) if key <= a))
     chain = ErasureChain(tuple(sets))
-    object.__setattr__(chain, "built_over", len(weights))
+    object.__setattr__(chain, "built_over", len(keys))
     return chain
 
 
 def erasure_chain(rel: ReliabilityVector) -> ErasureChain:
     """Chain E_j = {i : w_i <= a_j} over the weight classes present."""
-    return _chain(rel.weights, rel.classes())
+    return keyed_chain(rel.weights, rel.classes())
 
 
 def chain_with_failure_class(rel: ReliabilityVector) -> ErasureChain:
@@ -102,7 +103,7 @@ def chain_with_failure_class(rel: ReliabilityVector) -> ErasureChain:
     possibly empty.  Callers that skip the no-erasure trial (because their
     weighting scheme makes it redundant) rely on this set being first.
     """
-    return _chain(rel.weights, sorted(set(rel.weights) | {0}))
+    return keyed_chain(rel.weights, sorted(set(rel.weights) | {0}))
 
 
 def _skip_reason(sets, j: int, d: int, previous):
@@ -187,11 +188,10 @@ def gmd_decode(
     the next decode.
 
     The word is checked once, on entry, as ee_decode checks it
-    (check_symbols), and so is every set of a chain that erasure_chain or
-    chain_with_failure_class did not build over n weights
-    (check_erasures); each trial then runs the decoder through
-    block_codes.bounded_decode, which holds its codeword to the distance
-    bound.
+    (check_symbols), and so is every set of a chain that keyed_chain did
+    not build over n keys (check_erasures); each trial then runs the
+    decoder through block_codes.bounded_decode, which holds its codeword
+    to the distance bound.
     """
     if mode not in (MODE_UPTO, MODE_BEYOND):
         raise InvalidParams(f"unknown mode {mode!r}")

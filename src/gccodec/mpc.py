@@ -73,12 +73,14 @@ class MpcSpec(GccSpec):
 
 
 def mpc_spec(outers, matrix, field) -> MpcSpec:
-    """Validate and assemble a matrix-product spec: gcc_spec with one
-    degree-one level per matrix row, which checks the outer codes."""
+    """Validate and assemble a matrix-product spec: gcc_spec, which checks
+    the outer codes, with one outer code over field per matrix row."""
     matrix = field.matrix(matrix)
     nsc = is_nsc(field, matrix)
     triangular = is_triangular(field, matrix)
-    levels = gcc_spec(outers, (1,) * len(matrix), matrix, field)
+    levels = gcc_spec(outers, matrix, field)
+    if levels.k != len(matrix):
+        raise InvalidParams(f"a matrix-product code needs outer codes over {field}, one per matrix row")
     spec = MpcSpec(**vars(levels), nsc=nsc, triangular=triangular)
     if nsc:
         for i, sub in enumerate(spec.subcodes, start=1):

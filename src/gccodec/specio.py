@@ -13,7 +13,8 @@ the kinds.
 
 Constructions: concatenated {"outer": code, "inner": code, "s": int};
 generalized {"outers": [code...], "s": [int...], "inner_generator": [[...]],
-"field": ...}; matrix-product {"outers": [code...], "B": [[...]],
+"field": ...}, each s an outer field's degree over the inner one (else a
+ConfigError); matrix-product {"outers": [code...], "B": [[...]],
 "field": ...}.  Words and matrices travel as row-major integer sequences.
 
 Simulation configs: {"spec": file name or spec, "channel": {"error_rate",
@@ -118,11 +119,14 @@ def gcc_from_json(d: dict) -> GccSpec:
     field, outers, widths, generator, dists = _entries(
         d, "a GCC spec", "field", "outers", "s", "inner_generator", subcode_distances=None
     )
-    widths = [integer(s, WIDTHS, ConfigError) for s in _sequence(widths, WIDTHS)]
+    widths = tuple(integer(s, WIDTHS, ConfigError) for s in _sequence(widths, WIDTHS))
     if dists is not None:
         dists = [None if x is None else integer(x, DISTANCES, ConfigError) for x in _sequence(dists, DISTANCES)]
     generator = _matrix(generator, "inner_generator")
-    return gcc_spec(_codes(outers), widths, generator, field_from_json(field), dists)
+    spec = gcc_spec(_codes(outers), generator, field_from_json(field), dists)
+    if spec.widths != widths:
+        raise ConfigError(f"expansion degree mismatch: spec says {list(widths)}, fields give {list(spec.widths)}")
+    return spec
 
 
 def mpc_to_json(spec: MpcSpec) -> dict:

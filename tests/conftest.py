@@ -122,7 +122,7 @@ def mixed_spec(gf2, gf4):
         [0, 1, 0, 1, 1, 0, 1],
         [0, 0, 1, 1, 0, 1, 1],
     ]
-    return g.gcc_spec([a1, a2], (2, 1), inner_gen, gf2)
+    return g.gcc_spec([a1, a2], inner_gen, gf2)
 
 
 @pytest.fixture(scope="session")
@@ -135,7 +135,7 @@ def gcc_growing_radius(gf2, gf8):
     """
     a1 = g.generic_code(gf2, GEN_HAMMING_7_4_3)
     return g.gcc_spec(
-        [a1, g.rs_code(gf8, 7, 3)], (1, 3), GROWING_RADIUS_INNER, gf2, subcode_distances=(8, 4)
+        [a1, g.rs_code(gf8, 7, 3)], GROWING_RADIUS_INNER, gf2, subcode_distances=(8, 4)
     )
 
 
@@ -145,7 +145,7 @@ def rm_chain(gf2, gf8):
     RS(8,7)/GF(16) (width 4), RS(8,5)/GF(8) (width 3) and the [8,1,8]
     repetition code (width 1); d* = min(2*4, 4*2, 8*1) = 8."""
     outers = [g.rs_code(g.make_field(2, 4), 8, 7), g.rs_code(gf8, 8, 5), g.repetition_code(gf2, 8)]
-    spec = g.gcc_spec(outers, (4, 3, 1), RM3_CHAIN, gf2)
+    spec = g.gcc_spec(outers, RM3_CHAIN, gf2)
     assert [sub.distance() for sub in spec.subcodes] == [4, 2, 1]
     return spec
 

@@ -463,8 +463,10 @@ MALFORMED_PARAMETERS = [
     ("is_nsc-ragged", lambda gf2: g.is_nsc(gf2, [[1, 1], [0]])),
     ("is_triangular-ragged", lambda gf2: g.is_triangular(gf2, [[1], [0, 1]])),
     ("LinearCode-int-generator", lambda gf2: g.LinearCode(gf2, 5)),
-    ("gcc_spec-int-outers", lambda gf2: g.gcc_spec(5, (1,), [[1, 1]], gf2)),
+    ("gcc_spec-int-outers", lambda gf2: g.gcc_spec(5, [[1, 1]], gf2)),
+    ("gcc_spec-int-in-outers", lambda gf2: g.gcc_spec([5], [[1, 1]], gf2)),
     ("mpc_spec-int-outers", lambda gf2: g.mpc_spec(5, [[1, 1]], gf2)),
+    ("mpc_spec-int-in-outers", lambda gf2: g.mpc_spec([5], [[1, 1]], gf2)),
     ("mpc_spec-int-matrix", lambda gf2: g.mpc_spec([g.repetition_code(gf2, 2)], 5, gf2)),
     ("ReliabilityVector-int-weights", lambda gf2: g.ReliabilityVector(5, 1)),
 ]

@@ -506,6 +506,10 @@ MALFORMED_INPUTS = [
     ("code-info", "rs", ("field", "m"), None, "lacks the entry 'm'"),
     ("code-info", "mpc", ("outers",), {"n": 7}, "outers must be a list"),
     ("code-info", "rs", (), [1, 2], "a spec must be a JSON object"),
+    # "s" must agree with the degrees of the outer fields over the inner one
+    ("code-info", "cc", ("s",), 1, "expansion degree mismatch"),
+    ("code-info", "gcc", ("s",), [1, 2], "expansion degree mismatch"),
+    ("code-info", "gcc", ("s",), [2, 1, 0], "expansion degree mismatch"),
     ("nsc-check", "matrix", ("field",), None, "lacks the entry 'field'"),
     ("nsc-check", "matrix", ("matrix",), [], "non-empty list of rows"),
     ("nsc-check", "matrix", ("outer_distances",), [7, 5], "one entry per matrix row"),

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gccodec as g
 from gccodec import block_codes, linalg, specio
@@ -16,7 +18,20 @@ from gccodec.concat import (
     fold_message_columns,
 )
 from conftest import corrupt, error_matrix, has_array_kernel
-from twins import column_by_column, decode_outcome, fresh_twin, noisy_concat_words
+from twins import column_by_column, decode_outcome, extended_chain_set_by_set, fresh_twin, noisy_concat_words
+
+
+@st.composite
+def radius_rows(draw):
+    """(RowDecodeResult, radius) as decode_rows gives them at a radius past
+    t = (d - 1) // 2: each row failed (weight 0) or decoded with an
+    apparent weight v up to the radius (weight d - 2v, or 0 from 2v >= d)."""
+    d = draw(st.integers(1, 12))
+    radius = draw(st.integers((d - 1) // 2 + 1, (d - 1) // 2 + 4))
+    apparents = draw(st.lists(st.one_of(st.none(), st.integers(0, radius)), min_size=1, max_size=12))
+    weights = [0 if v is None or 2 * v >= d else d - 2 * v for v in apparents]
+    failed = [v is None for v in apparents]
+    return RowDecodeResult([], [], weights, failed, apparents, d, 0), radius
 
 
 class TestEncode:
@@ -314,6 +329,19 @@ class TestExtendedRadius:
         assert chain.sets[0] == frozenset()
         assert chain.sets[1] == frozenset()  # no failures at radius 3
         assert frozenset({0}) in chain.sets  # the apparent-weight-3 row peels next
+
+    @settings(max_examples=400, deadline=None)
+    @given(radius_rows())
+    def test_chain_matches_its_set_by_set_twin(self, case):
+        rd, radius = case
+        chain = extended_trial_chain(rd, radius)
+        assert chain.sets == extended_chain_set_by_set(rd, radius).sets
+        assert chain.built_over == len(rd.weights)
+
+    def test_radius_refuses_erasures(self, cc_rep5):
+        word = g.cc_encode(cc_rep5, [(0, 0)])
+        with pytest.raises(g.InvalidParams, match="errors-only"):
+            g.cc_decode(cc_rep5, word, [(1,)] + [()] * (cc_rep5.m - 1), g.DecodeOptions(radius=3))
 
     def test_radius_validation(self, cc_rep5):
         with pytest.raises(g.InvalidParams):

@@ -39,7 +39,7 @@ def uuv_bin():
         ],
     )
     a2 = g.repetition_code(gf2, 7)
-    return g.gcc_spec([a1, a2], (1, 1), UUV_MATRIX, gf2)
+    return g.gcc_spec([a1, a2], UUV_MATRIX, gf2)
 
 
 class TestEncode:
@@ -47,7 +47,7 @@ class TestEncode:
         assert g.gcc_encode(mixed_spec, [(0,), (0, 0)]) == ((0,) * 7,) * 4
 
     def test_single_level_collapses_to_concat(self, gf4, inner_523):
-        spec = g.gcc_spec([g.rs_code(gf4, 3, 1)], (2,), inner_523.generator, inner_523.field)
+        spec = g.gcc_spec([g.rs_code(gf4, 3, 1)], inner_523.generator, inner_523.field)
         cc = g.ConcatCode(g.rs_code(gf4, 3, 1), inner_523)
         for msg in range(4):
             assert g.gcc_encode(spec, [(msg,)]) == g.cc_encode(cc, [(msg,)])
@@ -83,23 +83,33 @@ class TestEncode:
 
 
 class TestSpecValidation:
-    def test_width_sum_checked(self, gf2, gf4):
-        with pytest.raises(g.InvalidParams):
-            g.gcc_spec([g.rs_code(gf4, 3, 1)], (1,), [[1, 1], [0, 1]], gf2)
+    def test_widths_are_the_outer_degrees(self, mixed_spec, rm_chain):
+        assert mixed_spec.widths == (2, 1)
+        assert rm_chain.widths == (4, 3, 1)
 
-    def test_widths_must_be_integers(self, gf2, gf4, inner_523):
-        # int() would have truncated 2.6 to a valid width of 2, and True
-        # would have read as a valid width of 1
-        with pytest.raises(g.InvalidParams):
-            g.gcc_spec([g.rs_code(gf4, 3, 1)], (2.6,), inner_523.generator, inner_523.field)
-        with pytest.raises(g.InvalidParams):
-            g.gcc_spec([g.repetition_code(gf2, 3)], (True,), [[1, 1, 1]], gf2)
+    def test_width_sum_checked(self, gf2, gf4):
+        # outer degrees 2 + 1 against a generator of two rows
+        with pytest.raises(g.InvalidParams, match="outer degrees sum to 3"):
+            g.gcc_spec([g.rs_code(gf4, 3, 1), g.repetition_code(gf2, 3)], [[1, 1], [0, 1]], gf2)
+
+    def test_declared_subcode_distances_must_not_increase(self, gf2):
+        outers = [g.repetition_code(gf2, 3)] * 2
+        with pytest.raises(g.InvalidParams, match="non-increasing"):
+            g.gcc_spec(outers, UUV_MATRIX, gf2, subcode_distances=(1, 2))
+
+    def test_a_prefix_past_the_enumeration_cap_needs_its_distance(self):
+        # level 2's subcode RS(15,6)/GF(16) has 16^6 > 2^20 codewords
+        gf16 = g.make_field(2, 4)
+        gf4096 = g.extend_field(gf16, 3)
+        outers = [g.rs_code(gf4096, 4, 1), g.rs_code(gf4096, 4, 2)]
+        with pytest.raises(g.UnknownDistance, match="level-2"):
+            g.gcc_spec(outers, g.rs_code(gf16, 15, 6).generator, gf16, subcode_distances=(13, None))
 
     def test_outer_lengths_checked(self, gf2):
         a1 = g.repetition_code(gf2, 3)
         a2 = g.repetition_code(gf2, 4)
         with pytest.raises(g.LengthMismatch):
-            g.gcc_spec([a1, a2], (1, 1), [[1, 1], [0, 1]], gf2)
+            g.gcc_spec([a1, a2], [[1, 1], [0, 1]], gf2)
 
     def test_prefix_subcodes(self, uuv_bin):
         assert g.prefix_subcode(uuv_bin, 2) is uuv_bin.inner
@@ -121,7 +131,7 @@ class TestDesignedDistance:
         assert g.designed_distance(uuv_bin) == 6
 
     def test_single_level(self, gf4, inner_523):
-        spec = g.gcc_spec([g.rs_code(gf4, 3, 1)], (2,), inner_523.generator, inner_523.field)
+        spec = g.gcc_spec([g.rs_code(gf4, 3, 1)], inner_523.generator, inner_523.field)
         assert g.designed_distance(spec) == 9
 
     def test_uvw(self, mpc_uvw3):
@@ -244,7 +254,7 @@ class TestDecoders:
             assert report.total_inner <= bound
 
     def test_failure_aborts_with_level(self, gf4, inner_523):
-        spec = g.gcc_spec([g.rs_code(gf4, 3, 1)], (2,), inner_523.generator, inner_523.field)
+        spec = g.gcc_spec([g.rs_code(gf4, 3, 1)], inner_523.generator, inner_523.field)
         stuck = None
         import itertools
 
@@ -302,7 +312,6 @@ class TestSerialization:
         # declared below the enumerated (8, 4): the reloaded spec keeps d* = 15
         spec = g.gcc_spec(
             [g.generic_code(gf2, GEN_HAMMING_7_4_3), g.rs_code(gf8, 7, 3)],
-            (1, 3),
             GROWING_RADIUS_INNER,
             gf2,
             subcode_distances=(8, 3),
@@ -319,7 +328,7 @@ class TestSerialization:
         gf4096 = g.extend_field(gf16, 3)
         inner = g.rs_code(gf16, 15, 6)
         outers = [g.rs_code(gf4096, 4, 1), g.rs_code(gf4096, 4, 2)]
-        spec = g.gcc_spec(outers, (3, 3), inner.generator, gf16, subcode_distances=(13, 10))
+        spec = g.gcc_spec(outers, inner.generator, gf16, subcode_distances=(13, 10))
         assert spec.subcodes[1].num_codewords() > ENUMERATION_CAP
         spec2 = specio.load_spec(json.loads(json.dumps(specio.gcc_to_json(spec))))
         assert [sub.distance() for sub in spec2.subcodes] == [13, 10]

@@ -6,6 +6,8 @@
 - operator.index appears only in errors.py: errors.index and
   errors.integer are the one rule that reads an integer handed in from
   outside.
+- ErasureChain is constructed only in gmd.py: gmd.keyed_chain builds
+  every chain the package decodes along.
 """
 
 import ast
@@ -56,6 +58,16 @@ def operator_index_lines(tree) -> list:
     return lines
 
 
+def constructions(tree, name: str) -> list:
+    """Lines of tree that call name, bare or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+    ]
+
+
 def test_the_package_is_read():
     assert {"errors", "galois", "block_codes", "specio", "channel", "experiment"} <= set(MODULES)
 
@@ -73,3 +85,9 @@ def test_operator_index_is_read_only_in_errors():
     lines = {name: operator_index_lines(tree) for name, tree in MODULES.items()}
     assert {name: found for name, found in lines.items() if found} == {"errors": lines["errors"]}
     assert lines["errors"]
+
+
+def test_only_gmd_builds_erasure_chains():
+    lines = {name: constructions(tree, "ErasureChain") for name, tree in MODULES.items()}
+    assert {name: found for name, found in lines.items() if found} == {"gmd": lines["gmd"]}
+    assert lines["gmd"]

@@ -101,6 +101,25 @@ def triangular_by_permutation(matrix):
     )
 
 
+class TestSpec:
+    @pytest.mark.parametrize(
+        "outers, matrix",
+        [
+            # one outer over GF(4) fills both rows of a GF(2) matrix: a valid
+            # one-level GCC, but no matrix-product code
+            (lambda gf2, gf4: [g.rs_code(gf4, 3, 1)], [[1, 1], [0, 1]]),
+            (lambda gf2, gf4: [g.repetition_code(gf2, 3)], [[1, 1], [0, 1]]),
+        ],
+        ids=["outer-over-gf4", "one-outer-too-few"],
+    )
+    def test_one_outer_over_the_matrix_field_per_row(self, gf2, gf4, outers, matrix):
+        with pytest.raises(g.InvalidParams):
+            g.mpc_spec(outers(gf2, gf4), matrix, gf2)
+
+    def test_widths_are_one(self, mpc_uvw3):
+        assert mpc_uvw3.widths == (1, 1, 1)
+
+
 class TestDesignedDistance:
     def test_uuv8(self, mpc_uuv8):
         assert g.mpc_designed_distance(mpc_uuv8) == (6, True)
@@ -448,6 +467,35 @@ class TestSpecializedUvw:
             assert counter.get("outer:2", 0) <= 1
             assert counter.get("outer:1", 0) <= 2
             assert counter.get("inner:1", 0) <= limit
+
+    # error patterns whose level-1 step runs its second erasure trial.  Of
+    # all patterns of weight <= 5 on the zero word, 7900 run it (none of
+    # weight <= 2); in none does it give the sent word: decode_uvw
+    # miscorrects to the generic decoder's columns (4654) or both fail (3246)
+    @pytest.mark.parametrize(
+        "errors",
+        [
+            ((0, 0, 1), (0, 0, 2), (0, 0, 0), (0, 0, 0), (0, 2, 0), (0, 0, 0), (0, 0, 0)),
+            ((1, 1, 0), (0, 0, 0), (0, 0, 0), (0, 0, 1), (0, 0, 0), (0, 0, 2), (0, 0, 0)),
+            ((1, 0, 2), (0, 0, 0), (0, 0, 0), (0, 0, 2), (0, 0, 0), (0, 0, 1), (0, 0, 0)),
+        ],
+        ids=["weight-3", "weight-4-miscorrected", "weight-4-failed"],
+    )
+    def test_second_level_1_trial_agrees_with_the_generic_decoder(self, mpc_uvw3, errors):
+        f = mpc_uvw3.field
+        word = g.mpc_encode(mpc_uvw3, [(2,), (1, 2), (0, 1, 1, 2)])
+        received = tuple(tuple(map(f.add, r, e)) for r, e in zip(word, errors))
+        counter = {}
+        try:
+            special = g.decode_uvw(mpc_uvw3, received, counter)
+        except g.DecodeFailure:
+            special = None
+        assert counter["outer:1"] == 2
+        try:
+            generic = tuple(g.gcc_decode_improved(mpc_uvw3, received).columns)
+        except g.DecodeFailure:
+            generic = None
+        assert special == generic
 
     def test_characteristic_two_rejected(self, gf2, gf4):
         a = g.repetition_code(gf4, 3)

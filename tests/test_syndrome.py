@@ -189,7 +189,7 @@ def rm14_chain():
         g.rs_code(g.make_field(2, 4), 16, 8),
         g.repetition_code(gf2, 16),
     ]
-    return g.gcc_spec(outers, (5, 6, 4, 1), rows, gf2)
+    return g.gcc_spec(outers, rows, gf2)
 
 
 def test_the_rm14_chain_decodes_inside_half_its_distance():

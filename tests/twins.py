@@ -1,7 +1,8 @@
 """Reference twins and word generators that the fast decode paths are
 tested against: RS words that only a re-check of the last syndrome
 refuses, RS batches for the array solve, decoders that run row by row or
-share no state with the code's own, and cc_decode column by column."""
+share no state with the code's own, cc_decode column by column, and the
+extended-radius chain set by set."""
 
 import itertools
 
@@ -125,6 +126,23 @@ def column_by_column(cc, outer, received, pattern=None, options=None):
         raise DecodeFailure(f"columns {report.failed_levels} exhausted all trials", report=report)
     report.codeword = cc_encode(cc, report.messages)
     return report.columns, report
+
+
+def extended_chain_set_by_set(rd, radius: int) -> gmd.ErasureChain:
+    """extended_trial_chain set by set: the empty set, the failed rows, each
+    apparent weight from radius down to t + 1 added to them in turn, then
+    every row of weight at most a, for each positive weight a present."""
+    d = rd.denominator
+    t = (d - 1) // 2
+    m = len(rd.weights)
+    cur = frozenset(j for j in range(m) if rd.failed[j])
+    sets = [frozenset(), cur]
+    for v in range(radius, t, -1):
+        cur = cur | frozenset(j for j in range(m) if not rd.failed[j] and rd.apparents[j] == v)
+        sets.append(cur)
+    for a in sorted(set(w for w in rd.weights if w > 0)):
+        sets.append(frozenset(j for j in range(m) if rd.weights[j] <= a))
+    return gmd.ErasureChain(tuple(sets))
 
 
 def decode_outcome(decode, *args) -> tuple:
