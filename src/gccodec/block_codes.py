@@ -179,13 +179,10 @@ class LinearCode:
         return self._encoder([check_symbols(self.field, msg, self.k, "message") for msg in msgs])
 
     def message_of(self, codeword) -> tuple:
-        word = self.field.vector(codeword)
-        if len(word) != self.n:
-            raise LengthMismatch(f"word length {len(word)} != n={self.n}")
-        return self.inverse.row(word)
+        return self.inverse.row(check_symbols(self.field, codeword, self.n))
 
     def contains(self, word) -> bool:
-        return self._encoder.row(self.message_of(word)) == tuple(word)
+        return self.holds(check_symbols(self.field, word, self.n))
 
     def holds(self, word: tuple) -> bool:
         """contains() for a tuple of n field elements the library made,

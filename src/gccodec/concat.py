@@ -43,7 +43,8 @@ from .report import DecodeReport
 class DecodeOptions:
     """How cc_decode and the multistage decoders run: the GMD mode, whether
     a column's accepted trial index carries over to the next column, and
-    the extended inner radius (None: the half-distance one).  Anything else
+    the extended inner radius (None: the half-distance one); the multistage
+    decoders take the mode only and refuse the other two.  Anything else
     (another mode, a carry_over that is not a bool, a radius that
     errors.integer refuses) raises InvalidParams here, once per run; a
     numpy integer radius is read as an int."""

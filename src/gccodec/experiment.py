@@ -186,16 +186,13 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     try:
         report = c.decode(received, pattern, config.options)
     except DecodeFailure as exc:
-        record["outcome"] = "failure"
-        if exc.report is not None:
-            record["inner"] = exc.report.total_inner
-            record["outer"] = exc.report.total_outer
-            record["gmd_trials"] = max(exc.report.gmd_trials, default=0)
-        return record
-    record["outcome"] = "success" if report.codeword == word else "miscorrection"
-    record["inner"] = report.total_inner
-    record["outer"] = report.total_outer
-    record["gmd_trials"] = max(report.gmd_trials, default=0)
+        record["outcome"], report = "failure", exc.report
+    else:
+        record["outcome"] = "success" if report.codeword == word else "miscorrection"
+    if report is not None:  # a failure may come without its report
+        record["inner"] = report.total_inner
+        record["outer"] = report.total_outer
+        record["gmd_trials"] = max(report.gmd_trials, default=0)
     return record
 
 

@@ -11,13 +11,14 @@ Extension fields with q <= 2^16 build, when their handle is first made and
 in O(q), exp/log tables of a primitive element: products, inverses and
 negatives are table lookups, and odd-characteristic addition goes through
 Zech logarithms (characteristic 2 adds by XOR, prime fields reduce mod p).
-Larger fields fall back to polynomial arithmetic on the digit vectors.  The
-vector kernels axpy (out += c * v, in place) and dot run whole rows on the
-tables; the linear algebra and the Reed-Solomon decoder are written on
-them.  In characteristic 2 such a handle, and GF(2)'s, also keeps numpy
-copies of the tables for the array kernels, whose sums are XORs: RowMap's
-packed tables are built with them, and the Reed-Solomon array solve runs
-on them.  None of this changes any observable value.
+Larger fields, and the table builds, multiply by the Horner product modulo
+the modulus that Rabin's test uses (_mulmod); larger fields invert by
+extended Euclid.  The vector kernels axpy (out += c * v, in place) and dot
+run whole rows on the tables; the linear algebra and the Reed-Solomon
+decoder are written on them.  In characteristic 2 such a handle, and
+GF(2)'s, also keeps numpy copies of the tables for the array kernels, whose
+sums are XORs: RowMap's packed tables are built with them, and the
+Reed-Solomon array solve runs on them.  None of this changes any observable value.
 """
 
 from __future__ import annotations
@@ -195,6 +196,8 @@ class Field:
         self.modulus = tuple(modulus)
         self.q = (p if base is None else base.q) ** degree
         self._log = False  # the exp/log tables, where _cached builds them
+        # x^degree = _tail mod the monic modulus, which _mul_slow reduces by
+        self._tail = None if base is None else tuple(base.neg(c) for c in self.modulus[:-1])
 
     # -- identity ----------------------------------------------------------
 
@@ -421,13 +424,9 @@ class Field:
         return self.from_digits([base.add(x, y) for x, y in zip(da, db)])
 
     def _mul_slow(self, a, b):
-        if a == 0 or b == 0:
+        if a == 0 or b == 0:  # the slow axpy and dot pass zeros
             return 0
-        base = self.base
-        prod = poly_mul(base, self.to_digits(a), self.to_digits(b))
-        _, rem = poly_divmod(base, prod, self.modulus)
-        rem = list(rem) + [0] * (self.degree - len(rem))
-        return self.from_digits(rem)
+        return self.from_digits(_mulmod(self.base, self.to_digits(a), self.to_digits(b), self._tail))
 
     def _inv_slow(self, a):
         # extended Euclid on the coefficient polynomial and the modulus

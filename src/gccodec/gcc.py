@@ -178,6 +178,8 @@ def _multistage(spec: GccSpec, received, options: DecodeOptions | None, row_pass
     options = options or DecodeOptions()
     if options.radius is not None:
         raise InvalidParams("extended-radius decoding is not available here")
+    if options.carry_over:  # each level has its own chain, so no index carries over
+        raise InvalidParams("carry_over is not available here")
     f = spec.field
     received = check_matrix(f, received, spec.m, spec.n)
     residual = received

@@ -158,18 +158,30 @@ def _bump(counter, key):
         counter[key] = counter.get(key, 0) + 1
 
 
+def _level_step(spec: MpcSpec, level: int, word, counter, erasures=(), required=True):
+    """One outer decode of a hand-rolled decoder: ee_decode of word with
+    level's outer code, counted as "outer:<level>"; a failure raises
+    DecodeFailure when the decoder has no other try at that level, and is
+    returned otherwise."""
+    out = ee_decode(spec.outers[level - 1], word, erasures)
+    _bump(counter, f"outer:{level}")
+    if required and not out.ok:
+        raise DecodeFailure(f"{('first', 'second', 'third')[level - 1]}-level decode failed", level=level)
+    return out
+
+
+def _require_matrix(spec: MpcSpec, want: tuple, name: str):
+    if getattr(spec, "matrix", None) != want:  # a plain GccSpec has no matrix
+        raise InvalidParams(f"this decoder handles the {name} matrix only")
+
+
 def _uuv_level2(spec: MpcSpec, received, counter):
     """(rows of received, level-2 outcome): the second column block minus
     the first is the second-level word plus the difference of the errors."""
-    if spec.k != 2 or spec.matrix != ((1, 1), (0, 1)):
-        raise InvalidParams("this decoder handles the (u | u+v) matrix only")
+    _require_matrix(spec, ((1, 1), (0, 1)), "(u | u+v)")
     f = spec.field
     rows = check_matrix(f, received, spec.m, 2)
-    out2 = ee_decode(spec.outers[1], tuple(f.sub(r[1], r[0]) for r in rows))
-    _bump(counter, "outer:2")
-    if not out2.ok:
-        raise DecodeFailure("second-level decode failed", level=2)
-    return rows, out2
+    return rows, _level_step(spec, 2, tuple(f.sub(r[1], r[0]) for r in rows), counter)
 
 
 def decode_uuv(spec: MpcSpec, received, counter=None):
@@ -181,10 +193,7 @@ def decode_uuv(spec: MpcSpec, received, counter=None):
     """
     rows, out2 = _uuv_level2(spec, received, counter)
     unreliable = frozenset(j for j, e in enumerate(out2.error) if e != 0)
-    out1 = ee_decode(spec.outers[0], tuple(r[0] for r in rows), unreliable)
-    _bump(counter, "outer:1")
-    if not out1.ok:
-        raise DecodeFailure("first-level decode failed", level=1)
+    out1 = _level_step(spec, 1, tuple(r[0] for r in rows), counter, unreliable)
     return out1.codeword, out2.codeword
 
 
@@ -198,11 +207,9 @@ def decode_uuv_naive(spec: MpcSpec, received, counter=None):
     """
     rows, out2 = _uuv_level2(spec, received, counter)
     f = spec.field
-    a1 = spec.outers[0]
     d_star, _ = mpc_designed_distance(spec)
     v2 = out2.codeword
-    out1 = ee_decode(a1, tuple(r[0] for r in rows))
-    _bump(counter, "outer:1")
+    out1 = _level_step(spec, 1, tuple(r[0] for r in rows), counter, required=False)
     if out1.ok:
         v1 = out1.codeword
         mismatch = sum(
@@ -211,24 +218,8 @@ def decode_uuv_naive(spec: MpcSpec, received, counter=None):
         )
         if 2 * mismatch < d_star:
             return v1, v2
-    out1b = ee_decode(a1, tuple(f.sub(r[1], v2[j]) for j, r in enumerate(rows)))
-    _bump(counter, "outer:1")
-    if not out1b.ok:
-        raise DecodeFailure("first-level decode failed", level=1)
-    return out1b.codeword, v2
-
-
-def _require_uvw(spec: MpcSpec):
-    f = spec.field
-    if f.p == 2:
-        raise InvalidParams(
-            "the (u+v+w | 2u+v | u) matrix needs odd characteristic: its"
-            " second column is singular over characteristic two"
-        )
-    two = f.add(1, 1)
-    want = ((1, two, 1), (1, 1, 0), (1, 0, 0))
-    if spec.k != 3 or spec.matrix != want:
-        raise InvalidParams("this decoder handles the (u+v+w | 2u+v | u) matrix only")
+    out1 = _level_step(spec, 1, tuple(f.sub(r[1], v2[j]) for j, r in enumerate(rows)), counter)
+    return out1.codeword, v2
 
 
 def decode_uvw(spec: MpcSpec, received, counter=None):
@@ -240,19 +231,19 @@ def decode_uvw(spec: MpcSpec, received, counter=None):
     only the rows either correction touched with the weight-3 prefix code.
     The last level runs at most two erasure trials.
     """
-    _require_uvw(spec)
     f = spec.field
+    if f.p == 2:
+        raise InvalidParams(
+            "the (u+v+w | 2u+v | u) matrix needs odd characteristic: its"
+            " second column is singular over characteristic two"
+        )
+    _require_matrix(spec, ((1, f.add(1, 1), 1), (1, 1, 0), (1, 0, 0)), "(u+v+w | 2u+v | u)")
     rows = check_matrix(f, received, spec.m, 3)
-    a1, a2, a3 = spec.outers
     m = spec.m
     b1 = spec.subcodes[0]
 
     # level 3: R^1 - R^2 + R^3
-    v3_in = tuple(f.add(f.sub(r[0], r[1]), r[2]) for r in rows)
-    out3 = ee_decode(a3, v3_in)
-    _bump(counter, "outer:3")
-    if not out3.ok:
-        raise DecodeFailure("third-level decode failed", level=3)
+    out3 = _level_step(spec, 3, tuple(f.add(f.sub(r[0], r[1]), r[2]) for r in rows), counter)
     v3 = out3.codeword
 
     # cancel level 3 (its matrix row is (1, 0, 0)) and decode level 2
@@ -261,10 +252,7 @@ def decode_uvw(spec: MpcSpec, received, counter=None):
     r3p = tuple(r[2] for r in rows)
     touched3 = frozenset(j for j, e in enumerate(out3.error) if e != 0)
     v2_in = tuple(f.sub(r1p[j], r3p[j]) for j in range(m))
-    out2 = ee_decode(a2, v2_in, touched3)
-    _bump(counter, "outer:2")
-    if not out2.ok:
-        raise DecodeFailure("second-level decode failed", level=2)
+    out2 = _level_step(spec, 2, v2_in, counter, touched3)
     v2 = out2.codeword
 
     # cancel level 2 (matrix row (1, 1, 0)); re-decode touched rows with the
@@ -287,12 +275,7 @@ def decode_uvw(spec: MpcSpec, received, counter=None):
 
     first = frozenset(j for j in range(m) if weights[j] <= 0)
     second = frozenset(j for j in range(m) if weights[j] <= 1)
-    out1 = ee_decode(a1, v1_in, first)
-    _bump(counter, "outer:1")
-    if out1.ok and gmd.forney_check(out1.codeword, v1_in, rel, a1.distance()):
-        return out1.codeword, v2, v3
-    out1b = ee_decode(a1, v1_in, second)
-    _bump(counter, "outer:1")
-    if not out1b.ok:
-        raise DecodeFailure("first-level decode failed", level=1)
-    return out1b.codeword, v2, v3
+    out1 = _level_step(spec, 1, v1_in, counter, first, required=False)
+    if not (out1.ok and gmd.forney_check(out1.codeword, v1_in, rel, spec.outers[0].distance())):
+        out1 = _level_step(spec, 1, v1_in, counter, second)
+    return out1.codeword, v2, v3

@@ -94,6 +94,14 @@ class TestEncode:
         with pytest.raises(g.InvalidParams):
             code.contains(word)
 
+    @pytest.mark.parametrize("length", [0, 6, 8])
+    def test_message_of_and_contains_refuse_a_wrong_length(self, gf8, length):
+        code = g.rs_code(gf8, 7, 5)
+        with pytest.raises(g.LengthMismatch, match=f"^word length {length} != "):
+            code.message_of((0,) * length)
+        with pytest.raises(g.LengthMismatch, match=f"^word length {length} != "):
+            code.contains((0,) * length)
+
 
 class TestMessageChecks:
     """encode and encode_all check each message in one pass and fall back

@@ -10,8 +10,10 @@ import gccodec as g
 from gccodec.channel import RawStream, trial_stream
 from conftest import load_perfbench
 
-# 3 * 2^30 and 3 * 2^61 reject about a quarter of their Lemire draws
-HIGHS = (2, 3, 8, 9, 256, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 2**33 - 1, 3 * 2**61, 2**62)
+# 3 * 2^30 and 3 * 2^61 reject about a quarter of their Lemire draws, and
+# so does 3 * 2^30 + 1, the prime q of GF(3221225473), whose message draws
+# span q and whose error values span q - 1 = 3 * 2^30
+HIGHS = (2, 3, 8, 9, 256, 3 * 2**30, 3 * 2**30 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**33 - 1, 3 * 2**61, 2**62)
 # (error_rate, erasure_rate): noiseless, certain flips, erasures only, mixed
 RATES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.3), (0.3, 0.0), (0.2, 0.1), (0.5, 0.5))
 
@@ -224,6 +226,9 @@ class TestChannelStream:
         gf2, gf16 = g.make_field(2, 1), g.make_field(2, 4)
         out = [g.make_field(p, m) for p, m in ((2, 1), (3, 1), (7, 1), (2, 3), (3, 2), (2, 4))]
         out += [g.extend_field(gf2, 2), g.extend_field(gf16, 2)]
+        # q - 1 = 3 * 2^30: the inline 32-bit Lemire draw rejects a quarter
+        # of its error values, which the scalar loop then redraws
+        out.append(g.make_field(3221225473, 1))
         # past the 32-bit Lemire path: a plain 32-bit draw and 64-bit Lemire
         # (only q and add are read, so stand-ins spare building GF(2^33))
         out += [SimpleNamespace(q=q, add=operator.xor) for q in (2**32 + 1, 2**33)]
@@ -448,6 +453,28 @@ class TestRunExperiment:
         assert [r["trial"] for r in records[:-1]] == list(range(10))
         assert records[-1]["summary"]["trials"] == 10
         assert records[-1]["summary"]["violation"] == stats.violation
+
+    def test_a_failure_inside_the_region_is_a_violation(self, cc_small, tmp_path, monkeypatch):
+        # a planted decoder that fails every word: the noiseless words all
+        # sit inside the guarantee region
+        def fail(*args):
+            raise g.DecodeFailure("planted failure")
+
+        monkeypatch.setattr(g.experiment, "cc_decode", fail)
+        out = tmp_path / "run.jsonl"
+        config = g.ExperimentConfig(
+            spec=cc_small, channel=g.ChannelModel(error_rate=0.0, seed=5), trials=4, output=str(out)
+        )
+        stats = g.run_experiment(config)
+        assert (stats.in_region, stats.failures, stats.in_region_failures) == (4, 4, 4)
+        assert stats.violation
+        summary = json.loads(out.read_text().splitlines()[-1])["summary"]
+        assert summary["in_region_failures"] == 4 and summary["violation"] is True
+
+    def test_a_spec_of_no_construction_is_refused(self):
+        config = g.ExperimentConfig(spec=object(), channel=g.ChannelModel(error_rate=0.1), trials=1)
+        with pytest.raises(g.ConfigError, match="no construction for object"):
+            g.run_experiment(config)
 
     def test_erasures_rejected_for_multistage(self, mpc_uuv8):
         config = g.ExperimentConfig(

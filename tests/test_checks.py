@@ -452,7 +452,8 @@ class TestIntegerParameters:
 
 
 # (id, call on GF(2)): each raised a TypeError or IndexError, or returned a
-# wrong object (GF(2) for a bool degree, True for a ragged matrix)
+# wrong object (GF(2) for a bool degree, True for a ragged matrix), up to
+# ReliabilityVector; the rows after it are refusals no other test reached
 MALFORMED_PARAMETERS = [
     ("make_field-bool-m", lambda gf2: g.make_field(2, True)),
     ("make_field-float-m", lambda gf2: g.make_field(2, 3.0)),
@@ -469,6 +470,24 @@ MALFORMED_PARAMETERS = [
     ("mpc_spec-int-in-outers", lambda gf2: g.mpc_spec([5], [[1, 1]], gf2)),
     ("mpc_spec-int-matrix", lambda gf2: g.mpc_spec([g.repetition_code(gf2, 2)], 5, gf2)),
     ("ReliabilityVector-int-weights", lambda gf2: g.ReliabilityVector(5, 1)),
+    ("extend_field-short-modulus", lambda gf2: g.extend_field(gf2, 2, [1, 1])),
+    ("from_base_vector-short", lambda gf2: g.TowerView(g.extend_field(gf2, 2), gf2).from_base_vector([1])),
+    ("LinearCode-empty-generator", lambda gf2: g.LinearCode(gf2, [])),
+    ("viable-index-0", lambda gf2: g.viable(0, g.erasure_chain(g.ReliabilityVector((1, 0, 1), 1)), 3)),
+    ("trial_bound-0", lambda gf2: g.trial_bound(0)),
+    (
+        "gmd_decode-unknown-mode",
+        lambda gf2: g.gmd_decode(g.repetition_code(gf2, 3), (0, 0, 0), g.ReliabilityVector((1, 1, 1), 1), mode="all"),
+    ),
+    (
+        "gmd_decode-chain-past-the-empty-set",
+        lambda gf2: g.gmd_decode(
+            g.repetition_code(gf2, 3),
+            (0, 0, 0),
+            g.ReliabilityVector((1, 1, 1), 1),
+            chain=g.ErasureChain((frozenset({0}), frozenset({0, 1}))),
+        ),
+    ),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -80,6 +81,24 @@ class TestEncodeDecode:
         code = main(["decode", "--spec", str(spec_path), "--word", json.dumps(word)])
         capsys.readouterr()
         assert code == 1
+
+    def test_single_code_decode_failure_exit_code(self, capsys, code_spec_file, gf8):
+        rs = g.rs_code(gf8, 7, 3)
+        word = next(w + (0,) * 4 for w in itertools.product(range(8), repeat=3) if not rs.decode(w + (0,) * 4).ok)
+        assert main(["decode", "--spec", code_spec_file, "--word", json.dumps(word)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "decoding failed\n"
+
+    def test_arguments_read_from_files(self, capsys, tmp_path, code_spec_file, gf8):
+        msg, word, erasures = tmp_path / "msg.json", tmp_path / "word.json", tmp_path / "erasures.json"
+        msg.write_text("[1, 2, 3]")
+        code, out = run(capsys, ["encode", "--spec", code_spec_file, "--msg", f"@{msg}"])
+        assert code == 0
+        word.write_text(json.dumps([0, 0] + out["codeword"][2:]))
+        erasures.write_text("[0, 1]")
+        argv = ["decode", "--spec", code_spec_file, "--word", f"@{word}", "--erasures", f"@{erasures}"]
+        code, out = run(capsys, argv)
+        assert code == 0 and out["message"] == [1, 2, 3]
 
     def test_erasure_flag(self, capsys, code_spec_file, gf8):
         rs = g.rs_code(gf8, 7, 3)
@@ -346,19 +365,39 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "bad",
-        ["7", "[0.9" + ",0" * 14 + "]", "[" + "0," * 14 + '"1"]', "[[0,0,0,0,0],3,[0,0,0,0,0]]"],
+        [
+            "7",
+            "[0.9" + ",0" * 14 + "]",
+            "[" + "0," * 14 + '"1"]',
+            "[[0,0,0,0,0],3,[0,0,0,0,0]]",
+            "[[0,0,0,0,0],[0,0,0,0,0]]",  # two rows of three
+            "[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0]]",  # a short row
+            "[0,0,0]",  # 3 symbols of 15
+        ],
     )
     def test_malformed_concat_word(self, capsys, cc_spec_file, bad):
         assert main(["decode", "--spec", cc_spec_file, "--word", bad]) == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "bad", ["5", "[1,2,3]", "[[1.5],[],[]]", '[["1"],[],[]]', "[[9],[],[]]"]
+        "bad", ["5", "[1,2,3]", "[[1.5],[],[]]", '[["1"],[],[]]', "[[9],[],[]]", "[[],[]]"]
     )
     def test_malformed_concat_erasures(self, capsys, cc_spec_file, bad):
         argv = ["decode", "--spec", cc_spec_file, "--word", json.dumps([0] * 15)]
         assert main(argv + ["--erasures", bad]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--carry-over"], "carry_over is not available"), (["--radius", "2"], "extended-radius")],
+        ids=["carry-over", "radius"],
+    )
+    def test_multistage_decode_refuses_carry_over_and_radius(self, capsys, mpc_spec_file, flags, message):
+        argv = ["decode", "--spec", mpc_spec_file, "--word", json.dumps([0] * 14), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestInfoAndChecks:
@@ -500,6 +539,9 @@ MALFORMED_INPUTS = [
     ("simulate", "config", ("channel", "error_rate"), None, "lacks the entry 'error_rate'"),
     ("simulate", "config", ("channel",), [0.1], "channel must be a JSON object"),
     ("simulate", "config", ("decoder",), "beyond", "decoder must be a JSON object"),
+    # the multistage decoders have no carry-over and no extended radius
+    ("simulate", "config", ("decoder",), {"carry_over": True}, "carry_over is not available"),
+    ("simulate", "config", ("decoder",), {"radius": 2}, "extended-radius decoding is not available"),
     ("code-info", "cc", ("inner",), 5, "a code must be a JSON object"),
     ("code-info", "cc", ("outer", "field"), None, "lacks the entry 'field'"),
     ("code-info", "rs", ("field",), 7, "a field must be a JSON object"),
@@ -624,6 +666,19 @@ def test_malformed_spec_is_a_usage_error(capsys, tmp_path, request, kind, edits)
     file.write_text(json.dumps(data))
     assert main(["code-info", "--spec", str(file)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_exits_3_on_a_violation(capsys, tmp_path, monkeypatch, cc_spec_file):
+    # a planted decoder that fails the noiseless words inside the region
+    def fail(*args):
+        raise g.DecodeFailure("planted failure")
+
+    monkeypatch.setattr(g.experiment, "cc_decode", fail)
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"spec": cc_spec_file, "channel": {"error_rate": 0.0, "seed": 5}, "trials": 3}))
+    code, out = run(capsys, ["simulate", "--config", str(config)])
+    assert code == 3
+    assert out["in_region_failures"] == 3 and out["violation"] is True
 
 
 def test_selftest(capsys):

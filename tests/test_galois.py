@@ -10,6 +10,7 @@ import numpy as np
 import gccodec as g
 from gccodec import galois, linalg, specio
 from conftest import has_array_kernel
+from twins import mul_by_division
 
 
 def naive_digits(value, p, m):
@@ -375,6 +376,24 @@ class TestBeyondLogTables:
         assert out == [ref_digitwise(f, lambda x, y: x + y, x, f.mul(12345, y)) for x, y in zip(u, v)]
         assert f.dot(u, v) == f.add(f.mul(u[0], v[0]), f.dot(u[1:], v[1:]))
         assert f._log is False
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: g.make_field(2, 17),
+        lambda: g.make_field(3, 11),
+        lambda: g.extend_field(g.make_field(2, 8), 3),  # GF(2^24) over GF(256)'s tables
+    ],
+    ids=["GF(2^17)", "GF(3^11)", "GF(2^24)/GF(256)"],
+)
+def test_products_past_the_tables_match_the_division_twin(make):
+    f = make()
+    rng = random.Random(f.q)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(300)]
+    pairs += [(0, 5), (5, 0), (1, f.q - 1), (f.q - 1, f.q - 1)]
+    assert [f.mul(a, b) for a, b in pairs] == [mul_by_division(f, a, b) for a, b in pairs]
+    assert f._log is False
 
 
 ROW_MAP_FIELDS = {

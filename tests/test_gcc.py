@@ -163,6 +163,31 @@ class TestDecoders:
         if which == "basic":
             assert report.total_inner == mixed_spec.m * mixed_spec.k
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (g.DecodeOptions(carry_over=True), "carry_over is not available"),
+            (g.DecodeOptions(radius=2), "extended-radius decoding is not available"),
+        ],
+        ids=["carry_over", "radius"],
+    )
+    @pytest.mark.parametrize(
+        "decode, fixture",
+        [
+            (g.gcc_decode_basic, "mixed_spec"),
+            (g.gcc_decode_improved, "mixed_spec"),
+            (g.mpc_decode, "mpc_uuv8"),
+        ],
+        ids=["basic", "improved", "mpc"],
+    )
+    def test_refuse_carry_over_and_radius(self, request, decode, fixture, options, message):
+        # each level decodes over its own chain: no accepted trial index
+        # carries over to another column, and the rows keep the half-distance radius
+        spec = request.getfixturevalue(fixture)
+        word = g.gcc_encode(spec, [(0,) * a.k for a in spec.outers])
+        with pytest.raises(g.InvalidParams, match=message):
+            decode(spec, word, options)
+
     def test_half_distance_region(self, uuv_bin):
         rng = random.Random(3)
         d_star = g.designed_distance(uuv_bin)

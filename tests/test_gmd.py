@@ -99,6 +99,10 @@ class TestForneyCheck:
         assert g.forney_lhs((9, 9, 3, 0), (1, 2, 3, 0), r) == 16
         assert not g.forney_check((9, 9, 3, 0), (1, 2, 3, 0), r, 3)
 
+    def test_lengths_must_agree(self):
+        with pytest.raises(g.LengthMismatch, match="equal length"):
+            g.forney_lhs((1, 2, 3), (1, 2, 3, 0), rel((4, 4, 4, 4), 4))
+
 
 class TestTrialBound:
     @pytest.mark.parametrize("d,expected", [(7, 4), (1, 1), (6, 3), (2, 1), (3, 2)])
@@ -275,6 +279,11 @@ class TestTrialsTakeTheBoundedStep:
         cc.outer.attach(lambda word, erasures: DecodeOutcome((0, 0, 0), word, 2))
         with pytest.raises(g.ContractViolation):
             g.cc_decode(cc, received)
+
+    def test_weights_must_cover_the_code(self, gf2, inner_523):
+        # a word of the reliability vector's length, one symbol short of n
+        with pytest.raises(g.LengthMismatch, match="lengths differ"):
+            g.gmd_decode(inner_523, (0,) * 4, rel((1,) * 4, 1))
 
     def test_a_caller_chain_is_checked_on_entry(self, gf2, inner_523):
         word = inner_523.encode((0, 1))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -405,6 +406,27 @@ class TestSpecializedUuv:
         with pytest.raises(g.InvalidParams):
             g.decode_uuv(spec, ((0, 0),) * 3)
 
+    @pytest.mark.parametrize("decode", [g.decode_uuv, g.decode_uuv_naive, g.decode_uvw], ids=["uuv", "naive", "uvw"])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_a_plain_gcc_spec_is_refused(self, gf3, decode, levels):
+        # the GccSpec of a matrix, which has no matrix attribute, is refused
+        # as another matrix would be, not with an AttributeError
+        a = g.repetition_code(gf3, 3)
+        matrix = UUV_MATRIX if levels == 2 else UVW_MATRIX
+        spec = g.gcc_spec([a] * levels, matrix, gf3)
+        with pytest.raises(g.InvalidParams, match="matrix only"):
+            decode(spec, ((0,) * levels,) * 3)
+
+    @pytest.mark.parametrize("decode", [g.decode_uuv, g.decode_uuv_naive], ids=["uuv", "naive"])
+    def test_second_level_failure_is_named(self, mpc_uuv8, decode):
+        # the block difference (0, 1, ..., 6) is at distance 6 or more from
+        # every codeword of the [7,1,7] level-2 code
+        counter = {}
+        with pytest.raises(g.DecodeFailure, match="^second-level decode failed$") as exc:
+            decode(mpc_uuv8, tuple((0, j) for j in range(7)), counter)
+        assert exc.value.level == 2 and exc.value.report is None
+        assert counter == {"outer:2": 1}
+
 
 class TestSpecializedUuvNaive:
     def test_fallback_branch_used(self, mpc_uuv8):
@@ -433,6 +455,16 @@ class TestSpecializedUuvNaive:
             if counter.get("outer:1") == 2:
                 forced += 1
         assert forced > 0
+
+    def test_first_level_failure_is_named(self, mpc_uuv8):
+        # equal blocks: level 2 decodes to zero, so both first-level tries
+        # read (1, 2, 0, 0, 0, 0, 0), which the [7,5,3] code cannot decode
+        counter = {}
+        received = tuple((x, x) for x in (1, 2, 0, 0, 0, 0, 0))
+        with pytest.raises(g.DecodeFailure, match="^first-level decode failed$") as exc:
+            g.decode_uuv_naive(mpc_uuv8, received, counter)
+        assert exc.value.level == 1 and exc.value.report is None
+        assert counter == {"outer:2": 1, "outer:1": 2}
 
 
 class TestSpecializedUvw:
@@ -501,6 +533,12 @@ class TestSpecializedUvw:
         a = g.repetition_code(gf4, 3)
         spec = g.mpc_spec([a, a, a], [[1, 3, 1], [1, 1, 0], [1, 0, 0]], gf4)
         with pytest.raises(g.InvalidParams):
+            g.decode_uvw(spec, ((0, 0, 0),) * 3)
+
+    def test_another_matrix_rejected(self, gf3):
+        a = g.repetition_code(gf3, 3)
+        spec = g.mpc_spec([a, a, a], [[1, 1, 1], [1, 2, 0], [1, 0, 0]], gf3)
+        with pytest.raises(g.InvalidParams, match=re.escape("handles the (u+v+w | 2u+v | u) matrix only")):
             g.decode_uvw(spec, ((0, 0, 0),) * 3)
 
 

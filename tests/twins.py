@@ -1,12 +1,13 @@
 """Reference twins and word generators that the fast decode paths are
 tested against: RS words that only a re-check of the last syndrome
 refuses, RS batches for the array solve, decoders that run row by row or
-share no state with the code's own, cc_decode column by column, and the
-extended-radius chain set by set."""
+share no state with the code's own, cc_decode column by column, the
+extended-radius chain set by set, and the product of a field without
+tables by polynomial division."""
 
 import itertools
 
-from gccodec import gmd
+from gccodec import galois, gmd
 from gccodec.block_codes import BATCH_MIN_ROWS, LinearCode, ReedSolomonDecoder, SyndromeDecoder
 from gccodec.concat import DecodeOptions, cc_encode, check_matrix, check_pattern, decode_rows, extended_trial_chain
 from gccodec.errors import DecodeFailure
@@ -177,3 +178,14 @@ def noisy_concat_words(cc, rng, count):
             ]
         out.append((tuple(map(tuple, word)), pattern))
     return out
+
+
+def mul_by_division(f, a, b):
+    """a * b in the extension field f: the product of the digit polynomials
+    over f's base field, reduced by polynomial division by the modulus."""
+    if a == 0 or b == 0:
+        return 0
+    base = f.base
+    prod = galois.poly_mul(base, f.to_digits(a), f.to_digits(b))
+    _, rem = galois.poly_divmod(base, prod, f.modulus)
+    return f.from_digits(list(rem) + [0] * (f.degree - len(rem)))
